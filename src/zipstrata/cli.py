@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__, golden, sections, strata
@@ -63,21 +62,28 @@ def _galois_spec(cfg):
     raise ConfigError("config.galois: give an explicit matrix for this permutation")
 
 
-def _datum_from_config(cfg):
+def _group_from_config(cfg):
     group = cfg.get("group")
     if not isinstance(group, dict):
         raise ConfigError("config.group must be an object")
     if "preset" in group:
-        rd = build_root_datum(group["preset"], galois=_galois_spec(cfg))
+        spec = group["preset"]
     elif "explicit" in group:
-        rd = build_root_datum(group["explicit"], galois=_galois_spec(cfg))
+        spec = group["explicit"]
     else:
         raise ConfigError("config.group needs 'preset' or 'explicit'")
+    try:
+        rd = build_root_datum(spec, galois=_galois_spec(cfg))
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ConfigError("malformed config.group or config.galois: %r" % (e,))
+    return rd, WeylGroup(rd)
+
+
+def _datum_from_config(cfg, rd, wg):
     p = cfg.get("p")
     n = cfg.get("n", 1)
     if not isinstance(p, int):
         raise ConfigError("config.p must be an integer prime")
-    wg = WeylGroup(rd)
     if "I" in cfg:
         I = tuple(i - 1 for i in cfg["I"])
         Z = zip_from_cochar(rd, I=I, n=n, p=p, wg=wg)
@@ -175,8 +181,7 @@ def _text_lines(obj, indent):
 
 def _poset_payload(poset):
     nodes = [{"label": s.label, "length": s.length,
-              "variety_dim": getattr(s, "variety_dim", getattr(s, "derived_dim", None)),
-              "stack_dim": getattr(s, "stack_dim", None)}
+              "variety_dim": s.variety_dim, "stack_dim": s.stack_dim}
              for s in poset.strata]
     edges = [[poset.strata[i].label, poset.strata[j].label] for i, j in poset.covers]
     return {"side": poset.side, "nodes": nodes, "edges": edges}
@@ -261,12 +266,6 @@ def _cmd_coarse_strata(Z, FZ, args):
     return _bundle("coarse-strata", {"count": len(rows), "strata": rows})
 
 
-def _cmd_hasse(Z, FZ, args):
-    poset = strata.fine_hasse_diagram(FZ, args.side) if FZ \
-        else strata.hasse_diagram(Z, args.side)
-    return poset
-
-
 def _cmd_char_test(Z, FZ, cfg, args):
     rd = Z.rd
     rows = []
@@ -304,26 +303,19 @@ def _cmd_n_alpha(Z, FZ, cfg, args):
                                "convention": CONVENTION})
 
 
-def _lattice_for(args, FZ):
-    if args.lattice == "torus":
-        return "torus"
-    # 'levi' on a plain datum, 'levi'/'levi0' both mean the induced Levi on a flag
-    return "levi"
-
-
 def _cmd_cone(Z, FZ, cfg, args):
     Zt = FZ.Z0 if FZ else Z
     wg = Zt.wg
     if "w" not in cfg:
         raise ConfigError("cone requires config.w")
     w = _parse_label(wg, cfg["w"])
-    cone = sections.section_cone(Zt, w, _lattice_for(args, FZ))
+    cone = sections.section_cone(Zt, w, args.lattice)
     bundle = _bundle("cone", _cone_payload(cone))
     return bundle, (EXIT_OK if cone.feasible else EXIT_INFEASIBLE)
 
 
 def _cmd_purity(Z, FZ, cfg, args):
-    rep = sections.purity_report(FZ if FZ else Z, lattice=_lattice_for(args, FZ),
+    rep = sections.purity_report(FZ if FZ else Z, lattice=args.lattice,
                                  box=args.box,
                                  candidates=_characters(cfg, Z.rd.rank))
     return _bundle("purity", _purity_payload(rep))
@@ -336,32 +328,23 @@ def _cmd_scan(cfg, args):
         if "I" not in cfg:
             raise ConfigError("scan requires 'types' or 'I' in the config")
         types = [cfg["I"]]
-    cells = [(tuple(t), p) for t in types for p in primes]
-
-    def run_cell(cell):
-        t, p = cell
-        try:
-            sub = dict(cfg)
-            sub["I"] = list(t)
-            sub["p"] = p
-            Z, FZ = _datum_from_config(sub)
-            rep = sections.purity_report(FZ if FZ else Z,
-                                         lattice=_lattice_for(args, FZ), box=args.box,
-                                         candidates=_characters(cfg, Z.rd.rank))
-            return {"I": list(t), "p": p, "ok": True,
-                    "principally_pure": rep.principally_pure,
-                    "uniformly_pure": rep.uniformly_pure,
-                    "uniform_witness": list(rep.uniform_witness)
-                    if rep.uniform_witness else None,
-                    "failing_strata": list(rep.failing_strata())}
-        except Exception as e:  # per-cell failures reported, scan continues
-            return {"I": list(t), "p": p, "ok": False, "error": str(e)}
-
-    if args.workers > 1 and cells:
-        with ThreadPoolExecutor(max_workers=args.workers) as ex:
-            results = list(ex.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
+    rd, wg = _group_from_config(cfg)     # W does not depend on p or the type
+    results = []
+    for t in types:
+        for p in primes:
+            try:
+                Z, FZ = _datum_from_config(dict(cfg, I=list(t), p=p), rd, wg)
+                rep = sections.purity_report(FZ if FZ else Z, lattice=args.lattice,
+                                             box=args.box,
+                                             candidates=_characters(cfg, rd.rank))
+                results.append({"I": list(t), "p": p, "ok": True,
+                                "principally_pure": rep.principally_pure,
+                                "uniformly_pure": rep.uniformly_pure,
+                                "uniform_witness": list(rep.uniform_witness)
+                                if rep.uniform_witness else None,
+                                "failing_strata": list(rep.failing_strata())})
+            except Exception as e:  # per-cell failures reported, scan continues
+                results.append({"I": list(t), "p": p, "ok": False, "error": str(e)})
 
     summary = {}
     for t in types:
@@ -389,10 +372,12 @@ def build_parser():
     ap.add_argument("--config", default=None, help="path to the JSON configuration")
     ap.add_argument("--format", default="json", choices=["json", "text", "dot"])
     ap.add_argument("--out", default=None, help="write output to a file")
-    ap.add_argument("--lattice", default="levi", choices=["torus", "levi", "levi0"])
+    ap.add_argument("--lattice", default="levi", choices=["torus", "levi"])
     ap.add_argument("--box", type=int, default=2,
                     help="search radius for the sufficient-condition character")
-    ap.add_argument("--workers", type=int, default=1, help="scan worker threads")
+    ap.add_argument("--workers", type=int, default=1,
+                    help="ignored (scan runs sequentially); kept so existing "
+                         "command lines still parse")
     ap.add_argument("--side", default="I", choices=["I", "J"],
                     help="stratum parametrization side")
     return ap
@@ -408,7 +393,7 @@ def main(argv=None) -> int:
             bundle = _cmd_scan(cfg, args)
             _emit(args.out, _render(bundle, args.format))
             return EXIT_OK
-        Z, FZ = _datum_from_config(cfg)
+        Z, FZ = _datum_from_config(cfg, *_group_from_config(cfg))
         code = EXIT_OK
         if args.command == "describe":
             bundle = _cmd_describe(Z, FZ, args)
@@ -419,7 +404,8 @@ def main(argv=None) -> int:
         elif args.command == "coarse-strata":
             bundle = _cmd_coarse_strata(Z, FZ, args)
         elif args.command == "hasse":
-            poset = _cmd_hasse(Z, FZ, args)
+            poset = strata.fine_hasse_diagram(FZ, args.side) if FZ \
+                else strata.hasse_diagram(Z, args.side)
             if args.format == "dot":
                 _emit(args.out, _poset_dot(poset))
                 return EXIT_OK

@@ -113,6 +113,7 @@ class RootDatum:
     roots: frozenset = field(default=frozenset())
     positive: tuple = field(default=())
     coroot_of: dict = field(default_factory=dict)
+    coroot_orbits: tuple = field(default=())   # sorted orbits under W and galois
 
     def __post_init__(self):
         self._validate_base()
@@ -124,6 +125,7 @@ class RootDatum:
         if 2 * len(pos) != len(self.roots):
             raise RootDatumError("positive roots do not split the root set in half")
         self._validate_galois()
+        object.__setattr__(self, "coroot_orbits", self._coroot_orbits())
 
     # -- construction checks -------------------------------------------------
     def _validate_base(self):
@@ -215,6 +217,27 @@ class RootDatum:
         if m != _identity(self.rank):
             raise RootDatumError("galois matrix does not have the declared order")
 
+    def _coroot_orbits(self):
+        """Orbits of the coroots under the simple reflections and the galois action."""
+        seen = set()
+        orbits = []
+        for c in sorted(self.coroot_of.values()):
+            if c in seen:
+                continue
+            orbit = {c}
+            frontier = [c]
+            while frontier:
+                u = frontier.pop()
+                images = [reflect(self, a, u, "cochar") for a in self.simple_roots]
+                images.append(self.galois.cochar(u))
+                for v in images:
+                    if v not in orbit:
+                        orbit.add(v)
+                        frontier.append(v)
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+        return tuple(orbits)
+
     # -- queries --------------------------------------------------------------
     @property
     def num_simple(self) -> int:
@@ -259,15 +282,6 @@ class RootDatum:
         return pos | frozenset(vneg(a) for a in pos)
 
 
-def positive_roots(rd: RootDatum):
-    """Ordered positive roots; closure of the simple set under reflections."""
-    return list(rd.positive)
-
-
-def pairing(chi: Vec, covec: Vec) -> int:
-    return dot(chi, covec)
-
-
 def reflect(rd: RootDatum, alpha: Vec, v: Vec, side: str = "char") -> Vec:
     """Reflection s_alpha on a character (v - <v,a^vee>a) or cocharacter."""
     if alpha not in rd.roots:
@@ -279,14 +293,6 @@ def reflect(rd: RootDatum, alpha: Vec, v: Vec, side: str = "char") -> Vec:
     if side == "cochar":
         c = dot(alpha, v)
         return tuple(v[i] - c * ac[i] for i in range(rd.rank))
-    raise RootDatumError("side must be 'char' or 'cochar'")
-
-
-def apply_galois(rd: RootDatum, k: int, v: Vec, side: str = "char") -> Vec:
-    if side == "char":
-        return rd.galois.char(v, k)
-    if side == "cochar":
-        return rd.galois.cochar(v, k)
     raise RootDatumError("side must be 'char' or 'cochar'")
 
 

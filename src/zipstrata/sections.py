@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import cones
 from .rootsystem import RootDatum, Vec, _identity, _mat_mul, _mat_vec, dot
-from .weyl import WeylElt, WeylGroup
+from .weyl import WeylElt
 from .zipdatum import (FlaggedZipDatum, ZipDatum, prime_power,
                        zip_from_cochar)
 
@@ -91,37 +91,6 @@ class PurityReport:
 
 # -- character tests ---------------------------------------------------------------
 
-def _coroot_orbits(rd: RootDatum):
-    """Orbits of the coroots under the Weyl group together with the galois action."""
-    cached = getattr(rd, "_coroot_orbit_cache", None)
-    if cached is not None:
-        return cached
-    wg = WeylGroup(rd)
-    refl = [wg.simple_reflection(i) for i in range(rd.num_simple)]
-    covecs = sorted({rd.coroot(a) for a in rd.roots})
-    seen = set()
-    orbits = []
-    for c in covecs:
-        if c in seen:
-            continue
-        orbit = {c}
-        frontier = {c}
-        while frontier:
-            new = set()
-            for u in frontier:
-                images = [wg.act(s, u, "cochar") for s in refl]
-                images.append(rd.galois.cochar(u))
-                for v in images:
-                    if v not in orbit:
-                        orbit.add(v)
-                        new.add(v)
-            frontier = new
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    object.__setattr__(rd, "_coroot_orbit_cache", orbits)
-    return orbits
-
-
 def character_tests(rd: RootDatum, chi: Vec, q: int) -> CharacterVerdict:
     """q-smallness and orbital q-closeness with explicit witnesses."""
     if q < 2:
@@ -136,7 +105,7 @@ def character_tests(rd: RootDatum, chi: Vec, q: int) -> CharacterVerdict:
             witnesses["q_small"] = {"root": a, "pairing": dot(chi, rd.coroot(a))}
             break
     close = True
-    for orbit in _coroot_orbits(rd):
+    for orbit in rd.coroot_orbits:
         vals = [(abs(dot(chi, u)), u) for u in orbit]
         nonzero = [t for t in vals if t[0] != 0]
         if not nonzero:

@@ -68,14 +68,16 @@ def _psi(Z: ZipDatum, u: WeylElt) -> WeylElt:
     return wg.compose(wg.compose(wg.inverse(Z.z), wg.galois(u, Z.n)), Z.z)
 
 
-def _closure_below(Z: ZipDatum, lo: WeylElt, hi: WeylElt) -> bool:
-    """lo is in the closure of hi: exists u in W_I with u lo psi(u)^{-1} <= hi."""
+def _twisted_orbit(Z: ZipDatum, w: WeylElt):
+    """Yield the twisted conjugates u w psi(u)^{-1} for u in W_I, in W_I order."""
     wg = Z.wg
     for u in wg.subgroup_elements(Z.I):
-        t = wg.compose(wg.compose(u, lo), wg.inverse(_psi(Z, u)))
-        if wg.bruhat_leq(t, hi):
-            return True
-    return False
+        yield wg.compose(wg.compose(u, w), wg.inverse(_psi(Z, u)))
+
+
+def _closure_below(Z: ZipDatum, lo: WeylElt, hi: WeylElt) -> bool:
+    """lo is in the closure of hi: exists u in W_I with u lo psi(u)^{-1} <= hi."""
+    return any(Z.wg.bruhat_leq(t, hi) for t in _twisted_orbit(Z, lo))
 
 
 def closure_leq(Z: ZipDatum, lo: WeylElt, hi: WeylElt) -> bool:
@@ -96,11 +98,7 @@ def cross_label(Z: ZipDatum, w: WeylElt) -> WeylElt:
     wg = Z.wg
     if not wg.is_min_left(w, Z.I):
         raise StrataError("cross_label expects a label minimal on the I side")
-    found = set()
-    for u in wg.subgroup_elements(Z.I):
-        t = wg.compose(wg.compose(u, w), wg.inverse(_psi(Z, u)))
-        if wg.is_min_right(t, Z.J):
-            found.add(t)
+    found = {t for t in _twisted_orbit(Z, w) if wg.is_min_right(t, Z.J)}
     if len(found) != 1:
         raise AssertionError(
             "twisted orbit of %s meets the J-side labels %d times; convention error"
@@ -158,7 +156,7 @@ def coarse_strata(FZ: FlaggedZipDatum) -> List[CoarseStratum]:
         l_j0 = wg.length(wg.longest_element(FZ.J0))
         l_iw = wg.length(wg.longest_element(I_w))
         reference_dim = l + l_j0 - l_iw - d.dim_P0
-        derived_dim = l + l_i0 + l_j0 - l_iw + d.dim_B + d.dim_L_over_P0L
+        derived_dim = l + l_i0 + l_j0 - l_iw + d.dim_B + d.dim_P_over_P0
         out.append(CoarseStratum(w=w, label=wg.describe(w), length=l, I_w=I_w,
                                  reference_dim=reference_dim, derived_dim=derived_dim))
     out.sort(key=lambda s: wg.sort_key(s.w))
@@ -279,8 +277,7 @@ def project_stratum(Z: ZipDatum, I1: Iterable[int], I0: Iterable[int],
         side = "I" if minimal else "J"
         return _make_stratum(FZ0.Z0, w, side, d.dim_P, d.dim_G)
     cands = set()
-    for u in wg.subgroup_elements(I0):
-        t = wg.compose(wg.compose(u, w), wg.inverse(_psi(FZ0.Z0, u)))
+    for t in _twisted_orbit(FZ0.Z0, w):     # FZ0.Z0 has I = I0
         while not wg.is_min_left(t, I0):
             i = next(i for i in I0 if wg.has_left_descent(t, i))
             t = wg.compose(wg.simple_reflection(i), t)

@@ -64,7 +64,6 @@ class WeylGroup:
         self._inv: dict = {}
         self._invT: dict = {}
         self._word: dict = {}
-        self._elements: Optional[tuple] = None
         self._subgroups: dict = {}
         self._bruhat: dict = {}
         self._posset = frozenset(rd.positive)
@@ -175,21 +174,7 @@ class WeylGroup:
 
     # -- enumeration ----------------------------------------------------------
     def elements(self) -> tuple:
-        if self._elements is None:
-            els = {self._id}
-            frontier = {self._id}
-            while frontier:
-                new = set()
-                for g in frontier:
-                    for s in self.simple:
-                        h = _mat_mul(g, s)
-                        if h not in els:
-                            els.add(h)
-                            new.add(h)
-                frontier = new
-            self._elements = tuple(sorted((WeylElt(self, m) for m in els),
-                                          key=self.sort_key))
-        return self._elements
+        return self.subgroup_elements(range(self.rd.num_simple))
 
     def sort_key(self, w: WeylElt):
         return (self.length(w), self.canonical_word(w))
@@ -359,34 +344,4 @@ class WeylGroup:
                 k = 2 * n + 1 - v
                 cols.append(tuple(-1 if i == k - 1 else 0 for i in range(n)))
         mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        w = WeylElt(self, mat)
-        if self.to_bracket(w) != self._normalize_bracket(text):
-            raise WeylError("bracket %r does not define a Weyl element" % text)
-        return w
-
-    def _normalize_bracket(self, text: str) -> str:
-        n = self.rd.rank
-        body = text.strip().strip("[]").replace(",", " ")
-        vals = [int(t) for t in body.split()] if " " in body else [int(c) for c in body]
-        sep = " " if 2 * n > 9 else ""
-        return "[" + sep.join(str(d) for d in vals) + "]"
-
-
-def to_bracket(w: WeylElt) -> str:
-    return w.group.to_bracket(w)
-
-
-def from_bracket(wg: WeylGroup, text: str) -> WeylElt:
-    return wg.from_bracket(text)
-
-
-def from_word(wg: WeylGroup, word: Sequence[int]) -> WeylElt:
-    return wg.from_word(word)
-
-
-def bruhat_leq(u: WeylElt, w: WeylElt) -> bool:
-    return u.group.bruhat_leq(u, w)
-
-
-def lower_reflections(w: WeylElt) -> tuple:
-    return w.group.lower_reflections(w)
+        return WeylElt(self, mat)

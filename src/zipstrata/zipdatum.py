@@ -7,7 +7,7 @@ the correct parabolic position.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .rootsystem import RootDatum, Vec, dot, vneg
@@ -124,7 +124,6 @@ class DimReport:
     dim_E0: Optional[int] = None
     dim_E_hat: Optional[int] = None
     dim_P_over_P0: Optional[int] = None
-    dim_L_over_P0L: Optional[int] = None
     dim_M_cap_V0: Optional[int] = None
 
     def as_dict(self) -> dict:
@@ -280,10 +279,5 @@ def dims(obj) -> DimReport:
     return DimReport(dim_G=dim_G, dim_B=dim_B, dim_P=dim_P, dim_Q=dim_Q, dim_E=dim_E,
                      dim_P0=dim_P0, dim_Q0=dim_Q0, dim_E0=dim_E0, dim_E_hat=dim_E_hat,
                      dim_P_over_P0=pos_I - pos_I0,
-                     dim_L_over_P0L=pos_I - pos_I0,
                      dim_M_cap_V0=m_cap_v0)
 
-
-def with_z(Z: ZipDatum, z: WeylElt) -> ZipDatum:
-    """Copy of the datum with a replaced frame element (for validation tests)."""
-    return replace(Z, z=z)

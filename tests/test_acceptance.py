@@ -7,7 +7,8 @@ the generator of the Levi-character lattice.  The as-specified variant fails:
 no linear transport-sum convention can produce the printed values from
 (1,0,0) (the q-coefficient 2 at the short wall e1+e2 is out of range for
 signed-permutation images, and the p=2 vanishing wall pins the character to
-the Levi lattice).  See /root/notes/decisions.md for the full analysis.
+the Levi lattice).  See the README's "Install and test" section for the
+full analysis.
 """
 import itertools
 import sys

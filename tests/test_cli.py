@@ -1,4 +1,8 @@
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from zipstrata import cli
 
@@ -149,6 +153,32 @@ def test_scan(tmp_path, capsys):
     assert code == 0 and json.loads(out)["payload"]["cells"] == []
 
 
+def test_scan_builds_weyl_group_once(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class CountingWeylGroup(cli.WeylGroup):
+        def __init__(self, rd):
+            built.append(rd)
+            super().__init__(rd)
+
+    monkeypatch.setattr(cli, "WeylGroup", CountingWeylGroup)
+    cfg = write_config(tmp_path, {"group": {"preset": "B2"}, "n": 1,
+                                  "types": [[], [1]], "primes": [2, 3, 5]})
+    code, out = run(["scan", "--config", cfg], tmp_path, capsys)
+    assert code == 0
+    cells = json.loads(out)["payload"]["cells"]
+    assert len(cells) == 6 and all(c["ok"] for c in cells)
+    assert len(built) == 1
+
+
+def test_scan_invalid_group_exit_2(tmp_path, capsys):
+    for group in ({"preset": "Q3"}, {}, "C3", {"explicit": {"simple_roots": [[1, -1]]}}):
+        cfg = write_config(tmp_path, {"group": group, "n": 1, "I": [1],
+                                      "primes": [2, 3]})
+        code, out = run(["scan", "--config", cfg], tmp_path, capsys)
+        assert code == cli.EXIT_CONFIG and out == ""
+
+
 def test_scan_cell_failure_reported(tmp_path, capsys):
     cfg = write_config(tmp_path, {"group": {"preset": "C3"}, "n": 1,
                                   "types": [[1, 3], [2, 9]], "primes": [2]})
@@ -211,3 +241,23 @@ def test_hasse_flagged(tmp_path, capsys):
     # l(w0) + dim P and stack dimension dim(P/P0)
     assert max(n["variety_dim"] for n in payload["nodes"]) == 23
     assert max(n["stack_dim"] for n in payload["nodes"]) == 2
+
+
+def test_lattice_levi0_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, C3_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cone", "--config", cfg, "--lattice", "levi0"])
+    assert exc.value.code == 2
+
+
+def test_readme_synopsis_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    actions = {a.dest: a for a in cli.build_parser()._actions}
+    synopsis = readme.split("zipstrata <command>", 1)[1].split("```", 1)[0]
+    assert sorted(re.findall(r"--([a-z]+)", synopsis)) == \
+        sorted(d for d in actions if d not in ("help", "command"))
+    for dest in ("format", "lattice", "side"):
+        shown = re.search(r"--%s ([\w|]+)" % dest, synopsis).group(1)
+        assert shown.split("|") == list(actions[dest].choices)
+    listed = re.search(r"Commands: (.*?)\.\n", readme, re.S).group(1)
+    assert re.findall(r"`([a-z-]+)`", listed) == list(actions["command"].choices)

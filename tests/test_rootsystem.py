@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import group
-from zipstrata.rootsystem import (RootDatumError, apply_galois, build_root_datum,
-                                  pairing, positive_roots, reflect, vneg)
+from zipstrata.rootsystem import RootDatumError, build_root_datum, dot, reflect
 
 
 def test_c3_preset_coordinates():
@@ -29,9 +28,9 @@ def test_gl4_preset():
 
 
 def test_positive_root_counts():
-    assert len(positive_roots(group("C3")[0])) == 9
-    assert len(positive_roots(group("GL4")[0])) == 6
-    assert positive_roots(group("A1")[0]) == [(1, -1)]
+    assert len(group("C3")[0].positive) == 9
+    assert len(group("GL4")[0].positive) == 6
+    assert list(group("A1")[0].positive) == [(1, -1)]
 
 
 def test_product_preset():
@@ -44,11 +43,11 @@ def test_product_preset():
 
 def test_pairing_examples():
     rd, _ = group("C3")
-    assert pairing((1, 0, 0), (1, -1, 0)) == 1
-    assert pairing((1, 1, 0), (1, 1, 0)) == 2  # coroot of e1+e2
-    assert pairing((0, 0, 0), (1, -1, 0)) == 0
+    assert dot((1, 0, 0), (1, -1, 0)) == 1
+    assert dot((1, 1, 0), (1, 1, 0)) == 2  # coroot of e1+e2
+    assert dot((0, 0, 0), (1, -1, 0)) == 0
     with pytest.raises(RootDatumError):
-        pairing((1, 0), (1, 0, 0))
+        dot((1, 0), (1, 0, 0))
 
 
 def test_reflect_examples():
@@ -74,30 +73,30 @@ def test_coroot_pairing_two():
     for preset in ("A2", "B2", "C3", "GL4", "D4"):
         rd, _ = group(preset)
         for a in rd.roots:
-            assert pairing(a, rd.coroot(a)) == 2
+            assert dot(a, rd.coroot(a)) == 2
 
 
 def test_galois_split_identity():
     rd, _ = group("C3")
-    assert apply_galois(rd, 1, (1, 2, 3)) == (1, 2, 3)
+    assert rd.galois.char((1, 2, 3), 1) == (1, 2, 3)
 
 
 def test_galois_flip_a3():
     rd, _ = group("A3", "flip")
     a1, a2, a3 = rd.simple_roots
-    assert apply_galois(rd, 1, a1) == a3
-    assert apply_galois(rd, 1, a2) == a2
-    assert apply_galois(rd, 2, a1) == a1
+    assert rd.galois.char(a1, 1) == a3
+    assert rd.galois.char(a2, 1) == a2
+    assert rd.galois.char(a1, 2) == a1
     # positive roots map to positive roots bijectively
     pos = set(rd.positive)
-    assert {apply_galois(rd, 1, a) for a in pos} == pos
+    assert {rd.galois.char(a, 1) for a in pos} == pos
 
 
 def test_galois_dswap_d4():
     rd, _ = group("D4", "dswap")
     assert rd.galois.order == 2
     pos = set(rd.positive)
-    assert {apply_galois(rd, 1, a) for a in pos} == pos
+    assert {rd.galois.char(a, 1) for a in pos} == pos
 
 
 def test_invalid_cartan_detected():
@@ -131,5 +130,16 @@ def test_reflection_fixed_hyperplane(preset, x, y, z):
     rd, _ = group(preset)
     v = (x, y, z)[: rd.rank]
     for a in rd.simple_roots:
-        if pairing(v, rd.coroot(a)) == 0:
+        if dot(v, rd.coroot(a)) == 0:
             assert reflect(rd, a, v) == v
+
+
+@pytest.mark.parametrize("preset,galois", [("C3", None), ("B2", None), ("GL4", None),
+                                           ("A3", "flip"), ("D4", "dswap")])
+def test_coroot_orbits_match_weyl_group(preset, galois):
+    # oracle: apply every element of W and every galois power to each coroot
+    rd, wg = group(preset, galois)
+    orbits = {tuple(sorted({rd.galois.cochar(wg.act(w, c, "cochar"), k)
+                            for w in wg.elements() for k in range(rd.galois.order)}))
+              for c in rd.coroot_of.values()}
+    assert rd.coroot_orbits == tuple(sorted(orbits))

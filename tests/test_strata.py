@@ -164,7 +164,7 @@ def test_coarse_top_dimension(c3_datum):
     cs = coarse_strata(FZ)
     d = dims(FZ)
     top = max(cs, key=lambda s: s.derived_dim)
-    assert top.derived_dim == d.dim_G + d.dim_L_over_P0L
+    assert top.derived_dim == d.dim_G + d.dim_P_over_P0
     full = datum("C3", (0, 1, 2))
     assert len(coarse_strata(flag_datum(full, full.I))) == 1
 

@@ -1,11 +1,11 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from conftest import datum, group
 from zipstrata.zipdatum import (ZipDatumError, dims, flag_datum, is_prime,
-                                prime_power, validate_frame, with_z,
-                                zip_from_cochar)
+                                prime_power, validate_frame, zip_from_cochar)
 
 
 def test_prime_helpers():
@@ -48,7 +48,7 @@ def test_a3_flip_frame():
 
 
 def test_validate_rejects_identity_frame(c3_datum):
-    bad = with_z(c3_datum, c3_datum.wg.e)
+    bad = dataclasses.replace(c3_datum, z=c3_datum.wg.e)
     violations = validate_frame(bad)
     assert violations
     assert any("not contained" in v for v in violations)
@@ -116,7 +116,6 @@ def test_dim_identity_battery():
                         d = dims(flag_datum(Z, I0))
                         assert d.dim_P_over_P0 == d.dim_E0 - d.dim_E_hat
                         assert d.dim_P_over_P0 == d.dim_M_cap_V0
-                        assert d.dim_P_over_P0 == d.dim_L_over_P0L
 
 
 def test_tower_coherence():
