@@ -384,7 +384,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.box < 0:
+        ap.error("argument --box: must be at least 0")
     try:
         if args.command == "golden":
             return _cmd_golden(args)

@@ -175,15 +175,12 @@ def r_w(Z: ZipDatum, w: WeylElt) -> Tuple[int, int]:
     """Least r >= 1 with (w gamma^n(z))^(r) = e, and m = the galois order."""
     wg = Z.wg
     v = wg.compose(w, wg.galois(Z.z, Z.n))
-    r = 1
-    acc = twist_power(Z, v, 1)
-    bound = wg.order() * Z.rd.galois.order + 1
-    while acc != wg.e:
-        r += 1
-        acc = twist_power(Z, v, r)
-        if r > bound:
-            raise AssertionError("twisted power recursion failed to close")
-    return r, Z.rd.galois.order
+    acc = wg.e
+    for r in range(1, wg.order() * Z.rd.galois.order + 2):
+        acc = wg.galois(wg.compose(acc, v), -1)     # v^(r) from v^(r-1)
+        if acc == wg.e:
+            return r, Z.rd.galois.order
+    raise AssertionError("twisted power recursion failed to close")
 
 
 def _loop_matrix(Z: ZipDatum, w: WeylElt) -> tuple:
@@ -192,12 +189,11 @@ def _loop_matrix(Z: ZipDatum, w: WeylElt) -> tuple:
     This is the transport forced by the stratum equivariance (the Frobenius
     acts on characters as q times gamma^n); on split data it is plain z w^{-1}.
     """
-    wg = Z.wg
-    m = _mat_mul(Z.z.mat, wg.inverse(w).mat)
-    g = Z.rd.galois
-    for _ in range(Z.n % g.order):
-        m = _mat_mul(g.char_matrix, m)
-    return m
+    wg, n = Z.wg, Z.rd.rank
+    zw = wg.compose(Z.z, wg.inverse(w))
+    cols = [Z.rd.galois.char(wg.act(zw, tuple(1 if k == j else 0 for k in range(n))), Z.n)
+            for j in range(n)]
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
 def _loop_period(Z: ZipDatum, loop_mat: tuple) -> int:
@@ -361,8 +357,9 @@ def purity_report(obj, lattice: str = "levi", box: int = 2,
             uniform_witness = cand
             break
 
+    # the sufficient condition covers Levi characters only, whatever the lattice
     ample_close = None
-    for chi in _box_points(basis, box):
+    for chi in _box_points(_lattice_basis(Z, "levi"), box):
         amp, _w1 = ampleness(Z, chi)
         if not amp:
             continue

@@ -1,33 +1,51 @@
-"""Weyl group elements as integral lattice automorphisms, with Bruhat order,
-coset combinatorics and the bracket notation for types B/C.
+"""Weyl group elements as permutations of the indexed root set, with Bruhat
+order, coset combinatorics and the bracket notation for types B/C.
 
-Elements are normalized by their action matrix on X*(T); the canonical reduced
-word is the lexicographically least one, found by greedy left descents.
+The roots are indexed positive roots first, in ``rd.positive`` order, then
+their negatives in the same order, so index j + N is -(root j) when N roots
+are positive.  An element w is stored as ``perm`` with ``perm[j]`` the index of
+w(root j); W acts faithfully on its roots, so this determines w.  Composition
+is an index lookup, the inverse is the inverse permutation, and the length
+counts positive indices sent to negative ones.  The action on arbitrary
+characters and cocharacters applies the simple reflections of the canonical
+reduced word, the lexicographically least one, found by greedy left descents.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
-from .rootsystem import (RootDatum, Vec, _identity, _inverse_transpose,
-                         _mat_mul, _mat_vec)
+from .rootsystem import RootDatum, RootDatumError, Vec, reflect, vneg
 
 
 class WeylError(ValueError):
     pass
 
 
+def _mul(p: tuple, q: tuple) -> tuple:
+    """The permutation p o q (apply q first)."""
+    return tuple([p[j] for j in q])
+
+
+def _inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for j, k in enumerate(p):
+        inv[k] = j
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
 class WeylElt:
     group: "WeylGroup"
-    mat: tuple
+    perm: tuple
 
     def __eq__(self, other):
-        return isinstance(other, WeylElt) and self.mat == other.mat \
+        return isinstance(other, WeylElt) and self.perm == other.perm \
             and self.group is other.group
 
     def __hash__(self):
-        return hash(self.mat)
+        return hash(self.perm)
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         return self.group.compose(self, other)
@@ -56,113 +74,88 @@ class WeylGroup:
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        n = rd.rank
-        self._id = _identity(n)
-        self.simple = [self._reflection_matrix(a) for a in rd.simple_roots]
-        self.e = WeylElt(self, self._id)
-        self._len: dict = {}
-        self._inv: dict = {}
-        self._invT: dict = {}
+        self._roots = tuple(rd.positive) + tuple(vneg(a) for a in rd.positive)
+        self._index = {a: j for j, a in enumerate(self._roots)}
+        self._npos = len(rd.positive)
+        # s_a for the positive roots a, in rd.positive order
+        self._reflections = tuple(self._perm_of(partial(reflect, rd, a))
+                                  for a in rd.positive)
+        self._simple_index = tuple(self._index[a] for a in rd.simple_roots)
+        self.simple = [self._reflections[j] for j in self._simple_index]
+        self._gamma = self._perm_of(rd.galois.char)
+        self._gamma_inv = _inverse(self._gamma)
+        self.e = WeylElt(self, tuple(range(len(self._roots))))
         self._word: dict = {}
         self._subgroups: dict = {}
         self._bruhat: dict = {}
-        self._posset = frozenset(rd.positive)
 
     # -- basics ---------------------------------------------------------------
-    def _reflection_matrix(self, alpha):
-        rd = self.rd
-        ac = rd.coroot(alpha)
-        cols = []
-        for j in range(rd.rank):
-            e = tuple(1 if i == j else 0 for i in range(rd.rank))
-            c = sum(e[i] * ac[i] for i in range(rd.rank))
-            cols.append(tuple(e[i] - c * alpha[i] for i in range(rd.rank)))
-        return tuple(tuple(cols[j][i] for j in range(rd.rank)) for i in range(rd.rank))
-
-    def elt(self, mat) -> WeylElt:
-        return WeylElt(self, mat)
+    def _perm_of(self, f) -> tuple:
+        """The root permutation of a lattice map f that permutes the roots."""
+        return tuple(self._index[f(a)] for a in self._roots)
 
     def simple_reflection(self, i: int) -> WeylElt:
         return WeylElt(self, self.simple[i])
 
     def reflection(self, alpha) -> WeylElt:
-        return WeylElt(self, self._reflection_matrix(alpha))
+        if alpha not in self._index:
+            raise RootDatumError("%r is not a root" % (alpha,))
+        return WeylElt(self, self._reflections[self._index[alpha] % self._npos])
 
     def compose(self, a: WeylElt, b: WeylElt) -> WeylElt:
         if a.group is not self or b.group is not self:
             raise WeylError("elements belong to a different root datum")
-        return WeylElt(self, _mat_mul(a.mat, b.mat))
+        return WeylElt(self, _mul(a.perm, b.perm))
 
     def inverse(self, a: WeylElt) -> WeylElt:
-        m = self._inv.get(a.mat)
-        if m is None:
-            # transpose of the inverse-transpose
-            it = _inverse_transpose(a.mat)
-            m = tuple(tuple(it[j][i] for j in range(self.rd.rank))
-                      for i in range(self.rd.rank))
-            self._inv[a.mat] = m
-            self._invT[a.mat] = it
-        return WeylElt(self, m)
+        return WeylElt(self, _inverse(a.perm))
 
     def act(self, w: WeylElt, v: Vec, side: str = "char") -> Vec:
-        if side == "char":
-            return _mat_vec(w.mat, v)
-        if side == "cochar":
-            it = self._invT.get(w.mat)
-            if it is None:
-                self.inverse(w)
-                it = self._invT[w.mat]
-            return _mat_vec(it, v)
-        raise WeylError("side must be 'char' or 'cochar'")
+        if side not in ("char", "cochar"):
+            raise WeylError("side must be 'char' or 'cochar'")
+        v = tuple(v)
+        for i in reversed(self.canonical_word(w)):
+            v = reflect(self.rd, self.rd.simple_roots[i], v, side)
+        return v
 
     def length(self, w: WeylElt) -> int:
-        l = self._len.get(w.mat)
-        if l is None:
-            l = sum(1 for a in self.rd.positive
-                    if _mat_vec(w.mat, a) not in self._posset)
-            self._len[w.mat] = l
-        return l
+        n = self._npos
+        return sum(1 for k in w.perm[:n] if k >= n)
 
     def galois(self, w: WeylElt, k: int = 1) -> WeylElt:
-        """gamma^k(w) as a lattice automorphism (conjugation by the galois matrix)."""
-        g = self.rd.galois
-        inv = g.char_matrix
-        for _ in range(g.order - 2):
-            inv = _mat_mul(inv, g.char_matrix)
-        if g.order == 1:
-            inv = self._id
-        m = w.mat
-        for _ in range(k % g.order):
-            m = _mat_mul(_mat_mul(g.char_matrix, m), inv)
-        return WeylElt(self, m)
+        """gamma^k(w) = gamma^k w gamma^-k, conjugating by gamma's root permutation."""
+        p = w.perm
+        for _ in range(k % self.rd.galois.order):
+            p = _mul(self._gamma, _mul(p, self._gamma_inv))
+        return WeylElt(self, p)
 
     # -- words ----------------------------------------------------------------
     def from_word(self, word: Sequence[int]) -> WeylElt:
-        m = self._id
+        p = self.e.perm
         for i in word:
             if not 0 <= i < self.rd.num_simple:
                 raise WeylError("letter %d out of range" % i)
-            m = _mat_mul(m, self.simple[i])
-        return WeylElt(self, m)
+            p = _mul(p, self.simple[i])
+        return WeylElt(self, p)
 
     def canonical_word(self, w: WeylElt) -> tuple:
-        cached = self._word.get(w.mat)
+        cached = self._word.get(w.perm)
         if cached is not None:
             return cached
+        # the left descents of w are the right descents of x = w^{-1}
+        n = self._npos
         word = []
-        g = w.mat
-        while g != self._id:
-            for i in range(self.rd.num_simple):
-                # left descent: w^{-1}(alpha_i) < 0
-                sw = _mat_mul(self.simple[i], g)
-                if self.length(WeylElt(self, sw)) < self.length(WeylElt(self, g)):
+        x = _inverse(w.perm)
+        while x != self.e.perm:
+            for i, s in enumerate(self._simple_index):
+                if x[s] >= n:
                     word.append(i)
-                    g = sw
+                    x = _mul(x, self.simple[i])
                     break
             else:
-                raise WeylError("no descent found; matrix is not a Weyl element")
+                raise WeylError("no descent found; not a Weyl element")
         word = tuple(word)
-        self._word[w.mat] = word
+        self._word[w.perm] = word
         return word
 
     def describe(self, w: WeylElt) -> str:
@@ -188,18 +181,18 @@ class WeylGroup:
         if cached is not None:
             return cached
         gens = [self.simple[i] for i in K]
-        els = {self._id}
-        frontier = {self._id}
+        els = {self.e.perm}
+        frontier = {self.e.perm}
         while frontier:
             new = set()
             for g in frontier:
                 for s in gens:
-                    h = _mat_mul(g, s)
+                    h = _mul(g, s)
                     if h not in els:
                         els.add(h)
                         new.add(h)
             frontier = new
-        out = tuple(sorted((WeylElt(self, m) for m in els), key=self.sort_key))
+        out = tuple(sorted((WeylElt(self, p) for p in els), key=self.sort_key))
         self._subgroups[K] = out
         return out
 
@@ -207,23 +200,19 @@ class WeylGroup:
         K = tuple(range(self.rd.num_simple)) if K is None else tuple(sorted(set(K)))
         w = self.e
         while True:
-            for i in K:
-                ws = WeylElt(self, _mat_mul(w.mat, self.simple[i]))
-                if self.length(ws) > self.length(w):
-                    w = ws
-                    break
-            else:
+            i = next((i for i in K if not self.has_right_descent(w, i)), None)
+            if i is None:
                 return w
+            w = WeylElt(self, _mul(w.perm, self.simple[i]))
 
     # -- descents and coset representatives ------------------------------------
     def has_left_descent(self, w: WeylElt, i: int) -> bool:
         """l(s_i w) < l(w), i.e. w^{-1}(alpha_i) is negative."""
-        v = self.act(self.inverse(w), self.rd.simple_roots[i])
-        return v not in self._posset
+        return w.perm.index(self._simple_index[i]) >= self._npos
 
     def has_right_descent(self, w: WeylElt, i: int) -> bool:
         """l(w s_i) < l(w), i.e. w(alpha_i) is negative."""
-        return _mat_vec(w.mat, self.rd.simple_roots[i]) not in self._posset
+        return w.perm[self._simple_index[i]] >= self._npos
 
     def is_min_left(self, w: WeylElt, K: Iterable[int]) -> bool:
         """w in K\\W minimal: no left descent in K."""
@@ -245,16 +234,16 @@ class WeylGroup:
             raise WeylError("side must be 'left' or 'right'")
         out = [self.e]
         level = [self.e]
-        seen = {self.e.mat}
+        seen = {self.e}
         while level:
             nxt = []
             for w in level:
                 for i in range(self.rd.num_simple):
-                    ws = WeylElt(self, _mat_mul(w.mat, self.simple[i]))
-                    if ws.mat in seen or self.length(ws) != self.length(w) + 1:
+                    if self.has_right_descent(w, i):
                         continue
-                    if self.is_min_left(ws, K):
-                        seen.add(ws.mat)
+                    ws = WeylElt(self, _mul(w.perm, self.simple[i]))
+                    if ws not in seen and self.is_min_left(ws, K):
+                        seen.add(ws)
                         nxt.append(ws)
                         out.append(ws)
             level = nxt
@@ -270,24 +259,24 @@ class WeylGroup:
         """I_w = J0 ∩ w^{-1} I0 w: simple roots of J0 mapped by w into the I0-Levi."""
         levi = self.rd.levi_roots(I0)
         return tuple(j for j in sorted(set(J0))
-                     if _mat_vec(w.mat, self.rd.simple_roots[j]) in levi)
+                     if self._roots[w.perm[self._simple_index[j]]] in levi)
 
     # -- Bruhat order -----------------------------------------------------------
     def bruhat_leq(self, u: WeylElt, w: WeylElt) -> bool:
         """Recursive descent criterion with memoization."""
-        key = (u.mat, w.mat)
+        key = (u.perm, w.perm)
         cached = self._bruhat.get(key)
         if cached is not None:
             return cached
         lu, lw = self.length(u), self.length(w)
         if lu > lw:
             res = False
-        elif u.mat == w.mat or lu == 0:
+        elif u == w or lu == 0:
             res = True
         else:
             i = next(i for i in range(self.rd.num_simple) if self.has_left_descent(w, i))
-            sw = WeylElt(self, _mat_mul(self.simple[i], w.mat))
-            su = WeylElt(self, _mat_mul(self.simple[i], u.mat))
+            sw = WeylElt(self, _mul(self.simple[i], w.perm))
+            su = WeylElt(self, _mul(self.simple[i], u.perm))
             if self.length(su) < lu:
                 res = self.bruhat_leq(su, sw)
             else:
@@ -297,13 +286,13 @@ class WeylGroup:
 
     # -- lower reflections (the wall set of a stratum) ---------------------------
     def lower_reflections(self, w: WeylElt) -> tuple:
-        """Positive roots a with w s_a < w of length exactly l(w) - 1, sorted."""
-        out = []
-        for a in self.rd.positive:
-            ws = WeylElt(self, _mat_mul(w.mat, self._reflection_matrix(a)))
-            if self.length(ws) == self.length(w) - 1:
-                out.append(a)
-        return tuple(out)
+        """Positive roots a with w s_a < w of length exactly l(w) - 1, sorted.
+
+        w s_a < w exactly when w(a) is negative.
+        """
+        n, lower = self._npos, self.length(w) - 1
+        return tuple(a for j, a in enumerate(self.rd.positive) if w.perm[j] >= n
+                     and self.length(WeylElt(self, _mul(w.perm, self._reflections[j]))) == lower)
 
     # -- bracket notation (hyperoctahedral presets) -------------------------------
     def supports_bracket(self) -> bool:
@@ -315,11 +304,13 @@ class WeylGroup:
         if not self.supports_bracket():
             raise WeylError("bracket notation requires a pure B/C preset")
         n = self.rd.rank
+        scale = 2 if self.rd.preset[0] == "C" else 1   # the root e_j in B, 2e_j in C
         digits = []
         for j in range(n):
-            col = tuple(w.mat[i][j] for i in range(n))
-            k = next(i for i in range(n) if col[i] != 0)
-            digits.append(k + 1 if col[k] == 1 else 2 * n + 1 - (k + 1))
+            axis = tuple(scale * (i == j) for i in range(n))
+            img = self._roots[w.perm[self._index[axis]]]
+            k = next(i for i in range(n) if img[i] != 0)
+            digits.append(k + 1 if img[k] > 0 else 2 * n - k)
         sep = " " if 2 * n > 9 else ""
         return "[" + sep.join(str(d) for d in digits) + "]"
 
@@ -336,12 +327,13 @@ class WeylGroup:
             raise WeylError("bracket %r is not valid for rank %d" % (text, n))
         if len({min(v, 2 * n + 1 - v) for v in vals}) != n:
             raise WeylError("bracket %r repeats a letter" % text)
-        cols = []
-        for v in vals:
-            if v <= n:
-                cols.append(tuple(1 if i == v - 1 else 0 for i in range(n)))
-            else:
-                k = 2 * n + 1 - v
-                cols.append(tuple(-1 if i == k - 1 else 0 for i in range(n)))
-        mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        return WeylElt(self, mat)
+        # e_j goes to +e_{v-1} for v <= n and to -e_{2n-v} otherwise
+        images = [(v - 1, 1) if v <= n else (2 * n - v, -1) for v in vals]
+
+        def act(a):
+            out = [0] * n
+            for j, (k, sign) in enumerate(images):
+                out[k] += sign * a[j]
+            return tuple(out)
+
+        return WeylElt(self, self._perm_of(act))

@@ -261,3 +261,28 @@ def test_readme_synopsis_matches_parser():
         assert shown.split("|") == list(actions[dest].choices)
     listed = re.search(r"Commands: (.*?)\.\n", readme, re.S).group(1)
     assert re.findall(r"`([a-z-]+)`", listed) == list(actions["command"].choices)
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(C3_CONFIG),
+    {"group": {"preset": "B2"}, "p": 2, "n": 2, "I": [1]},
+    {"group": {"preset": "A3"}, "galois": "flip", "p": 3, "n": 1, "I": [1, 3]},
+])
+def test_purity_torus_lattice(tmp_path, capsys, cfg):
+    # the ample, orbitally q-close search stays on Levi characters, which the
+    # sufficient condition covers, also when the cones are over the torus
+    path = write_config(tmp_path, cfg)
+    code, out = run(["purity", "--config", path, "--lattice", "torus"], tmp_path, capsys)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["uniformly_pure"]
+    code, out = run(["purity", "--config", path], tmp_path, capsys)
+    assert json.loads(out)["payload"]["ample_close_char"] == payload["ample_close_char"]
+
+
+@pytest.mark.parametrize("command", ["purity", "scan"])
+def test_negative_box_rejected(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, dict(C3_CONFIG, primes=[2]))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--box", "-1"])
+    assert exc.value.code == 2

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import group, subword_leq
-from zipstrata.weyl import WeylError
+from zipstrata.rootsystem import build_root_datum, reflect
+from zipstrata.weyl import WeylError, WeylGroup
 
 SMALL = ("A1", "A2", "B2", "A3")
 
@@ -127,12 +129,12 @@ def test_double_coset_reps(c3):
     seen = set()
     count = 0
     for w in wg.elements():
-        if w.mat in seen:
+        if w in seen:
             continue
         count += 1
         for a in sub_i:
             for b in sub_j:
-                seen.add(wg.compose(wg.compose(a, w), b).mat)
+                seen.add(wg.compose(wg.compose(a, w), b))
     assert len(wg.double_coset_reps(I0, J0)) == count
 
 
@@ -143,6 +145,22 @@ def test_double_coset_type(c3):
         I_w = wg.double_coset_type(w, I0, I0)
         assert set(I_w) <= set(I0)
     assert wg.double_coset_type(wg.e, I0, I0) == I0
+
+
+@pytest.mark.parametrize("preset", ["B3", "C3"])
+def test_bracket_reads_the_coordinate_action(preset):
+    # type B reads the short roots e_j, type C the long roots 2e_j; on the
+    # lattice both are the signed permutation the digits spell
+    rd, wg = group(preset)
+    n = rd.rank
+    assert wg.to_bracket(wg.simple_reflection(n - 1)) == "[124]"
+    for w in wg.elements():
+        text = wg.to_bracket(w)
+        assert wg.from_bracket(text) == w
+        for j, d in enumerate(int(c) for c in text.strip("[]")):
+            k, sign = (d - 1, 1) if d <= n else (2 * n - d, -1)
+            unit = tuple(1 if i == j else 0 for i in range(n))
+            assert wg.act(w, unit) == tuple(sign if i == k else 0 for i in range(n))
 
 
 def test_bracket_roundtrip(c3):
@@ -195,3 +213,64 @@ def test_length_subadditive(preset, wa, wb):
     assert wg.from_word(concat) == ab
     assert (len(concat) == wg.length(ab)) == \
         (wg.length(ab) == wg.length(a) + wg.length(b))
+
+
+# -- an independent oracle: products of reflection matrices built from reflect --
+
+# rank 2, roots not orthonormal (an A2 root datum in weight coordinates), with
+# the diagram flip given as an explicit galois matrix
+EXPLICIT_A2 = ({"rank": 2, "simple_roots": [[2, -1], [-1, 2]],
+                "simple_coroots": [[1, 0], [0, 1]]},
+               {"matrix": [[0, 1], [1, 0]], "order": 2})
+ORACLE_GROUPS = [("GL4", None), ("C3xGL1", None), ("A3", "flip"), ("D4", "dswap"),
+                 ("B3", None), ("explicit", None)]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_group(preset, galois):
+    if preset == "explicit":
+        rd = build_root_datum(*EXPLICIT_A2)
+        return rd, WeylGroup(rd)
+    return group(preset, galois)
+
+
+def _mat_vec(m, v):
+    return tuple(sum(m[i][k] * v[k] for k in range(len(v))) for i in range(len(m)))
+
+
+def _word_matrix(rd, word, side):
+    """s_{i1} ... s_{ik} as a product of matrices whose columns are reflect(e_j)."""
+    n = rd.rank
+    m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for i in word:
+        cols = [reflect(rd, rd.simple_roots[i], tuple(int(k == j) for k in range(n)), side)
+                for j in range(n)]
+        m = tuple(tuple(sum(m[r][k] * cols[c][k] for k in range(n)) for c in range(n))
+                  for r in range(n))
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_GROUPS), st.lists(st.integers(0, 9), max_size=8),
+       st.lists(st.integers(0, 9), max_size=8),
+       st.lists(st.integers(-4, 4), min_size=5, max_size=5))
+def test_weyl_ops_match_reflection_matrices(spec, wa, wb, v):
+    rd, wg = _oracle_group(*spec)
+    wa = [i % rd.num_simple for i in wa]
+    wb = [i % rd.num_simple for i in wb]
+    v = tuple(v[: rd.rank])
+    a, b = wg.from_word(wa), wg.from_word(wb)
+    for side in ("char", "cochar"):
+        ma, mb = _word_matrix(rd, wa, side), _word_matrix(rd, wb, side)
+        assert wg.act(a, v, side) == _mat_vec(ma, v)
+        assert wg.act(wg.compose(a, b), v, side) == _mat_vec(ma, _mat_vec(mb, v))
+        assert wg.act(wg.inverse(a), _mat_vec(ma, v), side) == v
+        g = rd.galois.char if side == "char" else rd.galois.cochar
+        for k in range(-2, 3):
+            # gamma^k(a) acts as gamma^k o a o gamma^-k
+            assert wg.act(wg.galois(a, k), v, side) == g(_mat_vec(ma, g(v, -k)), k)
+    assert wg.compose(a, b) == wg.from_word(wa + wb)
+    assert wg.inverse(a) == wg.from_word(wa[::-1])
+    # the length counts the positive roots sent to negative ones
+    ma = _word_matrix(rd, wa, "char")
+    assert wg.length(a) == sum(1 for r in rd.positive if _mat_vec(ma, r) not in rd.positive)
