@@ -220,6 +220,8 @@ def _purity_payload(rep):
         "principally_pure": rep.principally_pure,
         "uniformly_pure": rep.uniformly_pure,
         "uniform_witness": list(rep.uniform_witness) if rep.uniform_witness else None,
+        "uniform_certificate": ([str(x) for x in rep.uniform_certificate]
+                                if rep.uniform_certificate else None),
         "ample_close_char": list(rep.ample_close_char) if rep.ample_close_char else None,
         "failing_strata": list(rep.failing_strata()),
         "strata": [_cone_payload(c) for c in rep.strata],

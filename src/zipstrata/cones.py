@@ -1,11 +1,19 @@
-"""Exact rational feasibility of homogeneous strict-inequality systems by
-Fourier-Motzkin elimination, with integral witnesses and replayable
-infeasibility certificates.
+"""Exact rational feasibility of homogeneous strict-inequality systems by a
+phase-I simplex on Gordan's alternative, with integral witnesses and
+replayable infeasibility certificates.
 
 A system is a list of coefficient rows r; feasibility asks for a rational
-point t with r . t > 0 for every row.  Certificates are nonnegative rational
-multipliers combining the rows to the zero form (a positive combination of
-strictly positive forms cannot vanish).
+point t with r . t > 0 for every row.  Exactly one of two things exists
+(Gordan's alternative): such a point, or a certificate, nonnegative rational
+multipliers y, not all zero, combining the rows to the zero form (a positive
+combination of strictly positive forms cannot vanish).
+
+The solver minimises the sum of artificial variables for sum_i y_i r_i = 0,
+sum_i y_i = 1, y >= 0, by the simplex method in exact Fraction arithmetic with
+Bland's rule, which cannot cycle.  At objective 0, y is a basic solution and so
+a certificate with at most nvars + 1 nonzero multipliers.  Otherwise the
+simplex multipliers pi of the final basis give the witness t = -pi[:nvars],
+with r . t >= pi[nvars] > 0 on every row (Farkas).
 """
 from __future__ import annotations
 
@@ -51,97 +59,53 @@ def _normalize(row):
 
 def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
     """Decide whether a rational t exists with row . t > 0 for all rows."""
-    originals = [tuple(Fraction(x) for x in r) for r in rows]
-    normed = [_normalize(r) for r in rows]
-    for r in normed:
-        if len(r) != nvars:
+    kept = {}          # normalised row -> (first original index, scale)
+    for idx, r in enumerate(rows):
+        orig = tuple(Fraction(x) for x in r)
+        if len(orig) != nvars:
             raise ConeError("row length does not match the variable count")
+        nrm = _normalize(orig)
+        if nrm not in kept:
+            kept[nrm] = (idx, _scale_between(orig, nrm))
+    if not kept:
+        return Feasibility(True, point=(Fraction(0),) * nvars)
 
-    # Rows carry provenance (original index, or the pair combined) so that an
-    # infeasibility certificate can be expanded lazily at the end.
-    created = {}        # id -> ("orig", idx, scale) | ("comb", idp, idn, an, ap, scale)
-    next_id = [0]
+    # Tableau rows: the nvars coordinates of sum_j y_j r_j = 0, then sum_j y_j = 1.
+    # Columns: y_0..y_{m-1}, one artificial per tableau row (the starting
+    # basis), then the right-hand side.  `cost` holds the phase-I reduced
+    # costs and, last, minus the objective.
+    cols = [r + (1,) for r in kept]
+    m, n1 = len(cols), nvars + 1
+    tab = [[Fraction(c[k]) for c in cols] + [Fraction(int(i == k)) for i in range(n1)]
+           + [Fraction(int(k == nvars))] for k in range(n1)]
+    cost = [-sum(t[j] for t in tab) for j in range(m)] + [Fraction(0)] * n1 + [Fraction(-1)]
+    basis = list(range(m, m + n1))
+    while True:
+        # Bland's rule: the lowest entering index, ties in the ratio test to the
+        # lowest basic index.  Phase I is bounded below, so a ratio exists.
+        enter = next((j for j in range(m + n1) if cost[j] < 0), None)
+        if enter is None:
+            break
+        _ratio, _var, leave = min((t[-1] / t[enter], basis[k], k)
+                                  for k, t in enumerate(tab) if t[enter] > 0)
+        piv = tab[leave][enter]
+        prow = tab[leave] = [x / piv for x in tab[leave]]
+        for row in tab + [cost]:
+            f = row[enter]
+            if row is not prow and f:
+                row[:] = [x - f * y if y else x for x, y in zip(row, prow)]
+        basis[leave] = enter
 
-    def make(prov):
-        rid = next_id[0]
-        next_id[0] += 1
-        created[rid] = prov
-        return rid
-
-    work = []
-    seen = set()
-    for idx, (orig, r) in enumerate(zip(originals, normed)):
-        if r in seen:
-            continue
-        seen.add(r)
-        scale = _scale_between(orig, r)
-        work.append((r, make(("orig", idx, scale))))
-
-    def certificate_from(rid):
-        combo = [Fraction(0)] * len(rows)
-
-        def expand(rid, mult):
-            prov = created[rid]
-            if prov[0] == "orig":
-                _tag, idx, scale = prov
-                combo[idx] += mult / scale
-            else:
-                _tag, idp, idn, an, ap, scale = prov
-                expand(idp, mult * an / scale)
-                expand(idn, mult * ap / scale)
-
-        expand(rid, Fraction(1))
-        return tuple(combo)
-
-    order = _elimination_order(work, nvars)
-    stages = []  # (var, rows before eliminating var)
-    for var in order:
-        stages.append((var, [r for (r, _id) in work]))
-        pos = [(r, i) for (r, i) in work if r[var] > 0]
-        neg = [(r, i) for (r, i) in work if r[var] < 0]
-        zero = [(r, i) for (r, i) in work if r[var] == 0]
-        new = {}
-        for (rp, ip) in pos:
-            for (rn, jn) in neg:
-                ap, an = rp[var], -rn[var]
-                row = tuple(an * rp[k] + ap * rn[k] for k in range(nvars))
-                nrm = _normalize(row)
-                if nrm not in new:
-                    scale = _scale_between(row, nrm)
-                    new[nrm] = make(("comb", ip, jn, an, ap, scale))
-        for (r, i) in zero:
-            if r not in new:
-                new[r] = i
-        work = sorted(new.items())
-        # a vanished row means a positive combination summing to the zero form
-        for r, rid in work:
-            if all(x == 0 for x in r):
-                return Feasibility(False, certificate=certificate_from(rid))
-
-    if work:  # all variables eliminated, leftover rows are 0 > 0
-        return Feasibility(False, certificate=certificate_from(work[0][1]))
-
-    # back-substitution for a witness
-    t = [Fraction(0)] * nvars
-    for var, rows_before in reversed(stages):
-        lows, highs = [], []
-        for r in rows_before:
-            a = r[var]
-            if a == 0:
-                continue
-            rest = sum(Fraction(r[k]) * t[k] for k in range(nvars) if k != var)
-            bound = Fraction(-rest, a)
-            (lows if a > 0 else highs).append(bound)
-        if lows and highs:
-            lo, hi = max(lows), min(highs)
-            if not lo < hi:
-                raise AssertionError("back-substitution found an empty interval")
-            t[var] = (lo + hi) / 2
-        elif lows:
-            t[var] = max(lows) + 1
-        elif highs:
-            t[var] = min(highs) - 1
-    return Feasibility(True, point=tuple(t))
+    if cost[-1] == 0:
+        certificate = [Fraction(0)] * len(rows)
+        origin = list(kept.values())
+        for k, j in enumerate(basis):
+            if j < m:
+                idx, scale = origin[j]
+                certificate[idx] = tab[k][-1] / scale
+        return Feasibility(False, certificate=tuple(certificate))
+    # the reduced cost of artificial k is 1 - pi_k
+    return Feasibility(True, point=tuple(cost[m + k] - 1 for k in range(nvars)))
 
 
 def _scale_between(row, normalized):
@@ -150,25 +114,6 @@ def _scale_between(row, normalized):
         if b != 0:
             return Fraction(a) / b
     return Fraction(1)
-
-
-def _elimination_order(work, nvars):
-    """Eliminate variables greedily by smallest pos*neg product (deterministic)."""
-    remaining = list(range(nvars))
-    rows = [r for (r, _c) in work]
-    order = []
-    while remaining:
-        best, best_cost = None, None
-        for var in remaining:
-            p = sum(1 for r in rows if r[var] > 0)
-            n = sum(1 for r in rows if r[var] < 0)
-            cost = (p * n if p and n else p + n, var)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = var, cost
-        order.append(best)
-        remaining.remove(best)
-        # rows are not updated here; the order is a heuristic fixed up front
-    return order
 
 
 def verify_certificate(rows: Sequence[Sequence], certificate: Sequence) -> bool:

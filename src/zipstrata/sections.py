@@ -183,8 +183,9 @@ def r_w(Z: ZipDatum, w: WeylElt) -> Tuple[int, int]:
     raise AssertionError("twisted power recursion failed to close")
 
 
-def _loop_matrix(Z: ZipDatum, w: WeylElt) -> tuple:
-    """Matrix of the character-side loop operator gamma^n o z o w^{-1}.
+def _stratum_loop(Z: ZipDatum, w: WeylElt) -> Tuple[tuple, int]:
+    """Matrix of the character-side loop operator gamma^n o z o w^{-1}, and its
+    order T (the least T with the T-th power equal to the identity).
 
     This is the transport forced by the stratum equivariance (the Frobenius
     acts on characters as q times gamma^n); on split data it is plain z w^{-1}.
@@ -193,21 +194,16 @@ def _loop_matrix(Z: ZipDatum, w: WeylElt) -> tuple:
     zw = wg.compose(Z.z, wg.inverse(w))
     cols = [Z.rd.galois.char(wg.act(zw, tuple(1 if k == j else 0 for k in range(n))), Z.n)
             for j in range(n)]
-    return tuple(tuple(col[i] for col in cols) for i in range(n))
-
-
-def _loop_period(Z: ZipDatum, loop_mat: tuple) -> int:
-    """Least T with the loop operator to the T-th power equal to the identity."""
-    ident = _identity(Z.rd.rank)
-    acc = loop_mat
-    T = 1
-    bound = Z.wg.order() * Z.rd.galois.order + 1
+    loop = tuple(tuple(col[i] for col in cols) for i in range(n))
+    ident = _identity(n)
+    acc, T = loop, 1
+    bound = wg.order() * Z.rd.galois.order + 1
     while acc != ident:
-        acc = _mat_mul(acc, loop_mat)
+        acc = _mat_mul(acc, loop)
         T += 1
         if T > bound:
             raise AssertionError("loop operator failed to close")
-    return T
+    return loop, T
 
 
 def _wall_transport(Z: ZipDatum, w: WeylElt, alpha: Vec) -> Vec:
@@ -236,8 +232,7 @@ def n_alpha(Z: ZipDatum, w: WeylElt, chi: Vec, alpha: Vec, periods: int = 1) -> 
         raise SectionError("alpha is not a wall of the stratum")
     if periods < 1:
         raise SectionError("periods must be >= 1")
-    loop = _loop_matrix(Z, w)
-    T = _loop_period(Z, loop)
+    loop, T = _stratum_loop(Z, w)
     target = _wall_transport(Z, w, alpha)
     q = Z.q
     total = 0
@@ -248,15 +243,33 @@ def n_alpha(Z: ZipDatum, w: WeylElt, chi: Vec, alpha: Vec, periods: int = 1) -> 
     return total
 
 
+def _wall_rows(Z: ZipDatum, w: WeylElt, walls) -> Tuple[tuple, int]:
+    """The n_alpha coefficient rows over ambient coordinates, one per wall, and
+    the loop order T.  The loop is built once for the stratum; each row is the
+    adjoint form sum_{i<T} q^i (L^t)^i c of the sum in n_alpha, where c is the
+    wall transport and L^t the transpose of the loop matrix."""
+    loop, T = _stratum_loop(Z, w)
+    adjoint = tuple(zip(*loop))
+    rows = []
+    for alpha in walls:
+        v = _wall_transport(Z, w, alpha)
+        row = (0,) * Z.rd.rank
+        for i in range(T):
+            row = tuple(x + Z.q ** i * y for x, y in zip(row, v))
+            v = _mat_vec(adjoint, v)
+        rows.append(row)
+    return tuple(rows), T
+
+
 def char_section_verdict(Z: ZipDatum, w: WeylElt, chi: Vec) -> SectionVerdict:
     """All wall multiplicities of the stratum, and their joint positivity."""
     wg = Z.wg
     if not _stratum_label_ok(Z, w):
         raise SectionError("w is not a stratum label for this datum")
     walls = wg.lower_reflections(w)
-    mults = tuple((a, n_alpha(Z, w, chi, a)) for a in walls)
+    rows, T = _wall_rows(Z, w, walls)
+    mults = tuple((a, dot(row, chi)) for a, row in zip(walls, rows))
     r, m = r_w(Z, w)
-    T = _loop_period(Z, _loop_matrix(Z, w))
     return SectionVerdict(stratum=wg.describe(w), chi=tuple(chi),
                           multiplicities=mults,
                           verdict=all(v > 0 for _a, v in mults),
@@ -284,9 +297,7 @@ def section_cone(Z: ZipDatum, w: WeylElt, lattice: str = "levi") -> SectionCone:
     if not _stratum_label_ok(Z, w):
         raise SectionError("w is not a stratum label for this datum")
     walls = wg.lower_reflections(w)
-    unit = [tuple(1 if k == j else 0 for k in range(rd.rank)) for j in range(rd.rank)]
-    ambient = tuple(tuple(n_alpha(Z, w, unit[j], a) for j in range(rd.rank))
-                    for a in walls)
+    ambient, _T = _wall_rows(Z, w, walls)
     basis = _lattice_basis(Z, lattice)
     reduced = tuple(tuple(dot(row, b) for b in basis) for row in ambient)
     res = cones.feasible_strict(reduced, len(basis))

@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 from zipstrata import cli
+from zipstrata.cones import verify_certificate
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 C3_CONFIG = {"group": {"preset": "C3"}, "p": 2, "n": 1, "I": [1, 3],
              "characters": [[1, 1, 0]], "w": "[351]"}
@@ -96,8 +99,56 @@ def test_purity_and_formats(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)["payload"]
     assert payload["principally_pure"] and payload["uniformly_pure"]
+    replay_purity(payload)
     code, out = run(["purity", "--config", cfg, "--format", "text"], tmp_path, capsys)
     assert code == 0 and "uniformly_pure" in out
+
+
+def replay_purity(payload):
+    """Replay every verdict of a purity payload from the printed rows alone."""
+    def positive(point, rows):
+        return all(sum(a * b for a, b in zip(r, point)) > 0 for r in rows)
+
+    ambient, reduced = [], []
+    for cone in payload["strata"]:
+        if cone["feasible"]:
+            assert positive(cone["witness"], cone["inequalities_ambient"])
+        else:
+            assert verify_certificate(cone["inequalities_reduced"], cone["certificate"])
+        ambient += cone["inequalities_ambient"]
+        reduced += cone["inequalities_reduced"]
+    if payload["uniformly_pure"]:
+        assert payload["uniform_certificate"] is None
+        assert positive(payload["uniform_witness"], ambient)
+    else:
+        assert verify_certificate(reduced, payload["uniform_certificate"])
+
+
+def test_purity_prints_uniform_certificate(tmp_path, capsys):
+    code, out = run(["purity", "--config", str(BENCH_CONFIGS / "a4-i2.json")],
+                    tmp_path, capsys)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["principally_pure"] and not payload["uniformly_pure"]
+    assert payload["uniform_certificate"] is not None
+    replay_purity(payload)
+
+
+@pytest.mark.parametrize("cfg, lattice", [
+    ({"group": {"preset": "A4"}, "p": 2, "n": 1, "I": []}, "levi"),
+    ({"group": {"preset": "D4"}, "galois": "dswap", "p": 2, "n": 1, "I": [1, 2]}, "torus"),
+    ({"group": {"preset": "A4"}, "p": 2, "n": 1, "I": [2]}, "torus"),
+], ids=["a4-borel", "d4-dswap-torus", "a4-i2-torus"])
+def test_purity_large_uniform_cones(tmp_path, capsys, cfg, lattice):
+    # uniform cones of a few hundred rows that Fourier-Motzkin elimination did
+    # not decide within 30 s (the A4 Borel one not within 10 min)
+    path = write_config(tmp_path, cfg)
+    code, out = run(["purity", "--config", path, "--lattice", lattice], tmp_path, capsys)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["principally_pure"] and not payload["uniformly_pure"]
+    assert payload["failing_strata"] == []
+    replay_purity(payload)
 
 
 def test_flagged_subcommands(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -72,25 +73,75 @@ def test_fractional_rows_normalized():
     assert 3 * x[0] - 2 * x[1] > 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
-                min_size=1, max_size=6))
-def test_feasibility_is_self_certifying(rows):
-    """Witnesses satisfy every inequality; certificates replay to 0 > 0.
+@st.composite
+def systems(draw):
+    """(rows, nvars): 1-5 variables, up to 30 rows of small integers and
+    fractions, with scaled duplicates and sometimes a zero row."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    rows = draw(st.lists(st.tuples(*[entry] * n), max_size=25))
+    if rows:
+        copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                         st.sampled_from([1, 2, Fraction(1, 3)])),
+                               max_size=4))
+        rows += [tuple(c * x for x in rows[i]) for i, c in copies]
+    if draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), (0,) * n)
+    return rows, n
 
-    Either outcome is independently checkable, so this is a complete oracle
-    for the elimination (Gordan duality: exactly one of the two exists).
-    """
-    res = feasible_strict(rows, 3)
+
+def assert_self_certified(rows, nvars, res):
     if res.feasible:
-        x = res.point
-        for r in rows:
-            assert sum(Fraction(a) * b for a, b in zip(r, x)) > 0
-        xi = res.integral_point()
-        for r in rows:
-            assert sum(a * b for a, b in zip(r, xi)) > 0
+        for point in (res.point, res.integral_point()):
+            for r in rows:
+                assert sum(Fraction(a) * b for a, b in zip(r, point)) > 0
     else:
         assert verify_certificate(rows, res.certificate)
+        assert sum(1 for c in res.certificate if c) <= nvars + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_feasibility_is_self_certifying(system):
+    """Witnesses satisfy every inequality; certificates replay to 0 > 0 and are
+    basic (at most nvars + 1 nonzero multipliers).
+
+    Either outcome is independently checkable, so this is a complete oracle
+    for the solver (Gordan's alternative: exactly one of the two exists).
+    """
+    rows, n = system
+    assert_self_certified(rows, n, feasible_strict(rows, n))
+
+
+def test_degenerate_rows_through_one_line():
+    # every row is orthogonal to (1, 1, 1, 1), so the four coordinate rows of
+    # the phase-I tableau sum to zero and its pivots are mostly degenerate;
+    # the lexicographically positive half is feasible (e.g. at (27, 9, 3, 1)),
+    # the full set holds each row and its negative
+    rows = [r for r in itertools.product(range(-2, 3), repeat=4) if sum(r) == 0 and any(r)]
+    half = [r for r in rows if next(x for x in r if x) > 0]
+    assert len(rows) == 84 and len(half) == 42
+    res = feasible_strict(half, 4)
+    assert res.feasible
+    assert_self_certified(half, 4, res)
+    res = feasible_strict(rows, 4)
+    assert not res.feasible
+    assert_self_certified(rows, 4, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
+def test_verdict_matches_sympy_lpmax(system):
+    """An independent exact LP: rows . t > 0 is feasible iff max s subject to
+    rows . t >= s and s <= 1 is positive."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.simplex import lpmax
+    rows, n = system
+    t = sympy.symbols("t0:%d" % n)
+    s = sympy.Symbol("s")
+    constr = [sum(sympy.Rational(a) * x for a, x in zip(r, t)) - s >= 0 for r in rows]
+    best, _point = lpmax(s, constr + [s <= 1])
+    assert feasible_strict(rows, n).feasible == (best > 0)
 
 
 def test_certificate_rejects_garbage():

@@ -337,3 +337,25 @@ def test_twisted_datum_sections_smoke():
     assert sv.m == 2 and sv.period % 2 == 0
     rep = purity_report(Z, lattice="levi", box=2)
     assert len(rep.strata) == len(wg.min_coset_reps(Z.I, "left"))
+
+
+@pytest.mark.parametrize("preset, I, p, n, galois", [
+    ("C3", (0, 2), 2, 1, None),
+    ("B2", (0,), 2, 2, None),
+    ("A3", (0, 2), 3, 1, "flip"),
+    ("D4", (0, 1), 2, 1, "dswap"),
+    ("GL4", (0, 2), 3, 1, None),
+])
+def test_cone_rows_are_n_alpha(preset, I, p, n, galois):
+    """The cone rows (the adjoint sum over the wall transport) agree with the
+    forward sum of n_alpha, and so do the verdict's multiplicities."""
+    Z = datum(preset, I, p=p, n=n, galois=galois)
+    rank = Z.rd.rank
+    chi = tuple(range(2, 2 - rank, -1))
+    for w in Z.wg.min_coset_reps(Z.I, "left"):
+        cone = section_cone(Z, w, "torus")
+        for a, row in zip(cone.walls, cone.ambient_rows):
+            assert row == tuple(n_alpha(Z, w, tuple(int(k == j) for k in range(rank)), a)
+                                for j in range(rank))
+        assert char_section_verdict(Z, w, chi).multiplicities == \
+            tuple((a, n_alpha(Z, w, chi, a)) for a in cone.walls)
