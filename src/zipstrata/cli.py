@@ -211,19 +211,26 @@ def _cone_payload(c):
     }
 
 
+def _verdict_payload(rep):
+    """The verdict fields that `purity` and every `scan` cell print alike."""
+    return {
+        "principally_pure": rep.principally_pure,
+        "uniformly_pure": rep.uniformly_pure,
+        "uniform_witness": list(rep.uniform_witness) if rep.uniform_witness else None,
+        "uniform_certificate": ([str(x) for x in rep.uniform_certificate]
+                                if rep.uniform_certificate else None),
+        "failing_strata": list(rep.failing_strata()),
+    }
+
+
 def _purity_payload(rep):
     return {
         "datum": rep.datum,
         "lattice": rep.lattice,
         "convention": rep.convention,
         "box_radius": rep.box_radius,
-        "principally_pure": rep.principally_pure,
-        "uniformly_pure": rep.uniformly_pure,
-        "uniform_witness": list(rep.uniform_witness) if rep.uniform_witness else None,
-        "uniform_certificate": ([str(x) for x in rep.uniform_certificate]
-                                if rep.uniform_certificate else None),
+        **_verdict_payload(rep),
         "ample_close_char": list(rep.ample_close_char) if rep.ample_close_char else None,
-        "failing_strata": list(rep.failing_strata()),
         "strata": [_cone_payload(c) for c in rep.strata],
     }
 
@@ -339,14 +346,10 @@ def _cmd_scan(cfg, args):
                 rep = sections.purity_report(FZ if FZ else Z, lattice=args.lattice,
                                              box=args.box,
                                              candidates=_characters(cfg, rd.rank))
-                results.append({"I": list(t), "p": p, "ok": True,
-                                "principally_pure": rep.principally_pure,
-                                "uniformly_pure": rep.uniformly_pure,
-                                "uniform_witness": list(rep.uniform_witness)
-                                if rep.uniform_witness else None,
-                                "failing_strata": list(rep.failing_strata())})
+                results.append({"I": list(t), "p": p, "ok": True, **_verdict_payload(rep)})
             except Exception as e:  # per-cell failures reported, scan continues
-                results.append({"I": list(t), "p": p, "ok": False, "error": str(e)})
+                results.append({"I": list(t), "p": p, "ok": False, "error": str(e),
+                                "error_type": type(e).__name__})
 
     summary = {}
     for t in types:

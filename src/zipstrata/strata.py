@@ -4,7 +4,7 @@ the correspondence between the two stratum labelings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List
 
 from .weyl import WeylElt
@@ -48,10 +48,10 @@ class StrataPoset:
     side: str
     strata: tuple           # Stratum, sorted by (length, label)
     covers: tuple           # pairs of indices into strata, low -> high
-    relation: frozenset     # all (low, high) index pairs with low strictly below high
+    below: tuple            # per stratum j, the bitset of the strata i <= j (bit i)
 
     def leq(self, i: int, j: int) -> bool:
-        return i == j or (i, j) in self.relation
+        return bool(self.below[j] >> i & 1)
 
     def bottom(self) -> Stratum:
         return self.strata[0]
@@ -134,14 +134,8 @@ def zip_strata(Z: ZipDatum, side: str = "I") -> List[Stratum]:
 def fine_strata(FZ: FlaggedZipDatum, side: str = "I") -> List[Stratum]:
     """Strata of the induced datum, with dimensions measured in the base datum."""
     d = dims(FZ)
-    wg = FZ.Z0.wg
-    if side == "I":
-        reps = wg.min_coset_reps(FZ.I0, "left")
-    elif side == "J":
-        reps = wg.min_coset_reps(FZ.J0, "right")
-    else:
-        raise StrataError("side must be 'I' or 'J'")
-    return [_make_stratum(FZ.Z0, w, side, d.dim_P, d.dim_G) for w in reps]
+    return [_make_stratum(FZ.Z0, s.w, side, d.dim_P, d.dim_G)
+            for s in zip_strata(FZ.Z0, side)]
 
 
 def coarse_strata(FZ: FlaggedZipDatum) -> List[CoarseStratum]:
@@ -165,24 +159,58 @@ def coarse_strata(FZ: FlaggedZipDatum) -> List[CoarseStratum]:
 
 def coarse_poset(FZ: FlaggedZipDatum) -> StrataPoset:
     """Closure order on coarse strata: induced Bruhat order on the reps."""
-    wg = FZ.Z0.wg
     cs = coarse_strata(FZ)
-    rel = set()
-    for i, a in enumerate(cs):
-        for j, b in enumerate(cs):
-            if i != j and wg.bruhat_leq(a.w, b.w):
-                rel.add((i, j))
-    covers = _transitive_reduction(rel, len(cs))
-    return StrataPoset(side="coarse", strata=tuple(cs), covers=tuple(sorted(covers)),
-                       relation=frozenset(rel))
+    ws = [s.w for s in cs]
+    below = _down_sets(FZ.Z0.wg, {w: 1 << i for i, w in enumerate(ws)}, ws)
+    return StrataPoset(side="coarse", strata=tuple(cs), covers=_covers(below),
+                       below=tuple(below))
 
 
-def _transitive_reduction(rel: set, n: int) -> list:
+def _down_sets(wg, label: dict, ws) -> list:
+    """For each w in ws, the OR of label.get(x, 0) over all x <= w in Bruhat
+    order, built by increasing length from the Bruhat lower covers x s_a of
+    each x (Björner-Brenti, Combinatorics of Coxeter Groups, ch. 2)."""
+    down = {}
+    for x in wg.elements():
+        d = label.get(x, 0)
+        for a in wg.lower_reflections(x):
+            d |= down[wg.compose(x, wg.reflection(a))]
+        down[x] = d
+    return [down[w] for w in ws]
+
+
+def _closure_down_sets(Z: ZipDatum, ws) -> list:
+    """below[j] has bit i when ws[i] lies in the closure of ws[j]: some twisted
+    conjugate of ws[i] is Bruhat-below ws[j].  Every element of the twisted
+    orbit of ws[i] carries bit i, so the orbits must be disjoint."""
+    label = {}
+    for i, w in enumerate(ws):
+        for t in _twisted_orbit(Z, w):
+            if label.setdefault(t, 1 << i) != 1 << i:
+                raise AssertionError("twisted orbits of two strata meet; convention error")
+    return _down_sets(Z.wg, label, ws)
+
+
+def _covers(below) -> tuple:
+    """Sorted cover pairs of the order whose down-sets (each holding its own
+    index) are `below`.  Antisymmetry and transitivity are asserted: they are
+    theorems about the closure order, not properties of the construction.
+    Each column checks the elements it has not yet reached, highest index
+    first; the rest lie below a checked one, whose smaller column covers them."""
     covers = []
-    for (i, j) in sorted(rel):
-        if not any((i, k) in rel and (k, j) in rel for k in range(n)):
-            covers.append((i, j))
-    return covers
+    for j, down in enumerate(below):
+        rest, reached, checked = down & ~(1 << j), 0, []
+        while rest:
+            i = rest.bit_length() - 1
+            if below[i] >> j & 1:
+                raise AssertionError("closure relation is not antisymmetric")
+            if below[i] & ~down:
+                raise AssertionError("closure relation is not transitive")
+            reached |= below[i] & ~(1 << i)
+            rest &= ~below[i]
+            checked.append(i)
+        covers.extend((i, j) for i in checked if not reached >> i & 1)
+    return tuple(sorted(covers))
 
 
 def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
@@ -191,31 +219,18 @@ def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
     The order is computed on the I-side labels; the J-side poset carries the
     same order transported through `cross_label`.
     """
-    strata_I = zip_strata(Z, "I")
-    ws = [s.w for s in strata_I]
-    n = len(ws)
-    rel = set()
-    for i in range(n):
-        for j in range(n):
-            if i != j and _closure_below(Z, ws[i], ws[j]):
-                rel.add((i, j))
-    if side == "I":
-        strata = strata_I
-    elif side == "J":
-        wg = Z.wg
+    strata = zip_strata(Z, "I")
+    ws = [s.w for s in strata]
+    if side == "J":
         d = dims(Z)
-        crossed = [cross_label(Z, w) for w in ws]
-        strata = [_make_stratum(Z, w, "J", d.dim_P, d.dim_G) for w in crossed]
-        order = sorted(range(n), key=lambda i: (strata[i].length, strata[i].label))
-        inv = {old: new for new, old in enumerate(order)}
-        strata = [strata[i] for i in order]
-        rel = {(inv[i], inv[j]) for (i, j) in rel}
-    else:
+        strata, ws = zip(*sorted(
+            ((_make_stratum(Z, cross_label(Z, w), "J", d.dim_P, d.dim_G), w) for w in ws),
+            key=lambda sw: (sw[0].length, sw[0].label)))
+    elif side != "I":
         raise StrataError("side must be 'I' or 'J'")
-    _check_poset(rel, n)
-    covers = _transitive_reduction(rel, n)
-    return StrataPoset(side=side, strata=tuple(strata), covers=tuple(sorted(covers)),
-                       relation=frozenset(rel))
+    below = _closure_down_sets(Z, ws)
+    return StrataPoset(side=side, strata=tuple(strata), covers=_covers(below),
+                       below=tuple(below))
 
 
 def fine_hasse_diagram(FZ: FlaggedZipDatum, side: str = "I") -> StrataPoset:
@@ -223,19 +238,8 @@ def fine_hasse_diagram(FZ: FlaggedZipDatum, side: str = "I") -> StrataPoset:
     dimensions from the base)."""
     poset = hasse_diagram(FZ.Z0, side)
     d = dims(FZ)
-    strata = tuple(_make_stratum(FZ.Z0, s.w, side, d.dim_P, d.dim_G)
-                   for s in poset.strata)
-    return StrataPoset(side=side, strata=strata, covers=poset.covers,
-                       relation=poset.relation)
-
-
-def _check_poset(rel: set, n: int):
-    for (i, j) in rel:
-        if (j, i) in rel:
-            raise AssertionError("closure relation is not antisymmetric")
-        for k in range(n):
-            if (j, k) in rel and (i, k) not in rel:
-                raise AssertionError("closure relation is not transitive")
+    return replace(poset, strata=tuple(_make_stratum(FZ.Z0, s.w, side, d.dim_P, d.dim_G)
+                                       for s in poset.strata))
 
 
 # -- classification and projection ---------------------------------------------

@@ -87,7 +87,6 @@ class WeylGroup:
         self.e = WeylElt(self, tuple(range(len(self._roots))))
         self._word: dict = {}
         self._subgroups: dict = {}
-        self._bruhat: dict = {}
 
     # -- basics ---------------------------------------------------------------
     def _perm_of(self, f) -> tuple:
@@ -263,26 +262,17 @@ class WeylGroup:
 
     # -- Bruhat order -----------------------------------------------------------
     def bruhat_leq(self, u: WeylElt, w: WeylElt) -> bool:
-        """Recursive descent criterion with memoization."""
-        key = (u.perm, w.perm)
-        cached = self._bruhat.get(key)
-        if cached is not None:
-            return cached
-        lu, lw = self.length(u), self.length(w)
-        if lu > lw:
-            res = False
-        elif u == w or lu == 0:
-            res = True
-        else:
-            i = next(i for i in range(self.rd.num_simple) if self.has_left_descent(w, i))
-            sw = WeylElt(self, _mul(self.simple[i], w.perm))
-            su = WeylElt(self, _mul(self.simple[i], u.perm))
-            if self.length(su) < lu:
-                res = self.bruhat_leq(su, sw)
-            else:
-                res = self.bruhat_leq(u, sw)
-        self._bruhat[key] = res
-        return res
+        """Recursive descent criterion: for a left descent s of w,
+        u <= w iff min(u, su) <= sw."""
+        lu = self.length(u)
+        if lu > self.length(w):
+            return False
+        if u == w or lu == 0:
+            return True
+        i = next(i for i in range(self.rd.num_simple) if self.has_left_descent(w, i))
+        sw = WeylElt(self, _mul(self.simple[i], w.perm))
+        su = WeylElt(self, _mul(self.simple[i], u.perm))
+        return self.bruhat_leq(su if self.length(su) < lu else u, sw)
 
     # -- lower reflections (the wall set of a stratum) ---------------------------
     def lower_reflections(self, w: WeylElt) -> tuple:

@@ -207,9 +207,9 @@ def test_criterion_6_property_suites():
             lmax = wg.length(wg.longest_element()) - wg.length(wg.longest_element(I))
             ok = ok and poset.strata[-1].length == lmax
             ok = ok and sum(1 for i in range(n)
-                            if not any((j, i) in poset.relation for j in range(n))) == 1
+                            if not any(poset.leq(j, i) for j in range(n) if j != i)) == 1
             ok = ok and sum(1 for i in range(n)
-                            if not any((i, j) in poset.relation for j in range(n))) == 1
+                            if not any(poset.leq(i, j) for j in range(n) if j != i)) == 1
             d = dims(Z)
             ok = ok and lmax + d.dim_P == d.dim_G
     # open fine-stratum stack dimension and coarse/fine agreement at the
@@ -269,13 +269,18 @@ def test_criterion_7_mutation_gate(monkeypatch):
     t0 = time.monotonic()
     ok_before, _ = golden.golden_report()
 
-    # flip the closure-order direction
-    original_below = strata._closure_below
-    monkeypatch.setattr(strata, "_closure_below",
-                        lambda Z, lo, hi: original_below(Z, hi, lo))
+    # flip the closure-order direction: transpose the down-set bitsets
+    original_down_sets = strata._closure_down_sets
+
+    def transposed(Z, ws):
+        below = original_down_sets(Z, ws)
+        return [sum(1 << i for i, b in enumerate(below) if b >> j & 1)
+                for j in range(len(below))]
+
+    monkeypatch.setattr(strata, "_closure_down_sets", transposed)
     flipped_checks = golden.run_golden()
     closure_fails = [n for n, okc, _d in flipped_checks if not okc]
-    monkeypatch.setattr(strata, "_closure_below", original_below)
+    monkeypatch.setattr(strata, "_closure_down_sets", original_down_sets)
 
     # flip the multiplicity transport convention
     original_transport = sections._wall_transport

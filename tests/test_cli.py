@@ -239,6 +239,37 @@ def test_scan_cell_failure_reported(tmp_path, capsys):
     assert any(c["ok"] for c in cells) and any(not c["ok"] for c in cells)
 
 
+def test_scan_certificates_replay_from_purity_rows(tmp_path, capsys):
+    cfg = json.loads((BENCH_CONFIGS / "c3-scan.json").read_text())
+    code, out = run(["scan", "--config", str(BENCH_CONFIGS / "c3-scan.json")],
+                    tmp_path, capsys)
+    assert code == 0
+    cells = json.loads(out)["payload"]["cells"]
+    assert len(cells) == 32 and all(c["ok"] for c in cells)
+    assert sum(1 for c in cells if not c["uniformly_pure"]) == 8
+    for cell in cells:
+        if cell["uniformly_pure"]:
+            assert cell["uniform_certificate"] is None
+            continue
+        path = write_config(tmp_path, dict(cfg, I=cell["I"], p=cell["p"]))
+        code, out = run(["purity", "--config", path], tmp_path, capsys)
+        assert code == 0
+        purity = json.loads(out)["payload"]
+        assert purity["uniform_certificate"] == cell["uniform_certificate"]
+        reduced = [r for cone in purity["strata"] for r in cone["inequalities_reduced"]]
+        assert verify_certificate(reduced, cell["uniform_certificate"])
+
+
+def test_scan_cell_reports_error_type(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"group": {"preset": "C3"}, "n": 1, "I": [1, 3],
+                                  "primes": [2, 4]})
+    code, out = run(["scan", "--config", cfg], tmp_path, capsys)
+    assert code == 0
+    good, bad = json.loads(out)["payload"]["cells"]
+    assert good["ok"] and "error_type" not in good
+    assert not bad["ok"] and bad["error_type"] == "ZipDatumError" and bad["error"]
+
+
 def test_out_file(tmp_path, capsys):
     cfg = write_config(tmp_path, C3_CONFIG)
     target = tmp_path / "out.json"

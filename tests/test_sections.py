@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import datum, group
+from zipstrata.rootsystem import _mat_vec, dot
 from zipstrata.sections import (SectionError, ampleness, char_section_verdict,
                                 character_tests, flag_ampleness, gln_certificate,
                                 n_alpha, purity_report, r_w, section_cone,
-                                twist_power)
+                                twist_power, _stratum_loop, _wall_transport)
 from zipstrata.zipdatum import flag_datum, zip_from_cochar
 
 WALLS_351 = ((1, 0, -1), (1, 1, 0), (0, 1, -1), (0, 2, 0))
@@ -178,6 +179,21 @@ def test_period_stability():
             for a in WALLS_351:
                 assert n_alpha(Z, w, (1, 0, 0), a, periods=k) == \
                     factor * n_alpha(Z, w, (1, 0, 0), a)
+
+
+def test_n_alpha_window_is_the_loop_order():
+    # The summation window is T, the order of the whole loop operator L, not
+    # the least period of the summand <L^i chi, c>.  On B2 Borel, stratum
+    # [21], wall (1,-1) the summand is constant (period 1) while T = 2, so
+    # n_alpha = (1 + q) <chi, c> = 4; the least-period window would give 1.
+    Z = datum("B2", (), p=3)
+    w = Z.wg.from_bracket("[21]")
+    alpha, chi = (1, -1), (1, 0)
+    loop, T = _stratum_loop(Z, w)
+    c = _wall_transport(Z, w, alpha)
+    assert T == char_section_verdict(Z, w, chi).period == 2
+    assert dot(_mat_vec(loop, chi), c) == dot(chi, c) == 1
+    assert n_alpha(Z, w, chi, alpha) == (1 + Z.q) * dot(chi, c) == 4
 
 
 def test_n_alpha_rejects_non_wall(c3_datum):

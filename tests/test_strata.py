@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import datum, group
 from zipstrata import strata
@@ -111,13 +113,98 @@ def test_closure_poset_structure():
         lmax = wg.length(wg.longest_element()) - wg.length(wg.longest_element(Z.I))
         assert poset.strata[-1].length == lmax
         bottoms = [i for i in range(n)
-                   if not any((j, i) in poset.relation for j in range(n))]
+                   if not any(poset.leq(j, i) for j in range(n) if j != i)]
         tops = [i for i in range(n)
-                if not any((i, j) in poset.relation for j in range(n))]
+                if not any(poset.leq(i, j) for j in range(n) if j != i)]
         assert bottoms == [0] and tops == [n - 1]
         for (i, j) in poset.covers:
             assert poset.strata[i].length < poset.strata[j].length
         assert poset.strata[-1].variety_dim == dims(Z).dim_G
+
+
+def test_d5_borel_covers_are_bruhat_lower_covers():
+    # at I = () the closure order is the Bruhat order on W, whose covers of w
+    # are exactly the w s_a over the lower reflections of w
+    Z = datum("D5", ())
+    wg = Z.wg
+    poset = hasse_diagram(Z, "I")
+    n = len(poset.strata)
+    assert n == 1920
+    index = {s.w: k for k, s in enumerate(poset.strata)}
+    lower = {j: set() for j in range(n)}
+    for i, j in poset.covers:
+        lower[j].add(i)
+    for j, s in enumerate(poset.strata):
+        assert lower[j] == {index[wg.compose(s.w, wg.reflection(a))]
+                            for a in wg.lower_reflections(s.w)}
+    assert [j for j in range(n) if not lower[j]] == [0]
+    assert [i for i in range(n) if not any(poset.leq(i, j) for j in range(n) if j != i)] \
+        == [n - 1]
+    assert all(poset.leq(0, j) and poset.leq(j, n - 1) for j in range(n))
+
+
+CLOSURE_SPECS = [("A2", None, 1), ("A3", None, 1), ("B2", None, 1), ("C3", None, 1),
+                 ("D4", None, 1), ("A3", "flip", 1), ("A3", "flip", 2),
+                 ("D4", "dswap", 1), ("B2", None, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CLOSURE_SPECS), st.sets(st.integers(0, 3)),
+       st.sets(st.integers(0, 3)), st.lists(st.integers(0, 10 ** 4), min_size=1, max_size=3))
+def test_down_sets_match_pairwise_oracles(spec, I, I0, columns):
+    # whole columns of the closure order against the one-pair oracle
+    # _closure_below, and of the coarse order against bruhat_leq
+    preset, galois, n = spec
+    rd, _ = group(preset, galois)
+    I = tuple(sorted(i for i in I if i < rd.num_simple))
+    Z = datum(preset, I, p=3, n=n, galois=galois)
+    wg = Z.wg
+    ws = [s.w for s in zip_strata(Z, "I")]
+    below = strata._closure_down_sets(Z, ws)
+    coarse = coarse_poset(flag_datum(Z, sorted(I0 & set(I))))
+    cws = [s.w for s in coarse.strata]
+    for c in columns:
+        j, k = c % len(ws), c % len(cws)
+        assert [bool(below[j] >> i & 1) for i in range(len(ws))] == \
+            [strata._closure_below(Z, w, ws[j]) for w in ws]
+        assert [coarse.leq(i, k) for i in range(len(cws))] == \
+            [wg.bruhat_leq(w, cws[k]) for w in cws]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 2 ** n - 1), min_size=n, max_size=n),
+    st.none() | st.permutations(range(n)))))
+def test_covers_match_brute_force(case):
+    # _covers raises exactly on relations that are not partial orders, and
+    # otherwise returns the pairs with nothing strictly between them; `rank`,
+    # when drawn, makes a partial order whose linear extension is not the
+    # index order
+    rows, rank = case
+    n = len(rows)
+    below = [r | 1 << j for j, r in enumerate(rows)]
+    if rank is not None:
+        below = [sum(1 << i for i in range(n) if b >> i & 1 and rank[i] <= rank[j])
+                 for j, b in enumerate(below)]
+        for _ in range(n):
+            for j in range(n):
+                for i in range(n):
+                    if below[j] >> i & 1:
+                        below[j] |= below[i]
+
+    def lt(i, j):
+        return i != j and bool(below[j] >> i & 1)
+
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    order = not any(lt(i, j) and lt(j, i) for i, j in pairs) and \
+        all(lt(i, k) for i, j in pairs for k in range(n) if lt(i, j) and lt(j, k) and i != k)
+    if not order:
+        with pytest.raises(AssertionError):
+            strata._covers(below)
+    else:
+        assert list(strata._covers(below)) == \
+            [(i, j) for i, j in pairs if lt(i, j) and not any(lt(i, k) and lt(k, j)
+                                                             for k in range(n))]
 
 
 def test_fine_strata(c3_datum):
@@ -237,10 +324,11 @@ def test_cross_label_is_order_isomorphism():
         poset_I = hasse_diagram(Z, "I")
         poset_J = hasse_diagram(Z, "J")
         cross = {wg.describe(w): wg.describe(cross_label(Z, w)) for w in reps}
+        n = len(reps)
         rel_I = {(poset_I.strata[i].label, poset_I.strata[j].label)
-                 for i, j in poset_I.relation}
+                 for i in range(n) for j in range(n) if poset_I.leq(i, j)}
         rel_J = {(poset_J.strata[i].label, poset_J.strata[j].label)
-                 for i, j in poset_J.relation}
+                 for i in range(n) for j in range(n) if poset_J.leq(i, j)}
         assert {(cross[a], cross[b]) for a, b in rel_I} == rel_J
 
 
