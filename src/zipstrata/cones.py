@@ -162,14 +162,5 @@ def kernel_basis(equalities: Sequence[Sequence], nvars: int) -> List[tuple]:
         v[fc] = Fraction(1)
         for i, pc in enumerate(piv_cols):
             v[pc] = -rows[i][fc]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in v]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        basis.append(tuple(ints))
+        basis.append(_normalize(v))
     return basis

@@ -9,7 +9,6 @@ that pairings and Weyl actions are signed-permutation arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional
 
 Vec = tuple  # integer lattice vector
@@ -48,28 +47,11 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _inverse_transpose(m):
-    """Exact inverse transpose of an integral unimodular-ish matrix."""
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if i == k else 0) for k in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        pr = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if pr is None:
-            raise RootDatumError("singular lattice automorphism")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise RootDatumError("automorphism is not invertible over the integers")
-    return tuple(tuple(int(inv[j][i]) for j in range(n)) for i in range(n))
+def _mat_pow(m, k):
+    out = _identity(len(m))
+    for _ in range(k):
+        out = _mat_mul(out, m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -96,10 +78,6 @@ class GaloisAction:
             i = self.simple_perm[i]
         return i
 
-    @property
-    def is_identity(self) -> bool:
-        return self.order == 1
-
 
 @dataclass(frozen=True, eq=False)
 class RootDatum:
@@ -113,14 +91,16 @@ class RootDatum:
     roots: frozenset = field(default=frozenset())
     positive: tuple = field(default=())
     coroot_of: dict = field(default_factory=dict)
+    coeffs_of: dict = field(default_factory=dict)  # root -> simple-root coefficients
     coroot_orbits: tuple = field(default=())   # sorted orbits under W and galois
 
     def __post_init__(self):
         self._validate_base()
-        pairs = self._enumerate_roots()
-        object.__setattr__(self, "coroot_of", {a: ac for a, ac in pairs})
-        object.__setattr__(self, "roots", frozenset(self.coroot_of))
-        pos = sorted(a for a in self.coroot_of if self._is_positive(a))
+        found = self._enumerate_roots()
+        object.__setattr__(self, "coroot_of", {a: ac for a, (ac, _) in found.items()})
+        object.__setattr__(self, "coeffs_of", {a: c for a, (_, c) in found.items()})
+        object.__setattr__(self, "roots", frozenset(found))
+        pos = sorted(a for a, c in self.coeffs_of.items() if min(c) >= 0)
         object.__setattr__(self, "positive", tuple(pos))
         if 2 * len(pos) != len(self.roots):
             raise RootDatumError("positive roots do not split the root set in half")
@@ -146,64 +126,42 @@ class RootDatum:
                     raise RootDatumError("off-diagonal Cartan entries must be <= 0")
 
     def _enumerate_roots(self):
+        """Close the simple roots under the simple reflections: root -> (coroot,
+        coefficients over the simple roots).  s_i changes only the i-th
+        coefficient of a root a, by -<a, alpha_i^vee>."""
         m = len(self.simple_roots)
-        pairs = {(self.simple_roots[i], self.simple_coroots[i]) for i in range(m)}
-        frontier = set(pairs)
+        found = {a: (ac, tuple(int(i == j) for j in range(m)))
+                 for i, (a, ac) in enumerate(zip(self.simple_roots, self.simple_coroots))}
+        frontier = list(found)
         while frontier:
-            new = set()
-            for a, ac in frontier:
+            new = []
+            for a in frontier:
+                ac, c = found[a]
                 for i in range(m):
                     si, sic = self.simple_roots[i], self.simple_coroots[i]
-                    b = tuple(a[k] - dot(a, sic) * si[k] for k in range(self.rank))
-                    bc = tuple(ac[k] - dot(si, ac) * sic[k] for k in range(self.rank))
-                    if (b, bc) not in pairs:
-                        pairs.add((b, bc))
-                        new.add((b, bc))
-            if len(pairs) > ROOT_ENUMERATION_CAP:
+                    k = dot(a, sic)
+                    b = tuple(a[j] - k * si[j] for j in range(self.rank))
+                    bc = tuple(ac[j] - dot(si, ac) * sic[j] for j in range(self.rank))
+                    entry = (bc, c[:i] + (c[i] - k,) + c[i + 1:])
+                    seen = found.get(b)
+                    if seen is None:
+                        found[b] = entry
+                        new.append(b)
+                    elif seen != entry:
+                        raise RootDatumError(
+                            "root %r is reached with two coefficient vectors or coroots; "
+                            "the simple roots are not linearly independent" % (b,))
+            if len(found) > ROOT_ENUMERATION_CAP:
                 raise RootDatumError(
                     "root enumeration exceeded %d; Cartan data do not define a "
                     "finite Weyl group" % ROOT_ENUMERATION_CAP)
             frontier = new
-        return pairs
-
-    def _simple_coeffs(self, a: Vec):
-        """Coefficients of a over the simple roots, or None if outside the span."""
-        m = len(self.simple_roots)
-        rows = [[Fraction(self.simple_roots[j][i]) for j in range(m)] + [Fraction(a[i])]
-                for i in range(self.rank)]
-        piv = []
-        r = 0
-        for c in range(m):
-            pr = next((i for i in range(r, self.rank) if rows[i][c] != 0), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for i in range(self.rank):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            piv.append(c)
-            r += 1
-        sol = [Fraction(0)] * m
-        for i, c in enumerate(piv):
-            sol[c] = rows[i][m]
-        for i in range(self.rank):
-            if sum(self.simple_roots[j][i] * sol[j] for j in range(m)) != a[i]:
-                return None
-        return sol
-
-    def _is_positive(self, a: Vec) -> bool:
-        sol = self._simple_coeffs(a)
-        if sol is None:
-            raise RootDatumError("root outside the span of the simple roots")
-        return all(s >= 0 for s in sol)
+        return found
 
     def _validate_galois(self):
         g = self.galois
-        if len(g.char_matrix) != self.rank:
-            raise RootDatumError("galois matrix size does not match rank")
+        if _mat_pow(g.char_matrix, g.order) != _identity(self.rank):
+            raise RootDatumError("galois matrix does not have the declared order")
         for i, a in enumerate(self.simple_roots):
             img = g.char(a)
             j = g.simple_perm[i]
@@ -211,11 +169,6 @@ class RootDatum:
                 raise RootDatumError("galois action does not permute the simple roots as declared")
             if g.cochar(self.simple_coroots[i]) != self.simple_coroots[j]:
                 raise RootDatumError("galois action does not permute the simple coroots compatibly")
-        m = g.char_matrix
-        for _ in range(g.order - 1):
-            m = _mat_mul(m, g.char_matrix)
-        if m != _identity(self.rank):
-            raise RootDatumError("galois matrix does not have the declared order")
 
     def _coroot_orbits(self):
         """Orbits of the coroots under the simple reflections and the galois action."""
@@ -249,12 +202,6 @@ class RootDatum:
         except KeyError:
             raise RootDatumError("%r is not a root" % (a,))
 
-    def is_root(self, a: Vec) -> bool:
-        return a in self.roots
-
-    def is_positive_root(self, a: Vec) -> bool:
-        return a in self.roots and a in set(self.positive)
-
     def simple_index(self, a: Vec) -> Optional[int]:
         try:
             return self.simple_roots.index(a)
@@ -270,12 +217,8 @@ class RootDatum:
     def levi_positive(self, K: Iterable[int]) -> frozenset:
         """Positive roots lying in the span of the simple roots indexed by K."""
         K = set(K)
-        out = set()
-        for a in self.positive:
-            sol = self._simple_coeffs(a)
-            if all(s == 0 for i, s in enumerate(sol) if i not in K):
-                out.add(a)
-        return frozenset(out)
+        return frozenset(a for a in self.positive
+                         if all(i in K for i, x in enumerate(self.coeffs_of[a]) if x))
 
     def levi_roots(self, K: Iterable[int]) -> frozenset:
         pos = self.levi_positive(K)
@@ -363,6 +306,12 @@ def _dswap_galois(rank: int, nsimple: int) -> GaloisAction:
     return GaloisAction(m, m, 2, perm)
 
 
+def _integer(x, what: str) -> int:
+    if not isinstance(x, int):
+        raise RootDatumError("%s must be an integer, got %r" % (what, x))
+    return x
+
+
 def build_root_datum(spec, galois=None) -> RootDatum:
     """Construct a root datum.
 
@@ -405,8 +354,13 @@ def build_root_datum(spec, galois=None) -> RootDatum:
             raise RootDatumError("'dswap' is available for single-factor D presets only")
         ga = _dswap_galois(rank, nsimple)
     elif isinstance(galois, dict):
-        m = tuple(tuple(int(x) for x in row) for row in galois["matrix"])
-        ga = GaloisAction(m, _inverse_transpose(m), int(galois["order"]), ())
+        m = tuple(tuple(_integer(x, "galois matrix entry") for x in row)
+                  for row in galois["matrix"])
+        if len(m) != rank or any(len(row) != rank for row in m):
+            raise RootDatumError("galois matrix must be %d x %d" % (rank, rank))
+        order = _integer(galois["order"], "galois order")
+        if order < 1:
+            raise RootDatumError("galois order must be a positive integer, got %d" % order)
         # recover the permutation of the simple roots before full validation
         perm = []
         for a in roots:
@@ -414,7 +368,9 @@ def build_root_datum(spec, galois=None) -> RootDatum:
             if img not in roots:
                 raise RootDatumError("galois matrix is not a diagram automorphism")
             perm.append(roots.index(img))
-        ga = GaloisAction(m, ga.cochar_matrix, ga.order, tuple(perm))
+        # M^order = I (checked in validation), so M^(order-1) inverts M
+        cochar = tuple(zip(*_mat_pow(m, order - 1)))
+        ga = GaloisAction(m, cochar, order, tuple(perm))
     else:
         raise RootDatumError("unsupported galois spec %r" % (galois,))
 

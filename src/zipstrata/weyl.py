@@ -53,17 +53,6 @@ class WeylElt:
     def __repr__(self):
         return "WeylElt(%s)" % (self.group.describe(self),)
 
-    @property
-    def length(self) -> int:
-        return self.group.length(self)
-
-    @property
-    def word(self) -> tuple:
-        return self.group.canonical_word(self)
-
-    def inverse(self) -> "WeylElt":
-        return self.group.inverse(self)
-
 
 class WeylGroup:
     """All Weyl-group combinatorics for one root datum.

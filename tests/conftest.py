@@ -6,6 +6,9 @@ from zipstrata.rootsystem import build_root_datum
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import zip_from_cochar
 
+# the A3 diagram flip e_i -> -e_{5-i}, as an explicit galois matrix
+A3_FLIP_MATRIX = [[0, 0, 0, -1], [0, 0, -1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+
 
 @functools.lru_cache(maxsize=None)
 def _group(preset, galois):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import A3_FLIP_MATRIX
 from zipstrata import cli
 from zipstrata.cones import verify_certificate
 
@@ -228,6 +229,29 @@ def test_scan_invalid_group_exit_2(tmp_path, capsys):
                                       "primes": [2, 3]})
         code, out = run(["scan", "--config", cfg], tmp_path, capsys)
         assert code == cli.EXIT_CONFIG and out == ""
+
+
+
+
+@pytest.mark.parametrize("group, galois", [
+    ({"preset": "A3"}, {"matrix": A3_FLIP_MATRIX, "order": 0}),
+    ({"preset": "A3"}, {"matrix": A3_FLIP_MATRIX, "order": "two"}),
+    ({"preset": "A3"}, {"matrix": [[0, 0, 0, "x"]] + A3_FLIP_MATRIX[1:], "order": 2}),
+    ({"preset": "A3"}, {"matrix": [[0, 0, 0, 0.5]] + A3_FLIP_MATRIX[1:], "order": 2}),
+    ({"preset": "A3"}, {"matrix": A3_FLIP_MATRIX[:3], "order": 2}),
+    ({"preset": "A3"}, {"matrix": [row + [0] for row in A3_FLIP_MATRIX], "order": 2}),
+    ({"explicit": {"rank": 2, "simple_roots": [[1, -1], [-1, 1]],
+                   "simple_coroots": [[1, -1], [-1, 1]]}}, None),
+], ids=["order-0", "order-str", "entry-str", "entry-float", "short-matrix",
+        "wide-matrix", "dependent-simple-roots"])
+def test_hostile_explicit_data_exit_2(tmp_path, capsys, group, galois):
+    cfg = {"group": group, "p": 3, "n": 1, "I": [1]}
+    if galois is not None:
+        cfg["galois"] = galois
+    code = cli.main(["describe", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_scan_cell_failure_reported(tmp_path, capsys):

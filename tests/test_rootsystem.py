@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import group
+from conftest import A3_FLIP_MATRIX, group
 from zipstrata.rootsystem import RootDatumError, build_root_datum, dot, reflect
 
 
@@ -143,3 +143,72 @@ def test_coroot_orbits_match_weyl_group(preset, galois):
                             for w in wg.elements() for k in range(rd.galois.order)}))
               for c in rd.coroot_of.values()}
     assert rd.coroot_orbits == tuple(sorted(orbits))
+
+
+# G2 in the basis of its simple roots: <alpha_2, alpha_1^vee> = -1,
+# <alpha_1, alpha_2^vee> = -3
+G2_EXPLICIT = {"rank": 2, "simple_roots": [(1, 0), (0, 1)],
+               "simple_coroots": [(2, -1), (-3, 2)]}
+
+# A2 on a rank-3 lattice with an order-2 automorphism swapping the simple roots
+# and sending e3 to e3 + alpha_1 - alpha_2; its inverse transpose is not itself
+A2_SHEAR = {"rank": 3, "simple_roots": [(1, 0, 0), (0, 1, 0)],
+            "simple_coroots": [(2, -1, 0), (-1, 2, 3)]}
+SHEAR_MATRIX = [[0, 1, 1], [1, 0, -1], [0, 0, 1]]
+
+
+ORACLE_DATA = {
+    "A4": ("A4", None), "B3": ("B3", None), "C3": ("C3", None), "D4": ("D4", None),
+    "GL4": ("GL4", None), "C3xGL1": ("C3xGL1", None), "A3-flip": ("A3", "flip"),
+    "G2-explicit": (G2_EXPLICIT, None),
+    "A2-shear": (A2_SHEAR, {"matrix": SHEAR_MATRIX, "order": 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DATA))
+def test_simple_coefficients_against_linear_solve(name):
+    sympy = pytest.importorskip("sympy")
+    rd = build_root_datum(*ORACLE_DATA[name])
+    basis = sympy.Matrix([list(a) for a in rd.simple_roots]).T
+    assert set(rd.coeffs_of) == rd.roots
+    for a, c in rd.coeffs_of.items():
+        assert tuple(sum(ci * s[k] for ci, s in zip(c, rd.simple_roots))
+                     for k in range(rd.rank)) == a
+        solution, params = basis.gauss_jordan_solve(sympy.Matrix(a))
+        assert params.shape[0] == 0 and list(solution) == list(c)
+        assert (a in rd.positive) == all(x >= 0 for x in solution)
+    for K in ((), (0,), (0, rd.num_simple - 1), tuple(range(rd.num_simple))):
+        assert rd.levi_positive(K) == {a for a in rd.positive
+                                       if all(rd.coeffs_of[a][i] == 0
+                                              for i in range(rd.num_simple) if i not in K)}
+
+
+def test_explicit_g2_heights():
+    # G2 has six positive roots of heights 1, 1, 2, 3, 4, 5; alpha_2 is short,
+    # so the highest root is 2 alpha_1 + 3 alpha_2
+    rd = build_root_datum(G2_EXPLICIT)
+    assert sorted(sum(rd.coeffs_of[a]) for a in rd.positive) == [1, 1, 2, 3, 4, 5]
+    assert max(rd.positive, key=lambda a: sum(rd.coeffs_of[a])) == (2, 3)
+
+
+@pytest.mark.parametrize("spec, matrix, order", [
+    ("A3", A3_FLIP_MATRIX, 2),
+    ("A3", A3_FLIP_MATRIX, 4),          # a multiple of the true order
+    (A2_SHEAR, SHEAR_MATRIX, 2),
+    (A2_SHEAR, SHEAR_MATRIX, 6),
+])
+def test_explicit_galois_cochar_is_dual(spec, matrix, order):
+    rd = build_root_datum(spec, galois={"matrix": matrix, "order": order})
+    g = rd.galois
+    assert g.order == order
+    units = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
+    for k in range(order):
+        for x in units:
+            for y in units:
+                assert dot(g.char(x, k), g.cochar(y, k)) == dot(x, y)
+
+
+def test_explicit_galois_wrong_order_rejected():
+    for order in (1, 3):
+        with pytest.raises(RootDatumError, match="declared order"):
+            build_root_datum(A2_SHEAR, galois={"matrix": SHEAR_MATRIX, "order": order})

@@ -375,3 +375,23 @@ def test_cone_rows_are_n_alpha(preset, I, p, n, galois):
                                 for j in range(rank))
         assert char_section_verdict(Z, w, chi).multiplicities == \
             tuple((a, n_alpha(Z, w, chi, a)) for a in cone.walls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([("A2", None), ("A2", "flip"), ("B2", None), ("C3", None),
+                        ("A3", "flip"), ("D4", "dswap"), ("GL4", None), ("C3xGL1", None)]),
+       st.sets(st.integers(0, 3)), st.sampled_from([2, 3, 5]), st.integers(1, 2),
+       st.data())
+def test_cone_rows_are_n_alpha_random(group_spec, I, p, n, data):
+    """As above, on a random datum, stratum and character."""
+    preset, galois = group_spec
+    rd, _ = group(preset, galois)
+    Z = datum(preset, sorted(i for i in I if i < rd.num_simple), p=p, n=n, galois=galois)
+    w = data.draw(st.sampled_from(Z.wg.min_coset_reps(Z.I, "left")), label="stratum")
+    chi = data.draw(st.tuples(*[st.integers(-3, 3)] * rd.rank), label="chi")
+    cone = section_cone(Z, w, "torus")
+    for a, row in zip(cone.walls, cone.ambient_rows):
+        assert row == tuple(n_alpha(Z, w, tuple(int(k == j) for k in range(rd.rank)), a)
+                            for j in range(rd.rank))
+    assert char_section_verdict(Z, w, chi).multiplicities == \
+        tuple((a, n_alpha(Z, w, chi, a)) for a in cone.walls)
