@@ -347,6 +347,8 @@ def _cmd_scan(cfg, args):
                                              box=args.box,
                                              candidates=_characters(cfg, rd.rank))
                 results.append({"I": list(t), "p": p, "ok": True, **_verdict_payload(rep)})
+            except sections.SectionError:
+                raise               # an oversized --box is a bad request, not a bad cell
             except Exception as e:  # per-cell failures reported, scan continues
                 results.append({"I": list(t), "p": p, "ok": False, "error": str(e),
                                 "error_type": type(e).__name__})

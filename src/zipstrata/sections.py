@@ -24,12 +24,15 @@ from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
 from . import cones
-from .rootsystem import RootDatum, Vec, _identity, _mat_mul, _mat_vec, dot
+from .rootsystem import RootDatum, Vec, _identity, _mat_mul, _mat_vec, dot, vneg
 from .weyl import WeylElt
 from .zipdatum import (FlaggedZipDatum, ZipDatum, prime_power,
                        zip_from_cochar)
 
 CONVENTION = "loop(z*w^-1)/wall-transport/base(q)"
+
+# the most points the ample, orbitally q-close search will scan
+BOX_POINT_CAP = 1_000_000
 
 
 class SectionError(ValueError):
@@ -123,15 +126,21 @@ def character_tests(rd: RootDatum, chi: Vec, q: int) -> CharacterVerdict:
                             orbitally_q_close=close, witnesses=witnesses)
 
 
+def _ample_transports(Z: ZipDatum) -> tuple:
+    """The pairs (i, gamma^{-n}(z)(alpha_i^vee)) over the simple roots alpha_i
+    outside gamma^{-n}(J), sorted by i."""
+    rd, wg = Z.rd, Z.wg
+    zt = wg.galois(Z.z, -Z.n)
+    outside = set(range(rd.num_simple)) - {rd.galois.perm(j, -Z.n) for j in Z.J}
+    return tuple((i, wg.act(zt, rd.coroot(rd.simple_roots[i]), "cochar"))
+                 for i in sorted(outside))
+
+
 def ampleness(Z: ZipDatum, chi: Vec) -> Tuple[bool, dict]:
     """Strict negativity of chi against the z-transported coroots of the simple
     roots outside gamma^{-n}(J)."""
-    rd, wg = Z.rd, Z.wg
     chi = tuple(chi)
-    zt = wg.galois(Z.z, -Z.n)
-    outside = set(range(rd.num_simple)) - {rd.galois.perm(j, -Z.n) for j in Z.J}
-    for i in sorted(outside):
-        t = wg.act(zt, rd.coroot(rd.simple_roots[i]), "cochar")
+    for i, t in _ample_transports(Z):
         v = dot(chi, t)
         if v >= 0:
             return False, {"simple_root": i + 1, "pairing": v}
@@ -207,10 +216,9 @@ def _stratum_loop(Z: ZipDatum, w: WeylElt) -> Tuple[tuple, int]:
 
 
 def _wall_transport(Z: ZipDatum, w: WeylElt, alpha: Vec) -> Vec:
-    """The wall-element image (w s_alpha)(alpha^vee) of the wall coroot."""
-    wg = Z.wg
-    ws = wg.compose(w, wg.reflection(alpha))
-    return wg.act(ws, Z.rd.coroot(alpha), "cochar")
+    """The wall-element image (w s_alpha)(alpha^vee) = w(-alpha^vee) of the wall
+    coroot: the coroot of the root w(-alpha)."""
+    return Z.rd.coroot(Z.wg.root_image(w, vneg(alpha)))
 
 
 def _stratum_label_ok(Z: ZipDatum, w: WeylElt) -> bool:
@@ -315,18 +323,37 @@ def section_cone(Z: ZipDatum, w: WeylElt, lattice: str = "levi") -> SectionCone:
                        certificate=res.certificate)
 
 
+def _check_box(m: int, radius: int):
+    size = (2 * radius + 1) ** m - 1
+    if size > BOX_POINT_CAP:
+        raise SectionError("the search box of radius %d on a rank-%d lattice holds %d "
+                           "points, more than the cap %d" % (radius, m, size, BOX_POINT_CAP))
+
+
+def _shell(m: int, r: int):
+    """The integer m-tuples of sup-norm exactly r >= 1, in lex order."""
+    if m == 0:
+        return
+    for x in range(-r, r + 1):
+        tails = iproduct(range(-r, r + 1), repeat=m - 1) if abs(x) == r else _shell(m - 1, r)
+        for t in tails:
+            yield (x,) + t
+
+
 def _box_points(basis, radius):
-    """Nonzero lattice points in the box, ordered by (sup-norm, lex)."""
-    m = len(basis)
-    pts = []
-    for coeffs in iproduct(range(-radius, radius + 1), repeat=m):
-        if all(c == 0 for c in coeffs):
-            continue
-        pts.append(coeffs)
-    pts.sort(key=lambda c: (max(abs(x) for x in c), c))
-    n = len(basis[0]) if basis else 0
-    for coeffs in pts:
-        yield tuple(sum(coeffs[k] * basis[k][j] for k in range(m)) for j in range(n))
+    """Nonzero lattice points in the box, shell by shell in (sup-norm, lex) order."""
+    if not basis:
+        return
+    m, n = len(basis), len(basis[0])
+    for r in range(1, radius + 1):
+        for coeffs in _shell(m, r):
+            yield tuple(sum(coeffs[k] * basis[k][j] for k in range(m)) for j in range(n))
+
+
+def _positive_on(section_cones, chi) -> bool:
+    """chi is strictly positive on every wall row of every section cone: the
+    stratum verdicts of `char_section_verdict`, from rows already built."""
+    return all(dot(row, chi) > 0 for c in section_cones for row in c.ambient_rows)
 
 
 def purity_report(obj, lattice: str = "levi", box: int = 2,
@@ -344,10 +371,11 @@ def purity_report(obj, lattice: str = "levi", box: int = 2,
     else:
         raise SectionError("purity_report expects a ZipDatum or FlaggedZipDatum")
     wg, rd = Z.wg, Z.rd
-    reps = wg.min_coset_reps(Z.I, "left")
-    per = [section_cone(Z, w, lattice) for w in reps]
+    levi = _lattice_basis(Z, "levi")
+    _check_box(len(levi), box)
+    basis = levi if lattice == "levi" else _lattice_basis(Z, lattice)
+    per = [section_cone(Z, w, lattice) for w in wg.min_coset_reps(Z.I, "left")]
 
-    basis = _lattice_basis(Z, lattice)
     all_rows = [row for c in per for row in c.reduced_rows]
     res = cones.feasible_strict(all_rows, len(basis))
     uniform_witness = None
@@ -357,33 +385,26 @@ def purity_report(obj, lattice: str = "levi", box: int = 2,
                                 for j in range(rd.rank))
 
     # verified candidate characters take precedence as the uniform witness
+    eqs = [rd.coroot(rd.simple_roots[i]) for i in Z.I] if lattice == "levi" else []
     for cand in candidates:
         cand = tuple(cand)
-        eqs = [rd.coroot(rd.simple_roots[i]) for i in Z.I] if lattice == "levi" else []
         if any(dot(cand, e) != 0 for e in eqs):
             continue
-        if all(char_section_verdict(Z, w, cand).verdict for w in reps):
+        if _positive_on(per, cand):
             if not res.feasible:
                 raise AssertionError("candidate witness contradicts cone infeasibility")
             uniform_witness = cand
             break
 
     # the sufficient condition covers Levi characters only, whatever the lattice
-    ample_close = None
-    for chi in _box_points(_lattice_basis(Z, "levi"), box):
-        amp, _w1 = ampleness(Z, chi)
-        if not amp:
-            continue
-        if not character_tests(rd, chi, Z.q).orbitally_q_close:
-            continue
-        ample_close = chi
-        break
+    transports = _ample_transports(Z)
+    ample_close = next((chi for chi in _box_points(levi, box)
+                        if all(dot(chi, t) < 0 for _i, t in transports)
+                        and character_tests(rd, chi, Z.q).orbitally_q_close), None)
     if ample_close is not None:
-        for w in reps:
-            if not char_section_verdict(Z, w, ample_close).verdict:
-                raise AssertionError(
-                    "ample orbitally q-close character fails a stratum verdict; "
-                    "convention error")
+        if not _positive_on(per, ample_close):
+            raise AssertionError("ample orbitally q-close character fails a stratum "
+                                 "verdict; convention error")
         if not res.feasible:
             raise AssertionError("sufficient condition met but the uniform cone "
                                  "is infeasible; convention error")

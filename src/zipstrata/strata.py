@@ -173,8 +173,8 @@ def _down_sets(wg, label: dict, ws) -> list:
     down = {}
     for x in wg.elements():
         d = label.get(x, 0)
-        for a in wg.lower_reflections(x):
-            d |= down[wg.compose(x, wg.reflection(a))]
+        for _a, xs in wg._lower_covers(x):
+            d |= down[xs]
         down[x] = d
     return [down[w] for w in ws]
 

@@ -9,18 +9,43 @@ is an index lookup, the inverse is the inverse permutation, and the length
 counts positive indices sent to negative ones.  The action on arbitrary
 characters and cocharacters applies the simple reflections of the canonical
 reduced word, the lexicographically least one, found by greedy left descents.
+
+Group orders come from root heights and never from enumeration, so the
+enumerating methods check the size they would build against
+``ENUMERATION_CAP`` before they start.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .rootsystem import RootDatum, RootDatumError, Vec, reflect, vneg
 
+# the largest group, subgroup or coset set the enumerating methods will build
+ENUMERATION_CAP = 100_000
+
 
 class WeylError(ValueError):
     pass
+
+
+def _order_from_heights(rd: RootDatum, positive) -> int:
+    """The order of the Weyl group of a closed set of positive roots, prod (m_i + 1):
+    the exponents m_i are the dual partition of the counts of the roots by
+    height (Kostant; Humphreys, Reflection Groups and Coxeter Groups, 3.20)."""
+    counts = Counter(sum(rd.coeffs_of[a]) for a in positive).values()
+    order = 1
+    for k in range(1, max(counts, default=0) + 1):
+        order *= 1 + sum(1 for c in counts if c >= k)
+    return order
+
+
+def _check_size(what: str, K: tuple, size: int):
+    if size > ENUMERATION_CAP:
+        raise WeylError("%s for K = %s has %d elements, more than the enumeration "
+                        "cap %d" % (what, [i + 1 for i in K], size, ENUMERATION_CAP))
 
 
 def _mul(p: tuple, q: tuple) -> tuple:
@@ -85,10 +110,17 @@ class WeylGroup:
     def simple_reflection(self, i: int) -> WeylElt:
         return WeylElt(self, self.simple[i])
 
-    def reflection(self, alpha) -> WeylElt:
+    def _root_index(self, alpha) -> int:
         if alpha not in self._index:
             raise RootDatumError("%r is not a root" % (alpha,))
-        return WeylElt(self, self._reflections[self._index[alpha] % self._npos])
+        return self._index[alpha]
+
+    def reflection(self, alpha) -> WeylElt:
+        return WeylElt(self, self._reflections[self._root_index(alpha) % self._npos])
+
+    def root_image(self, w: WeylElt, alpha) -> Vec:
+        """The root w(alpha), read from the permutation."""
+        return self._roots[w.perm[self._root_index(alpha)]]
 
     def compose(self, a: WeylElt, b: WeylElt) -> WeylElt:
         if a.group is not self or b.group is not self:
@@ -161,13 +193,17 @@ class WeylGroup:
         return (self.length(w), self.canonical_word(w))
 
     def order(self) -> int:
-        return len(self.elements())
+        return _order_from_heights(self.rd, self.rd.positive)
+
+    def _subgroup_order(self, K: tuple) -> int:
+        return _order_from_heights(self.rd, self.rd.levi_positive(K))
 
     def subgroup_elements(self, K: Iterable[int]) -> tuple:
         K = tuple(sorted(set(K)))
         cached = self._subgroups.get(K)
         if cached is not None:
             return cached
+        _check_size("the subgroup W_K", K, self._subgroup_order(K))
         gens = [self.simple[i] for i in K]
         els = {self.e.perm}
         frontier = {self.e.perm}
@@ -220,6 +256,7 @@ class WeylGroup:
                          for w in self.min_coset_reps(K, "left"))
         if side != "left":
             raise WeylError("side must be 'left' or 'right'")
+        _check_size("the coset set K\\W", K, self.order() // self._subgroup_order(K))
         out = [self.e]
         level = [self.e]
         seen = {self.e}
@@ -247,7 +284,7 @@ class WeylGroup:
         """I_w = J0 ∩ w^{-1} I0 w: simple roots of J0 mapped by w into the I0-Levi."""
         levi = self.rd.levi_roots(I0)
         return tuple(j for j in sorted(set(J0))
-                     if self._roots[w.perm[self._simple_index[j]]] in levi)
+                     if self.root_image(w, self.rd.simple_roots[j]) in levi)
 
     # -- Bruhat order -----------------------------------------------------------
     def bruhat_leq(self, u: WeylElt, w: WeylElt) -> bool:
@@ -265,13 +302,16 @@ class WeylGroup:
 
     # -- lower reflections (the wall set of a stratum) ---------------------------
     def lower_reflections(self, w: WeylElt) -> tuple:
-        """Positive roots a with w s_a < w of length exactly l(w) - 1, sorted.
+        """Positive roots a with w s_a < w of length exactly l(w) - 1, sorted."""
+        return tuple(a for a, _ws in self._lower_covers(w))
 
-        w s_a < w exactly when w(a) is negative.
-        """
+    def _lower_covers(self, w: WeylElt) -> list:
+        """The pairs (a, w s_a) behind `lower_reflections`, each cover composed
+        once.  w s_a < w exactly when w(a) is negative."""
         n, lower = self._npos, self.length(w) - 1
-        return tuple(a for j, a in enumerate(self.rd.positive) if w.perm[j] >= n
-                     and self.length(WeylElt(self, _mul(w.perm, self._reflections[j]))) == lower)
+        below = ((a, WeylElt(self, _mul(w.perm, self._reflections[j])))
+                 for j, a in enumerate(self.rd.positive) if w.perm[j] >= n)
+        return [(a, ws) for a, ws in below if self.length(ws) == lower]
 
     # -- bracket notation (hyperoctahedral presets) -------------------------------
     def supports_bracket(self) -> bool:
@@ -287,7 +327,7 @@ class WeylGroup:
         digits = []
         for j in range(n):
             axis = tuple(scale * (i == j) for i in range(n))
-            img = self._roots[w.perm[self._index[axis]]]
+            img = self.root_image(w, axis)
             k = next(i for i in range(n) if img[i] != 0)
             digits.append(k + 1 if img[k] > 0 else 2 * n - k)
         sep = " " if 2 * n > 9 else ""

@@ -9,14 +9,48 @@ from zipstrata.zipdatum import zip_from_cochar
 # the A3 diagram flip e_i -> -e_{5-i}, as an explicit galois matrix
 A3_FLIP_MATRIX = [[0, 0, 0, -1], [0, 0, -1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
 
+# G2 in the basis of its simple roots: <alpha_2, alpha_1^vee> = -1,
+# <alpha_1, alpha_2^vee> = -3
+G2_EXPLICIT = {"rank": 2, "simple_roots": [(1, 0), (0, 1)],
+               "simple_coroots": [(2, -1), (-3, 2)]}
+
+# A2 on a rank-3 lattice with an order-2 automorphism swapping the simple roots
+# and sending e3 to e3 + alpha_1 - alpha_2; its inverse transpose is not itself
+A2_SHEAR = {"rank": 3, "simple_roots": [(1, 0, 0), (0, 1, 0)],
+            "simple_coroots": [(2, -1, 0), (-1, 2, 3)]}
+SHEAR_MATRIX = [[0, 1, 1], [1, 0, -1], [0, 0, 1]]
+
+
+def _e8_cartan():
+    """Nodes 1-2-3-4-5-6-7 form a chain and node 8 is attached to node 3."""
+    edges = {(i, i + 1) for i in range(6)} | {(2, 7)}
+    return [[2 if i == j else -int((i, j) in edges or (j, i) in edges) for j in range(8)]
+            for i in range(8)]
+
+
+# E8 in the basis of its simple roots: simple roots e1..e8, simple coroots the
+# Cartan rows.  |W| = 696,729,600, too many to enumerate.
+E8_EXPLICIT = {"rank": 8, "simple_roots": [[int(i == j) for j in range(8)] for i in range(8)],
+               "simple_coroots": _e8_cartan()}
+E7_TYPE = (0, 1, 2, 3, 4, 5, 7)     # I = {1,...,6,8}, 0-based
+
+# explicit data reachable through group() and datum() by name
+EXPLICIT = {"G2-explicit": (G2_EXPLICIT, None),
+            "A2-shear": (A2_SHEAR, {"matrix": SHEAR_MATRIX, "order": 2}),
+            "E8-explicit": (E8_EXPLICIT, None)}
+
 
 @functools.lru_cache(maxsize=None)
 def _group(preset, galois):
-    rd = build_root_datum(preset, galois=galois)
+    if preset in EXPLICIT:
+        rd = build_root_datum(*EXPLICIT[preset])
+    else:
+        rd = build_root_datum(preset, galois=galois)
     return rd, WeylGroup(rd)
 
 
 def group(preset, galois=None):
+    """A preset name, or a key of EXPLICIT (which fixes its own galois)."""
     return _group(preset, galois)
 
 

@@ -1,14 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import A3_FLIP_MATRIX
+from conftest import A3_FLIP_MATRIX, E7_TYPE, E8_EXPLICIT
 from zipstrata import cli
 from zipstrata.cones import verify_certificate
 
-BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_CONFIGS = ROOT / "perfbench" / "configs"
 
 C3_CONFIG = {"group": {"preset": "C3"}, "p": 2, "n": 1, "I": [1, 3],
              "characters": [[1, 1, 0]], "w": "[351]"}
@@ -392,3 +396,45 @@ def test_negative_box_rejected(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--config", cfg, "--box", "-1"])
     assert exc.value.code == 2
+
+
+# -- size caps: oversized input exits 2 instead of hanging ------------------------------
+
+def run_subprocess(args, timeout):
+    """The CLI in a fresh interpreter, killed after `timeout` seconds."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "zipstrata.cli"] + args, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+E8_CONFIG = {"group": {"explicit": E8_EXPLICIT}, "p": 2, "n": 1, "w": [7],
+             "characters": [[1, 0, 0, 0, 0, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("command", ["n-alpha", "cone", "purity"])
+def test_e8_at_e7_type_finishes(tmp_path, command):
+    cfg = write_config(tmp_path, dict(E8_CONFIG, I=[i + 1 for i in E7_TYPE]))
+    proc = run_subprocess([command, "--config", cfg], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)["payload"]
+    if command == "purity":
+        assert len(payload["strata"]) == 240     # |W| / |W_E7|
+    else:
+        assert payload["stratum"] == "7"
+
+
+@pytest.mark.parametrize("command", ["strata", "hasse"])
+def test_e8_borel_exits_2_before_enumerating(tmp_path, command):
+    cfg = write_config(tmp_path, dict(E8_CONFIG, I=[]))
+    proc = run_subprocess([command, "--config", cfg], timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "696729600 elements" in proc.stderr
+
+
+def test_oversized_box_exits_2(tmp_path, capsys):
+    code = cli.main(["purity", "--box", "8", "--config", str(BENCH_CONFIGS / "a4-borel.json")])
+    assert code == 2 and "holds 1419856 points" in capsys.readouterr().err
+    code = cli.main(["scan", "--box", "50", "--config", str(BENCH_CONFIGS / "c3-scan.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "holds 1030300 points" in captured.err

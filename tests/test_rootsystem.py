@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A3_FLIP_MATRIX, group
+from conftest import A2_SHEAR, A3_FLIP_MATRIX, G2_EXPLICIT, SHEAR_MATRIX, group
 from zipstrata.rootsystem import RootDatumError, build_root_datum, dot, reflect
 
 
@@ -143,18 +143,6 @@ def test_coroot_orbits_match_weyl_group(preset, galois):
                             for w in wg.elements() for k in range(rd.galois.order)}))
               for c in rd.coroot_of.values()}
     assert rd.coroot_orbits == tuple(sorted(orbits))
-
-
-# G2 in the basis of its simple roots: <alpha_2, alpha_1^vee> = -1,
-# <alpha_1, alpha_2^vee> = -3
-G2_EXPLICIT = {"rank": 2, "simple_roots": [(1, 0), (0, 1)],
-               "simple_coroots": [(2, -1), (-3, 2)]}
-
-# A2 on a rank-3 lattice with an order-2 automorphism swapping the simple roots
-# and sending e3 to e3 + alpha_1 - alpha_2; its inverse transpose is not itself
-A2_SHEAR = {"rank": 3, "simple_roots": [(1, 0, 0), (0, 1, 0)],
-            "simple_coroots": [(2, -1, 0), (-1, 2, 3)]}
-SHEAR_MATRIX = [[0, 1, 1], [1, 0, -1], [0, 0, 1]]
 
 
 ORACLE_DATA = {

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import datum, group
+from zipstrata import sections
 from zipstrata.rootsystem import _mat_vec, dot
 from zipstrata.sections import (SectionError, ampleness, char_section_verdict,
                                 character_tests, flag_ampleness, gln_certificate,
                                 n_alpha, purity_report, r_w, section_cone,
-                                twist_power, _stratum_loop, _wall_transport)
+                                twist_power, _box_points, _check_box, _stratum_loop,
+                                _wall_transport)
+from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import flag_datum, zip_from_cochar
 
 WALLS_351 = ((1, 0, -1), (1, 1, 0), (0, 1, -1), (0, 2, 0))
@@ -290,7 +293,7 @@ def test_monotonicity_ample_close_implies_positive():
     # every lattice character that is ample and orbitally q-close certifies
     # every stratum (the sufficient-condition check inside purity_report
     # asserts this; here it is exercised directly on a box)
-    from zipstrata.sections import _box_points, _lattice_basis
+    from zipstrata.sections import _lattice_basis
     for preset, I, p in (("C3", (0, 2), 3), ("GL4", (0, 2), 2), ("B2", (1,), 2)):
         Z = datum(preset, I, p=p)
         wg = Z.wg
@@ -395,3 +398,94 @@ def test_cone_rows_are_n_alpha_random(group_spec, I, p, n, data):
                             for j in range(rd.rank))
     assert char_section_verdict(Z, w, chi).multiplicities == \
         tuple((a, n_alpha(Z, w, chi, a)) for a in cone.walls)
+
+
+# -- each fact built once ---------------------------------------------------------------
+
+TRANSPORT_GROUPS = [("A2", None), ("A2", "flip"), ("B2", None), ("C3", None),
+                    ("A3", "flip"), ("D4", "dswap"), ("GL4", None), ("C3xGL1", None),
+                    ("G2-explicit", None), ("A2-shear", None)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TRANSPORT_GROUPS), st.sets(st.integers(0, 3)), st.integers(1, 2),
+       st.data())
+def test_wall_transport_is_the_composed_action(group_spec, I, n, data):
+    """The one-lookup transport equals (w s_alpha)(alpha^vee) composed and
+    replayed through the canonical word, for every positive root alpha."""
+    preset, galois = group_spec
+    rd, _ = group(preset, galois)
+    Z = datum(preset, sorted(i for i in I if i < rd.num_simple), p=3, n=n, galois=galois)
+    wg = Z.wg
+    w = data.draw(st.sampled_from(wg.min_coset_reps(Z.I, "left")), label="stratum")
+    for a in rd.positive:
+        assert _wall_transport(Z, w, a) == \
+            wg.act(wg.compose(w, wg.reflection(a)), rd.coroot(a), "cochar")
+
+
+def _sorted_box(basis, radius):
+    """The whole box materialised and sorted by (sup-norm, lex)."""
+    m = len(basis)
+    pts = sorted((c for c in itertools.product(range(-radius, radius + 1), repeat=m) if any(c)),
+                 key=lambda c: (max(abs(x) for x in c), c))
+    n = len(basis[0]) if basis else 0
+    return [tuple(sum(c[k] * basis[k][j] for k in range(m)) for j in range(n)) for c in pts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_box_points_match_sorted_box(m, n, radius, data):
+    basis = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=m, max_size=m))
+    assert list(_box_points(basis, radius)) == _sorted_box(basis, radius)
+
+
+def test_box_points_edge_cases():
+    assert list(_box_points([], 5)) == [] == _sorted_box([], 5)
+    assert list(_box_points([(1, 2)], 0)) == [] == _sorted_box([(1, 2)], 0)
+    assert list(_box_points([(1, 0), (0, 1)], 1))[:4] == [(-1, -1), (-1, 0), (-1, 1), (0, -1)]
+
+
+def test_box_cap():
+    _check_box(8, 2)                     # the default radius stays legal on a rank-8 lattice
+    with pytest.raises(SectionError, match="1953124 points"):
+        _check_box(9, 2)
+    with pytest.raises(SectionError, match="1419856 points"):
+        purity_report(datum("A4", ()), box=8)
+    # a huge radius on the zero Levi lattice holds no point and returns at once
+    rep = purity_report(datum("C3", (0, 1, 2)), box=10 ** 9)
+    assert rep.ample_close_char is None and rep.box_radius == 10 ** 9
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("rebuilt")
+
+
+@pytest.mark.parametrize("preset, I, p, n, cand", [
+    ("B2", (0,), 2, 2, (1, 1)),          # the ample, orbitally q-close search succeeds
+    ("C3", (0, 2), 2, 1, (1, 1, 0)),     # a candidate is the uniform witness
+])
+def test_purity_report_reuses_cone_rows(monkeypatch, preset, I, p, n, cand):
+    Z = datum(preset, I, p=p, n=n)
+    expected = purity_report(Z, candidates=[cand])
+    calls = {"_wall_rows": 0, "_ample_transports": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(sections, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sections, name, counted)
+    monkeypatch.setattr(sections, "char_section_verdict", _refuse)
+    monkeypatch.setattr(sections, "ampleness", _refuse)
+    assert purity_report(Z, candidates=[cand]) == expected
+    assert calls == {"_wall_rows": len(expected.strata), "_ample_transports": 1}
+
+
+def test_loops_and_transport_do_not_enumerate(monkeypatch):
+    Z = datum("C5", (0, 1, 2, 3))
+    w = Z.wg.from_word([4])
+    for name in ("elements", "subgroup_elements", "min_coset_reps"):
+        monkeypatch.setattr(WeylGroup, name, _refuse)
+    sv = char_section_verdict(Z, w, (1, 1, 1, 1, 0))
+    assert (sv.r_w, sv.m, sv.period) == (4, 1, 4)
+    assert sv.multiplicities == (((0, 0, 0, 0, 2), 6),)
+    assert n_alpha(Z, w, (1, 1, 1, 1, 0), (0, 0, 0, 0, 2)) == 6
+    assert section_cone(Z, w).feasible

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import group, subword_leq
+from conftest import E7_TYPE, group, subword_leq
+from zipstrata import weyl
 from zipstrata.rootsystem import build_root_datum, reflect
 from zipstrata.weyl import WeylError, WeylGroup
 
@@ -274,3 +275,81 @@ def test_weyl_ops_match_reflection_matrices(spec, wa, wb, v):
     # the length counts the positive roots sent to negative ones
     ma = _word_matrix(rd, wa, "char")
     assert wg.length(a) == sum(1 for r in rd.positive if _mat_vec(ma, r) not in rd.positive)
+
+
+# -- the group order from root heights, and the enumeration cap -------------------
+
+ORDER_DATA = [(p, None) for p in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3",
+                                  "C4", "C5", "D4", "D5", "GL1", "GL4", "C3xGL1")] \
+    + [("A2", "flip"), ("A3", "flip"), ("D4", "dswap"), ("G2-explicit", None),
+       ("A2-shear", None)]
+
+
+@pytest.mark.parametrize("preset, galois", ORDER_DATA)
+def test_order_equals_enumeration(preset, galois):
+    rd, wg = group(preset, galois)
+    assert wg.order() == len(wg.elements())
+    n = rd.num_simple
+    for K in ((), tuple(range(0, n, 2)), tuple(range(1, n, 2)), tuple(range(n))):
+        assert wg._subgroup_order(K) == len(wg.subgroup_elements(K))
+
+
+def _refuse(*args):
+    raise AssertionError("the Weyl group was enumerated")
+
+
+def test_e8_order_without_enumeration(monkeypatch):
+    rd, wg = group("E8-explicit")
+    for name in ("subgroup_elements", "min_coset_reps", "elements"):
+        monkeypatch.setattr(WeylGroup, name, _refuse)
+    monkeypatch.setattr(weyl, "_mul", _refuse)
+    assert len(rd.positive) == 120
+    assert wg.order() == 696_729_600
+    assert wg._subgroup_order(E7_TYPE) == 2_903_040
+    assert wg._subgroup_order(()) == 1
+
+
+def test_size_checked_before_enumerating(monkeypatch):
+    _, wg = group("E8-explicit")
+    monkeypatch.setattr(weyl, "_mul", _refuse)
+    with pytest.raises(WeylError, match="696729600 elements"):
+        wg.elements()
+    with pytest.raises(WeylError, match="2903040 elements"):
+        wg.subgroup_elements(E7_TYPE)
+    with pytest.raises(WeylError, match="696729600 elements"):
+        wg.min_coset_reps((), "right")
+    monkeypatch.undo()
+    assert len(wg.min_coset_reps(E7_TYPE, "left")) == 240
+
+
+def test_enumeration_cap_boundary(monkeypatch):
+    rd = build_root_datum("B3")
+    monkeypatch.setattr(weyl, "ENUMERATION_CAP", 48)
+    assert len(WeylGroup(rd).elements()) == 48
+    monkeypatch.setattr(weyl, "ENUMERATION_CAP", 47)
+    with pytest.raises(WeylError, match="48 elements"):
+        WeylGroup(rd).elements()
+    # K = {1}: |W_K| = 2 and 24 cosets
+    monkeypatch.setattr(weyl, "ENUMERATION_CAP", 23)
+    assert len(WeylGroup(rd).subgroup_elements((0,))) == 2
+    with pytest.raises(WeylError, match="24 elements"):
+        WeylGroup(rd).min_coset_reps((0,), "left")
+
+
+@pytest.mark.parametrize("preset, galois", [("C3", None), ("D4", "dswap"), ("G2-explicit", None)])
+def test_lower_covers_are_the_composed_walls(preset, galois):
+    rd, wg = group(preset, galois)
+    for w in wg.elements():
+        covers = wg._lower_covers(w)
+        assert tuple(a for a, _ws in covers) == wg.lower_reflections(w)
+        for a, ws in covers:
+            assert ws == wg.compose(w, wg.reflection(a))
+            assert wg.length(ws) == wg.length(w) - 1
+
+
+@pytest.mark.parametrize("preset, galois", [("C3", None), ("A3", "flip"), ("A2-shear", None)])
+def test_root_image_is_the_action(preset, galois):
+    rd, wg = group(preset, galois)
+    for w in wg.elements():
+        for a in rd.roots:
+            assert wg.root_image(w, a) == wg.act(w, a)
