@@ -9,17 +9,20 @@ multipliers y, not all zero, combining the rows to the zero form (a positive
 combination of strictly positive forms cannot vanish).
 
 The solver minimises the sum of artificial variables for sum_i y_i r_i = 0,
-sum_i y_i = 1, y >= 0, by the simplex method in exact Fraction arithmetic with
-Bland's rule, which cannot cycle.  At objective 0, y is a basic solution and so
-a certificate with at most nvars + 1 nonzero multipliers.  Otherwise the
-simplex multipliers pi of the final basis give the witness t = -pi[:nvars],
-with r . t >= pi[nvars] > 0 on every row (Farkas).
+sum_i y_i = 1, y >= 0, by the simplex method with Bland's rule, which cannot
+cycle.  The pivots are integer-preserving (Edmonds 1967; Bareiss 1968, as in
+Avis's lrs): the tableau is held as integers over one running denominator d,
+the previous pivot, and each update (x * piv - f * y) // d divides exactly.
+At objective 0, y is a basic solution and so a certificate with at most
+nvars + 1 nonzero multipliers.  Otherwise the simplex multipliers pi of the
+final basis give the witness t = -pi[:nvars], with r . t >= pi[nvars] > 0 on
+every row (Farkas).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence
 
 
@@ -44,57 +47,53 @@ class Feasibility:
 
 
 def _normalize(row):
-    row = tuple(Fraction(x) for x in row)
-    denom = 1
-    for x in row:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    """The integer row of content 1 on the ray of a rational row (ints and
+    Fractions alike carry .numerator and .denominator)."""
+    denom = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (denom // x.denominator) for x in row]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
     """Decide whether a rational t exists with row . t > 0 for all rows."""
     kept = {}          # normalised row -> (first original index, scale)
     for idx, r in enumerate(rows):
-        orig = tuple(Fraction(x) for x in r)
-        if len(orig) != nvars:
+        if len(r) != nvars:
             raise ConeError("row length does not match the variable count")
-        nrm = _normalize(orig)
+        nrm = _normalize(r)
         if nrm not in kept:
-            kept[nrm] = (idx, _scale_between(orig, nrm))
+            kept[nrm] = (idx, _scale_between(r, nrm))
     if not kept:
         return Feasibility(True, point=(Fraction(0),) * nvars)
 
     # Tableau rows: the nvars coordinates of sum_j y_j r_j = 0, then sum_j y_j = 1.
     # Columns: y_0..y_{m-1}, one artificial per tableau row (the starting
     # basis), then the right-hand side.  `cost` holds the phase-I reduced
-    # costs and, last, minus the objective.
+    # costs and, last, minus the objective.  The true tableau is tab / d and
+    # cost / d, with d > 0, so signs read off the integers directly.
     cols = [r + (1,) for r in kept]
     m, n1 = len(cols), nvars + 1
-    tab = [[Fraction(c[k]) for c in cols] + [Fraction(int(i == k)) for i in range(n1)]
-           + [Fraction(int(k == nvars))] for k in range(n1)]
-    cost = [-sum(t[j] for t in tab) for j in range(m)] + [Fraction(0)] * n1 + [Fraction(-1)]
-    basis = list(range(m, m + n1))
+    tab = [[c[k] for c in cols] + [int(i == k) for i in range(n1)] + [int(k == nvars)]
+           for k in range(n1)]
+    cost = [-sum(t[j] for t in tab) for j in range(m)] + [0] * n1 + [-1]
+    basis, d = list(range(m, m + n1)), 1
     while True:
         # Bland's rule: the lowest entering index, ties in the ratio test to the
-        # lowest basic index.  Phase I is bounded below, so a ratio exists.
+        # lowest basic index.  Phase I is bounded below, so a ratio exists; d
+        # cancels in it.
         enter = next((j for j in range(m + n1) if cost[j] < 0), None)
         if enter is None:
             break
-        _ratio, _var, leave = min((t[-1] / t[enter], basis[k], k)
+        _ratio, _var, leave = min((Fraction(t[-1], t[enter]), basis[k], k)
                                   for k, t in enumerate(tab) if t[enter] > 0)
-        piv = tab[leave][enter]
-        prow = tab[leave] = [x / piv for x in tab[leave]]
+        prow = tab[leave]
+        piv = prow[enter]
         for row in tab + [cost]:
-            f = row[enter]
-            if row is not prow and f:
-                row[:] = [x - f * y if y else x for x, y in zip(row, prow)]
-        basis[leave] = enter
+            if row is not prow:
+                f = row[enter]
+                row[:] = [(x * piv - f * y) // d for x, y in zip(row, prow)]
+        basis[leave], d = enter, piv
 
     if cost[-1] == 0:
         certificate = [Fraction(0)] * len(rows)
@@ -102,10 +101,10 @@ def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
         for k, j in enumerate(basis):
             if j < m:
                 idx, scale = origin[j]
-                certificate[idx] = tab[k][-1] / scale
+                certificate[idx] = Fraction(tab[k][-1], d) / scale
         return Feasibility(False, certificate=tuple(certificate))
     # the reduced cost of artificial k is 1 - pi_k
-    return Feasibility(True, point=tuple(cost[m + k] - 1 for k in range(nvars)))
+    return Feasibility(True, point=tuple(Fraction(cost[m + k], d) - 1 for k in range(nvars)))
 
 
 def _scale_between(row, normalized):

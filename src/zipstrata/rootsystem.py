@@ -48,9 +48,12 @@ def _identity(n):
 
 
 def _mat_pow(m, k):
+    """m^k by repeated squaring."""
     out = _identity(len(m))
-    for _ in range(k):
-        out = _mat_mul(out, m)
+    while k:
+        if k & 1:
+            out = _mat_mul(out, m)
+        m, k = _mat_mul(m, m), k >> 1
     return out
 
 
@@ -312,6 +315,19 @@ def _integer(x, what: str) -> int:
     return x
 
 
+def _finite_order_bound(n: int) -> int:
+    """lcm{p^k : phi(p^k) <= n}.  A finite-order integer n x n matrix has root
+    of unity eigenvalues of orders d with phi(d) <= n, so its order divides this."""
+    bound = 1
+    for p in range(2, n + 2):
+        if all(p % d for d in range(2, p)):
+            pk = p
+            while pk * (p - 1) <= n:        # phi(p * pk) = pk * (p - 1)
+                pk *= p
+            bound *= pk
+    return bound
+
+
 def build_root_datum(spec, galois=None) -> RootDatum:
     """Construct a root datum.
 
@@ -361,6 +377,11 @@ def build_root_datum(spec, galois=None) -> RootDatum:
         order = _integer(galois["order"], "galois order")
         if order < 1:
             raise RootDatumError("galois order must be a positive integer, got %d" % order)
+        bound = _finite_order_bound(rank)
+        if order > bound:
+            raise RootDatumError("galois order %d exceeds %d, which every finite order of "
+                                 "an invertible integer %d x %d matrix divides"
+                                 % (order, bound, rank, rank))
         # recover the permutation of the simple roots before full validation
         perm = []
         for a in roots:

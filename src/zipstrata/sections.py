@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import cones
-from .rootsystem import RootDatum, Vec, _identity, _mat_mul, _mat_vec, dot, vneg
-from .weyl import WeylElt
+from .rootsystem import RootDatum, Vec, _identity, _mat_vec, dot, vneg
+from .weyl import WeylElt, _inverse, _mul
 from .zipdatum import (FlaggedZipDatum, ZipDatum, prime_power,
                        zip_from_cochar)
 
@@ -192,9 +193,51 @@ def r_w(Z: ZipDatum, w: WeylElt) -> Tuple[int, int]:
     raise AssertionError("twisted power recursion failed to close")
 
 
+def _radical_order(Z: ZipDatum) -> int:
+    """The order of gamma^n on X_0, the characters that vanish on every coroot.
+
+    X*_Q is the root span plus X_0, and gamma^j permutes the simple roots, a
+    basis of the root span, so its trace on X_0 is tr(M^j) minus the number of
+    simple roots it fixes.  A map of finite order is the identity exactly when
+    its trace is its dimension.  On split data the order is 1.
+    """
+    rd, g = Z.rd, Z.rd.galois
+    dim = rd.rank - rd.num_simple
+    images, perm = _identity(rd.rank), tuple(range(rd.num_simple))
+    k = 1
+    while True:
+        images = [g.char(v, Z.n) for v in images]
+        perm = tuple(g.perm(i, Z.n) for i in perm)
+        trace = sum(v[i] for i, v in enumerate(images))
+        if trace - sum(1 for i, j in enumerate(perm) if i == j) == dim:
+            return k
+        k += 1
+
+
+def _loop_perm(Z: ZipDatum, w: WeylElt) -> Tuple[tuple, int]:
+    """The root permutation sigma = w o z^{-1} o gamma^{-n}, and the loop order T.
+
+    sigma is the adjoint L^t of the character-side loop operator
+    L = gamma^n o z o w^{-1}: L^t sends the coroot of b to the coroot of
+    sigma(b).  L acts on the root span through sigma^{-1} and on X_0 as gamma^n
+    (W fixes X_0 pointwise), so T = lcm(the cycle order of sigma, the order of
+    gamma^n on X_0).
+    """
+    sigma = _mul(w.perm, _mul(_inverse(Z.z.perm), Z.wg.galois_perm(-Z.n)))
+    T, seen = _radical_order(Z), set()
+    for start in range(len(sigma)):
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = sigma[j], length + 1
+        T = lcm(T, length) if length else T
+    return sigma, T
+
+
 def _stratum_loop(Z: ZipDatum, w: WeylElt) -> Tuple[tuple, int]:
     """Matrix of the character-side loop operator gamma^n o z o w^{-1}, and its
-    order T (the least T with the T-th power equal to the identity).
+    order T (the least T with the T-th power equal to the identity), read as
+    lcm(the cycle order of sigma, the order of gamma^n on X_0) from `_loop_perm`.
 
     This is the transport forced by the stratum equivariance (the Frobenius
     acts on characters as q times gamma^n); on split data it is plain z w^{-1}.
@@ -204,15 +247,7 @@ def _stratum_loop(Z: ZipDatum, w: WeylElt) -> Tuple[tuple, int]:
     cols = [Z.rd.galois.char(wg.act(zw, tuple(1 if k == j else 0 for k in range(n))), Z.n)
             for j in range(n)]
     loop = tuple(tuple(col[i] for col in cols) for i in range(n))
-    ident = _identity(n)
-    acc, T = loop, 1
-    bound = wg.order() * Z.rd.galois.order + 1
-    while acc != ident:
-        acc = _mat_mul(acc, loop)
-        T += 1
-        if T > bound:
-            raise AssertionError("loop operator failed to close")
-    return loop, T
+    return loop, _loop_perm(Z, w)[1]
 
 
 def _wall_transport(Z: ZipDatum, w: WeylElt, alpha: Vec) -> Vec:
@@ -253,18 +288,18 @@ def n_alpha(Z: ZipDatum, w: WeylElt, chi: Vec, alpha: Vec, periods: int = 1) -> 
 
 def _wall_rows(Z: ZipDatum, w: WeylElt, walls) -> Tuple[tuple, int]:
     """The n_alpha coefficient rows over ambient coordinates, one per wall, and
-    the loop order T.  The loop is built once for the stratum; each row is the
-    adjoint form sum_{i<T} q^i (L^t)^i c of the sum in n_alpha, where c is the
-    wall transport and L^t the transpose of the loop matrix."""
-    loop, T = _stratum_loop(Z, w)
-    adjoint = tuple(zip(*loop))
+    the loop order T.  Each row is the adjoint form sum_{i<T} q^i (L^t)^i c of
+    the sum in n_alpha, where c, the wall transport, is the coroot of w(-alpha).
+    L^t = w o z^{-1} o gamma^{-n} sends coroots to coroots through the root
+    permutation sigma of `_loop_perm`, so the row is
+    sum_{i<T} q^i coroot(sigma^i(w(-alpha))): root lookups only."""
+    wg, rd, q = Z.wg, Z.rd, Z.q
+    sigma, T = _loop_perm(Z, w)
     rows = []
     for alpha in walls:
-        v = _wall_transport(Z, w, alpha)
-        row = (0,) * Z.rd.rank
-        for i in range(T):
-            row = tuple(x + Z.q ** i * y for x, y in zip(row, v))
-            v = _mat_vec(adjoint, v)
+        row = (0,) * rd.rank
+        for b in reversed(wg.orbit(sigma, wg.root_image(w, vneg(alpha)), T)):
+            row = tuple(q * x + y for x, y in zip(row, rd.coroot(b)))
         rows.append(row)
     return tuple(rows), T
 
@@ -299,14 +334,17 @@ def _lattice_basis(Z: ZipDatum, lattice: str) -> List[tuple]:
     return basis
 
 
-def section_cone(Z: ZipDatum, w: WeylElt, lattice: str = "levi") -> SectionCone:
-    """Exact feasibility of {n_alpha(chi) > 0} over the chosen character lattice."""
+def section_cone(Z: ZipDatum, w: WeylElt, lattice: str = "levi",
+                 basis: Optional[Sequence[tuple]] = None) -> SectionCone:
+    """Exact feasibility of {n_alpha(chi) > 0} over the chosen character lattice;
+    `basis`, when given, is that lattice's `_lattice_basis`."""
     wg, rd = Z.wg, Z.rd
     if not _stratum_label_ok(Z, w):
         raise SectionError("w is not a stratum label for this datum")
     walls = wg.lower_reflections(w)
     ambient, _T = _wall_rows(Z, w, walls)
-    basis = _lattice_basis(Z, lattice)
+    if basis is None:
+        basis = _lattice_basis(Z, lattice)
     reduced = tuple(tuple(dot(row, b) for b in basis) for row in ambient)
     res = cones.feasible_strict(reduced, len(basis))
     witness = None
@@ -374,7 +412,7 @@ def purity_report(obj, lattice: str = "levi", box: int = 2,
     levi = _lattice_basis(Z, "levi")
     _check_box(len(levi), box)
     basis = levi if lattice == "levi" else _lattice_basis(Z, lattice)
-    per = [section_cone(Z, w, lattice) for w in wg.min_coset_reps(Z.I, "left")]
+    per = [section_cone(Z, w, lattice, basis) for w in wg.min_coset_reps(Z.I, "left")]
 
     all_rows = [row for c in per for row in c.reduced_rows]
     res = cones.feasible_strict(all_rows, len(basis))

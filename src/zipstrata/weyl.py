@@ -122,6 +122,14 @@ class WeylGroup:
         """The root w(alpha), read from the permutation."""
         return self._roots[w.perm[self._root_index(alpha)]]
 
+    def orbit(self, perm: tuple, alpha, length: int) -> list:
+        """alpha and its next images under a root permutation, `length` roots."""
+        j, out = self._root_index(alpha), []
+        for _ in range(length):
+            out.append(self._roots[j])
+            j = perm[j]
+        return out
+
     def compose(self, a: WeylElt, b: WeylElt) -> WeylElt:
         if a.group is not self or b.group is not self:
             raise WeylError("elements belong to a different root datum")
@@ -148,6 +156,13 @@ class WeylGroup:
         for _ in range(k % self.rd.galois.order):
             p = _mul(self._gamma, _mul(p, self._gamma_inv))
         return WeylElt(self, p)
+
+    def galois_perm(self, k: int = 1) -> tuple:
+        """The root permutation of gamma^k itself, which W need not contain."""
+        p = self.e.perm
+        for _ in range(k % self.rd.galois.order):
+            p = _mul(self._gamma, p)
+        return p
 
     # -- words ----------------------------------------------------------------
     def from_word(self, word: Sequence[int]) -> WeylElt:

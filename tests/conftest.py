@@ -21,6 +21,12 @@ A2_SHEAR = {"rank": 3, "simple_roots": [(1, 0, 0), (0, 1, 0)],
 SHEAR_MATRIX = [[0, 1, 1], [1, 0, -1], [0, 0, 1]]
 
 
+# A1 on a rank-3 lattice with gamma fixing the root and rotating the characters
+# that vanish on the coroot, x_1 = 0, with order 3: a loop order factor no root sees
+A1_ROT3 = {"rank": 3, "simple_roots": [(1, 0, 0)], "simple_coroots": [(2, 0, 0)]}
+ROT3_MATRIX = [[1, 0, 0], [0, 0, -1], [0, 1, -1]]
+
+
 def _e8_cartan():
     """Nodes 1-2-3-4-5-6-7 form a chain and node 8 is attached to node 3."""
     edges = {(i, i + 1) for i in range(6)} | {(2, 7)}
@@ -37,6 +43,7 @@ E7_TYPE = (0, 1, 2, 3, 4, 5, 7)     # I = {1,...,6,8}, 0-based
 # explicit data reachable through group() and datum() by name
 EXPLICIT = {"G2-explicit": (G2_EXPLICIT, None),
             "A2-shear": (A2_SHEAR, {"matrix": SHEAR_MATRIX, "order": 2}),
+            "A1-rot3": (A1_ROT3, {"matrix": ROT3_MATRIX, "order": 3}),
             "E8-explicit": (E8_EXPLICIT, None)}
 
 

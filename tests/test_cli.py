@@ -438,3 +438,19 @@ def test_oversized_box_exits_2(tmp_path, capsys):
     code = cli.main(["scan", "--box", "50", "--config", str(BENCH_CONFIGS / "c3-scan.json")])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and "holds 1030300 points" in captured.err
+
+
+def test_oversized_galois_order_exits_2(tmp_path):
+    # 10^8 is a multiple of the flip's true order 2, but no invertible integer
+    # 4 x 4 matrix has a finite order above lcm{p^k : phi(p^k) <= 4} = 120
+    cfg = {"group": {"preset": "A3"}, "p": 2, "n": 1, "I": [2]}
+    big = write_config(tmp_path, dict(cfg, galois={"matrix": A3_FLIP_MATRIX,
+                                                   "order": 100_000_000}))
+    proc = run_subprocess(["describe", "--config", big], timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "galois order 100000000 exceeds 120" in proc.stderr
+    for order in (2, 4):
+        ok = write_config(tmp_path, dict(cfg, galois={"matrix": A3_FLIP_MATRIX,
+                                                      "order": order}))
+        proc = run_subprocess(["describe", "--config", ok], timeout=20)
+        assert proc.returncode == 0, proc.stderr

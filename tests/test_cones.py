@@ -2,10 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zipstrata.cones import (ConeError, feasible_strict, kernel_basis,
+from zipstrata.cones import (ConeError, _normalize, feasible_strict, kernel_basis,
                              verify_certificate)
 
 
@@ -131,17 +131,81 @@ def test_degenerate_rows_through_one_line():
 
 @settings(max_examples=40, deadline=None)
 @given(systems())
+# sympy 1.14 answers s = 1 on these two infeasible systems when t and s are free
+@example(([(0, -1, -3), (0, 0, -3), (0, 0, 1)], 3))
+@example(([(0, -1, 0), (-1, 0, -1), (0, 0, -1), (0, 0, 1)], 3))
 def test_verdict_matches_sympy_lpmax(system):
     """An independent exact LP: rows . t > 0 is feasible iff max s subject to
-    rows . t >= s and s <= 1 is positive."""
+    rows . t >= s, -1 <= t_i <= 1 and 0 <= s <= 1 is positive.  The system is
+    homogeneous, so the bounds leave its feasibility unchanged, and t = 0,
+    s = 0 is always a feasible point."""
     sympy = pytest.importorskip("sympy")
     from sympy.solvers.simplex import lpmax
     rows, n = system
     t = sympy.symbols("t0:%d" % n)
     s = sympy.Symbol("s")
     constr = [sum(sympy.Rational(a) * x for a, x in zip(r, t)) - s >= 0 for r in rows]
-    best, _point = lpmax(s, constr + [s <= 1])
+    bounds = [c for x in t for c in (x >= -1, x <= 1)]
+    best, _point = lpmax(s, constr + bounds + [s >= 0, s <= 1])
     assert feasible_strict(rows, n).feasible == (best > 0)
+
+
+def _fraction_simplex(rows, nvars):
+    """The same phase-I tableau, Bland rule and outputs as `feasible_strict`,
+    pivoted in plain Fraction arithmetic: (feasible, point, certificate)."""
+    kept = {}
+    for idx, r in enumerate(rows):
+        orig = tuple(Fraction(x) for x in r)
+        nrm = _normalize(orig)
+        if nrm not in kept:
+            kept[nrm] = (idx, next((Fraction(a) / b for a, b in zip(orig, nrm) if b),
+                                   Fraction(1)))
+    if not kept:
+        return True, (Fraction(0),) * nvars, None
+    cols = [r + (1,) for r in kept]
+    m, n1 = len(cols), nvars + 1
+    tab = [[Fraction(c[k]) for c in cols] + [Fraction(int(i == k)) for i in range(n1)]
+           + [Fraction(int(k == nvars))] for k in range(n1)]
+    cost = [-sum(t[j] for t in tab) for j in range(m)] + [Fraction(0)] * n1 + [Fraction(-1)]
+    basis = list(range(m, m + n1))
+    while True:
+        enter = next((j for j in range(m + n1) if cost[j] < 0), None)
+        if enter is None:
+            break
+        _ratio, _var, leave = min((t[-1] / t[enter], basis[k], k)
+                                  for k, t in enumerate(tab) if t[enter] > 0)
+        piv = tab[leave][enter]
+        prow = tab[leave] = [x / piv for x in tab[leave]]
+        for row in tab + [cost]:
+            f = row[enter]
+            if row is not prow and f:
+                row[:] = [x - f * y for x, y in zip(row, prow)]
+        basis[leave] = enter
+    if cost[-1] == 0:
+        certificate = [Fraction(0)] * len(rows)
+        origin = list(kept.values())
+        for k, j in enumerate(basis):
+            if j < m:
+                idx, scale = origin[j]
+                certificate[idx] = tab[k][-1] / scale
+        return False, None, tuple(certificate)
+    return True, tuple(cost[m + k] - 1 for k in range(nvars)), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_integer_pivots_match_fraction_pivots(system):
+    """Integer pivoting over a running denominator takes the same pivots as the
+    Fraction tableau, so the point and the certificate are the same values."""
+    rows, n = system
+    res = feasible_strict(rows, n)
+    assert (res.feasible, res.point, res.certificate) == _fraction_simplex(rows, n)
+
+
+def test_normalize_reads_ints_and_fractions():
+    assert _normalize((2, -4, 0)) == (1, -2, 0)
+    assert _normalize((Fraction(1, 2), Fraction(-1, 3), 1)) == (3, -2, 6)
+    assert _normalize((0, 0)) == (0, 0)
 
 
 def test_certificate_rejects_garbage():

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import datum, group
-from zipstrata import sections
-from zipstrata.rootsystem import _mat_vec, dot
+from zipstrata import cones, rootsystem, sections, weyl
+from zipstrata.rootsystem import _identity, _mat_mul, _mat_vec, dot
 from zipstrata.sections import (SectionError, ampleness, char_section_verdict,
                                 character_tests, flag_ampleness, gln_certificate,
                                 n_alpha, purity_report, r_w, section_cone,
                                 twist_power, _box_points, _check_box, _stratum_loop,
-                                _wall_transport)
+                                _wall_rows, _wall_transport)
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import flag_datum, zip_from_cochar
 
@@ -489,3 +489,75 @@ def test_loops_and_transport_do_not_enumerate(monkeypatch):
     assert sv.multiplicities == (((0, 0, 0, 0, 2), 6),)
     assert n_alpha(Z, w, (1, 1, 1, 1, 0), (0, 0, 0, 0, 2)) == 6
     assert section_cone(Z, w).feasible
+
+
+# -- wall rows from the root permutation ------------------------------------------------
+
+ROW_GROUPS = [("B2", None), ("C3", None), ("A3", "flip"), ("D4", "dswap"),
+              ("G2-explicit", None), ("A2-shear", None), ("A1-rot3", None)]
+
+
+def _loop_matrix(Z, w):
+    """The loop operator gamma^n o z o w^{-1} on characters, column by column
+    through the canonical word, and its order by powering the matrix."""
+    wg, rank = Z.wg, Z.rd.rank
+    zw = wg.compose(Z.z, wg.inverse(w))
+    cols = [Z.rd.galois.char(wg.act(zw, e), Z.n) for e in _identity(rank)]
+    loop = tuple(zip(*cols))
+    acc, order = loop, 1
+    while acc != _identity(rank):
+        acc, order = _mat_mul(acc, loop), order + 1
+    return loop, order
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ROW_GROUPS), st.sets(st.integers(0, 3)), st.sampled_from([2, 3]),
+       st.integers(1, 2), st.data())
+def test_wall_rows_are_the_matrix_adjoint_sum(group_spec, I, p, n, data):
+    """The permutation order T is the order of the loop matrix, and each row is
+    the adjoint sum sum_{i<T} q^i (L^t)^i c over matrix-vector products."""
+    preset, galois = group_spec
+    rd, _ = group(preset, galois)
+    Z = datum(preset, sorted(i for i in I if i < rd.num_simple), p=p, n=n, galois=galois)
+    w = data.draw(st.sampled_from(Z.wg.min_coset_reps(Z.I, "left")), label="stratum")
+    walls = Z.wg.lower_reflections(w)
+    rows, T = _wall_rows(Z, w, walls)
+    loop, order = _loop_matrix(Z, w)
+    assert T == order == _stratum_loop(Z, w)[1]
+    adjoint = tuple(zip(*loop))
+    for alpha, row in zip(walls, rows):
+        v, expected = _wall_transport(Z, w, alpha), (0,) * rd.rank
+        for i in range(T):
+            expected = tuple(x + Z.q ** i * y for x, y in zip(expected, v))
+            v = _mat_vec(adjoint, v)
+        assert row == expected
+
+
+def test_wall_rows_need_no_lattice_action(monkeypatch):
+    cases = [(datum(preset, I, p=3, n=n, galois=galois), I)
+             for preset, I, n, galois in [("A3", (1,), 1, "flip"), ("D4", (), 2, "dswap"),
+                                          ("A2-shear", (), 1, None), ("G2-explicit", (), 1, None),
+                                          ("A1-rot3", (), 1, None), ("C3", (0, 2), 1, None)]]
+    expected = [[_wall_rows(Z, w, Z.wg.lower_reflections(w))
+                 for w in Z.wg.min_coset_reps(I, "left")] for Z, I in cases]
+    monkeypatch.setattr(WeylGroup, "act", _refuse)
+    monkeypatch.setattr(rootsystem, "reflect", _refuse)
+    monkeypatch.setattr(weyl, "reflect", _refuse)
+    assert [[_wall_rows(Z, w, Z.wg.lower_reflections(w))
+             for w in Z.wg.min_coset_reps(I, "left")] for Z, I in cases] == expected
+
+
+@pytest.mark.parametrize("preset, I, galois", [("C3", (0, 2), None), ("A3", (1,), "flip")])
+def test_purity_report_builds_each_lattice_basis_once(monkeypatch, preset, I, galois):
+    Z = datum(preset, I, p=3, galois=galois)
+    expected = {lattice: purity_report(Z, lattice=lattice) for lattice in ("levi", "torus")}
+    calls = []
+
+    def counted(*args, _fn=cones.kernel_basis):
+        calls.append(args)
+        return _fn(*args)
+    monkeypatch.setattr(cones, "kernel_basis", counted)
+    for lattice, uses in (("levi", 1), ("torus", 2)):     # torus also searches the Levi box
+        calls.clear()
+        assert purity_report(Z, lattice=lattice) == expected[lattice]
+        assert len(calls) == uses
