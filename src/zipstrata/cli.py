@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__, golden, sections, strata
 from .rootsystem import RootDatumError, build_root_datum
@@ -29,16 +28,39 @@ class ConfigError(ValueError):
 
 # -- configuration ------------------------------------------------------------------
 
+def _ints(x):
+    return isinstance(x, list) and all(type(v) is int for v in x)   # JSON true is a bool
+
+
+def _int_lists(x):
+    return isinstance(x, list) and all(map(_ints, x))
+
+
+# the JSON shape of each config value that is read as integers
+_SHAPES = {"p": (lambda x: type(x) is int, "an integer prime"),
+           "n": (lambda x: type(x) is int, "an integer"),
+           "w": (lambda x: isinstance(x, str) or _ints(x), "a string or a list of integers"),
+           "types": (lambda x: x is None or _int_lists(x), "a list of integer lists"),
+           "characters": (_int_lists, "a list of integer lists"),
+           **{k: (_ints, "a list of integers") for k in ("I", "I0", "mu", "primes")}}
+
+
 def _load_config(path):
     if path is None:
         raise ConfigError("this subcommand requires --config")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as e:
         raise ConfigError("cannot read config: %s" % e)
     except json.JSONDecodeError as e:
         raise ConfigError("config is not valid JSON: %s" % e)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    for key, (ok, shape) in _SHAPES.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ConfigError("config.%s must be %s, got %r" % (key, shape, cfg[key]))
+    return cfg
 
 
 def _galois_spec(cfg):
@@ -109,25 +131,13 @@ def _parse_label(wg, spec):
 
 def _characters(cfg, rank):
     chars = cfg.get("characters", [])
-    out = []
     for c in chars:
         if len(c) != rank:
             raise ConfigError("character %r does not match rank %d" % (c, rank))
-        out.append(tuple(int(x) for x in c))
-    return out
+    return [tuple(c) for c in chars]
 
 
 # -- serialization ------------------------------------------------------------------
-
-def _plain(x):
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else str(x.numerator)
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    return x
-
 
 def _bundle(kind, payload):
     return {
@@ -135,7 +145,7 @@ def _bundle(kind, payload):
         "tool": {"name": "zipstrata", "version": __version__,
                  "convention": CONVENTION},
         "kind": kind,
-        "payload": _plain(payload),
+        "payload": payload,
     }
 
 
@@ -162,14 +172,14 @@ def _text_lines(obj, indent):
     if isinstance(obj, dict):
         for k in sorted(obj):
             v = obj[k]
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 lines.append("%s%s:" % (indent, k))
                 lines += _text_lines(v, indent + "  ")
             else:
                 lines.append("%s%s: %s" % (indent, k, v))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for v in obj:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 lines.append("%s-" % indent)
                 lines += _text_lines(v, indent + "  ")
             else:
@@ -338,14 +348,14 @@ def _cmd_scan(cfg, args):
             raise ConfigError("scan requires 'types' or 'I' in the config")
         types = [cfg["I"]]
     rd, wg = _group_from_config(cfg)     # W does not depend on p or the type
+    candidates = _characters(cfg, rd.rank)
     results = []
     for t in types:
         for p in primes:
             try:
                 Z, FZ = _datum_from_config(dict(cfg, I=list(t), p=p), rd, wg)
                 rep = sections.purity_report(FZ if FZ else Z, lattice=args.lattice,
-                                             box=args.box,
-                                             candidates=_characters(cfg, rd.rank))
+                                             box=args.box, candidates=candidates)
                 results.append({"I": list(t), "p": p, "ok": True, **_verdict_payload(rep)})
             except sections.SectionError:
                 raise               # an oversized --box is a bad request, not a bad cell

@@ -285,13 +285,22 @@ def _preset_simples(family: str, n: int):
 def _parse_preset(name: str):
     for fam in ("GL", "A", "B", "C", "D"):
         if name.startswith(fam) and name[len(fam):].isdigit():
-            n = int(name[len(fam):])
+            try:
+                n = int(name[len(fam):])
+            except ValueError:      # a digit int() cannot read, or more than 4300 digits
+                break
             if fam == "GL" and n < 1:
                 raise RootDatumError("GL_n requires n >= 1")
             if fam == "A" and n < 1:
                 raise RootDatumError("A_n requires n >= 1")
             return fam, n
     raise RootDatumError("unknown preset %r" % name)
+
+
+def _root_count(family: str, n: int) -> int:
+    """The number of roots of a preset factor, read from its type alone."""
+    return {"A": n * (n + 1), "B": 2 * n * n, "C": 2 * n * n,
+            "D": 2 * n * (n - 1), "GL": n * (n - 1)}[family]
 
 
 def _flip_galois(preset: str, rank: int, nsimple: int) -> GaloisAction:
@@ -338,6 +347,10 @@ def build_root_datum(spec, galois=None) -> RootDatum:
     """
     if isinstance(spec, str):
         factors = [_parse_preset(part) for part in spec.split("x")]
+        count = sum(_root_count(fam, n) for fam, n in factors)
+        if count > ROOT_ENUMERATION_CAP:
+            raise RootDatumError("preset %s has %d roots, more than the cap %d"
+                                 % (spec, count, ROOT_ENUMERATION_CAP))
         rank = 0
         roots, coroots = [], []
         for fam, n in factors:

@@ -2,13 +2,16 @@
 n_alpha, per-stratum section cones and purity reports.
 
 Convention note.  The multiplicity of a stratum section along the wall of a
-lower neighbor w s_alpha is computed as
+lower neighbor w s_alpha is
 
     n_alpha(chi) = sum_{i=0}^{T-1}  q^i * < L^i chi, (w s_alpha)(alpha^vee) >
 
 where L is the character-side loop operator gamma^n o z o w^{-1} (the
 Frobenius acts on characters as q times gamma^n), q = p^n, and T is the order
-of L.  This is the calibrated reading: on the Sp(6) reference stratum the
+of L.  Only `_wall_rows` builds it: chi paired with the adjoint row
+sum_{i<T} q^i (L^t)^i c, where c = w(-alpha^vee) is the coroot of the root
+`_wall_root` gives; n_alpha, the verdicts, cones and purity reports read these
+rows.  This is the calibrated reading: on the Sp(6) reference stratum the
 values at the Levi-character lattice generator equal (q^3-1)(q+1) times the
 reference table (an alpha-independent positive factor, so verdicts, vanishing
 walls and cones agree exactly), and positivity holds on every ample,
@@ -25,7 +28,7 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import cones
-from .rootsystem import RootDatum, Vec, _identity, _mat_vec, dot, vneg
+from .rootsystem import RootDatum, Vec, _identity, dot, vneg
 from .weyl import WeylElt, _inverse, _mul
 from .zipdatum import (FlaggedZipDatum, ZipDatum, prime_power,
                        zip_from_cochar)
@@ -133,7 +136,7 @@ def _ample_transports(Z: ZipDatum) -> tuple:
     rd, wg = Z.rd, Z.wg
     zt = wg.galois(Z.z, -Z.n)
     outside = set(range(rd.num_simple)) - {rd.galois.perm(j, -Z.n) for j in Z.J}
-    return tuple((i, wg.act(zt, rd.coroot(rd.simple_roots[i]), "cochar"))
+    return tuple((i, rd.coroot(wg.root_image(zt, rd.simple_roots[i])))
                  for i in sorted(outside))
 
 
@@ -234,26 +237,10 @@ def _loop_perm(Z: ZipDatum, w: WeylElt) -> Tuple[tuple, int]:
     return sigma, T
 
 
-def _stratum_loop(Z: ZipDatum, w: WeylElt) -> Tuple[tuple, int]:
-    """Matrix of the character-side loop operator gamma^n o z o w^{-1}, and its
-    order T (the least T with the T-th power equal to the identity), read as
-    lcm(the cycle order of sigma, the order of gamma^n on X_0) from `_loop_perm`.
-
-    This is the transport forced by the stratum equivariance (the Frobenius
-    acts on characters as q times gamma^n); on split data it is plain z w^{-1}.
-    """
-    wg, n = Z.wg, Z.rd.rank
-    zw = wg.compose(Z.z, wg.inverse(w))
-    cols = [Z.rd.galois.char(wg.act(zw, tuple(1 if k == j else 0 for k in range(n))), Z.n)
-            for j in range(n)]
-    loop = tuple(tuple(col[i] for col in cols) for i in range(n))
-    return loop, _loop_perm(Z, w)[1]
-
-
-def _wall_transport(Z: ZipDatum, w: WeylElt, alpha: Vec) -> Vec:
-    """The wall-element image (w s_alpha)(alpha^vee) = w(-alpha^vee) of the wall
-    coroot: the coroot of the root w(-alpha)."""
-    return Z.rd.coroot(Z.wg.root_image(w, vneg(alpha)))
+def _wall_root(Z: ZipDatum, w: WeylElt, alpha: Vec) -> Vec:
+    """The root w(-alpha), whose coroot is the wall transport
+    (w s_alpha)(alpha^vee) = w(-alpha^vee) of the wall coroot."""
+    return Z.wg.root_image(w, vneg(alpha))
 
 
 def _stratum_label_ok(Z: ZipDatum, w: WeylElt) -> bool:
@@ -261,44 +248,31 @@ def _stratum_label_ok(Z: ZipDatum, w: WeylElt) -> bool:
     return wg.is_min_left(w, Z.I) or wg.is_min_right(w, Z.J)
 
 
-def n_alpha(Z: ZipDatum, w: WeylElt, chi: Vec, alpha: Vec, periods: int = 1) -> int:
-    """The wall multiplicity for the stratum w and wall alpha (in E_w).
-
-    Linear in chi; exact integer.  `periods` repeats the summation window and
-    multiplies the result by a positive geometric factor (used by the period
-    stability checks).
-    """
+def n_alpha(Z: ZipDatum, w: WeylElt, chi: Vec, alpha: Vec) -> int:
+    """The wall multiplicity for the stratum w and wall alpha (in E_w): chi
+    paired with the wall's row from `_wall_rows`.  Linear in chi; exact integer."""
     wg = Z.wg
     if not _stratum_label_ok(Z, w):
         raise SectionError("w is not a stratum label for this datum")
     if alpha not in set(wg.lower_reflections(w)):
         raise SectionError("alpha is not a wall of the stratum")
-    if periods < 1:
-        raise SectionError("periods must be >= 1")
-    loop, T = _stratum_loop(Z, w)
-    target = _wall_transport(Z, w, alpha)
-    q = Z.q
-    total = 0
-    v = tuple(chi)
-    for i in range(T * periods):
-        total += dot(v, target) * q ** i
-        v = _mat_vec(loop, v)
-    return total
+    (row,), _T = _wall_rows(Z, w, (alpha,))
+    return dot(row, chi)
 
 
 def _wall_rows(Z: ZipDatum, w: WeylElt, walls) -> Tuple[tuple, int]:
     """The n_alpha coefficient rows over ambient coordinates, one per wall, and
     the loop order T.  Each row is the adjoint form sum_{i<T} q^i (L^t)^i c of
-    the sum in n_alpha, where c, the wall transport, is the coroot of w(-alpha).
-    L^t = w o z^{-1} o gamma^{-n} sends coroots to coroots through the root
-    permutation sigma of `_loop_perm`, so the row is
+    the sum in n_alpha, where c, the wall transport, is the coroot of the root
+    `_wall_root` gives.  L^t = w o z^{-1} o gamma^{-n} sends coroots to coroots
+    through the root permutation sigma of `_loop_perm`, so the row is
     sum_{i<T} q^i coroot(sigma^i(w(-alpha))): root lookups only."""
     wg, rd, q = Z.wg, Z.rd, Z.q
     sigma, T = _loop_perm(Z, w)
     rows = []
     for alpha in walls:
         row = (0,) * rd.rank
-        for b in reversed(wg.orbit(sigma, wg.root_image(w, vneg(alpha)), T)):
+        for b in reversed(wg.orbit(sigma, _wall_root(Z, w, alpha), T)):
             row = tuple(q * x + y for x, y in zip(row, rd.coroot(b)))
         rows.append(row)
     return tuple(rows), T
@@ -330,8 +304,7 @@ def _lattice_basis(Z: ZipDatum, lattice: str) -> List[tuple]:
         eqs = [rd.coroot(rd.simple_roots[i]) for i in Z.I]
     else:
         raise SectionError("lattice must be 'torus' or 'levi'")
-    basis = cones.kernel_basis(eqs, n)
-    return basis
+    return cones.kernel_basis(eqs, n)
 
 
 def section_cone(Z: ZipDatum, w: WeylElt, lattice: str = "levi",

@@ -137,7 +137,7 @@ def _opposition(rd: RootDatum, wg: WeylGroup, K: Iterable[int]) -> tuple:
     w0 = wg.longest_element()
     out = []
     for i in K:
-        img = vneg(wg.act(w0, rd.simple_roots[i]))
+        img = vneg(wg.root_image(w0, rd.simple_roots[i]))
         j = rd.simple_index(img)
         if j is None:
             raise ZipDatumError("opposition image of a simple root is not simple")
@@ -195,9 +195,9 @@ def validate_frame(Z: ZipDatum) -> list:
     pos = set(rd.positive)
     levi = rd.levi_roots(gI)
     levi_pos = rd.levi_positive(gI)
-    z_pos = {wg.act(z, a) for a in rd.positive}
+    z_pos = {wg.root_image(z, a) for a in rd.positive}
     bad = []
-    if not all(wg.act(z, rd.simple_roots[j]) in pos for j in Z.J):
+    if not all(wg.root_image(z, rd.simple_roots[j]) in pos for j in Z.J):
         bad.append("z is not minimal in its coset z W_J (z not in W^J)")
     if z_pos & levi != levi_pos:
         bad.append("frame axiom fails: z(Phi+) meets the Levi of the image "
@@ -207,7 +207,7 @@ def validate_frame(Z: ZipDatum) -> list:
     zi = wg.inverse(z)
     img = set()
     for i in gI:
-        b = wg.act(zi, rd.simple_roots[i])
+        b = wg.root_image(zi, rd.simple_roots[i])
         j = rd.simple_index(b)
         if j is None:
             bad.append("z^{-1} does not carry the image type back into the simple roots")
@@ -230,7 +230,7 @@ def flag_datum(Z: ZipDatum, I0: Iterable[int]) -> FlaggedZipDatum:
     zi = wg.inverse(Z.z)
     J0 = []
     for i in Z.gal_type(I0):
-        b = wg.act(zi, rd.simple_roots[i])
+        b = wg.root_image(zi, rd.simple_roots[i])
         j = rd.simple_index(b)
         if j is None:
             raise ZipDatumError("internal inconsistency: induced type escapes the simple roots")

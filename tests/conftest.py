@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from zipstrata.rootsystem import build_root_datum
+from zipstrata.rootsystem import _identity, _mat_mul, _mat_vec, build_root_datum, dot
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import zip_from_cochar
 
@@ -79,6 +79,39 @@ def subword_leq(wg, u, w):
     for i in word:
         reach |= {x * wg.simple_reflection(i) for x in reach}
     return u in reach
+
+
+def composed_transport(Z, w, alpha):
+    """The wall transport (w s_alpha)(alpha^vee), composed and replayed on the
+    coroot through the canonical word."""
+    wg = Z.wg
+    return wg.act(wg.compose(w, wg.reflection(alpha)), Z.rd.coroot(alpha), "cochar")
+
+
+def loop_matrix(Z, w):
+    """The loop operator gamma^n o z o w^{-1} on characters, column by column
+    through the canonical word, and its order by powering the matrix."""
+    wg, rank = Z.wg, Z.rd.rank
+    zw = wg.compose(Z.z, wg.inverse(w))
+    cols = [Z.rd.galois.char(wg.act(zw, e), Z.n) for e in _identity(rank)]
+    loop = tuple(zip(*cols))
+    acc, order = loop, 1
+    while acc != _identity(rank):
+        acc, order = _mat_mul(acc, loop), order + 1
+    return loop, order
+
+
+def forward_n_alpha(Z, w, chi, alpha, steps=None):
+    """Independent multiplicity oracle: the forward sum
+    sum_{i<steps} q^i <L^i chi, (w s_alpha)(alpha^vee)> over the loop matrix;
+    `steps` defaults to the loop order T."""
+    loop, T = loop_matrix(Z, w)
+    c = composed_transport(Z, w, alpha)
+    total, v = 0, tuple(chi)
+    for i in range(T if steps is None else steps):
+        total += dot(v, c) * Z.q ** i
+        v = _mat_vec(loop, v)
+    return total
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -258,6 +261,26 @@ def test_hostile_explicit_data_exit_2(tmp_path, capsys, group, galois):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("char-test", dict(C3_CONFIG, characters=["abc"])),
+    ("char-test", dict(C3_CONFIG, characters=[5])),
+    ("char-test", dict(C3_CONFIG, characters=[[1.5, 0, 0]])),
+    ("describe", dict(C3_CONFIG, I=["1", "3"])),
+    ("n-alpha", dict(C3_CONFIG, w=5)),
+    ("describe", dict(C3_CONFIG, n="1")),
+    ("scan", dict(C3_CONFIG, primes=2)),
+    ("scan", dict(C3_CONFIG, primes=[2], types=3)),
+    ("scan", dict(C3_CONFIG, primes=[2], characters=[[1, 1]])),
+    ("describe", [C3_CONFIG]),
+], ids=["char-str", "char-int", "char-float", "I-str", "w-int", "n-str", "primes-int",
+        "types-int", "scan-char-rank", "config-list"])
+def test_malformed_config_values_exit_2(tmp_path, capsys, command, cfg):
+    code = cli.main([command, "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_scan_cell_failure_reported(tmp_path, capsys):
     cfg = write_config(tmp_path, {"group": {"preset": "C3"}, "n": 1,
                                   "types": [[1, 3], [2, 9]], "primes": [2]})
@@ -440,6 +463,15 @@ def test_oversized_box_exits_2(tmp_path, capsys):
     assert code == 2 and captured.out == "" and "holds 1030300 points" in captured.err
 
 
+def test_oversized_preset_exits_2(tmp_path):
+    # A2000 has 2000 * 2001 roots; the count is read from the type before any
+    # simple root is built
+    cfg = write_config(tmp_path, {"group": {"preset": "A2000"}, "p": 2, "n": 1, "I": []})
+    proc = run_subprocess(["describe", "--config", cfg], timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "4002000 roots" in proc.stderr
+
+
 def test_oversized_galois_order_exits_2(tmp_path):
     # 10^8 is a multiple of the flip's true order 2, but no invertible integer
     # 4 x 4 matrix has a finite order above lcm{p^k : phi(p^k) <= 4} = 120
@@ -454,3 +486,48 @@ def test_oversized_galois_order_exits_2(tmp_path):
                                                       "order": order}))
         proc = run_subprocess(["describe", "--config", ok], timeout=20)
         assert proc.returncode == 0, proc.stderr
+
+
+# -- byte pins ---------------------------------------------------------------------------
+
+PIN_CONFIGS = {
+    "c3-golden": dict(C3_CONFIG, characters=[[1, 1, 0], [1, 0, 0]], primes=[2, 3]),
+    "c3-flag": {"group": {"preset": "C3"}, "p": 2, "n": 1, "I": [1, 3], "I0": [1],
+                "w": [3], "characters": [[1, 1, 0], [-2, -3, 1]], "primes": [2, 3]},
+    "a3-flip": {"group": {"preset": "A3"}, "galois": {"perm": [3, 2, 1]}, "p": 3, "n": 1,
+                "I": [1], "w": [2, 3], "characters": [[2, 1, -1, -2], [1, 0, 0, -1]],
+                "primes": [2, 3]},
+    "a2-shear": {"group": {"explicit": {"rank": 3, "simple_roots": [[1, 0, 0], [0, 1, 0]],
+                                        "simple_coroots": [[2, -1, 0], [-1, 2, 3]]}},
+                 "galois": {"matrix": [[0, 1, 1], [1, 0, -1], [0, 0, 1]], "order": 2},
+                 "p": 3, "n": 1, "I": [], "w": [1, 2], "characters": [[1, 1, 0], [2, 1, 1]],
+                 "primes": [2, 3]},
+}
+PIN_COMMANDS = ["describe", "strata", "flag-strata", "coarse-strata", "hasse", "char-test",
+                "n-alpha", "cone", "purity", "scan"]
+PIN_FILE = Path(__file__).resolve().parent / "cli_digests.json"
+
+
+def cli_digests(tmp_path):
+    """"<exit code> <sha256 of stdout>" for golden and for every subcommand in
+    json and text (and dot for hasse) on each PIN_CONFIGS entry."""
+    runs = {"golden": ["golden"]}
+    for name, cfg in PIN_CONFIGS.items():
+        path = write_config(tmp_path, cfg, name + ".json")
+        for command in PIN_COMMANDS:
+            for fmt in ["json", "text"] + (["dot"] if command == "hasse" else []):
+                runs["%s %s %s" % (name, command, fmt)] = [command, "--config", path,
+                                                           "--format", fmt]
+    out = {}
+    for key, argv in runs.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        out[key] = "%d %s" % (code, hashlib.sha256(stdout.getvalue().encode()).hexdigest())
+    return out
+
+
+def test_cli_bytes_are_pinned(tmp_path):
+    """stdout stays byte-identical on these commands: cli_digests.json changes
+    only with an intended change of output, whose reason CHANGES.md records."""
+    assert cli_digests(tmp_path) == json.loads(PIN_FILE.read_text())

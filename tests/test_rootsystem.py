@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import A2_SHEAR, A3_FLIP_MATRIX, G2_EXPLICIT, SHEAR_MATRIX, group
-from zipstrata.rootsystem import RootDatumError, build_root_datum, dot, reflect
+from zipstrata.rootsystem import (RootDatumError, _parse_preset, _root_count,
+                                  build_root_datum, dot, reflect)
 
 
 def test_c3_preset_coordinates():
@@ -39,6 +40,23 @@ def test_product_preset():
     assert len(rd.roots) == 18
     rd1, _ = group("GL1")
     assert rd1.rank == 1 and len(rd1.roots) == 0
+
+
+@pytest.mark.parametrize("preset", ["A1", "A2", "A5", "B2", "B3", "B5", "C2", "C4", "D3",
+                                    "D4", "D6", "GL1", "GL2", "GL5", "C3xGL1", "A2xB3xD4"])
+def test_root_count_from_type_matches_enumeration(preset):
+    rd = build_root_datum(preset)
+    assert sum(_root_count(*_parse_preset(f)) for f in preset.split("x")) == len(rd.roots)
+
+
+def test_oversized_preset_rejected_by_count():
+    with pytest.raises(RootDatumError, match="preset A100 has 10100 roots"):
+        build_root_datum("A100")
+    with pytest.raises(RootDatumError, match="preset C3xB71 has 10100 roots"):
+        build_root_datum("C3xB71")
+    for name in ("A" + "9" * 5000, "A\u00b2"):      # int() reads neither index
+        with pytest.raises(RootDatumError, match="unknown preset"):
+            build_root_datum(name)
 
 
 def test_pairing_examples():

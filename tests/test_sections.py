@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import datum, group
+from conftest import composed_transport, datum, forward_n_alpha, group, loop_matrix
 from zipstrata import cones, rootsystem, sections, weyl
-from zipstrata.rootsystem import _identity, _mat_mul, _mat_vec, dot
+from zipstrata.rootsystem import _mat_vec, dot
 from zipstrata.sections import (SectionError, ampleness, char_section_verdict,
                                 character_tests, flag_ampleness, gln_certificate,
                                 n_alpha, purity_report, r_w, section_cone,
-                                twist_power, _box_points, _check_box, _stratum_loop,
-                                _wall_rows, _wall_transport)
+                                twist_power, _box_points, _check_box, _wall_root,
+                                _wall_rows)
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import flag_datum, zip_from_cochar
 
@@ -178,9 +178,10 @@ def test_period_stability():
         T = sv.period
         q = Z.q
         for k in (2, 3):
+            # k windows of the forward sum repeat the first, scaled by q^(jT)
             factor = sum(q ** (j * T) for j in range(k))
             for a in WALLS_351:
-                assert n_alpha(Z, w, (1, 0, 0), a, periods=k) == \
+                assert forward_n_alpha(Z, w, (1, 0, 0), a, k * T) == \
                     factor * n_alpha(Z, w, (1, 0, 0), a)
 
 
@@ -192,8 +193,8 @@ def test_n_alpha_window_is_the_loop_order():
     Z = datum("B2", (), p=3)
     w = Z.wg.from_bracket("[21]")
     alpha, chi = (1, -1), (1, 0)
-    loop, T = _stratum_loop(Z, w)
-    c = _wall_transport(Z, w, alpha)
+    loop, T = loop_matrix(Z, w)
+    c = composed_transport(Z, w, alpha)
     assert T == char_section_verdict(Z, w, chi).period == 2
     assert dot(_mat_vec(loop, chi), c) == dot(chi, c) == 1
     assert n_alpha(Z, w, chi, alpha) == (1 + Z.q) * dot(chi, c) == 4
@@ -367,17 +368,24 @@ def test_twisted_datum_sections_smoke():
 ])
 def test_cone_rows_are_n_alpha(preset, I, p, n, galois):
     """The cone rows (the adjoint sum over the wall transport) agree with the
-    forward sum of n_alpha, and so do the verdict's multiplicities."""
+    forward sum over the loop matrix, and so do the verdict's multiplicities
+    and n_alpha."""
     Z = datum(preset, I, p=p, n=n, galois=galois)
     rank = Z.rd.rank
     chi = tuple(range(2, 2 - rank, -1))
     for w in Z.wg.min_coset_reps(Z.I, "left"):
-        cone = section_cone(Z, w, "torus")
-        for a, row in zip(cone.walls, cone.ambient_rows):
-            assert row == tuple(n_alpha(Z, w, tuple(int(k == j) for k in range(rank)), a)
-                                for j in range(rank))
-        assert char_section_verdict(Z, w, chi).multiplicities == \
-            tuple((a, n_alpha(Z, w, chi, a)) for a in cone.walls)
+        _check_rows_against_forward_sum(Z, w, chi)
+
+
+def _check_rows_against_forward_sum(Z, w, chi):
+    rank = Z.rd.rank
+    cone = section_cone(Z, w, "torus")
+    for a, row in zip(cone.walls, cone.ambient_rows):
+        assert row == tuple(forward_n_alpha(Z, w, tuple(int(k == j) for k in range(rank)), a)
+                            for j in range(rank))
+    expected = tuple((a, forward_n_alpha(Z, w, chi, a)) for a in cone.walls)
+    assert char_section_verdict(Z, w, chi).multiplicities == expected
+    assert tuple((a, n_alpha(Z, w, chi, a)) for a in cone.walls) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -392,12 +400,7 @@ def test_cone_rows_are_n_alpha_random(group_spec, I, p, n, data):
     Z = datum(preset, sorted(i for i in I if i < rd.num_simple), p=p, n=n, galois=galois)
     w = data.draw(st.sampled_from(Z.wg.min_coset_reps(Z.I, "left")), label="stratum")
     chi = data.draw(st.tuples(*[st.integers(-3, 3)] * rd.rank), label="chi")
-    cone = section_cone(Z, w, "torus")
-    for a, row in zip(cone.walls, cone.ambient_rows):
-        assert row == tuple(n_alpha(Z, w, tuple(int(k == j) for k in range(rd.rank)), a)
-                            for j in range(rd.rank))
-    assert char_section_verdict(Z, w, chi).multiplicities == \
-        tuple((a, n_alpha(Z, w, chi, a)) for a in cone.walls)
+    _check_rows_against_forward_sum(Z, w, chi)
 
 
 # -- each fact built once ---------------------------------------------------------------
@@ -411,16 +414,16 @@ TRANSPORT_GROUPS = [("A2", None), ("A2", "flip"), ("B2", None), ("C3", None),
 @given(st.sampled_from(TRANSPORT_GROUPS), st.sets(st.integers(0, 3)), st.integers(1, 2),
        st.data())
 def test_wall_transport_is_the_composed_action(group_spec, I, n, data):
-    """The one-lookup transport equals (w s_alpha)(alpha^vee) composed and
-    replayed through the canonical word, for every positive root alpha."""
+    """The coroot of the one-lookup wall root equals (w s_alpha)(alpha^vee)
+    composed and replayed through the canonical word, for every positive root
+    alpha."""
     preset, galois = group_spec
     rd, _ = group(preset, galois)
     Z = datum(preset, sorted(i for i in I if i < rd.num_simple), p=3, n=n, galois=galois)
     wg = Z.wg
     w = data.draw(st.sampled_from(wg.min_coset_reps(Z.I, "left")), label="stratum")
     for a in rd.positive:
-        assert _wall_transport(Z, w, a) == \
-            wg.act(wg.compose(w, wg.reflection(a)), rd.coroot(a), "cochar")
+        assert rd.coroot(_wall_root(Z, w, a)) == composed_transport(Z, w, a)
 
 
 def _sorted_box(basis, radius):
@@ -497,19 +500,6 @@ ROW_GROUPS = [("B2", None), ("C3", None), ("A3", "flip"), ("D4", "dswap"),
               ("G2-explicit", None), ("A2-shear", None), ("A1-rot3", None)]
 
 
-def _loop_matrix(Z, w):
-    """The loop operator gamma^n o z o w^{-1} on characters, column by column
-    through the canonical word, and its order by powering the matrix."""
-    wg, rank = Z.wg, Z.rd.rank
-    zw = wg.compose(Z.z, wg.inverse(w))
-    cols = [Z.rd.galois.char(wg.act(zw, e), Z.n) for e in _identity(rank)]
-    loop = tuple(zip(*cols))
-    acc, order = loop, 1
-    while acc != _identity(rank):
-        acc, order = _mat_mul(acc, loop), order + 1
-    return loop, order
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(ROW_GROUPS), st.sets(st.integers(0, 3)), st.sampled_from([2, 3]),
        st.integers(1, 2), st.data())
@@ -522,11 +512,11 @@ def test_wall_rows_are_the_matrix_adjoint_sum(group_spec, I, p, n, data):
     w = data.draw(st.sampled_from(Z.wg.min_coset_reps(Z.I, "left")), label="stratum")
     walls = Z.wg.lower_reflections(w)
     rows, T = _wall_rows(Z, w, walls)
-    loop, order = _loop_matrix(Z, w)
-    assert T == order == _stratum_loop(Z, w)[1]
+    loop, order = loop_matrix(Z, w)
+    assert T == order
     adjoint = tuple(zip(*loop))
     for alpha, row in zip(walls, rows):
-        v, expected = _wall_transport(Z, w, alpha), (0,) * rd.rank
+        v, expected = composed_transport(Z, w, alpha), (0,) * rd.rank
         for i in range(T):
             expected = tuple(x + Z.q ** i * y for x, y in zip(expected, v))
             v = _mat_vec(adjoint, v)
