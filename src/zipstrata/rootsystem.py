@@ -14,6 +14,9 @@ from typing import Iterable, Optional
 Vec = tuple  # integer lattice vector
 
 ROOT_ENUMERATION_CAP = 10_000
+# the largest lattice rank built; A99 and GL100, the largest single-factor
+# presets under the root cap, reach it
+RANK_CAP = 100
 
 
 class RootDatumError(ValueError):
@@ -324,6 +327,11 @@ def _integer(x, what: str) -> int:
     return x
 
 
+def _check_rank(rank: int, what: str):
+    if rank > RANK_CAP:
+        raise RootDatumError("%s has rank %d, more than the cap %d" % (what, rank, RANK_CAP))
+
+
 def _finite_order_bound(n: int) -> int:
     """lcm{p^k : phi(p^k) <= n}.  A finite-order integer n x n matrix has root
     of unity eigenvalues of orders d with phi(d) <= n, so its order divides this."""
@@ -351,6 +359,7 @@ def build_root_datum(spec, galois=None) -> RootDatum:
         if count > ROOT_ENUMERATION_CAP:
             raise RootDatumError("preset %s has %d roots, more than the cap %d"
                                  % (spec, count, ROOT_ENUMERATION_CAP))
+        _check_rank(sum(n + (fam == "A") for fam, n in factors), "preset " + spec)
         rank = 0
         roots, coroots = [], []
         for fam, n in factors:
@@ -362,7 +371,10 @@ def build_root_datum(spec, galois=None) -> RootDatum:
         coroots = [tuple(list(a) + [0] * (rank - len(a))) for a in coroots]
         preset = spec
     else:
-        rank = spec["rank"]
+        rank = _integer(spec["rank"], "rank")
+        if rank < 0:
+            raise RootDatumError("rank must be a non-negative integer, got %d" % rank)
+        _check_rank(rank, "the explicit datum")
         roots = [tuple(a) for a in spec["simple_roots"]]
         coroots = [tuple(a) for a in spec["simple_coroots"]]
         preset = None

@@ -159,24 +159,12 @@ def coarse_strata(FZ: FlaggedZipDatum) -> List[CoarseStratum]:
 
 def coarse_poset(FZ: FlaggedZipDatum) -> StrataPoset:
     """Closure order on coarse strata: induced Bruhat order on the reps."""
+    FZ.Z0.wg._check_enumerable()
     cs = coarse_strata(FZ)
-    ws = [s.w for s in cs]
-    below = _down_sets(FZ.Z0.wg, {w: 1 << i for i, w in enumerate(ws)}, ws)
+    ws = [s.w.perm for s in cs]
+    below = FZ.Z0.wg._down_sets({w: 1 << i for i, w in enumerate(ws)}, ws)
     return StrataPoset(side="coarse", strata=tuple(cs), covers=_covers(below),
                        below=tuple(below))
-
-
-def _down_sets(wg, label: dict, ws) -> list:
-    """For each w in ws, the OR of label.get(x, 0) over all x <= w in Bruhat
-    order, built by increasing length from the Bruhat lower covers x s_a of
-    each x (Björner-Brenti, Combinatorics of Coxeter Groups, ch. 2)."""
-    down = {}
-    for x in wg.elements():
-        d = label.get(x, 0)
-        for _a, xs in wg._lower_covers(x):
-            d |= down[xs]
-        down[x] = d
-    return [down[w] for w in ws]
 
 
 def _closure_down_sets(Z: ZipDatum, ws) -> list:
@@ -186,9 +174,9 @@ def _closure_down_sets(Z: ZipDatum, ws) -> list:
     label = {}
     for i, w in enumerate(ws):
         for t in _twisted_orbit(Z, w):
-            if label.setdefault(t, 1 << i) != 1 << i:
+            if label.setdefault(t.perm, 1 << i) != 1 << i:
                 raise AssertionError("twisted orbits of two strata meet; convention error")
-    return _down_sets(Z.wg, label, ws)
+    return Z.wg._down_sets(label, [w.perm for w in ws])
 
 
 def _covers(below) -> tuple:
@@ -217,8 +205,10 @@ def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
     """Closure-order poset with cover edges.
 
     The order is computed on the I-side labels; the J-side poset carries the
-    same order transported through `cross_label`.
+    same order transported through `cross_label`.  The order walks all of W,
+    so its size is checked before any labelling.
     """
+    Z.wg._check_enumerable()
     strata = zip_strata(Z, "I")
     ws = [s.w for s in strata]
     if side == "J":

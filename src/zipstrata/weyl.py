@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .rootsystem import RootDatum, RootDatumError, Vec, reflect, vneg
@@ -49,8 +50,8 @@ def _check_size(what: str, K: tuple, size: int):
 
 
 def _mul(p: tuple, q: tuple) -> tuple:
-    """The permutation p o q (apply q first)."""
-    return tuple([p[j] for j in q])
+    """The permutation p o q (apply q first); itemgetter wants at least one index."""
+    return itemgetter(*q)(p) if q else ()
 
 
 def _inverse(p: tuple) -> tuple:
@@ -215,25 +216,35 @@ class WeylGroup:
 
     def subgroup_elements(self, K: Iterable[int]) -> tuple:
         K = tuple(sorted(set(K)))
-        cached = self._subgroups.get(K)
-        if cached is not None:
-            return cached
-        _check_size("the subgroup W_K", K, self._subgroup_order(K))
-        gens = [self.simple[i] for i in K]
-        els = {self.e.perm}
-        frontier = {self.e.perm}
-        while frontier:
-            new = set()
-            for g in frontier:
-                for s in gens:
-                    h = _mul(g, s)
-                    if h not in els:
-                        els.add(h)
-                        new.add(h)
-            frontier = new
-        out = tuple(sorted((WeylElt(self, p) for p in els), key=self.sort_key))
-        self._subgroups[K] = out
-        return out
+        if K not in self._subgroups:
+            _check_size("the subgroup W_K", K, self._subgroup_order(K))
+            self._subgroups[K] = self._sorted(self._levels(K))
+        return self._subgroups[K]
+
+    def _check_enumerable(self):
+        """Refuse a walk over all of W beyond the cap, as `elements()` would."""
+        _check_size("the subgroup W_K", tuple(range(self.rd.num_simple)), self.order())
+
+    def _levels(self, gens, keep=None):
+        """Yield the root permutations generated by the simple reflections
+        `gens`, one length level at a time: level l + 1 is {x s_i : x at level
+        l, i in gens not a right descent of x}.  `keep` prunes a set that is
+        prefix-closed in weak order."""
+        n, level = self._npos, [self.e.perm]
+        while level:
+            yield level
+            nxt = {}
+            for x in level:
+                for i in gens:
+                    if x[self._simple_index[i]] < n:
+                        y = _mul(x, self.simple[i])
+                        if y not in nxt and (keep is None or keep(y)):
+                            nxt[y] = None
+            level = list(nxt)
+
+    def _sorted(self, levels) -> tuple:
+        return tuple(sorted((WeylElt(self, p) for level in levels for p in level),
+                            key=self.sort_key))
 
     def longest_element(self, K: Optional[Iterable[int]] = None) -> WeylElt:
         K = tuple(range(self.rd.num_simple)) if K is None else tuple(sorted(set(K)))
@@ -262,32 +273,15 @@ class WeylGroup:
 
     def min_coset_reps(self, K: Iterable[int], side: str = "left") -> tuple:
         """Minimal coset representatives: 'left' is K\\W (labels ᴷW), 'right' W/K.
-
-        BFS on descent-free extensions; the sets are prefix-closed in weak order.
-        """
+        The left ones are prefix-closed in weak order, so the level walk prunes."""
         K = tuple(sorted(set(K)))
         if side == "right":
-            return tuple(self.inverse(w)
-                         for w in self.min_coset_reps(K, "left"))
+            return tuple(self.inverse(w) for w in self.min_coset_reps(K, "left"))
         if side != "left":
             raise WeylError("side must be 'left' or 'right'")
         _check_size("the coset set K\\W", K, self.order() // self._subgroup_order(K))
-        out = [self.e]
-        level = [self.e]
-        seen = {self.e}
-        while level:
-            nxt = []
-            for w in level:
-                for i in range(self.rd.num_simple):
-                    if self.has_right_descent(w, i):
-                        continue
-                    ws = WeylElt(self, _mul(w.perm, self.simple[i]))
-                    if ws not in seen and self.is_min_left(ws, K):
-                        seen.add(ws)
-                        nxt.append(ws)
-                        out.append(ws)
-            level = nxt
-        return tuple(sorted(out, key=self.sort_key))
+        return self._sorted(self._levels(range(self.rd.num_simple),
+                                         lambda p: self.is_min_left(WeylElt(self, p), K)))
 
     def double_coset_reps(self, I0: Iterable[int], J0: Iterable[int]) -> tuple:
         """Minimal representatives of W_{I0}\\W/W_{J0} = ᴵ⁰W ∩ Wᴶ⁰."""
@@ -315,18 +309,34 @@ class WeylGroup:
         su = WeylElt(self, _mul(self.simple[i], u.perm))
         return self.bruhat_leq(su if self.length(su) < lu else u, sw)
 
-    # -- lower reflections (the wall set of a stratum) ---------------------------
+    # -- lower reflections and Bruhat down-sets -----------------------------------
     def lower_reflections(self, w: WeylElt) -> tuple:
-        """Positive roots a with w s_a < w of length exactly l(w) - 1, sorted."""
-        return tuple(a for a, _ws in self._lower_covers(w))
-
-    def _lower_covers(self, w: WeylElt) -> list:
-        """The pairs (a, w s_a) behind `lower_reflections`, each cover composed
-        once.  w s_a < w exactly when w(a) is negative."""
+        """Positive roots a with w s_a < w of length exactly l(w) - 1, sorted.
+        w s_a < w exactly when w(a) is negative."""
         n, lower = self._npos, self.length(w) - 1
-        below = ((a, WeylElt(self, _mul(w.perm, self._reflections[j])))
-                 for j, a in enumerate(self.rd.positive) if w.perm[j] >= n)
-        return [(a, ws) for a, ws in below if self.length(ws) == lower]
+        return tuple(a for j, a in enumerate(self.rd.positive) if w.perm[j] >= n
+                     and self.length(WeylElt(self, _mul(w.perm, self._reflections[j]))) == lower)
+
+    def _down_sets(self, label: dict, ws) -> list:
+        """For each root permutation w in ws, the OR of label.get(x, 0) over all
+        x <= w in Bruhat order (Björner-Brenti, Combinatorics of Coxeter Groups,
+        ch. 2).  W is walked by levels; x s_a with x(a) negative is a lower cover
+        of x exactly when it lies in the previous level, so only two levels of
+        down-sets stay alive and those of ws are copied out on the way."""
+        self._check_enumerable()
+        n, out, prev = self._npos, dict.fromkeys(ws), {}
+        for level in self._levels(range(self.rd.num_simple)):
+            cur = {}
+            for x in level:
+                d = label.get(x, 0)
+                for j in range(n):
+                    if x[j] >= n:
+                        d |= prev.get(_mul(x, self._reflections[j]), 0)
+                cur[x] = d
+                if x in out:
+                    out[x] = d
+            prev = cur
+        return [out[w] for w in ws]
 
     # -- bracket notation (hyperoctahedral presets) -------------------------------
     def supports_bracket(self) -> bool:

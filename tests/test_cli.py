@@ -488,6 +488,34 @@ def test_oversized_galois_order_exits_2(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_oversized_rank_exits_2(tmp_path):
+    # neither datum has a root, so only the rank cap stops the identity
+    # matrices of rank 600 and 100000 from being built
+    preset = {"group": {"preset": "x".join(["GL1"] * 600)}, "p": 2, "n": 1, "I": []}
+    explicit = {"group": {"explicit": {"rank": 100_000, "simple_roots": [],
+                                       "simple_coroots": []}}, "p": 2, "n": 1, "I": []}
+    for cfg, message in ((preset, "has rank 600, more than the cap 100"),
+                         (explicit, "has rank 100000, more than the cap 100")):
+        proc = run_subprocess(["describe", "--config", write_config(tmp_path, cfg)], timeout=20)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert message in proc.stderr
+    negative = write_config(tmp_path, dict(explicit, group={"explicit": {
+        "rank": -1, "simple_roots": [], "simple_coroots": []}}))
+    proc = run_subprocess(["describe", "--config", negative], timeout=20)
+    assert proc.returncode == 2 and "rank must be a non-negative integer" in proc.stderr
+
+
+@pytest.mark.parametrize("side", ["I", "J"])
+def test_c8_siegel_hasse_exits_2_before_labelling(tmp_path, side):
+    # |W(C8)| = 10321920; without the check before labelling the twisted
+    # orbits (side I) or the cross labels (side J) run for minutes
+    cfg = write_config(tmp_path, {"group": {"preset": "C8"}, "p": 2, "n": 1,
+                                  "I": [1, 2, 3, 4, 5, 6, 7]})
+    proc = run_subprocess(["hasse", "--config", cfg, "--side", side], timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "10321920 elements, more than the enumeration cap 100000" in proc.stderr
+
+
 # -- byte pins ---------------------------------------------------------------------------
 
 PIN_CONFIGS = {

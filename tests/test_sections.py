@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import composed_transport, datum, forward_n_alpha, group, loop_matrix
 from zipstrata import cones, rootsystem, sections, weyl
+from zipstrata.golden import C3_N_TABLE
 from zipstrata.rootsystem import _mat_vec, dot
 from zipstrata.sections import (SectionError, ampleness, char_section_verdict,
                                 character_tests, flag_ampleness, gln_certificate,
@@ -198,6 +199,51 @@ def test_n_alpha_window_is_the_loop_order():
     assert T == char_section_verdict(Z, w, chi).period == 2
     assert dot(_mat_vec(loop, chi), c) == dot(chi, c) == 1
     assert n_alpha(Z, w, chi, alpha) == (1 + Z.q) * dot(chi, c) == 4
+
+
+def _window_row(rd, q, roots):
+    """sum_i q^i coroot(roots[i]): a wall row summed over len(roots) terms."""
+    return tuple(sum(q ** i * rd.coroot(b)[k] for i, b in enumerate(roots))
+                 for k in range(rd.rank))
+
+
+def test_351_rows_are_antiperiodic_half_windows():
+    # On [351], T = 6 and sigma^3 sends each wall's transport root to its
+    # negative, so each row is (1 - q^3) times its three-term half-window row;
+    # at (1,1,0) the half window gives -(q + 1) times the reference table,
+    # the wrong sign, so no window reproduces the table
+    for p in (2, 3, 5, 7):
+        Z = datum("C3", (0, 2), p=p)
+        w, q = w351(Z), Z.q
+        sigma, _T = sections._loop_perm(Z, w)
+        rows, T = _wall_rows(Z, w, WALLS_351)
+        assert T == 6
+        for a, row, ref in zip(WALLS_351, rows, C3_N_TABLE[p]):
+            orbit = Z.wg.orbit(sigma, _wall_root(Z, w, a), 4)
+            assert orbit[3] == rootsystem.vneg(orbit[0])
+            half = _window_row(Z.rd, q, orbit[:3])
+            assert row == tuple((1 - q ** 3) * x for x in half)
+            assert dot(half, (1, 1, 0)) == -(q + 1) * ref
+
+
+@pytest.mark.parametrize("preset, I, galois", [("C3", (0, 2), None), ("B2", (), None),
+                                               ("A3", (1,), "flip"), ("D4", (0, 1), "dswap")])
+def test_period_windows_scale_rows_positively(preset, I, galois):
+    # summing a wall's summand over a period P of it (P divides T) instead of
+    # over T divides the row by (q^T - 1)/(q^P - 1) > 0: no verdict or cone moves
+    for p in (2, 3):
+        Z = datum(preset, I, p=p, galois=galois)
+        for w in Z.wg.min_coset_reps(Z.I, "left"):
+            walls = Z.wg.lower_reflections(w)
+            sigma, _T = sections._loop_perm(Z, w)
+            rows, T = _wall_rows(Z, w, walls)
+            for a, row in zip(walls, rows):
+                orbit = Z.wg.orbit(sigma, _wall_root(Z, w, a), T)
+                for P in (P for P in range(1, T + 1) if T % P == 0):
+                    if orbit[P:] == orbit[:T - P]:
+                        factor = (Z.q ** T - 1) // (Z.q ** P - 1)
+                        assert row == tuple(factor * x
+                                            for x in _window_row(Z.rd, Z.q, orbit[:P]))
 
 
 def test_n_alpha_rejects_non_wall(c3_datum):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -340,11 +341,25 @@ def test_enumeration_cap_boundary(monkeypatch):
 def test_lower_covers_are_the_composed_walls(preset, galois):
     rd, wg = group(preset, galois)
     for w in wg.elements():
-        covers = wg._lower_covers(w)
-        assert tuple(a for a, _ws in covers) == wg.lower_reflections(w)
-        for a, ws in covers:
-            assert ws == wg.compose(w, wg.reflection(a))
-            assert wg.length(ws) == wg.length(w) - 1
+        below = [a for a in rd.positive
+                 if wg.length(wg.compose(w, wg.reflection(a))) == wg.length(w) - 1]
+        assert wg.lower_reflections(w) == tuple(below)
+
+
+@pytest.mark.parametrize("preset, galois", [("C3", None), ("A3", "flip"), ("D4", "dswap"),
+                                            ("G2-explicit", None)])
+def test_level_walk(preset, galois):
+    rd, wg = group(preset, galois)
+    n = rd.num_simple
+    for K in ((), tuple(range(0, n, 2)), tuple(range(1, n, 2)), tuple(range(n))):
+        lengths = Counter(wg.length(w) for w in wg.subgroup_elements(K))
+        assert [len(level) for level in wg._levels(K)] == \
+            [lengths[l] for l in range(len(lengths))]
+        pruned = wg._levels(range(n), lambda p: wg.is_min_left(weyl.WeylElt(wg, p), K))
+        for l, level in enumerate(pruned):
+            assert all(wg.length(weyl.WeylElt(wg, p)) == l for p in level)
+        assert wg.min_coset_reps(K, "left") == \
+            tuple(w for w in wg.elements() if wg.is_min_left(w, K))
 
 
 @pytest.mark.parametrize("preset, galois", [("C3", None), ("A3", "flip"), ("A2-shear", None)])
