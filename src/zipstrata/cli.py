@@ -53,7 +53,7 @@ def _load_config(path):
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError("cannot read config: %s" % e)
-    except json.JSONDecodeError as e:
+    except ValueError as e:     # bad JSON or UTF-8, or an integer too long for int()
         raise ConfigError("config is not valid JSON: %s" % e)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")

@@ -39,10 +39,7 @@ class Feasibility:
     def integral_point(self) -> Optional[tuple]:
         if self.point is None:
             return None
-        denoms = [Fraction(x).denominator for x in self.point]
-        scale = 1
-        for d in denoms:
-            scale = scale * d // gcd(scale, d)
+        scale = lcm(*(Fraction(x).denominator for x in self.point))
         return tuple(int(Fraction(x) * scale) for x in self.point)
 
 

@@ -145,9 +145,9 @@ class RootDatum:
                 ac, c = found[a]
                 for i in range(m):
                     si, sic = self.simple_roots[i], self.simple_coroots[i]
-                    k = dot(a, sic)
+                    k, kc = dot(a, sic), dot(si, ac)
                     b = tuple(a[j] - k * si[j] for j in range(self.rank))
-                    bc = tuple(ac[j] - dot(si, ac) * sic[j] for j in range(self.rank))
+                    bc = tuple(ac[j] - kc * sic[j] for j in range(self.rank))
                     entry = (bc, c[:i] + (c[i] - k,) + c[i + 1:])
                     seen = found.get(b)
                     if seen is None:

@@ -295,16 +295,17 @@ def char_section_verdict(Z: ZipDatum, w: WeylElt, chi: Vec) -> SectionVerdict:
 
 # -- cones and purity ------------------------------------------------------------------
 
-def _lattice_basis(Z: ZipDatum, lattice: str) -> List[tuple]:
-    rd = Z.rd
-    n = rd.rank
+def _lattice_equations(Z: ZipDatum, lattice: str) -> List[tuple]:
+    """The coroots a character of the lattice pairs to zero with."""
     if lattice == "torus":
-        eqs = []
-    elif lattice == "levi":
-        eqs = [rd.coroot(rd.simple_roots[i]) for i in Z.I]
-    else:
-        raise SectionError("lattice must be 'torus' or 'levi'")
-    return cones.kernel_basis(eqs, n)
+        return []
+    if lattice == "levi":
+        return [Z.rd.coroot(Z.rd.simple_roots[i]) for i in Z.I]
+    raise SectionError("lattice must be 'torus' or 'levi'")
+
+
+def _lattice_basis(Z: ZipDatum, lattice: str) -> List[tuple]:
+    return cones.kernel_basis(_lattice_equations(Z, lattice), Z.rd.rank)
 
 
 def section_cone(Z: ZipDatum, w: WeylElt, lattice: str = "levi",
@@ -396,7 +397,7 @@ def purity_report(obj, lattice: str = "levi", box: int = 2,
                                 for j in range(rd.rank))
 
     # verified candidate characters take precedence as the uniform witness
-    eqs = [rd.coroot(rd.simple_roots[i]) for i in Z.I] if lattice == "levi" else []
+    eqs = _lattice_equations(Z, lattice)
     for cand in candidates:
         cand = tuple(cand)
         if any(dot(cand, e) != 0 for e in eqs):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, List
 
-from .weyl import WeylElt
+from .weyl import WeylElt, _mul
 from .zipdatum import FlaggedZipDatum, ZipDatum, dims, flag_datum
 
 
@@ -62,51 +62,50 @@ class StrataPoset:
 
 # -- the twisted conjugation of the closure order --------------------------------
 
-def _psi(Z: ZipDatum, u: WeylElt) -> WeylElt:
-    """The Weyl-level Frobenius twist through the frame: z^{-1} gamma^n(u) z."""
-    wg = Z.wg
-    return wg.compose(wg.compose(wg.inverse(Z.z), wg.galois(u, Z.n)), Z.z)
-
-
-def _twisted_orbit(Z: ZipDatum, w: WeylElt):
-    """Yield the twisted conjugates u w psi(u)^{-1} for u in W_I, in W_I order."""
-    wg = Z.wg
-    for u in wg.subgroup_elements(Z.I):
-        yield wg.compose(wg.compose(u, w), wg.inverse(_psi(Z, u)))
+def _twisted_orbits(Z: ZipDatum, ws):
+    """Yield the twisted orbit {u w psi(u)^{-1} : u in W_I} of each w in ws as a
+    set, one label at a time.  The Frobenius twist through the frame is psi(u)
+    = z^{-1} gamma^n(u) z; psi(u)^{-1} = z^{-1} gamma^n(u^{-1}) z is formed once."""
+    wg, zi = Z.wg, Z.wg.inverse(Z.z).perm
+    twist = [(u.perm, _mul(_mul(zi, wg.galois(wg.inverse(u), Z.n).perm), Z.z.perm))
+             for u in wg.subgroup_elements(Z.I)]
+    for w in ws:
+        yield {WeylElt(wg, _mul(_mul(u, w.perm), v)) for u, v in twist}
 
 
 def _closure_below(Z: ZipDatum, lo: WeylElt, hi: WeylElt) -> bool:
     """lo is in the closure of hi: exists u in W_I with u lo psi(u)^{-1} <= hi."""
-    return any(Z.wg.bruhat_leq(t, hi) for t in _twisted_orbit(Z, lo))
+    return any(Z.wg.bruhat_leq(t, hi) for t in next(_twisted_orbits(Z, [lo])))
 
 
 def closure_leq(Z: ZipDatum, lo: WeylElt, hi: WeylElt) -> bool:
-    wg = Z.wg
-    for w in (lo, hi):
-        if not wg.is_min_left(w, Z.I):
-            raise StrataError("labels for the closure order must be minimal "
-                              "left coset representatives")
+    if not all(Z.wg.is_min_left(w, Z.I) for w in (lo, hi)):
+        raise StrataError("labels for the closure order must be minimal "
+                          "left coset representatives")
     return _closure_below(Z, lo, hi)
+
+
+def _cross_labels(Z: ZipDatum, ws):
+    """Yield the one twisted conjugate of each w in ws that is minimal on the J
+    side; uniqueness and length preservation are asserted."""
+    wg = Z.wg
+    for w, orbit in zip(ws, _twisted_orbits(Z, ws)):
+        found = [t for t in orbit if wg.is_min_right(t, Z.J)]
+        if len(found) != 1:
+            raise AssertionError(
+                "twisted orbit of %s meets the J-side labels %d times; convention error"
+                % (wg.describe(w), len(found)))
+        if wg.length(found[0]) != wg.length(w):
+            raise AssertionError("cross label changed the length; convention error")
+        yield found[0]
 
 
 def cross_label(Z: ZipDatum, w: WeylElt) -> WeylElt:
     """The unique twisted conjugate of w that is minimal on the J side.
-
-    Bridges the two stratum parametrizations; uniqueness and length
-    preservation are asserted.
-    """
-    wg = Z.wg
-    if not wg.is_min_left(w, Z.I):
+    Bridges the two stratum parametrizations."""
+    if not Z.wg.is_min_left(w, Z.I):
         raise StrataError("cross_label expects a label minimal on the I side")
-    found = {t for t in _twisted_orbit(Z, w) if wg.is_min_right(t, Z.J)}
-    if len(found) != 1:
-        raise AssertionError(
-            "twisted orbit of %s meets the J-side labels %d times; convention error"
-            % (wg.describe(w), len(found)))
-    (t,) = found
-    if wg.length(t) != wg.length(w):
-        raise AssertionError("cross label changed the length; convention error")
-    return t
+    return next(_cross_labels(Z, [w]))
 
 
 # -- stratum enumeration -----------------------------------------------------------
@@ -142,12 +141,12 @@ def coarse_strata(FZ: FlaggedZipDatum) -> List[CoarseStratum]:
     """Double-coset strata with both the classical and the derived dimension."""
     wg = FZ.Z0.wg
     d = dims(FZ)
+    l_i0 = wg.length(wg.longest_element(FZ.I0))
+    l_j0 = wg.length(wg.longest_element(FZ.J0))
     out = []
     for w in wg.double_coset_reps(FZ.I0, FZ.J0):
         I_w = wg.double_coset_type(w, FZ.I0, FZ.J0)
         l = wg.length(w)
-        l_i0 = wg.length(wg.longest_element(FZ.I0))
-        l_j0 = wg.length(wg.longest_element(FZ.J0))
         l_iw = wg.length(wg.longest_element(I_w))
         reference_dim = l + l_j0 - l_iw - d.dim_P0
         derived_dim = l + l_i0 + l_j0 - l_iw + d.dim_B + d.dim_P_over_P0
@@ -172,8 +171,8 @@ def _closure_down_sets(Z: ZipDatum, ws) -> list:
     conjugate of ws[i] is Bruhat-below ws[j].  Every element of the twisted
     orbit of ws[i] carries bit i, so the orbits must be disjoint."""
     label = {}
-    for i, w in enumerate(ws):
-        for t in _twisted_orbit(Z, w):
+    for i, orbit in enumerate(_twisted_orbits(Z, ws)):
+        for t in orbit:
             if label.setdefault(t.perm, 1 << i) != 1 << i:
                 raise AssertionError("twisted orbits of two strata meet; convention error")
     return Z.wg._down_sets(label, [w.perm for w in ws])
@@ -205,8 +204,8 @@ def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
     """Closure-order poset with cover edges.
 
     The order is computed on the I-side labels; the J-side poset carries the
-    same order transported through `cross_label`.  The order walks all of W,
-    so its size is checked before any labelling.
+    same order moved to the cross labels of one pass over the twisted orbits.
+    The order walks all of W, so its size is checked before any labelling.
     """
     Z.wg._check_enumerable()
     strata = zip_strata(Z, "I")
@@ -214,7 +213,8 @@ def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
     if side == "J":
         d = dims(Z)
         strata, ws = zip(*sorted(
-            ((_make_stratum(Z, cross_label(Z, w), "J", d.dim_P, d.dim_G), w) for w in ws),
+            ((_make_stratum(Z, t, "J", d.dim_P, d.dim_G), w)
+             for t, w in zip(_cross_labels(Z, ws), ws)),
             key=lambda sw: (sw[0].length, sw[0].label)))
     elif side != "I":
         raise StrataError("side must be 'I' or 'J'")
@@ -271,7 +271,7 @@ def project_stratum(Z: ZipDatum, I1: Iterable[int], I0: Iterable[int],
         side = "I" if minimal else "J"
         return _make_stratum(FZ0.Z0, w, side, d.dim_P, d.dim_G)
     cands = set()
-    for t in _twisted_orbit(FZ0.Z0, w):     # FZ0.Z0 has I = I0
+    for t in next(_twisted_orbits(FZ0.Z0, [w])):     # FZ0.Z0 has I = I0
         while not wg.is_min_left(t, I0):
             i = next(i for i in I0 if wg.has_left_descent(t, i))
             t = wg.compose(wg.simple_reflection(i), t)

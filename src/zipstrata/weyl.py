@@ -91,15 +91,26 @@ class WeylGroup:
         self.rd = rd
         self._roots = tuple(rd.positive) + tuple(vneg(a) for a in rd.positive)
         self._index = {a: j for j, a in enumerate(self._roots)}
-        self._npos = len(rd.positive)
-        # s_a for the positive roots a, in rd.positive order
-        self._reflections = tuple(self._perm_of(partial(reflect, rd, a))
-                                  for a in rd.positive)
+        self._npos = n = len(rd.positive)
         self._simple_index = tuple(self._index[a] for a in rd.simple_roots)
-        self.simple = [self._reflections[j] for j in self._simple_index]
-        self._gamma = self._perm_of(rd.galois.char)
-        self._gamma_inv = _inverse(self._gamma)
+        self.simple = [self._perm_of(partial(reflect, rd, a)) for a in rd.simple_roots]
+        # s_b for the positive roots b, in rd.positive order, by increasing height:
+        # s_b = s_i s_c s_i for a simple s_i taking b to c = s_i(b) of lower height
+        height = [sum(rd.coeffs_of[a]) for a in rd.positive]
+        refl = dict(zip(self._simple_index, self.simple))
+        for j in sorted(range(n), key=height.__getitem__):
+            if j not in refl:
+                s = next(s for s in self.simple if s[j] < n and height[s[j]] < height[j])
+                refl[j] = _mul(_mul(s, refl[s[j]]), s)
+        self._reflections = tuple(refl[j] for j in range(n))
         self.e = WeylElt(self, tuple(range(len(self._roots))))
+        # the root permutations of gamma^0, gamma^1, ... up to gamma's order on
+        # the roots, which divides the declared order and may be smaller
+        gamma = self._perm_of(rd.galois.char)
+        self._gammas, g = [self.e.perm], gamma
+        while g != self.e.perm:
+            self._gammas.append(g)
+            g = _mul(gamma, g)
         self._word: dict = {}
         self._subgroups: dict = {}
 
@@ -153,17 +164,12 @@ class WeylGroup:
 
     def galois(self, w: WeylElt, k: int = 1) -> WeylElt:
         """gamma^k(w) = gamma^k w gamma^-k, conjugating by gamma's root permutation."""
-        p = w.perm
-        for _ in range(k % self.rd.galois.order):
-            p = _mul(self._gamma, _mul(p, self._gamma_inv))
-        return WeylElt(self, p)
+        m = len(self._gammas)
+        return WeylElt(self, _mul(self._gammas[k % m], _mul(w.perm, self._gammas[-k % m])))
 
     def galois_perm(self, k: int = 1) -> tuple:
         """The root permutation of gamma^k itself, which W need not contain."""
-        p = self.e.perm
-        for _ in range(k % self.rd.galois.order):
-            p = _mul(self._gamma, p)
-        return p
+        return self._gammas[k % len(self._gammas)]
 
     # -- words ----------------------------------------------------------------
     def from_word(self, word: Sequence[int]) -> WeylElt:

@@ -18,13 +18,23 @@ class ZipDatumError(ValueError):
     pass
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of _MR_BASES (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+PRIME_BOUND = 3317044064679887385961981
+# the cap on n times the bit length of p, so that q = p^n < 2^Q_BIT_CAP prints
+# in at most 3011 decimal digits
+Q_BIT_CAP = 10_000
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin for the sizes used here (< 3.3e24)."""
+    """Miller-Rabin with the bases 2..41, deterministic below PRIME_BOUND; a
+    larger p raises ZipDatumError."""
     if p < 2:
         return False
+    if p >= PRIME_BOUND:
+        raise ZipDatumError("cannot decide whether p is prime: the test is deterministic "
+                            "only below %d" % PRIME_BOUND)
     for q in _MR_BASES:
         if p == q:
             return True
@@ -167,6 +177,9 @@ def zip_from_cochar(rd: RootDatum, I=None, mu=None, n: int = 1, p: int = 2,
         raise ZipDatumError("p = %d is not prime" % p)
     if n < 1:
         raise ZipDatumError("exponent n must be >= 1")
+    if n * p.bit_length() > Q_BIT_CAP:
+        raise ZipDatumError("q = p^n is too large: n times the bit length of p is %d, "
+                            "more than the cap %d" % (n * p.bit_length(), Q_BIT_CAP))
     if (I is None) == (mu is None):
         raise ZipDatumError("give exactly one of I and mu")
     if mu is not None:

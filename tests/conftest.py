@@ -27,6 +27,12 @@ A1_ROT3 = {"rank": 3, "simple_roots": [(1, 0, 0)], "simple_coroots": [(2, 0, 0)]
 ROT3_MATRIX = [[1, 0, 0], [0, 0, -1], [0, 1, -1]]
 
 
+# psi_12 and psi_13, the least strong pseudoprimes to all prime bases up to 37
+# and up to 41 (Sorenson and Webster, Math. Comp. 86, 2017); both are composite
+PSI_12 = 318665857834031151167461       # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981      # 1287836182261 * 2575672364521
+
+
 def _e8_cartan():
     """Nodes 1-2-3-4-5-6-7 form a chain and node 8 is attached to node 3."""
     edges = {(i, i + 1) for i in range(6)} | {(2, 7)}

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import A3_FLIP_MATRIX, E7_TYPE, E8_EXPLICIT
+from conftest import A3_FLIP_MATRIX, E7_TYPE, E8_EXPLICIT, PSI_12, PSI_13
 from zipstrata import cli
 from zipstrata.cones import verify_certificate
 
@@ -505,6 +505,26 @@ def test_oversized_rank_exits_2(tmp_path):
     assert proc.returncode == 2 and "rank must be a non-negative integer" in proc.stderr
 
 
+def test_unusable_p_or_q_exits_2(tmp_path, capsys):
+    # psi_12 and psi_13 are composites that Miller-Rabin to the prime bases up
+    # to 37 calls prime; a 5000-digit p is past int()'s digit limit, and
+    # q = 2^20000 has 6021 digits, more than json.dumps prints
+    cfg = {"group": {"preset": "A2"}, "n": 1, "I": [1]}
+    big = tmp_path / "big.json"
+    big.write_text('{"group": {"preset": "A2"}, "n": 1, "I": [1], "p": 1%s}' % ("0" * 4999))
+    for path, message in (
+            (write_config(tmp_path, dict(cfg, p=PSI_12), "12.json"),
+             "p = %d is not prime" % PSI_12),
+            (write_config(tmp_path, dict(cfg, p=PSI_13), "13.json"), "only below %d" % PSI_13),
+            (str(big), "config is not valid JSON"),
+            (write_config(tmp_path, dict(cfg, p=2, n=20000), "q.json"),
+             "q = p^n is too large: n times the bit length of p is 40000")):
+        code = cli.main(["describe", "--config", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
+
 @pytest.mark.parametrize("side", ["I", "J"])
 def test_c8_siegel_hasse_exits_2_before_labelling(tmp_path, side):
     # |W(C8)| = 10321920; without the check before labelling the twisted
@@ -530,6 +550,9 @@ PIN_CONFIGS = {
                  "galois": {"matrix": [[0, 1, 1], [1, 0, -1], [0, 0, 1]], "order": 2},
                  "p": 3, "n": 1, "I": [], "w": [1, 2], "characters": [[1, 1, 0], [2, 1, 1]],
                  "primes": [2, 3]},
+    "d4-dswap": {"group": {"preset": "D4"}, "galois": "dswap", "p": 2, "n": 1, "I": [1, 2],
+                 "I0": [1], "w": [2, 3], "characters": [[1, 1, 0, 0], [2, 1, 1, -1]],
+                 "primes": [2, 3]},
 }
 PIN_COMMANDS = ["describe", "strata", "flag-strata", "coarse-strata", "hasse", "char-test",
                 "n-alpha", "cone", "purity", "scan"]
@@ -538,14 +561,17 @@ PIN_FILE = Path(__file__).resolve().parent / "cli_digests.json"
 
 def cli_digests(tmp_path):
     """"<exit code> <sha256 of stdout>" for golden and for every subcommand in
-    json and text (and dot for hasse) on each PIN_CONFIGS entry."""
+    json and text (and dot for hasse) on each PIN_CONFIGS entry, and for
+    `strata` and `hasse` once more with --side J."""
     runs = {"golden": ["golden"]}
     for name, cfg in PIN_CONFIGS.items():
         path = write_config(tmp_path, cfg, name + ".json")
         for command in PIN_COMMANDS:
             for fmt in ["json", "text"] + (["dot"] if command == "hasse" else []):
-                runs["%s %s %s" % (name, command, fmt)] = [command, "--config", path,
-                                                           "--format", fmt]
+                argv = [command, "--config", path, "--format", fmt]
+                runs["%s %s %s" % (name, command, fmt)] = argv
+                if command in ("strata", "hasse"):
+                    runs["%s %s --side J %s" % (name, command, fmt)] = argv + ["--side", "J"]
     out = {}
     for key, argv in runs.items():
         stdout = io.StringIO()

@@ -10,6 +10,7 @@ from zipstrata.strata import (ProjectionError, StrataError, classify_stratum,
                               closure_leq, coarse_poset, coarse_strata, cross_label,
                               fine_hasse_diagram, fine_strata, hasse_diagram,
                               project_stratum, zip_strata)
+from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import dims, flag_datum, zip_from_cochar
 
 PAPER_EDGES = sorted([
@@ -169,6 +170,40 @@ def test_down_sets_match_pairwise_oracles(spec, I, I0, columns):
             [strata._closure_below(Z, w, ws[j]) for w in ws]
         assert [coarse.leq(i, k) for i in range(len(cws))] == \
             [wg.bruhat_leq(w, cws[k]) for w in cws]
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_twisted_orbits_match_word_oracle(spec):
+    # each orbit {u w psi(u)^{-1} : u in W_I} with psi(u) = z^{-1} gamma^n(u) z,
+    # where gamma^n(u) is spelled from the canonical word of u with each letter
+    # i sent to gamma^n(i); no galois table is read.  Every type I is checked.
+    preset, galois, n = spec
+    rd, wg = group(preset, galois)
+    for r in range(rd.num_simple + 1):
+        for I in itertools.combinations(range(rd.num_simple), r):
+            Z = datum(preset, I, p=3, n=n, galois=galois)
+            psi = [(u, wg.compose(wg.compose(wg.inverse(Z.z), wg.from_word(
+                [rd.galois.perm(i, n) for i in wg.canonical_word(u)])), Z.z))
+                for u in wg.subgroup_elements(I)]
+            ws = wg.min_coset_reps(I, "left")
+            assert list(strata._twisted_orbits(Z, ws)) == \
+                [{wg.compose(wg.compose(u, w), wg.inverse(v)) for u, v in psi} for w in ws]
+
+
+@pytest.mark.parametrize("preset, I, galois", [("C3", (0, 2), None), ("A3", (0,), "flip"),
+                                               ("D4", (0, 1), "dswap")])
+def test_hasse_j_twists_each_u_once_per_pass(monkeypatch, preset, I, galois):
+    # one orbit pass for the cross labels and one for the down-sets, each
+    # twisting every u in W_I once
+    Z = datum(preset, I, galois=galois)
+    calls = []
+
+    def counted(self, w, k=1, _fn=WeylGroup.galois):
+        calls.append(k)
+        return _fn(self, w, k)
+    monkeypatch.setattr(WeylGroup, "galois", counted)
+    hasse_diagram(Z, "J")
+    assert 0 < len(calls) <= 2 * len(Z.wg.subgroup_elements(I))
 
 
 @settings(max_examples=300, deadline=None)

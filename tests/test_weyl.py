@@ -278,6 +278,18 @@ def test_weyl_ops_match_reflection_matrices(spec, wa, wb, v):
     assert wg.length(a) == sum(1 for r in rd.positive if _mat_vec(ma, r) not in rd.positive)
 
 
+@pytest.mark.parametrize("preset", ["A1-rot3", "A2-shear"])
+def test_galois_matches_word_oracle(preset):
+    # gamma^k(w) letter by letter, s_i -> s_{gamma^k(i)}, for k past the galois
+    # order (3 on A1-rot3, where gamma fixes every root) in both directions
+    rd, wg = group(preset)
+    for k in range(-4, 5):
+        assert wg.galois_perm(k) == wg._perm_of(lambda a: rd.galois.char(a, k))
+        for w in wg.elements():
+            assert wg.galois(w, k) == wg.from_word(
+                [rd.galois.perm(i, k) for i in wg.canonical_word(w)])
+
+
 # -- the group order from root heights, and the enumeration cap -------------------
 
 ORDER_DATA = [(p, None) for p in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3",

@@ -3,7 +3,9 @@ import itertools
 
 import pytest
 
-from conftest import datum, group
+import sympy
+
+from conftest import PSI_12, PSI_13, datum, group
 from zipstrata.zipdatum import (ZipDatumError, dims, flag_datum, is_prime,
                                 prime_power, validate_frame, zip_from_cochar)
 
@@ -15,6 +17,19 @@ def test_prime_helpers():
     assert prime_power(9) == (3, 2)
     with pytest.raises(ZipDatumError):
         prime_power(12)
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_prime(PSI_12)
+    with pytest.raises(ZipDatumError, match="deterministic only below %d" % PSI_13):
+        is_prime(PSI_13)
+    # below the bound the answers agree with sympy, here on the integers just
+    # below psi_12 and psi_13 and a window of Carmichael-rich small integers
+    sample = list(range(PSI_12 - 300, PSI_12)) + list(range(PSI_13 - 300, PSI_13)) \
+        + [561, 1105, 1729, 2465, 2821, 6601, 8911, 3215031751, 2 ** 61 - 1, 2 ** 31 - 1]
+    assert [is_prime(p) for p in sample] == [sympy.isprime(p) for p in sample]
 
 
 def test_c3_frame(c3_datum):
