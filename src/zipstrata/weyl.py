@@ -104,13 +104,8 @@ class WeylGroup:
                 refl[j] = _mul(_mul(s, refl[s[j]]), s)
         self._reflections = tuple(refl[j] for j in range(n))
         self.e = WeylElt(self, tuple(range(len(self._roots))))
-        # the root permutations of gamma^0, gamma^1, ... up to gamma's order on
-        # the roots, which divides the declared order and may be smaller
-        gamma = self._perm_of(rd.galois.char)
-        self._gammas, g = [self.e.perm], gamma
-        while g != self.e.perm:
-            self._gammas.append(g)
-            g = _mul(gamma, g)
+        # the root permutations of gamma^k, keyed by k mod the galois order
+        self._gamma_pow = {0: self.e.perm, 1: self._perm_of(rd.galois.char)}
         self._word: dict = {}
         self._subgroups: dict = {}
 
@@ -164,12 +159,16 @@ class WeylGroup:
 
     def galois(self, w: WeylElt, k: int = 1) -> WeylElt:
         """gamma^k(w) = gamma^k w gamma^-k, conjugating by gamma's root permutation."""
-        m = len(self._gammas)
-        return WeylElt(self, _mul(self._gammas[k % m], _mul(w.perm, self._gammas[-k % m])))
+        return WeylElt(self, _mul(self.galois_perm(k), _mul(w.perm, self.galois_perm(-k))))
 
     def galois_perm(self, k: int = 1) -> tuple:
         """The root permutation of gamma^k itself, which W need not contain."""
-        return self._gammas[k % len(self._gammas)]
+        k %= self.rd.galois.order
+        if k not in self._gamma_pow:
+            # gamma^k = (gamma^(k // 2))^2 gamma^(k % 2): O(log order) compositions
+            half = self.galois_perm(k // 2)
+            self._gamma_pow[k] = _mul(_mul(half, half), self._gamma_pow[k % 2])
+        return self._gamma_pow[k]
 
     # -- words ----------------------------------------------------------------
     def from_word(self, word: Sequence[int]) -> WeylElt:

@@ -290,6 +290,35 @@ def test_galois_matches_word_oracle(preset):
                 [rd.galois.perm(i, k) for i in wg.canonical_word(w)])
 
 
+def test_galois_on_a_large_order_composes_log_many_times(monkeypatch):
+    # 40 orthogonal A1 roots permuted in cycles of lengths 5, 7, 8, 9 and 11: the
+    # order 27,720 passes validation, and gamma^k for any k takes O(log order)
+    # compositions, not one per power of gamma
+    cycles, perm = (5, 7, 8, 9, 11), []
+    for c in cycles:
+        perm += [len(perm) + (t + 1) % c for t in range(c)]
+    rank, order = len(perm), 5 * 7 * 8 * 9 * 11
+    matrix = [[int(perm[j] == i) for j in range(rank)] for i in range(rank)]
+    rd = build_root_datum(
+        {"rank": rank, "simple_roots": [[int(i == j) for j in range(rank)] for i in range(rank)],
+         "simple_coroots": [[2 * int(i == j) for j in range(rank)] for i in range(rank)]},
+        {"matrix": matrix, "order": order})
+    calls = Counter()
+    mul = weyl._mul
+    monkeypatch.setattr(weyl, "_mul", lambda p, q: calls.update(["mul"]) or mul(p, q))
+    wg = WeylGroup(rd)
+    gamma = wg.galois_perm(1)
+    assert wg.galois_perm(-1) == weyl._inverse(gamma) != gamma
+    assert wg.galois_perm(order) == wg.galois_perm(0) == wg.e.perm
+    assert wg.galois_perm(1) == wg._perm_of(rd.galois.char)
+    assert weyl._mul(wg.galois_perm(12345), wg.galois_perm(order - 12344)) == gamma
+    for i in (0, 5, 39):
+        for k in (1, -1, 3):
+            assert wg.galois(wg.simple_reflection(i), k) \
+                == wg.simple_reflection(rd.galois.perm(i, k))
+    assert calls["mul"] < 300
+
+
 # -- the group order from root heights, and the enumeration cap -------------------
 
 ORDER_DATA = [(p, None) for p in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3",

@@ -3,8 +3,6 @@ import itertools
 
 import pytest
 
-import sympy
-
 from conftest import PSI_12, PSI_13, datum, group
 from zipstrata.zipdatum import (ZipDatumError, dims, flag_datum, is_prime,
                                 prime_power, validate_frame, zip_from_cochar)
@@ -25,6 +23,7 @@ def test_is_prime_on_strong_pseudoprimes():
     assert not is_prime(PSI_12)
     with pytest.raises(ZipDatumError, match="deterministic only below %d" % PSI_13):
         is_prime(PSI_13)
+    sympy = pytest.importorskip("sympy")
     # below the bound the answers agree with sympy, here on the integers just
     # below psi_12 and psi_13 and a window of Carmichael-rich small integers
     sample = list(range(PSI_12 - 300, PSI_12)) + list(range(PSI_13 - 300, PSI_13)) \
