@@ -80,9 +80,10 @@ class GaloisAction:
         return v
 
     def perm(self, i: int, k: int = 1) -> int:
-        for _ in range(k % self.order):
-            i = self.simple_perm[i]
-        return i
+        cycle = [i]     # i's cycle, no longer than the simple roots whatever the order
+        while self.simple_perm[cycle[-1]] != i:
+            cycle.append(self.simple_perm[cycle[-1]])
+        return cycle[k % len(cycle)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,19 +99,25 @@ class RootDatum:
     positive: tuple = field(default=())
     coroot_of: dict = field(default_factory=dict)
     coeffs_of: dict = field(default_factory=dict)  # root -> simple-root coefficients
+    images_of: dict = field(default_factory=dict)  # root -> (s_1(a), ..., s_m(a), gamma(a))
     coroot_orbits: tuple = field(default=())   # sorted orbits under W and galois
 
     def __post_init__(self):
         self._validate_base()
         found = self._enumerate_roots()
-        object.__setattr__(self, "coroot_of", {a: ac for a, (ac, _) in found.items()})
-        object.__setattr__(self, "coeffs_of", {a: c for a, (_, c) in found.items()})
+        object.__setattr__(self, "coroot_of", {a: ac for a, (_, ac, _, _) in found.items()})
+        object.__setattr__(self, "coeffs_of", {a: c for a, (_, _, c, _) in found.items()})
         object.__setattr__(self, "roots", frozenset(found))
         pos = sorted(a for a, c in self.coeffs_of.items() if min(c) >= 0)
         object.__setattr__(self, "positive", tuple(pos))
         if 2 * len(pos) != len(self.roots):
             raise RootDatumError("positive roots do not split the root set in half")
         self._validate_galois()
+        # gamma(sum c_i alpha_i) = sum c_i alpha_gamma(i): gamma permutes the coefficients
+        root_of = {c: a for a, c in self.coeffs_of.items()}
+        inv = sorted(range(self.num_simple), key=self.galois.simple_perm.__getitem__)
+        object.__setattr__(self, "images_of", {a: (*imgs, root_of[tuple(map(c.__getitem__, inv))])
+                                               for a, (_, _, c, imgs) in found.items()})
         object.__setattr__(self, "coroot_orbits", self._coroot_orbits())
 
     # -- construction checks -------------------------------------------------
@@ -132,31 +139,32 @@ class RootDatum:
                     raise RootDatumError("off-diagonal Cartan entries must be <= 0")
 
     def _enumerate_roots(self):
-        """Close the simple roots under the simple reflections: root -> (coroot,
-        coefficients over the simple roots).  s_i changes only the i-th
-        coefficient of a root a, by -<a, alpha_i^vee>."""
+        """Close the simple roots under the simple reflections: root a -> (a, coroot,
+        coefficients over the simple roots, [s_1(a), ..., s_m(a)] as key objects).
+        s_i changes only the i-th coefficient of a root a, by -<a, alpha_i^vee>."""
         m = len(self.simple_roots)
-        found = {a: (ac, tuple(int(i == j) for j in range(m)))
+        found = {a: (a, ac, tuple(int(i == j) for j in range(m)), [])
                  for i, (a, ac) in enumerate(zip(self.simple_roots, self.simple_coroots))}
         frontier = list(found)
         while frontier:
             new = []
             for a in frontier:
-                ac, c = found[a]
+                _, ac, c, images = found[a]
                 for i in range(m):
                     si, sic = self.simple_roots[i], self.simple_coroots[i]
                     k, kc = dot(a, sic), dot(si, ac)
                     b = tuple(a[j] - k * si[j] for j in range(self.rank))
                     bc = tuple(ac[j] - kc * sic[j] for j in range(self.rank))
-                    entry = (bc, c[:i] + (c[i] - k,) + c[i + 1:])
+                    coeffs = c[:i] + (c[i] - k,) + c[i + 1:]
                     seen = found.get(b)
                     if seen is None:
-                        found[b] = entry
+                        found[b] = (b, bc, coeffs, [])
                         new.append(b)
-                    elif seen != entry:
+                    elif seen[1:3] != (bc, coeffs):
                         raise RootDatumError(
                             "root %r is reached with two coefficient vectors or coroots; "
                             "the simple roots are not linearly independent" % (b,))
+                    images.append(found[b][0])
             if len(found) > ROOT_ENUMERATION_CAP:
                 raise RootDatumError(
                     "root enumeration exceeded %d; Cartan data do not define a "
@@ -177,25 +185,23 @@ class RootDatum:
                 raise RootDatumError("galois action does not permute the simple coroots compatibly")
 
     def _coroot_orbits(self):
-        """Orbits of the coroots under the simple reflections and the galois action."""
+        """Orbits of the coroots under the simple reflections and the galois action:
+        the coroots of the root orbits, as s_i(a)^vee = s_i(a^vee) and so for gamma."""
         seen = set()
         orbits = []
-        for c in sorted(self.coroot_of.values()):
-            if c in seen:
+        for a in self.images_of:
+            if a in seen:
                 continue
-            orbit = {c}
-            frontier = [c]
+            orbit = {a}
+            frontier = [a]
             while frontier:
-                u = frontier.pop()
-                images = [reflect(self, a, u, "cochar") for a in self.simple_roots]
-                images.append(self.galois.cochar(u))
-                for v in images:
-                    if v not in orbit:
-                        orbit.add(v)
-                        frontier.append(v)
+                for b in self.images_of[frontier.pop()]:
+                    if b not in orbit:
+                        orbit.add(b)
+                        frontier.append(b)
             seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
-        return tuple(orbits)
+            orbits.append(tuple(sorted(self.coroot_of[b] for b in orbit)))
+        return tuple(sorted(orbits))
 
     # -- queries --------------------------------------------------------------
     @property
@@ -233,8 +239,6 @@ class RootDatum:
 
 def reflect(rd: RootDatum, alpha: Vec, v: Vec, side: str = "char") -> Vec:
     """Reflection s_alpha on a character (v - <v,a^vee>a) or cocharacter."""
-    if alpha not in rd.roots:
-        raise RootDatumError("%r is not a root" % (alpha,))
     ac = rd.coroot(alpha)
     if side == "char":
         c = dot(v, ac)

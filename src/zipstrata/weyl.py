@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -93,7 +92,8 @@ class WeylGroup:
         self._index = {a: j for j, a in enumerate(self._roots)}
         self._npos = n = len(rd.positive)
         self._simple_index = tuple(self._index[a] for a in rd.simple_roots)
-        self.simple = [self._perm_of(partial(reflect, rd, a)) for a in rd.simple_roots]
+        self.simple = [self._perm_of(lambda a, i=i: rd.images_of[a][i])
+                       for i in range(rd.num_simple)]
         # s_b for the positive roots b, in rd.positive order, by increasing height:
         # s_b = s_i s_c s_i for a simple s_i taking b to c = s_i(b) of lower height
         height = [sum(rd.coeffs_of[a]) for a in rd.positive]
@@ -105,7 +105,7 @@ class WeylGroup:
         self._reflections = tuple(refl[j] for j in range(n))
         self.e = WeylElt(self, tuple(range(len(self._roots))))
         # the root permutations of gamma^k, keyed by k mod the galois order
-        self._gamma_pow = {0: self.e.perm, 1: self._perm_of(rd.galois.char)}
+        self._gamma_pow = {0: self.e.perm, 1: self._perm_of(lambda a: rd.images_of[a][-1])}
         self._word: dict = {}
         self._subgroups: dict = {}
 

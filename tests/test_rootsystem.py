@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import A2_SHEAR, A3_FLIP_MATRIX, G2_EXPLICIT, SHEAR_MATRIX, group
-from zipstrata.rootsystem import (RootDatumError, _parse_preset, _root_count,
+from zipstrata import rootsystem, weyl
+from zipstrata.rootsystem import (GaloisAction, RootDatumError, _parse_preset, _root_count,
                                   build_root_datum, dot, reflect)
 
 
@@ -153,7 +160,9 @@ def test_reflection_fixed_hyperplane(preset, x, y, z):
 
 
 @pytest.mark.parametrize("preset,galois", [("C3", None), ("B2", None), ("GL4", None),
-                                           ("A3", "flip"), ("D4", "dswap")])
+                                           ("A3", "flip"), ("D4", "dswap"), ("A2-shear", None),
+                                           ("A1-rot3", None), ("G2-explicit", None),
+                                           ("C3xGL1", None)])
 def test_coroot_orbits_match_weyl_group(preset, galois):
     # oracle: apply every element of W and every galois power to each coroot
     rd, wg = group(preset, galois)
@@ -161,6 +170,51 @@ def test_coroot_orbits_match_weyl_group(preset, galois):
                             for w in wg.elements() for k in range(rd.galois.order)}))
               for c in rd.coroot_of.values()}
     assert rd.coroot_orbits == tuple(sorted(orbits))
+
+
+@pytest.mark.parametrize("spec, galois", [("C3", None), ("A3", "flip"),
+                                          (A2_SHEAR, {"matrix": SHEAR_MATRIX, "order": 2})],
+                         ids=["C3", "A3-flip", "A2-shear"])
+def test_set_up_reads_one_image_table(monkeypatch, spec, galois):
+    # the root datum and its Weyl group reflect no root through `reflect` and
+    # apply gamma at most once per root besides the checks on the simple roots
+    # and coroots; the table they read agrees with `reflect` and gamma, and
+    # holds the root objects themselves
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+    for module in (rootsystem, weyl):
+        monkeypatch.setattr(module, "reflect", counting("reflect", module.reflect))
+    for name in ("char", "cochar"):
+        monkeypatch.setattr(GaloisAction, name, counting("gamma", getattr(GaloisAction, name)))
+    rd = build_root_datum(spec, galois)
+    weyl.WeylGroup(rd)
+    assert calls["reflect"] == 0
+    assert calls["gamma"] <= len(rd.roots) + 2 * rd.num_simple
+    monkeypatch.undo()
+    keys = {id(a) for a in rd.roots}
+    for a, images in rd.images_of.items():
+        assert images == tuple(reflect(rd, s, a) for s in rd.simple_roots) + (rd.galois.char(a),)
+        assert {id(b) for b in images} <= keys
+
+
+def test_galois_perm_walks_the_cycle_not_the_order():
+    # gamma^k on a simple index steps round the index's cycle, here (0 1 2), not
+    # k mod the declared order times; a fresh interpreter turns a walk of 10^15
+    # steps into a timeout instead of a hang
+    code = ("from zipstrata.rootsystem import GaloisAction\n"
+            "g = GaloisAction((), (), 3 * 10**15, (1, 2, 0))\n"     # perm reads simple_perm only
+            "print(g.perm(0, -1), g.perm(0, 10**15 + 1), g.perm(2, 10**15))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=20)
+    assert proc.stdout.split() == [str(-1 % 3), str((10**15 + 1) % 3), str((2 + 10**15) % 3)]
 
 
 ORACLE_DATA = {
