@@ -553,6 +553,8 @@ PIN_CONFIGS = {
     "d4-dswap": {"group": {"preset": "D4"}, "galois": "dswap", "p": 2, "n": 1, "I": [1, 2],
                  "I0": [1], "w": [2, 3], "characters": [[1, 1, 0, 0], [2, 1, 1, -1]],
                  "primes": [2, 3]},
+    "gl1xgl1": {"group": {"preset": "GL1xGL1"}, "p": 2, "n": 1, "I": [], "I0": [], "w": "e",
+                "characters": [[1, 0], [2, -1]], "primes": [2, 3]},
 }
 PIN_COMMANDS = ["describe", "strata", "flag-strata", "coarse-strata", "hasse", "char-test",
                 "n-alpha", "cone", "purity", "scan"]
