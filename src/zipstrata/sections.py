@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 from . import cones
 from .rootsystem import RootDatum, Vec, _identity, dot, vneg
@@ -37,6 +38,9 @@ CONVENTION = "loop(z*w^-1)/wall-transport/base(q)"
 
 # the most points the ample, orbitally q-close search will scan
 BOX_POINT_CAP = 1_000_000
+
+# `_radical_order` of each live datum: the loop order of every stratum needs it
+_RADICAL_ORDERS: "WeakKeyDictionary[ZipDatum, int]" = WeakKeyDictionary()
 
 
 class SectionError(ValueError):
@@ -202,8 +206,11 @@ def _radical_order(Z: ZipDatum) -> int:
     X*_Q is the root span plus X_0, and gamma^j permutes the simple roots, a
     basis of the root span, so its trace on X_0 is tr(M^j) minus the number of
     simple roots it fixes.  A map of finite order is the identity exactly when
-    its trace is its dimension.  On split data the order is 1.
+    its trace is its dimension.  On split data the order is 1.  Computed once
+    per datum.
     """
+    if Z in _RADICAL_ORDERS:
+        return _RADICAL_ORDERS[Z]
     rd, g = Z.rd, Z.rd.galois
     dim = rd.rank - rd.num_simple
     images, perm = _identity(rd.rank), tuple(range(rd.num_simple))
@@ -213,6 +220,7 @@ def _radical_order(Z: ZipDatum) -> int:
         perm = tuple(g.perm(i, Z.n) for i in perm)
         trace = sum(v[i] for i, v in enumerate(images))
         if trace - sum(1 for i, j in enumerate(perm) if i == j) == dim:
+            _RADICAL_ORDERS[Z] = k
             return k
         k += 1
 

@@ -160,7 +160,7 @@ def coarse_poset(FZ: FlaggedZipDatum) -> StrataPoset:
     """Closure order on coarse strata: induced Bruhat order on the reps."""
     FZ.Z0.wg._check_enumerable()
     cs = coarse_strata(FZ)
-    ws = [s.w.perm for s in cs]
+    ws = [FZ.Z0.wg.key(s.w.perm) for s in cs]
     below = FZ.Z0.wg._down_sets({w: 1 << i for i, w in enumerate(ws)}, ws)
     return StrataPoset(side="coarse", strata=tuple(cs), covers=_covers(below),
                        below=tuple(below))
@@ -170,12 +170,12 @@ def _closure_down_sets(Z: ZipDatum, ws) -> list:
     """below[j] has bit i when ws[i] lies in the closure of ws[j]: some twisted
     conjugate of ws[i] is Bruhat-below ws[j].  Every element of the twisted
     orbit of ws[i] carries bit i, so the orbits must be disjoint."""
-    label = {}
+    key, label = Z.wg.key, {}
     for i, orbit in enumerate(_twisted_orbits(Z, ws)):
         for t in orbit:
-            if label.setdefault(t.perm, 1 << i) != 1 << i:
+            if label.setdefault(key(t.perm), 1 << i) != 1 << i:
                 raise AssertionError("twisted orbits of two strata meet; convention error")
-    return Z.wg._down_sets(label, [w.perm for w in ws])
+    return Z.wg._down_sets(label, [key(w.perm) for w in ws])
 
 
 def _covers(below) -> tuple:

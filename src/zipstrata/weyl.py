@@ -6,9 +6,12 @@ their negatives in the same order, so index j + N is -(root j) when N roots
 are positive.  An element w is stored as ``perm`` with ``perm[j]`` the index of
 w(root j); W acts faithfully on its roots, so this determines w.  Composition
 is an index lookup, the inverse is the inverse permutation, and the length
-counts positive indices sent to negative ones.  The action on arbitrary
-characters and cocharacters applies the simple reflections of the canonical
-reduced word, the lexicographically least one, found by greedy left descents.
+counts positive indices sent to negative ones.  w is already determined by the
+images of the m simple roots, so the walks over W key elements by
+``key(perm)``, those m entries, and read the key of a product x s_a off x.
+The action on arbitrary characters and cocharacters applies the simple
+reflections of the canonical reduced word, the lexicographically least one,
+found by greedy left descents.
 
 Group orders come from root heights and never from enumeration, so the
 enumerating methods check the size they would build against
@@ -51,6 +54,12 @@ def _check_size(what: str, K: tuple, size: int):
 def _mul(p: tuple, q: tuple) -> tuple:
     """The permutation p o q (apply q first); itemgetter wants at least one index."""
     return itemgetter(*q)(p) if q else ()
+
+
+def _getter(idx: tuple):
+    """p -> (p[j] for j in idx), in C: a tuple, the bare entry for one index,
+    and () for none (itemgetter wants at least one index)."""
+    return itemgetter(*idx) if idx else lambda p: ()
 
 
 def _inverse(p: tuple) -> tuple:
@@ -103,6 +112,10 @@ class WeylGroup:
                 s = next(s for s in self.simple if s[j] < n and height[s[j]] < height[j])
                 refl[j] = _mul(_mul(s, refl[s[j]]), s)
         self._reflections = tuple(refl[j] for j in range(n))
+        # key(x s_b) = x[s_b(alpha_1)], ..., x[s_b(alpha_m)], one getter per positive b
+        self.key = _getter(self._simple_index)
+        self._reflection_keys = tuple(_getter(tuple(s[i] for i in self._simple_index))
+                                      for s in self._reflections)
         self.e = WeylElt(self, tuple(range(len(self._roots))))
         # the root permutations of gamma^k, keyed by k mod the galois order
         self._gamma_pow = {0: self.e.perm, 1: self._perm_of(lambda a: rd.images_of[a][-1])}
@@ -234,18 +247,22 @@ class WeylGroup:
         """Yield the root permutations generated by the simple reflections
         `gens`, one length level at a time: level l + 1 is {x s_i : x at level
         l, i in gens not a right descent of x}.  `keep` prunes a set that is
-        prefix-closed in weak order."""
+        prefix-closed in weak order.  x s_i is deduplicated by its key, read
+        from x, and composed only the first time that key is seen."""
         n, level = self._npos, [self.e.perm]
+        steps = [(self._simple_index[i], self.simple[i],
+                  self._reflection_keys[self._simple_index[i]]) for i in gens]
         while level:
             yield level
             nxt = {}
             for x in level:
-                for i in gens:
-                    if x[self._simple_index[i]] < n:
-                        y = _mul(x, self.simple[i])
-                        if y not in nxt and (keep is None or keep(y)):
-                            nxt[y] = None
-            level = list(nxt)
+                for j, s, key in steps:
+                    if x[j] < n:
+                        k = key(x)
+                        if k not in nxt:
+                            y = _mul(x, s)
+                            nxt[k] = y if keep is None or keep(y) else None
+            level = [y for y in nxt.values() if y is not None]
 
     def _sorted(self, levels) -> tuple:
         return tuple(sorted((WeylElt(self, p) for level in levels for p in level),
@@ -323,23 +340,25 @@ class WeylGroup:
                      and self.length(WeylElt(self, _mul(w.perm, self._reflections[j]))) == lower)
 
     def _down_sets(self, label: dict, ws) -> list:
-        """For each root permutation w in ws, the OR of label.get(x, 0) over all
-        x <= w in Bruhat order (Björner-Brenti, Combinatorics of Coxeter Groups,
-        ch. 2).  W is walked by levels; x s_a with x(a) negative is a lower cover
-        of x exactly when it lies in the previous level, so only two levels of
-        down-sets stay alive and those of ws are copied out on the way."""
+        """For each key w in ws, the OR of label.get(key(x), 0) over all x <= w
+        in Bruhat order (Björner-Brenti, Combinatorics of Coxeter Groups, ch. 2).
+        W is walked by levels; x s_a is a lower cover of x exactly when it lies
+        in the previous level, so only two levels of down-sets stay alive and
+        those of ws are copied out on the way.  Down-sets are keyed by key(x),
+        and the key of each x s_a is read from x, never composed.  x s_a with
+        x(a) positive is longer than x, so it needs no inversion test."""
         self._check_enumerable()
-        n, out, prev = self._npos, dict.fromkeys(ws), {}
+        key, covers, out, prev = self.key, self._reflection_keys, dict.fromkeys(ws), {}
         for level in self._levels(range(self.rd.num_simple)):
-            cur = {}
+            cur, below = {}, prev.get
             for x in level:
-                d = label.get(x, 0)
-                for j in range(n):
-                    if x[j] >= n:
-                        d |= prev.get(_mul(x, self._reflections[j]), 0)
-                cur[x] = d
-                if x in out:
-                    out[x] = d
+                k = key(x)
+                d = label.get(k, 0)
+                for cover in covers:
+                    d |= below(cover(x), 0)
+                cur[k] = d
+                if k in out:
+                    out[k] = d
             prev = cur
         return [out[w] for w in ws]
 

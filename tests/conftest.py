@@ -77,14 +77,17 @@ def datum(preset, I, p=2, n=1, galois=None):
     return _datum(preset, tuple(I), p, n, galois)
 
 
-def subword_leq(wg, u, w):
-    """Independent Bruhat oracle: u <= w iff some subword of a reduced word of
-    w multiplies to u (subword property, checked by forward DP)."""
-    word = wg.canonical_word(w)
+def subword_down_set(wg, w):
+    """Independent Bruhat oracle: {u <= w} is the set of products of the
+    subwords of a reduced word of w (subword property, by forward DP)."""
     reach = {wg.e}
-    for i in word:
+    for i in wg.canonical_word(w):
         reach |= {x * wg.simple_reflection(i) for x in reach}
-    return u in reach
+    return reach
+
+
+def subword_leq(wg, u, w):
+    return u in subword_down_set(wg, w)
 
 
 def composed_transport(Z, w, alpha):

@@ -597,3 +597,20 @@ def test_purity_report_builds_each_lattice_basis_once(monkeypatch, preset, I, ga
         calls.clear()
         assert purity_report(Z, lattice=lattice) == expected[lattice]
         assert len(calls) == uses
+
+
+@pytest.mark.parametrize("preset, I, galois, order", [("A3", (1,), "flip", 2),
+                                                      ("A1-rot3", (), None, 3)])
+def test_radical_order_is_computed_once_per_datum(monkeypatch, preset, I, galois, order):
+    # the order of gamma^n on X_0 takes `order` steps of gamma on the rank unit
+    # vectors, once for the whole report and not once per stratum
+    rd, wg = group(preset, galois)
+    Z = zip_from_cochar(rd, I=I, p=3, wg=wg)       # fresh: nothing is kept for it yet
+    expected = purity_report(datum(preset, I, p=3, galois=galois))
+    calls = []
+    char = rootsystem.GaloisAction.char
+    monkeypatch.setattr(rootsystem.GaloisAction, "char",
+                        lambda g, v, k=1: calls.append(v) or char(g, v, k))
+    assert purity_report(Z) == expected and len(expected.strata) > 1
+    assert sections._radical_order(Z) == order
+    assert len(calls) == order * rd.rank

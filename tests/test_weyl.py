@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E7_TYPE, group, subword_leq
+from conftest import E7_TYPE, group, subword_down_set, subword_leq
 from zipstrata import weyl
 from zipstrata.rootsystem import build_root_datum, reflect
 from zipstrata.weyl import WeylError, WeylGroup
@@ -401,6 +401,33 @@ def test_level_walk(preset, galois):
             assert all(wg.length(weyl.WeylElt(wg, p)) == l for p in level)
         assert wg.min_coset_reps(K, "left") == \
             tuple(w for w in wg.elements() if wg.is_min_left(w, K))
+
+
+@pytest.mark.parametrize("preset, galois", [("C3", None), ("B2", None), ("A3", "flip"),
+                                            ("D4", "dswap"), ("G2-explicit", None),
+                                            ("A1", None), ("GL1xGL1", None)])
+def test_down_sets_over_all_of_w(preset, galois):
+    # every element of W carries its own bit, so each column of the keyed walk
+    # is a whole Bruhat down-set; the key tells the elements apart (it is the
+    # bare index for one simple root and () for none)
+    _, wg = group(preset, galois)
+    elts = wg.elements()
+    keys = [wg.key(w.perm) for w in elts]
+    assert len(set(keys)) == len(elts)
+    below = wg._down_sets({k: 1 << i for i, k in enumerate(keys)}, keys)
+    for w, down in zip(elts, below):
+        assert {u for i, u in enumerate(elts) if down >> i & 1} == subword_down_set(wg, w)
+
+
+def test_down_sets_compose_only_new_elements(monkeypatch):
+    # the walk composes each element of W once, as it first meets its key;
+    # the lower covers x s_a are read off x and never composed
+    _, wg = group("C4")
+    calls = Counter()
+    mul = weyl._mul
+    monkeypatch.setattr(weyl, "_mul", lambda p, q: calls.update(["mul"]) or mul(p, q))
+    assert wg._down_sets({}, []) == []
+    assert 0 < calls["mul"] <= wg.order() == 384
 
 
 @pytest.mark.parametrize("preset, galois", [("C3", None), ("A3", "flip"), ("A2-shear", None)])
