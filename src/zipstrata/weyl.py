@@ -256,9 +256,9 @@ class WeylGroup:
             yield level
             nxt = {}
             for x in level:
-                for j, s, key in steps:
+                for j, s, key_xs in steps:
                     if x[j] < n:
-                        k = key(x)
+                        k = key_xs(x)
                         if k not in nxt:
                             y = _mul(x, s)
                             nxt[k] = y if keep is None or keep(y) else None
