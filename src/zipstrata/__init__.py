@@ -2,7 +2,7 @@
 strata posets, section multiplicities and rational purity cones."""
 
 from .rootsystem import RootDatum, RootDatumError, build_root_datum, reflect
-from .weyl import WeylElt, WeylError, WeylGroup
+from .weyl import WeylError, WeylGroup
 from .zipdatum import (DimReport, FlaggedZipDatum, ZipDatum, ZipDatumError, dims,
                        flag_datum, validate_frame, zip_from_cochar)
 from .strata import (CoarseStratum, ProjectionError, StrataPoset, Stratum,
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RootDatum", "RootDatumError", "build_root_datum", "reflect",
-    "WeylElt", "WeylError", "WeylGroup",
+    "WeylError", "WeylGroup",
     "DimReport", "FlaggedZipDatum", "ZipDatum", "ZipDatumError", "dims",
     "flag_datum", "validate_frame", "zip_from_cochar",
     "CoarseStratum", "ProjectionError", "StrataPoset", "Stratum",

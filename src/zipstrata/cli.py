@@ -150,21 +150,23 @@ def _bundle(kind, payload):
 
 
 def _emit(out, text):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ConfigError("cannot write output: %s" % e)
 
 
 def _render(bundle, fmt):
+    """json or text; `main` refuses dot for every command that renders here."""
     if fmt == "json":
         return json.dumps(bundle, sort_keys=True, indent=2) + "\n"
-    if fmt == "text":
-        lines = ["# zipstrata %s (%s)" % (__version__, bundle["kind"])]
-        lines += _text_lines(bundle["payload"], "")
-        return "\n".join(lines) + "\n"
-    raise ConfigError("format %r not supported for this subcommand" % fmt)
+    lines = ["# zipstrata %s (%s)" % (__version__, bundle["kind"])]
+    lines += _text_lines(bundle["payload"], "")
+    return "\n".join(lines) + "\n"
 
 
 def _text_lines(obj, indent):
@@ -374,7 +376,7 @@ def _cmd_scan(cfg, args):
 
 def _cmd_golden(args):
     ok, report = golden.golden_report()
-    sys.stdout.write(report)
+    _emit(args.out, report)
     return EXIT_OK if ok else 1
 
 
@@ -406,6 +408,8 @@ def main(argv=None) -> int:
     if args.box < 0:
         ap.error("argument --box: must be at least 0")
     try:
+        if args.format == "dot" and args.command not in ("hasse", "golden"):
+            raise ConfigError("format %r not supported for this subcommand" % args.format)
         if args.command == "golden":
             return _cmd_golden(args)
         cfg = _load_config(args.config)

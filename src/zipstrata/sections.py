@@ -29,8 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from . import cones
-from .rootsystem import RootDatum, Vec, _identity, dot, vneg
-from .weyl import WeylElt, _inverse, _mul
+from .rootsystem import RootDatum, Vec, dot, vneg
+from .weyl import _inverse, _mul
 from .zipdatum import (FlaggedZipDatum, ZipDatum, prime_power,
                        zip_from_cochar)
 
@@ -177,7 +177,7 @@ def flag_ampleness(FZ: FlaggedZipDatum, chi: Vec) -> Tuple[bool, dict]:
 
 # -- twisted powers and the multiplicity sum -----------------------------------------
 
-def twist_power(Z: ZipDatum, w: WeylElt, r: int) -> WeylElt:
+def twist_power(Z: ZipDatum, w: tuple, r: int) -> tuple:
     """The sigma-twisted power w^(r): w^(0) = e, w^(r) = gamma^{-1}(w^(r-1) w)."""
     if r < 0:
         raise SectionError("twist power needs r >= 0")
@@ -188,7 +188,7 @@ def twist_power(Z: ZipDatum, w: WeylElt, r: int) -> WeylElt:
     return out
 
 
-def r_w(Z: ZipDatum, w: WeylElt) -> Tuple[int, int]:
+def r_w(Z: ZipDatum, w: tuple) -> Tuple[int, int]:
     """Least r >= 1 with (w gamma^n(z))^(r) = e, and m = the galois order."""
     wg = Z.wg
     v = wg.compose(w, wg.galois(Z.z, Z.n))
@@ -203,29 +203,24 @@ def r_w(Z: ZipDatum, w: WeylElt) -> Tuple[int, int]:
 def _radical_order(Z: ZipDatum) -> int:
     """The order of gamma^n on X_0, the characters that vanish on every coroot.
 
-    X*_Q is the root span plus X_0, and gamma^j permutes the simple roots, a
-    basis of the root span, so its trace on X_0 is tr(M^j) minus the number of
-    simple roots it fixes.  A map of finite order is the identity exactly when
-    its trace is its dimension.  On split data the order is 1.  Computed once
-    per datum.
+    gamma permutes the coroots, so gamma^n maps X_0 to itself; a linear map
+    fixes X_0 exactly when it fixes each vector of a rational basis, so the
+    order is the lcm of the periods of the `cones.kernel_basis` vectors under
+    gamma^n.  On split data the order is 1.  Computed once per datum.
     """
     if Z in _RADICAL_ORDERS:
         return _RADICAL_ORDERS[Z]
-    rd, g = Z.rd, Z.rd.galois
-    dim = rd.rank - rd.num_simple
-    images, perm = _identity(rd.rank), tuple(range(rd.num_simple))
-    k = 1
-    while True:
-        images = [g.char(v, Z.n) for v in images]
-        perm = tuple(g.perm(i, Z.n) for i in perm)
-        trace = sum(v[i] for i, v in enumerate(images))
-        if trace - sum(1 for i, j in enumerate(perm) if i == j) == dim:
-            _RADICAL_ORDERS[Z] = k
-            return k
-        k += 1
+    g, order = Z.rd.galois, 1
+    for v in cones.kernel_basis(Z.rd.simple_coroots, Z.rd.rank):
+        u, period = g.char(v, Z.n), 1
+        while u != v:
+            u, period = g.char(u, Z.n), period + 1
+        order = lcm(order, period)
+    _RADICAL_ORDERS[Z] = order
+    return order
 
 
-def _loop_perm(Z: ZipDatum, w: WeylElt) -> Tuple[tuple, int]:
+def _loop_perm(Z: ZipDatum, w: tuple) -> Tuple[tuple, int]:
     """The root permutation sigma = w o z^{-1} o gamma^{-n}, and the loop order T.
 
     sigma is the adjoint L^t of the character-side loop operator
@@ -234,7 +229,7 @@ def _loop_perm(Z: ZipDatum, w: WeylElt) -> Tuple[tuple, int]:
     (W fixes X_0 pointwise), so T = lcm(the cycle order of sigma, the order of
     gamma^n on X_0).
     """
-    sigma = _mul(w.perm, _mul(_inverse(Z.z.perm), Z.wg.galois_perm(-Z.n)))
+    sigma = _mul(w, _mul(_inverse(Z.z), Z.wg.galois_perm(-Z.n)))
     T, seen = _radical_order(Z), set()
     for start in range(len(sigma)):
         j, length = start, 0
@@ -245,18 +240,18 @@ def _loop_perm(Z: ZipDatum, w: WeylElt) -> Tuple[tuple, int]:
     return sigma, T
 
 
-def _wall_root(Z: ZipDatum, w: WeylElt, alpha: Vec) -> Vec:
+def _wall_root(Z: ZipDatum, w: tuple, alpha: Vec) -> Vec:
     """The root w(-alpha), whose coroot is the wall transport
     (w s_alpha)(alpha^vee) = w(-alpha^vee) of the wall coroot."""
     return Z.wg.root_image(w, vneg(alpha))
 
 
-def _stratum_label_ok(Z: ZipDatum, w: WeylElt) -> bool:
+def _stratum_label_ok(Z: ZipDatum, w: tuple) -> bool:
     wg = Z.wg
     return wg.is_min_left(w, Z.I) or wg.is_min_right(w, Z.J)
 
 
-def n_alpha(Z: ZipDatum, w: WeylElt, chi: Vec, alpha: Vec) -> int:
+def n_alpha(Z: ZipDatum, w: tuple, chi: Vec, alpha: Vec) -> int:
     """The wall multiplicity for the stratum w and wall alpha (in E_w): chi
     paired with the wall's row from `_wall_rows`.  Linear in chi; exact integer."""
     wg = Z.wg
@@ -268,7 +263,7 @@ def n_alpha(Z: ZipDatum, w: WeylElt, chi: Vec, alpha: Vec) -> int:
     return dot(row, chi)
 
 
-def _wall_rows(Z: ZipDatum, w: WeylElt, walls) -> Tuple[tuple, int]:
+def _wall_rows(Z: ZipDatum, w: tuple, walls) -> Tuple[tuple, int]:
     """The n_alpha coefficient rows over ambient coordinates, one per wall, and
     the loop order T.  Each row is the adjoint form sum_{i<T} q^i (L^t)^i c of
     the sum in n_alpha, where c, the wall transport, is the coroot of the root
@@ -286,7 +281,7 @@ def _wall_rows(Z: ZipDatum, w: WeylElt, walls) -> Tuple[tuple, int]:
     return tuple(rows), T
 
 
-def char_section_verdict(Z: ZipDatum, w: WeylElt, chi: Vec) -> SectionVerdict:
+def char_section_verdict(Z: ZipDatum, w: tuple, chi: Vec) -> SectionVerdict:
     """All wall multiplicities of the stratum, and their joint positivity."""
     wg = Z.wg
     if not _stratum_label_ok(Z, w):
@@ -316,7 +311,7 @@ def _lattice_basis(Z: ZipDatum, lattice: str) -> List[tuple]:
     return cones.kernel_basis(_lattice_equations(Z, lattice), Z.rd.rank)
 
 
-def section_cone(Z: ZipDatum, w: WeylElt, lattice: str = "levi",
+def section_cone(Z: ZipDatum, w: tuple, lattice: str = "levi",
                  basis: Optional[Sequence[tuple]] = None) -> SectionCone:
     """Exact feasibility of {n_alpha(chi) > 0} over the chosen character lattice;
     `basis`, when given, is that lattice's `_lattice_basis`."""

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, List
 
-from .weyl import WeylElt, _mul
+from .weyl import _mul
 from .zipdatum import FlaggedZipDatum, ZipDatum, dims, flag_datum
 
 
@@ -25,7 +25,7 @@ class ProjectionError(StrataError):
 
 @dataclass(frozen=True)
 class Stratum:
-    w: WeylElt
+    w: tuple
     side: str               # "I" or "J"
     label: str
     length: int
@@ -35,7 +35,7 @@ class Stratum:
 
 @dataclass(frozen=True)
 class CoarseStratum:
-    w: WeylElt
+    w: tuple
     label: str
     length: int
     I_w: tuple
@@ -66,19 +66,19 @@ def _twisted_orbits(Z: ZipDatum, ws):
     """Yield the twisted orbit {u w psi(u)^{-1} : u in W_I} of each w in ws as a
     set, one label at a time.  The Frobenius twist through the frame is psi(u)
     = z^{-1} gamma^n(u) z; psi(u)^{-1} = z^{-1} gamma^n(u^{-1}) z is formed once."""
-    wg, zi = Z.wg, Z.wg.inverse(Z.z).perm
-    twist = [(u.perm, _mul(_mul(zi, wg.galois(wg.inverse(u), Z.n).perm), Z.z.perm))
+    wg, zi = Z.wg, Z.wg.inverse(Z.z)
+    twist = [(u, _mul(_mul(zi, wg.galois(wg.inverse(u), Z.n)), Z.z))
              for u in wg.subgroup_elements(Z.I)]
     for w in ws:
-        yield {WeylElt(wg, _mul(_mul(u, w.perm), v)) for u, v in twist}
+        yield {_mul(_mul(u, w), v) for u, v in twist}
 
 
-def _closure_below(Z: ZipDatum, lo: WeylElt, hi: WeylElt) -> bool:
+def _closure_below(Z: ZipDatum, lo: tuple, hi: tuple) -> bool:
     """lo is in the closure of hi: exists u in W_I with u lo psi(u)^{-1} <= hi."""
     return any(Z.wg.bruhat_leq(t, hi) for t in next(_twisted_orbits(Z, [lo])))
 
 
-def closure_leq(Z: ZipDatum, lo: WeylElt, hi: WeylElt) -> bool:
+def closure_leq(Z: ZipDatum, lo: tuple, hi: tuple) -> bool:
     if not all(Z.wg.is_min_left(w, Z.I) for w in (lo, hi)):
         raise StrataError("labels for the closure order must be minimal "
                           "left coset representatives")
@@ -100,7 +100,7 @@ def _cross_labels(Z: ZipDatum, ws):
         yield found[0]
 
 
-def cross_label(Z: ZipDatum, w: WeylElt) -> WeylElt:
+def cross_label(Z: ZipDatum, w: tuple) -> tuple:
     """The unique twisted conjugate of w that is minimal on the J side.
     Bridges the two stratum parametrizations."""
     if not Z.wg.is_min_left(w, Z.I):
@@ -110,7 +110,7 @@ def cross_label(Z: ZipDatum, w: WeylElt) -> WeylElt:
 
 # -- stratum enumeration -----------------------------------------------------------
 
-def _make_stratum(Z: ZipDatum, w: WeylElt, side: str, dim_P: int, dim_G: int) -> Stratum:
+def _make_stratum(Z: ZipDatum, w: tuple, side: str, dim_P: int, dim_G: int) -> Stratum:
     wg = Z.wg
     l = wg.length(w)
     return Stratum(w=w, side=side, label=wg.describe(w), length=l,
@@ -160,7 +160,7 @@ def coarse_poset(FZ: FlaggedZipDatum) -> StrataPoset:
     """Closure order on coarse strata: induced Bruhat order on the reps."""
     FZ.Z0.wg._check_enumerable()
     cs = coarse_strata(FZ)
-    ws = [FZ.Z0.wg.key(s.w.perm) for s in cs]
+    ws = [FZ.Z0.wg.key(s.w) for s in cs]
     below = FZ.Z0.wg._down_sets({w: 1 << i for i, w in enumerate(ws)}, ws)
     return StrataPoset(side="coarse", strata=tuple(cs), covers=_covers(below),
                        below=tuple(below))
@@ -173,9 +173,9 @@ def _closure_down_sets(Z: ZipDatum, ws) -> list:
     key, label = Z.wg.key, {}
     for i, orbit in enumerate(_twisted_orbits(Z, ws)):
         for t in orbit:
-            if label.setdefault(key(t.perm), 1 << i) != 1 << i:
+            if label.setdefault(key(t), 1 << i) != 1 << i:
                 raise AssertionError("twisted orbits of two strata meet; convention error")
-    return Z.wg._down_sets(label, [key(w.perm) for w in ws])
+    return Z.wg._down_sets(label, [key(w) for w in ws])
 
 
 def _covers(below) -> tuple:
@@ -234,7 +234,7 @@ def fine_hasse_diagram(FZ: FlaggedZipDatum, side: str = "I") -> StrataPoset:
 
 # -- classification and projection ---------------------------------------------
 
-def classify_stratum(FZ: FlaggedZipDatum, w: WeylElt, I0p: Iterable[int]) -> dict:
+def classify_stratum(FZ: FlaggedZipDatum, w: tuple, I0p: Iterable[int]) -> dict:
     """Minimality/cominimality of a fine stratum with respect to a larger type."""
     I0p = tuple(sorted(set(I0p)))
     if not (set(FZ.I0) <= set(I0p) <= set(FZ.base.I)):
@@ -248,7 +248,7 @@ def classify_stratum(FZ: FlaggedZipDatum, w: WeylElt, I0p: Iterable[int]) -> dic
 
 
 def project_stratum(Z: ZipDatum, I1: Iterable[int], I0: Iterable[int],
-                    w: WeylElt) -> Stratum:
+                    w: tuple) -> Stratum:
     """Image of the fine stratum labeled w at level I1 inside level I0.
 
     Defined when w is I0-minimal or I0-cominimal; then the image is the

@@ -3,15 +3,16 @@ order, coset combinatorics and the bracket notation for types B/C.
 
 The roots are indexed positive roots first, in ``rd.positive`` order, then
 their negatives in the same order, so index j + N is -(root j) when N roots
-are positive.  An element w is stored as ``perm`` with ``perm[j]`` the index of
-w(root j); W acts faithfully on its roots, so this determines w.  Composition
-is an index lookup, the inverse is the inverse permutation, and the length
-counts positive indices sent to negative ones.  w is already determined by the
-images of the m simple roots, so the walks over W key elements by
-``key(perm)``, those m entries, and read the key of a product x s_a off x.
-The action on arbitrary characters and cocharacters applies the simple
-reflections of the canonical reduced word, the lexicographically least one,
-found by greedy left descents.
+are positive.  An element w is its root permutation, the tuple whose entry j
+is the index of w(root j); W acts faithfully on its roots, so the tuple
+determines w, and every ``WeylGroup`` method takes and returns such tuples.
+Composition is an index lookup, the inverse is the inverse permutation, and
+the length counts positive indices sent to negative ones.  w is already
+determined by the images of the m simple roots, so the walks over W key
+elements by ``key(w)``, those m entries, and read the key of a product x s_a
+off x.  The action on arbitrary characters and cocharacters applies the
+simple reflections of the canonical reduced word, the lexicographically least
+one, found by greedy left descents.
 
 Group orders come from root heights and never from enumeration, so the
 enumerating methods check the size they would build against
@@ -20,7 +21,6 @@ enumerating methods check the size they would build against
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -69,25 +69,6 @@ def _inverse(p: tuple) -> tuple:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class WeylElt:
-    group: "WeylGroup"
-    perm: tuple
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElt) and self.perm == other.perm \
-            and self.group is other.group
-
-    def __hash__(self):
-        return hash(self.perm)
-
-    def __mul__(self, other: "WeylElt") -> "WeylElt":
-        return self.group.compose(self, other)
-
-    def __repr__(self):
-        return "WeylElt(%s)" % (self.group.describe(self),)
-
-
 class WeylGroup:
     """All Weyl-group combinatorics for one root datum.
 
@@ -116,9 +97,9 @@ class WeylGroup:
         self.key = _getter(self._simple_index)
         self._reflection_keys = tuple(_getter(tuple(s[i] for i in self._simple_index))
                                       for s in self._reflections)
-        self.e = WeylElt(self, tuple(range(len(self._roots))))
+        self.e = tuple(range(len(self._roots)))
         # the root permutations of gamma^k, keyed by k mod the galois order
-        self._gamma_pow = {0: self.e.perm, 1: self._perm_of(lambda a: rd.images_of[a][-1])}
+        self._gamma_pow = {0: self.e, 1: self._perm_of(lambda a: rd.images_of[a][-1])}
         self._word: dict = {}
         self._subgroups: dict = {}
 
@@ -127,20 +108,20 @@ class WeylGroup:
         """The root permutation of a lattice map f that permutes the roots."""
         return tuple(self._index[f(a)] for a in self._roots)
 
-    def simple_reflection(self, i: int) -> WeylElt:
-        return WeylElt(self, self.simple[i])
+    def simple_reflection(self, i: int) -> tuple:
+        return self.simple[i]
 
     def _root_index(self, alpha) -> int:
         if alpha not in self._index:
             raise RootDatumError("%r is not a root" % (alpha,))
         return self._index[alpha]
 
-    def reflection(self, alpha) -> WeylElt:
-        return WeylElt(self, self._reflections[self._root_index(alpha) % self._npos])
+    def reflection(self, alpha) -> tuple:
+        return self._reflections[self._root_index(alpha) % self._npos]
 
-    def root_image(self, w: WeylElt, alpha) -> Vec:
+    def root_image(self, w: tuple, alpha) -> Vec:
         """The root w(alpha), read from the permutation."""
-        return self._roots[w.perm[self._root_index(alpha)]]
+        return self._roots[w[self._root_index(alpha)]]
 
     def orbit(self, perm: tuple, alpha, length: int) -> list:
         """alpha and its next images under a root permutation, `length` roots."""
@@ -150,15 +131,13 @@ class WeylGroup:
             j = perm[j]
         return out
 
-    def compose(self, a: WeylElt, b: WeylElt) -> WeylElt:
-        if a.group is not self or b.group is not self:
-            raise WeylError("elements belong to a different root datum")
-        return WeylElt(self, _mul(a.perm, b.perm))
+    def compose(self, a: tuple, b: tuple) -> tuple:
+        return _mul(a, b)
 
-    def inverse(self, a: WeylElt) -> WeylElt:
-        return WeylElt(self, _inverse(a.perm))
+    def inverse(self, a: tuple) -> tuple:
+        return _inverse(a)
 
-    def act(self, w: WeylElt, v: Vec, side: str = "char") -> Vec:
+    def act(self, w: tuple, v: Vec, side: str = "char") -> Vec:
         if side not in ("char", "cochar"):
             raise WeylError("side must be 'char' or 'cochar'")
         v = tuple(v)
@@ -166,13 +145,13 @@ class WeylGroup:
             v = reflect(self.rd, self.rd.simple_roots[i], v, side)
         return v
 
-    def length(self, w: WeylElt) -> int:
+    def length(self, w: tuple) -> int:
         n = self._npos
-        return sum(1 for k in w.perm[:n] if k >= n)
+        return sum(1 for k in w[:n] if k >= n)
 
-    def galois(self, w: WeylElt, k: int = 1) -> WeylElt:
+    def galois(self, w: tuple, k: int = 1) -> tuple:
         """gamma^k(w) = gamma^k w gamma^-k, conjugating by gamma's root permutation."""
-        return WeylElt(self, _mul(self.galois_perm(k), _mul(w.perm, self.galois_perm(-k))))
+        return _mul(self.galois_perm(k), _mul(w, self.galois_perm(-k)))
 
     def galois_perm(self, k: int = 1) -> tuple:
         """The root permutation of gamma^k itself, which W need not contain."""
@@ -184,23 +163,23 @@ class WeylGroup:
         return self._gamma_pow[k]
 
     # -- words ----------------------------------------------------------------
-    def from_word(self, word: Sequence[int]) -> WeylElt:
-        p = self.e.perm
+    def from_word(self, word: Sequence[int]) -> tuple:
+        p = self.e
         for i in word:
             if not 0 <= i < self.rd.num_simple:
                 raise WeylError("letter %d out of range" % i)
             p = _mul(p, self.simple[i])
-        return WeylElt(self, p)
+        return p
 
-    def canonical_word(self, w: WeylElt) -> tuple:
-        cached = self._word.get(w.perm)
+    def canonical_word(self, w: tuple) -> tuple:
+        cached = self._word.get(w)
         if cached is not None:
             return cached
         # the left descents of w are the right descents of x = w^{-1}
         n = self._npos
         word = []
-        x = _inverse(w.perm)
-        while x != self.e.perm:
+        x = _inverse(w)
+        while x != self.e:
             for i, s in enumerate(self._simple_index):
                 if x[s] >= n:
                     word.append(i)
@@ -209,10 +188,10 @@ class WeylGroup:
             else:
                 raise WeylError("no descent found; not a Weyl element")
         word = tuple(word)
-        self._word[w.perm] = word
+        self._word[w] = word
         return word
 
-    def describe(self, w: WeylElt) -> str:
+    def describe(self, w: tuple) -> str:
         """Deterministic display label: bracket for pure B/C presets, else word."""
         if self.supports_bracket():
             return self.to_bracket(w)
@@ -223,7 +202,7 @@ class WeylGroup:
     def elements(self) -> tuple:
         return self.subgroup_elements(range(self.rd.num_simple))
 
-    def sort_key(self, w: WeylElt):
+    def sort_key(self, w: tuple):
         return (self.length(w), self.canonical_word(w))
 
     def order(self) -> int:
@@ -249,7 +228,7 @@ class WeylGroup:
         l, i in gens not a right descent of x}.  `keep` prunes a set that is
         prefix-closed in weak order.  x s_i is deduplicated by its key, read
         from x, and composed only the first time that key is seen."""
-        n, level = self._npos, [self.e.perm]
+        n, level = self._npos, [self.e]
         steps = [(self._simple_index[i], self.simple[i],
                   self._reflection_keys[self._simple_index[i]]) for i in gens]
         while level:
@@ -265,32 +244,31 @@ class WeylGroup:
             level = [y for y in nxt.values() if y is not None]
 
     def _sorted(self, levels) -> tuple:
-        return tuple(sorted((WeylElt(self, p) for level in levels for p in level),
-                            key=self.sort_key))
+        return tuple(sorted((p for level in levels for p in level), key=self.sort_key))
 
-    def longest_element(self, K: Optional[Iterable[int]] = None) -> WeylElt:
+    def longest_element(self, K: Optional[Iterable[int]] = None) -> tuple:
         K = tuple(range(self.rd.num_simple)) if K is None else tuple(sorted(set(K)))
         w = self.e
         while True:
             i = next((i for i in K if not self.has_right_descent(w, i)), None)
             if i is None:
                 return w
-            w = WeylElt(self, _mul(w.perm, self.simple[i]))
+            w = _mul(w, self.simple[i])
 
     # -- descents and coset representatives ------------------------------------
-    def has_left_descent(self, w: WeylElt, i: int) -> bool:
+    def has_left_descent(self, w: tuple, i: int) -> bool:
         """l(s_i w) < l(w), i.e. w^{-1}(alpha_i) is negative."""
-        return w.perm.index(self._simple_index[i]) >= self._npos
+        return w.index(self._simple_index[i]) >= self._npos
 
-    def has_right_descent(self, w: WeylElt, i: int) -> bool:
+    def has_right_descent(self, w: tuple, i: int) -> bool:
         """l(w s_i) < l(w), i.e. w(alpha_i) is negative."""
-        return w.perm[self._simple_index[i]] >= self._npos
+        return w[self._simple_index[i]] >= self._npos
 
-    def is_min_left(self, w: WeylElt, K: Iterable[int]) -> bool:
+    def is_min_left(self, w: tuple, K: Iterable[int]) -> bool:
         """w in K\\W minimal: no left descent in K."""
         return not any(self.has_left_descent(w, i) for i in K)
 
-    def is_min_right(self, w: WeylElt, K: Iterable[int]) -> bool:
+    def is_min_right(self, w: tuple, K: Iterable[int]) -> bool:
         return not any(self.has_right_descent(w, i) for i in K)
 
     def min_coset_reps(self, K: Iterable[int], side: str = "left") -> tuple:
@@ -303,7 +281,7 @@ class WeylGroup:
             raise WeylError("side must be 'left' or 'right'")
         _check_size("the coset set K\\W", K, self.order() // self._subgroup_order(K))
         return self._sorted(self._levels(range(self.rd.num_simple),
-                                         lambda p: self.is_min_left(WeylElt(self, p), K)))
+                                         lambda p: self.is_min_left(p, K)))
 
     def double_coset_reps(self, I0: Iterable[int], J0: Iterable[int]) -> tuple:
         """Minimal representatives of W_{I0}\\W/W_{J0} = ᴵ⁰W ∩ Wᴶ⁰."""
@@ -311,14 +289,14 @@ class WeylGroup:
         return tuple(w for w in self.min_coset_reps(I0, "left")
                      if self.is_min_right(w, J0))
 
-    def double_coset_type(self, w: WeylElt, I0: Iterable[int], J0: Iterable[int]) -> tuple:
+    def double_coset_type(self, w: tuple, I0: Iterable[int], J0: Iterable[int]) -> tuple:
         """I_w = J0 ∩ w^{-1} I0 w: simple roots of J0 mapped by w into the I0-Levi."""
         levi = self.rd.levi_roots(I0)
         return tuple(j for j in sorted(set(J0))
                      if self.root_image(w, self.rd.simple_roots[j]) in levi)
 
     # -- Bruhat order -----------------------------------------------------------
-    def bruhat_leq(self, u: WeylElt, w: WeylElt) -> bool:
+    def bruhat_leq(self, u: tuple, w: tuple) -> bool:
         """Recursive descent criterion: for a left descent s of w,
         u <= w iff min(u, su) <= sw."""
         lu = self.length(u)
@@ -327,17 +305,17 @@ class WeylGroup:
         if u == w or lu == 0:
             return True
         i = next(i for i in range(self.rd.num_simple) if self.has_left_descent(w, i))
-        sw = WeylElt(self, _mul(self.simple[i], w.perm))
-        su = WeylElt(self, _mul(self.simple[i], u.perm))
+        sw = _mul(self.simple[i], w)
+        su = _mul(self.simple[i], u)
         return self.bruhat_leq(su if self.length(su) < lu else u, sw)
 
     # -- lower reflections and Bruhat down-sets -----------------------------------
-    def lower_reflections(self, w: WeylElt) -> tuple:
+    def lower_reflections(self, w: tuple) -> tuple:
         """Positive roots a with w s_a < w of length exactly l(w) - 1, sorted.
         w s_a < w exactly when w(a) is negative."""
         n, lower = self._npos, self.length(w) - 1
-        return tuple(a for j, a in enumerate(self.rd.positive) if w.perm[j] >= n
-                     and self.length(WeylElt(self, _mul(w.perm, self._reflections[j]))) == lower)
+        return tuple(a for j, a in enumerate(self.rd.positive) if w[j] >= n
+                     and self.length(_mul(w, self._reflections[j])) == lower)
 
     def _down_sets(self, label: dict, ws) -> list:
         """For each key w in ws, the OR of label.get(key(x), 0) over all x <= w
@@ -367,7 +345,7 @@ class WeylGroup:
         p = self.rd.preset
         return bool(p) and "x" not in p and p[0] in ("B", "C") and p[1:].isdigit()
 
-    def to_bracket(self, w: WeylElt) -> str:
+    def to_bracket(self, w: tuple) -> str:
         """Signed-permutation notation [d1..dn]; value 2n+1-k encodes -e_k."""
         if not self.supports_bracket():
             raise WeylError("bracket notation requires a pure B/C preset")
@@ -382,7 +360,7 @@ class WeylGroup:
         sep = " " if 2 * n > 9 else ""
         return "[" + sep.join(str(d) for d in digits) + "]"
 
-    def from_bracket(self, text: str) -> WeylElt:
+    def from_bracket(self, text: str) -> tuple:
         if not self.supports_bracket():
             raise WeylError("bracket notation requires a pure B/C preset")
         n = self.rd.rank
@@ -404,4 +382,4 @@ class WeylGroup:
                 out[k] += sign * a[j]
             return tuple(out)
 
-        return WeylElt(self, self._perm_of(act))
+        return self._perm_of(act)

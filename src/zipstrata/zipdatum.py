@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .rootsystem import RootDatum, Vec, dot, vneg
-from .weyl import WeylElt, WeylGroup
+from .weyl import WeylGroup
 
 
 class ZipDatumError(ValueError):
@@ -87,7 +87,7 @@ class ZipDatum:
     p: int
     I: tuple                 # sorted 0-based indices into the simple roots
     J: tuple
-    z: WeylElt
+    z: tuple
     q_roots: frozenset       # root set of the second parabolic
 
     @property

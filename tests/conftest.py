@@ -82,7 +82,7 @@ def subword_down_set(wg, w):
     subwords of a reduced word of w (subword property, by forward DP)."""
     reach = {wg.e}
     for i in wg.canonical_word(w):
-        reach |= {x * wg.simple_reflection(i) for x in reach}
+        reach |= {wg.compose(x, wg.simple_reflection(i)) for x in reach}
     return reach
 
 

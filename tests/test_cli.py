@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import A3_FLIP_MATRIX, E7_TYPE, E8_EXPLICIT, PSI_12, PSI_13
-from zipstrata import cli
+from zipstrata import cli, golden
 from zipstrata.cones import verify_certificate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -327,6 +327,30 @@ def test_out_file(tmp_path, capsys):
     code = cli.main(["describe", "--config", cfg, "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["kind"] == "describe"
+
+
+REFUSED_DOT = "error: format 'dot' not supported for this subcommand\n"
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["describe", "--config", "{cfg}", "--out", "{tmp}/missing/out.json"], 2,
+     "error: cannot write output: "),
+    (["hasse", "--config", "{cfg}", "--format", "dot", "--out", "{tmp}/missing/out.dot"], 2,
+     "error: cannot write output: "),
+    (["golden", "--out", "{tmp}"], 2, "error: cannot write output: "),
+    (["golden", "--out", "{tmp}/golden.txt"], 0, ""),
+    # dot is refused before the config, here a missing file, is read
+    (["purity", "--config", "{tmp}/absent.json", "--format", "dot"], 2, REFUSED_DOT),
+    (["scan", "--config", "{tmp}/absent.json", "--format", "dot"], 2, REFUSED_DOT),
+], ids=["describe-out", "hasse-dot-out", "golden-out-dir", "golden-out", "purity-dot",
+        "scan-dot"])
+def test_out_and_format_are_checked(tmp_path, capsys, argv, code, stderr):
+    cfg = write_config(tmp_path, C3_CONFIG)
+    assert cli.main([a.format(cfg=cfg, tmp=tmp_path) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(stderr) and err.count("\n") == (code != 0)
+    if code == 0:
+        assert (tmp_path / "golden.txt").read_text() == golden.golden_report()[1]
 
 
 def test_golden_subcommand(capsys):

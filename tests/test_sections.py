@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -602,8 +606,9 @@ def test_purity_report_builds_each_lattice_basis_once(monkeypatch, preset, I, ga
 @pytest.mark.parametrize("preset, I, galois, order", [("A3", (1,), "flip", 2),
                                                       ("A1-rot3", (), None, 3)])
 def test_radical_order_is_computed_once_per_datum(monkeypatch, preset, I, galois, order):
-    # the order of gamma^n on X_0 takes `order` steps of gamma on the rank unit
-    # vectors, once for the whole report and not once per stratum
+    # the order of gamma^n on X_0 steps gamma through the period of each vector
+    # of a basis of X_0, here `order` steps for each of the rank - m vectors,
+    # once for the whole report and not once per stratum
     rd, wg = group(preset, galois)
     Z = zip_from_cochar(rd, I=I, p=3, wg=wg)       # fresh: nothing is kept for it yet
     expected = purity_report(datum(preset, I, p=3, galois=galois))
@@ -613,4 +618,32 @@ def test_radical_order_is_computed_once_per_datum(monkeypatch, preset, I, galois
                         lambda g, v, k=1: calls.append(v) or char(g, v, k))
     assert purity_report(Z) == expected and len(expected.strata) > 1
     assert sections._radical_order(Z) == order
-    assert len(calls) == order * rd.rank
+    assert len(calls) == order * (rd.rank - rd.num_simple)
+
+
+def test_radical_order_takes_the_periods_of_a_basis():
+    # gamma fixes the A1 root e_1 (coroot 2e_1) and permutes the other 40
+    # coordinates, all of X_0, in cycles 5, 7, 8, 9 and 11: the order 27,720
+    # is the lcm of the basis periods, not a walk of 27,720 powers of gamma on
+    # every unit vector; a fresh interpreter turns such a walk into a timeout
+    code = """if True:
+        from zipstrata import sections
+        from zipstrata.rootsystem import build_root_datum
+        from zipstrata.zipdatum import zip_from_cochar
+        perm = [0]
+        for c in (5, 7, 8, 9, 11):
+            perm += [len(perm) + (t + 1) % c for t in range(c)]
+        rank = len(perm)
+        rd = build_root_datum(
+            {"rank": rank, "simple_roots": [[int(j == 0) for j in range(rank)]],
+             "simple_coroots": [[2 * int(j == 0) for j in range(rank)]]},
+            {"matrix": [[int(perm[j] == i) for j in range(rank)] for i in range(rank)],
+             "order": 27720})
+        print(rank, sections._radical_order(zip_from_cochar(rd, I=(), p=2)))
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=20)
+    assert proc.stdout.split() == ["41", "27720"], proc.stderr

@@ -309,7 +309,7 @@ def test_galois_on_a_large_order_composes_log_many_times(monkeypatch):
     wg = WeylGroup(rd)
     gamma = wg.galois_perm(1)
     assert wg.galois_perm(-1) == weyl._inverse(gamma) != gamma
-    assert wg.galois_perm(order) == wg.galois_perm(0) == wg.e.perm
+    assert wg.galois_perm(order) == wg.galois_perm(0) == wg.e
     assert wg.galois_perm(1) == wg._perm_of(rd.galois.char)
     assert weyl._mul(wg.galois_perm(12345), wg.galois_perm(order - 12344)) == gamma
     for i in (0, 5, 39):
@@ -396,9 +396,9 @@ def test_level_walk(preset, galois):
         lengths = Counter(wg.length(w) for w in wg.subgroup_elements(K))
         assert [len(level) for level in wg._levels(K)] == \
             [lengths[l] for l in range(len(lengths))]
-        pruned = wg._levels(range(n), lambda p: wg.is_min_left(weyl.WeylElt(wg, p), K))
+        pruned = wg._levels(range(n), lambda p: wg.is_min_left(p, K))
         for l, level in enumerate(pruned):
-            assert all(wg.length(weyl.WeylElt(wg, p)) == l for p in level)
+            assert all(wg.length(p) == l for p in level)
         assert wg.min_coset_reps(K, "left") == \
             tuple(w for w in wg.elements() if wg.is_min_left(w, K))
 
@@ -412,7 +412,7 @@ def test_down_sets_over_all_of_w(preset, galois):
     # bare index for one simple root and () for none)
     _, wg = group(preset, galois)
     elts = wg.elements()
-    keys = [wg.key(w.perm) for w in elts]
+    keys = [wg.key(w) for w in elts]
     assert len(set(keys)) == len(elts)
     below = wg._down_sets({k: 1 << i for i, k in enumerate(keys)}, keys)
     for w, down in zip(elts, below):
