@@ -13,6 +13,9 @@ sum_i y_i = 1, y >= 0, by the simplex method with Bland's rule, which cannot
 cycle.  The pivots are integer-preserving (Edmonds 1967; Bareiss 1968, as in
 Avis's lrs): the tableau is held as integers over one running denominator d,
 the previous pivot, and each update (x * piv - f * y) // d divides exactly.
+The ratio test compares the quotients of two rows by cross-multiplying their
+integer entries, so the loop builds no Fraction: only the witness point and
+the certificate's multipliers are rational.
 At objective 0, y is a basic solution and so a certificate with at most
 nvars + 1 nonzero multipliers.  Otherwise the simplex multipliers pi of the
 final basis give the witness t = -pi[:nvars], with r . t >= pi[nvars] > 0 on
@@ -39,8 +42,8 @@ class Feasibility:
     def integral_point(self) -> Optional[tuple]:
         if self.point is None:
             return None
-        scale = lcm(*(Fraction(x).denominator for x in self.point))
-        return tuple(int(Fraction(x) * scale) for x in self.point)
+        scale = lcm(*(x.denominator for x in self.point))
+        return tuple(x.numerator * (scale // x.denominator) for x in self.point)
 
 
 def _normalize(row):
@@ -54,13 +57,11 @@ def _normalize(row):
 
 def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
     """Decide whether a rational t exists with row . t > 0 for all rows."""
-    kept = {}          # normalised row -> (first original index, scale)
+    kept = {}          # normalised row -> first original index
     for idx, r in enumerate(rows):
         if len(r) != nvars:
             raise ConeError("row length does not match the variable count")
-        nrm = _normalize(r)
-        if nrm not in kept:
-            kept[nrm] = (idx, _scale_between(r, nrm))
+        kept.setdefault(_normalize(r), idx)
     if not kept:
         return Feasibility(True, point=(Fraction(0),) * nvars)
 
@@ -71,19 +72,24 @@ def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
     # cost / d, with d > 0, so signs read off the integers directly.
     cols = [r + (1,) for r in kept]
     m, n1 = len(cols), nvars + 1
-    tab = [[c[k] for c in cols] + [int(i == k) for i in range(n1)] + [int(k == nvars)]
-           for k in range(n1)]
-    cost = [-sum(t[j] for t in tab) for j in range(m)] + [0] * n1 + [-1]
+    tab = [[*coords] + [int(i == k) for i in range(n1)] + [int(k == nvars)]
+           for k, coords in enumerate(zip(*cols))]
+    cost = [-sum(c) for c in cols] + [0] * n1 + [-1]
     basis, d = list(range(m, m + n1)), 1
     while True:
         # Bland's rule: the lowest entering index, ties in the ratio test to the
         # lowest basic index.  Phase I is bounded below, so a ratio exists; d
-        # cancels in it.
+        # cancels in it, and the ratios t[-1] / t[enter] of the rows with
+        # t[enter] > 0 compare by cross-multiplying.
         enter = next((j for j in range(m + n1) if cost[j] < 0), None)
         if enter is None:
             break
-        _ratio, _var, leave = min((Fraction(t[-1], t[enter]), basis[k], k)
-                                  for k, t in enumerate(tab) if t[enter] > 0)
+        leave = None
+        for k, t in enumerate(tab):
+            a = t[enter]
+            if a > 0 and (leave is None or t[-1] * den < num * a
+                          or t[-1] * den == num * a and basis[k] < basis[leave]):
+                leave, num, den = k, t[-1], a
         prow = tab[leave]
         piv = prow[enter]
         for row in tab + [cost]:
@@ -94,14 +100,14 @@ def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
 
     if cost[-1] == 0:
         certificate = [Fraction(0)] * len(rows)
-        origin = list(kept.values())
+        origin = list(kept.items())
         for k, j in enumerate(basis):
             if j < m:
-                idx, scale = origin[j]
-                certificate[idx] = Fraction(tab[k][-1], d) / scale
+                nrm, idx = origin[j]
+                certificate[idx] = Fraction(tab[k][-1], d) / _scale_between(rows[idx], nrm)
         return Feasibility(False, certificate=tuple(certificate))
     # the reduced cost of artificial k is 1 - pi_k
-    return Feasibility(True, point=tuple(Fraction(cost[m + k], d) - 1 for k in range(nvars)))
+    return Feasibility(True, point=tuple(Fraction(cost[m + k] - d, d) for k in range(nvars)))
 
 
 def _scale_between(row, normalized):

@@ -9,6 +9,7 @@ that pairings and Weyl actions are signed-permutation arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Optional
 
 Vec = tuple  # integer lattice vector
@@ -26,7 +27,7 @@ class RootDatumError(ValueError):
 def dot(a: Vec, b: Vec) -> int:
     if len(a) != len(b):
         raise RootDatumError("rank mismatch: %d vs %d" % (len(a), len(b)))
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -62,7 +63,9 @@ def _mat_pow(m, k):
 
 @dataclass(frozen=True)
 class GaloisAction:
-    """Finite-order lattice automorphism permuting the simple roots."""
+    """Finite-order lattice automorphism permuting the simple roots.  For the
+    char matrix M the cochar matrix is transpose(M^(order - 1)); `RootDatum`
+    checks M^(order - 1) M = I, which is M^order = I."""
 
     char_matrix: tuple
     cochar_matrix: tuple
@@ -174,7 +177,8 @@ class RootDatum:
 
     def _validate_galois(self):
         g = self.galois
-        if _mat_pow(g.char_matrix, g.order) != _identity(self.rank):
+        # the cochar matrix is the transpose of M^(d-1), so M^d = M^(d-1) M
+        if _mat_mul(tuple(zip(*g.cochar_matrix)), g.char_matrix) != _identity(self.rank):
             raise RootDatumError("galois matrix does not have the declared order")
         for i, a in enumerate(self.simple_roots):
             img = g.char(a)
@@ -418,7 +422,7 @@ def build_root_datum(spec, galois=None) -> RootDatum:
             if img not in roots:
                 raise RootDatumError("galois matrix is not a diagram automorphism")
             perm.append(roots.index(img))
-        # M^order = I (checked in validation), so M^(order-1) inverts M
+        # M^order = M^(order-1) M = I (checked in validation), so M^(order-1) inverts M
         cochar = tuple(zip(*_mat_pow(m, order - 1)))
         ga = GaloisAction(m, cochar, order, tuple(perm))
     else:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
@@ -38,9 +39,13 @@ CONVENTION = "loop(z*w^-1)/wall-transport/base(q)"
 
 # the most points the ample, orbitally q-close search will scan
 BOX_POINT_CAP = 1_000_000
+# the cap on T times the bit length of q: a wall row sums T terms q^i c, so its
+# integers have about that many bits; like q itself, they then print in about
+# 3011 decimal digits, under the 4300 that int-to-str conversion allows
+ROW_BIT_CAP = 10_000
 
-# `_radical_order` of each live datum: the loop order of every stratum needs it
-_RADICAL_ORDERS: "WeakKeyDictionary[ZipDatum, int]" = WeakKeyDictionary()
+# `_datum_loop` of each live datum: the loop of every stratum needs it
+_DATUM_LOOPS: "WeakKeyDictionary[ZipDatum, Tuple[tuple, int]]" = WeakKeyDictionary()
 
 
 class SectionError(ValueError):
@@ -206,18 +211,25 @@ def _radical_order(Z: ZipDatum) -> int:
     gamma permutes the coroots, so gamma^n maps X_0 to itself; a linear map
     fixes X_0 exactly when it fixes each vector of a rational basis, so the
     order is the lcm of the periods of the `cones.kernel_basis` vectors under
-    gamma^n.  On split data the order is 1.  Computed once per datum.
+    gamma^n.  On split data the order is 1.  Computed once per datum, by
+    `_datum_loop`.
     """
-    if Z in _RADICAL_ORDERS:
-        return _RADICAL_ORDERS[Z]
-    g, order = Z.rd.galois, 1
-    for v in cones.kernel_basis(Z.rd.simple_coroots, Z.rd.rank):
-        u, period = g.char(v, Z.n), 1
-        while u != v:
-            u, period = g.char(u, Z.n), period + 1
-        order = lcm(order, period)
-    _RADICAL_ORDERS[Z] = order
-    return order
+    return _datum_loop(Z)[1]
+
+
+def _datum_loop(Z: ZipDatum) -> Tuple[tuple, int]:
+    """The loop tail z^{-1} o gamma^{-n}, the root permutation that ends the
+    loop sigma of every stratum, and `_radical_order`; once per datum."""
+    loop = _DATUM_LOOPS.get(Z)
+    if loop is None:
+        g, order = Z.rd.galois, 1
+        for v in cones.kernel_basis(Z.rd.simple_coroots, Z.rd.rank):
+            u, period = g.char(v, Z.n), 1
+            while u != v:
+                u, period = g.char(u, Z.n), period + 1
+            order = lcm(order, period)
+        loop = _DATUM_LOOPS[Z] = (_mul(_inverse(Z.z), Z.wg.galois_perm(-Z.n)), order)
+    return loop
 
 
 def _loop_perm(Z: ZipDatum, w: tuple) -> Tuple[tuple, int]:
@@ -229,8 +241,8 @@ def _loop_perm(Z: ZipDatum, w: tuple) -> Tuple[tuple, int]:
     (W fixes X_0 pointwise), so T = lcm(the cycle order of sigma, the order of
     gamma^n on X_0).
     """
-    sigma = _mul(w, _mul(_inverse(Z.z), Z.wg.galois_perm(-Z.n)))
-    T, seen = _radical_order(Z), set()
+    tail, T = _datum_loop(Z)
+    sigma, seen = _mul(w, tail), set()
     for start in range(len(sigma)):
         j, length = start, 0
         while j not in seen:
@@ -269,15 +281,21 @@ def _wall_rows(Z: ZipDatum, w: tuple, walls) -> Tuple[tuple, int]:
     the sum in n_alpha, where c, the wall transport, is the coroot of the root
     `_wall_root` gives.  L^t = w o z^{-1} o gamma^{-n} sends coroots to coroots
     through the root permutation sigma of `_loop_perm`, so the row is
-    sum_{i<T} q^i coroot(sigma^i(w(-alpha))): root lookups only."""
+    sum_{i<T} q^i coroot(sigma^i(w(-alpha))): root lookups only.  Rows past
+    `ROW_BIT_CAP` are refused before any is built."""
     wg, rd, q = Z.wg, Z.rd, Z.q
     sigma, T = _loop_perm(Z, w)
-    rows = []
+    if not walls:
+        return (), T
+    if T * q.bit_length() > ROW_BIT_CAP:
+        raise SectionError("the loop order T = %d of stratum %s times the bit length %d "
+                           "of q is %d, more than the cap %d on wall-row bits"
+                           % (T, wg.describe(w), q.bit_length(), T * q.bit_length(),
+                              ROW_BIT_CAP))
+    powers, rows = [q ** i for i in range(T)], []
     for alpha in walls:
-        row = (0,) * rd.rank
-        for b in reversed(wg.orbit(sigma, _wall_root(Z, w, alpha), T)):
-            row = tuple(q * x + y for x, y in zip(row, rd.coroot(b)))
-        rows.append(row)
+        coroots = map(rd.coroot, wg.orbit(sigma, _wall_root(Z, w, alpha), T))
+        rows.append(tuple(sum(map(mul, powers, col)) for col in zip(*coroots)))
     return tuple(rows), T
 
 

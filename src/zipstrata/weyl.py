@@ -102,6 +102,7 @@ class WeylGroup:
         self._gamma_pow = {0: self.e, 1: self._perm_of(lambda a: rd.images_of[a][-1])}
         self._word: dict = {}
         self._subgroups: dict = {}
+        self._bracket = None     # (axis-root getter, digit of each axis root, separator)
 
     # -- basics ---------------------------------------------------------------
     def _perm_of(self, f) -> tuple:
@@ -147,7 +148,7 @@ class WeylGroup:
 
     def length(self, w: tuple) -> int:
         n = self._npos
-        return sum(1 for k in w[:n] if k >= n)
+        return sum(map(n.__le__, w[:n]))
 
     def galois(self, w: tuple, k: int = 1) -> tuple:
         """gamma^k(w) = gamma^k w gamma^-k, conjugating by gamma's root permutation."""
@@ -347,18 +348,17 @@ class WeylGroup:
 
     def to_bracket(self, w: tuple) -> str:
         """Signed-permutation notation [d1..dn]; value 2n+1-k encodes -e_k."""
-        if not self.supports_bracket():
-            raise WeylError("bracket notation requires a pure B/C preset")
-        n = self.rd.rank
-        scale = 2 if self.rd.preset[0] == "C" else 1   # the root e_j in B, 2e_j in C
-        digits = []
-        for j in range(n):
-            axis = tuple(scale * (i == j) for i in range(n))
-            img = self.root_image(w, axis)
-            k = next(i for i in range(n) if img[i] != 0)
-            digits.append(k + 1 if img[k] > 0 else 2 * n - k)
-        sep = " " if 2 * n > 9 else ""
-        return "[" + sep.join(str(d) for d in digits) + "]"
+        if self._bracket is None:
+            if not self.supports_bracket():
+                raise WeylError("bracket notation requires a pure B/C preset")
+            n = self.rd.rank
+            scale = 2 if self.rd.preset[0] == "C" else 1   # the root e_j in B, 2e_j in C
+            axes = [self._index[tuple(scale * (i == k) for i in range(n))] for k in range(n)]
+            digit = {j: str(k + 1) for k, j in enumerate(axes)}
+            digit.update((j + self._npos, str(2 * n - k)) for k, j in enumerate(axes))
+            self._bracket = (itemgetter(*axes), digit, " " if 2 * n > 9 else "")
+        axes, digit, sep = self._bracket
+        return "[" + sep.join(map(digit.__getitem__, axes(w))) + "]"
 
     def from_bracket(self, text: str) -> tuple:
         if not self.supports_bracket():

@@ -27,6 +27,23 @@ A1_ROT3 = {"rank": 3, "simple_roots": [(1, 0, 0)], "simple_coroots": [(2, 0, 0)]
 ROT3_MATRIX = [[1, 0, 0], [0, 0, -1], [0, 1, -1]]
 
 
+def _a1_rank41():
+    """A1 on a rank-41 lattice: gamma fixes the root e_1 (coroot 2e_1) and
+    permutes the other 40 coordinates, all of X_0, in cycles 5, 7, 8, 9 and 11,
+    so its order is 27,720."""
+    perm = [0]
+    for c in (5, 7, 8, 9, 11):
+        perm += [len(perm) + (t + 1) % c for t in range(c)]
+    rank = len(perm)
+    return ({"rank": rank, "simple_roots": [[int(j == 0) for j in range(rank)]],
+             "simple_coroots": [[2 * int(j == 0) for j in range(rank)]]},
+            {"matrix": [[int(perm[j] == i) for j in range(rank)] for i in range(rank)],
+             "order": 27720})
+
+
+A1_RANK41, RANK41_GALOIS = _a1_rank41()
+
+
 # psi_12 and psi_13, the least strong pseudoprimes to all prime bases up to 37
 # and up to 41 (Sorenson and Webster, Math. Comp. 86, 2017); both are composite
 PSI_12 = 318665857834031151167461       # 399165290221 * 798330580441

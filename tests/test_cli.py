@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import A3_FLIP_MATRIX, E7_TYPE, E8_EXPLICIT, PSI_12, PSI_13
+from conftest import (A1_RANK41, A3_FLIP_MATRIX, E7_TYPE, E8_EXPLICIT, PSI_12, PSI_13,
+                      RANK41_GALOIS)
 from zipstrata import cli, golden
 from zipstrata.cones import verify_certificate
 
@@ -527,6 +528,21 @@ def test_oversized_rank_exits_2(tmp_path):
         "rank": -1, "simple_roots": [], "simple_coroots": []}}))
     proc = run_subprocess(["describe", "--config", negative], timeout=20)
     assert proc.returncode == 2 and "rank must be a non-negative integer" in proc.stderr
+
+
+def test_wall_rows_past_the_bit_cap_exit_2(tmp_path):
+    # the one wall of s_1 on the rank-41 datum has the loop order T = 27,720,
+    # the order of gamma on X_0, so its row would hold integers of about
+    # 2 T bits at q = 2; the stratum e has no wall and still answers
+    cfg = {"group": {"explicit": A1_RANK41}, "galois": RANK41_GALOIS, "p": 2, "n": 1,
+           "I": [], "characters": [[1] + [0] * 40]}
+    proc = run_subprocess(["n-alpha", "--config", write_config(tmp_path, dict(cfg, w=[1]))],
+                          timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "T = 27720 of stratum 1 times the bit length 2 of q is 55440" in proc.stderr
+    proc = run_subprocess(["n-alpha", "--config",
+                           write_config(tmp_path, dict(cfg, w="e"), "e.json")], timeout=20)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["payload"]["rows"][0]["period"] == 27720
 
 
 def test_unusable_p_or_q_exits_2(tmp_path, capsys):

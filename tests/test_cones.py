@@ -194,6 +194,14 @@ def _fraction_simplex(rows, nvars):
 
 @settings(max_examples=200, deadline=None)
 @given(systems())
+# each of these has a ratio-test tie between two rows whose basic indices are
+# in the opposite order to the rows; the tie goes to the lower basic index
+# (Bland), and breaking it by row, or to the higher index, moves the point or
+# the certificate
+@example(([(-2, 2), (1, 2)], 2))
+@example(([(-1, 2, 1), (2, 2, 1)], 3))
+@example(([(-1, 1), (-1, 0), (2, 2), (0, -2)], 2))
+@example(([(2, 1, -2), (2, -2, 1), (0, -1, 1), (1, 1, 2), (-2, 1, -1)], 3))
 def test_integer_pivots_match_fraction_pivots(system):
     """Integer pivoting over a running denominator takes the same pivots as the
     Fraction tableau, so the point and the certificate are the same values."""

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A2_SHEAR, A3_FLIP_MATRIX, G2_EXPLICIT, SHEAR_MATRIX, group
+from conftest import (A1_RANK41, A2_SHEAR, A3_FLIP_MATRIX, G2_EXPLICIT, RANK41_GALOIS,
+                      SHEAR_MATRIX, group)
 from zipstrata import rootsystem, weyl
 from zipstrata.rootsystem import (GaloisAction, RootDatumError, _parse_preset, _root_count,
                                   build_root_datum, dot, reflect)
@@ -266,6 +267,19 @@ def test_explicit_galois_cochar_is_dual(spec, matrix, order):
         for x in units:
             for y in units:
                 assert dot(g.char(x, k), g.cochar(y, k)) == dot(x, y)
+
+
+def test_explicit_galois_matrix_is_powered_once(monkeypatch):
+    # the cochar matrix is transpose(M^(d-1)), by squaring, and the order check
+    # reuses it as M^d = M^(d-1) M: one power and one product, not a second power
+    calls = []
+    mat_mul = rootsystem._mat_mul
+    monkeypatch.setattr(rootsystem, "_mat_mul",
+                        lambda a, b: calls.append(len(a)) or mat_mul(a, b))
+    rd = build_root_datum(A1_RANK41, RANK41_GALOIS)
+    k = RANK41_GALOIS["order"] - 1
+    assert rd.rank == 41 and set(calls) == {41}
+    assert len(calls) == k.bit_length() + bin(k).count("1") + 1
 
 
 def test_explicit_galois_wrong_order_rejected():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import composed_transport, datum, forward_n_alpha, group, loop_matrix
+from conftest import (A1_RANK41, RANK41_GALOIS, composed_transport, datum, forward_n_alpha,
+                      group, loop_matrix)
 from zipstrata import cones, rootsystem, sections, weyl
 from zipstrata.golden import C3_N_TABLE
 from zipstrata.rootsystem import _mat_vec, dot
@@ -622,25 +623,16 @@ def test_radical_order_is_computed_once_per_datum(monkeypatch, preset, I, galois
 
 
 def test_radical_order_takes_the_periods_of_a_basis():
-    # gamma fixes the A1 root e_1 (coroot 2e_1) and permutes the other 40
-    # coordinates, all of X_0, in cycles 5, 7, 8, 9 and 11: the order 27,720
-    # is the lcm of the basis periods, not a walk of 27,720 powers of gamma on
-    # every unit vector; a fresh interpreter turns such a walk into a timeout
+    # on the rank-41 datum the order 27,720 is the lcm of the basis periods,
+    # 5, 7, 8, 9 and 11, not a walk of 27,720 powers of gamma on every unit
+    # vector; a fresh interpreter turns such a walk into a timeout
     code = """if True:
         from zipstrata import sections
         from zipstrata.rootsystem import build_root_datum
         from zipstrata.zipdatum import zip_from_cochar
-        perm = [0]
-        for c in (5, 7, 8, 9, 11):
-            perm += [len(perm) + (t + 1) % c for t in range(c)]
-        rank = len(perm)
-        rd = build_root_datum(
-            {"rank": rank, "simple_roots": [[int(j == 0) for j in range(rank)]],
-             "simple_coroots": [[2 * int(j == 0) for j in range(rank)]]},
-            {"matrix": [[int(perm[j] == i) for j in range(rank)] for i in range(rank)],
-             "order": 27720})
-        print(rank, sections._radical_order(zip_from_cochar(rd, I=(), p=2)))
-    """
+        rd = build_root_datum(%r, %r)
+        print(rd.rank, sections._radical_order(zip_from_cochar(rd, I=(), p=2)))
+    """ % (A1_RANK41, RANK41_GALOIS)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -165,6 +165,30 @@ def test_bracket_reads_the_coordinate_action(preset):
             assert wg.act(w, unit) == tuple(sign if i == k else 0 for i in range(n))
 
 
+def _bracket_by_axis_roots(wg, w):
+    """The bracket read root by root: the image of each axis root e_j (B) or
+    2e_j (C), and the position and sign of its one nonzero coordinate."""
+    n = wg.rd.rank
+    scale = 2 if wg.rd.preset[0] == "C" else 1
+    digits = []
+    for j in range(n):
+        img = wg.root_image(w, tuple(scale * (i == j) for i in range(n)))
+        k = next(i for i in range(n) if img[i] != 0)
+        digits.append(k + 1 if img[k] > 0 else 2 * n - k)
+    return "[" + (" " if 2 * n > 9 else "").join(map(str, digits)) + "]"
+
+
+@pytest.mark.parametrize("preset", ["B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5"])
+def test_bracket_table_matches_the_axis_roots(preset):
+    # C5 and B5 print the spaced form, 2n > 9
+    _, wg = group(preset)
+    for w in wg.elements():
+        text = wg.to_bracket(w)
+        assert text == _bracket_by_axis_roots(wg, w)
+        assert wg.from_bracket(text) == w
+    assert (" " in text) == (wg.rd.rank >= 5)
+
+
 def test_bracket_roundtrip(c3):
     _, wg = c3
     assert wg.to_bracket(wg.e) == "[123]"
