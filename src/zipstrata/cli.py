@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, golden, sections, strata
 from .rootsystem import RootDatumError, build_root_datum
@@ -20,6 +22,13 @@ from .zipdatum import ZipDatumError, dims, flag_datum, validate_frame, zip_from_
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+
+# the cap on the bit length of a character entry.  A wall multiplicity pairs a
+# character with a wall row, whose entries are below 2^ROW_BIT_CAP = 2^10,000
+# times a coroot entry, over at most RANK_CAP = 100 coordinates; so it has at
+# most about 14,007 bits plus those of a coroot entry, and prints within the
+# 4300 digits (14,284 bits) that int-to-str allows
+CHAR_BIT_CAP = 4_000
 
 
 class ConfigError(ValueError):
@@ -132,6 +141,10 @@ def _parse_label(wg, spec):
 def _characters(cfg, rank):
     chars = cfg.get("characters", [])
     for c in chars:
+        bits = max(map(int.bit_length, c), default=0)
+        if bits > CHAR_BIT_CAP:
+            raise ConfigError("a character entry has %d bits, more than the cap %d"
+                              % (bits, CHAR_BIT_CAP))
         if len(c) != rank:
             raise ConfigError("character %r does not match rank %d" % (c, rank))
     return [tuple(c) for c in chars]
@@ -149,24 +162,75 @@ def _bundle(kind, payload):
     }
 
 
-def _emit(out, text):
+def _emit(out, render):
+    """Call render(write) with the write of stdout, or of the --out file."""
     if not out:
-        sys.stdout.write(text)
+        render(sys.stdout.write)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            render(fh.write)
     except OSError as e:
         raise ConfigError("cannot write output: %s" % e)
 
 
-def _render(bundle, fmt):
+def _render(bundle, fmt, write):
     """json or text; `main` refuses dot for every command that renders here."""
     if fmt == "json":
-        return json.dumps(bundle, sort_keys=True, indent=2) + "\n"
+        _write_json(bundle, write)
+        write("\n")
+        return
     lines = ["# zipstrata %s (%s)" % (__version__, bundle["kind"])]
     lines += _text_lines(bundle["payload"], "")
-    return "\n".join(lines) + "\n"
+    write("\n".join(lines) + "\n")
+
+
+def _write_json(obj, write, indent="\n"):
+    """Write obj exactly as json.dumps(obj, sort_keys=True, indent=2) would,
+    piece by piece through `write`, so that no full-size copy of the output is
+    held.  The stdlib encoder falls back to pure Python whenever indent is set;
+    here a list of plain ints, the bulk of every payload, is one C-level join.
+    Dicts need str keys; str, int, bool and None are the only leaves, and
+    anything else, a float included, raises TypeError."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = indent + "  "
+        if all(type(v) is int for v in obj):       # a bool is an int, but not a plain one
+            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            write(sep)
+            _write_json(v, write, inner)
+            sep = "," + inner
+        write(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for k in sorted(obj):
+            if not isinstance(k, str):
+                raise TypeError("keys must be str, not %s" % type(k).__name__)
+            write(sep + _quote(k) + ": ")
+            _write_json(obj[k], write, inner)
+            sep = "," + inner
+        write(indent + "}")
+    elif isinstance(obj, str):
+        write(_quote(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
 def _text_lines(obj, indent):
@@ -199,14 +263,13 @@ def _poset_payload(poset):
     return {"side": poset.side, "nodes": nodes, "edges": edges}
 
 
-def _poset_dot(poset):
-    lines = ["digraph strata {"]
+def _write_dot(poset, write):
+    write("digraph strata {\n")
     for s in poset.strata:
-        lines.append('  "%s" [label="%s (l=%d)"];' % (s.label, s.label, s.length))
+        write('  "%s" [label="%s (l=%d)"];\n' % (s.label, s.label, s.length))
     for i, j in poset.covers:
-        lines.append('  "%s" -> "%s";' % (poset.strata[i].label, poset.strata[j].label))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        write('  "%s" -> "%s";\n' % (poset.strata[i].label, poset.strata[j].label))
+    write("}\n")
 
 
 def _cone_payload(c):
@@ -376,7 +439,7 @@ def _cmd_scan(cfg, args):
 
 def _cmd_golden(args):
     ok, report = golden.golden_report()
-    _emit(args.out, report)
+    _emit(args.out, lambda write: write(report))
     return EXIT_OK if ok else 1
 
 
@@ -414,8 +477,7 @@ def main(argv=None) -> int:
             return _cmd_golden(args)
         cfg = _load_config(args.config)
         if args.command == "scan":
-            bundle = _cmd_scan(cfg, args)
-            _emit(args.out, _render(bundle, args.format))
+            _emit(args.out, partial(_render, _cmd_scan(cfg, args), args.format))
             return EXIT_OK
         Z, FZ = _datum_from_config(cfg, *_group_from_config(cfg))
         code = EXIT_OK
@@ -431,7 +493,7 @@ def main(argv=None) -> int:
             poset = strata.fine_hasse_diagram(FZ, args.side) if FZ \
                 else strata.hasse_diagram(Z, args.side)
             if args.format == "dot":
-                _emit(args.out, _poset_dot(poset))
+                _emit(args.out, partial(_write_dot, poset))
                 return EXIT_OK
             bundle = _bundle("hasse", _poset_payload(poset))
         elif args.command == "char-test":
@@ -444,7 +506,7 @@ def main(argv=None) -> int:
             bundle = _cmd_purity(Z, FZ, cfg, args)
         else:  # pragma: no cover
             raise ConfigError("unknown command")
-        _emit(args.out, _render(bundle, args.format))
+        _emit(args.out, partial(_render, bundle, args.format))
         return code
     except (ConfigError, RootDatumError, WeylError, ZipDatumError,
             strata.StrataError, sections.SectionError) as e:

@@ -373,14 +373,12 @@ def _shell(m: int, r: int):
             yield (x,) + t
 
 
-def _box_points(basis, radius):
-    """Nonzero lattice points in the box, shell by shell in (sup-norm, lex) order."""
-    if not basis:
-        return
-    m, n = len(basis), len(basis[0])
-    for r in range(1, radius + 1):
-        for coeffs in _shell(m, r):
-            yield tuple(sum(coeffs[k] * basis[k][j] for k in range(m)) for j in range(n))
+def _box_coeffs(m: int, radius: int):
+    """The nonzero integer m-tuples of sup-norm at most radius, shell by shell
+    in (sup-norm, lex) order: the coefficients of the box points over a basis.
+    With m = 0 the box is empty, however large the radius."""
+    for r in range(1, radius + 1 if m else 1):
+        yield from _shell(m, r)
 
 
 def _positive_on(section_cones, chi) -> bool:
@@ -429,11 +427,17 @@ def purity_report(obj, lattice: str = "levi", box: int = 2,
             uniform_witness = cand
             break
 
-    # the sufficient condition covers Levi characters only, whatever the lattice
-    transports = _ample_transports(Z)
-    ample_close = next((chi for chi in _box_points(levi, box)
-                        if all(dot(chi, t) < 0 for _i, t in transports)
-                        and character_tests(rd, chi, Z.q).orbitally_q_close), None)
+    # the sufficient condition covers Levi characters only, whatever the lattice;
+    # chi = sum c_k b_k is ample when sum c_k <b_k, t> < 0 for every transport t,
+    # so the box is walked by its coefficients and only ample points are formed
+    ample_rows = [[dot(b, t) for b in levi] for _i, t in _ample_transports(Z)]
+    ample_close = None
+    for c in _box_coeffs(len(levi), box):
+        if all(sum(map(mul, c, row)) < 0 for row in ample_rows):
+            chi = tuple(sum(map(mul, c, col)) for col in zip(*levi))
+            if character_tests(rd, chi, Z.q).orbitally_q_close:
+                ample_close = chi
+                break
     if ample_close is not None:
         if not _positive_on(per, ample_close):
             raise AssertionError("ample orbitally q-close character fails a stratum "

@@ -152,7 +152,6 @@ def coarse_strata(FZ: FlaggedZipDatum) -> List[CoarseStratum]:
         derived_dim = l + l_i0 + l_j0 - l_iw + d.dim_B + d.dim_P_over_P0
         out.append(CoarseStratum(w=w, label=wg.describe(w), length=l, I_w=I_w,
                                  reference_dim=reference_dim, derived_dim=derived_dim))
-    out.sort(key=lambda s: wg.sort_key(s.w))
     return out
 
 

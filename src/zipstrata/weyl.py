@@ -203,9 +203,6 @@ class WeylGroup:
     def elements(self) -> tuple:
         return self.subgroup_elements(range(self.rd.num_simple))
 
-    def sort_key(self, w: tuple):
-        return (self.length(w), self.canonical_word(w))
-
     def order(self) -> int:
         return _order_from_heights(self.rd, self.rd.positive)
 
@@ -244,8 +241,14 @@ class WeylGroup:
                             nxt[k] = y if keep is None or keep(y) else None
             level = [y for y in nxt.values() if y is not None]
 
-    def _sorted(self, levels) -> tuple:
-        return tuple(sorted((p for level in levels for p in level), key=self.sort_key))
+    @staticmethod
+    def _sorted(levels) -> tuple:
+        """The walk's levels joined, which is (length, canonical word) order
+        already.  By induction each level is in canonical-word order: a prefix
+        of a least reduced word is a least reduced word, so y with canonical
+        word u i is first reached from the x with canonical word u, by s_i, and
+        the walk takes each level's x in order and their letters ascending."""
+        return tuple(p for level in levels for p in level)
 
     def longest_element(self, K: Optional[Iterable[int]] = None) -> tuple:
         K = tuple(range(self.rd.num_simple)) if K is None else tuple(sorted(set(K)))

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (A1_RANK41, A3_FLIP_MATRIX, E7_TYPE, E8_EXPLICIT, PSI_12, PSI_13,
                       RANK41_GALOIS)
@@ -545,6 +547,23 @@ def test_wall_rows_past_the_bit_cap_exit_2(tmp_path):
     assert proc.returncode == 0 and json.loads(proc.stdout)["payload"]["rows"][0]["period"] == 27720
 
 
+def test_oversized_character_exits_2(tmp_path, capsys):
+    # a multiplicity of the character (10^4299, 0, 0) has more than the 4300
+    # digits that int-to-str allows; at the bit cap every product still prints
+    cfg = dict(C3_CONFIG, p=7, characters=[[10 ** 4299, 0, 0]])
+    path = write_config(tmp_path, cfg)
+    for command in ("n-alpha", "char-test"):
+        code = cli.main([command, "--config", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "a character entry has 14281 bits, more than the cap 4000" in captured.err
+    top = 2 ** cli.CHAR_BIT_CAP - 1
+    path = write_config(tmp_path, dict(cfg, characters=[[top, -top, top]]), "top.json")
+    for command in ("n-alpha", "char-test"):
+        code, out = run([command, "--config", path], tmp_path, capsys)
+        assert code == 0 and json.loads(out)["payload"]
+
+
 def test_unusable_p_or_q_exits_2(tmp_path, capsys):
     # psi_12 and psi_13 are composites that Miller-Rabin to the prime bases up
     # to 37 calls prime; a 5000-digit p is past int()'s digit limit, and
@@ -574,6 +593,43 @@ def test_c8_siegel_hasse_exits_2_before_labelling(tmp_path, side):
     proc = run_subprocess(["hasse", "--config", cfg, "--side", side], timeout=20)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "10321920 elements, more than the enumeration cap 100000" in proc.stderr
+
+
+# -- the JSON writer -------------------------------------------------------------------
+
+def _written(obj):
+    pieces = []
+    cli._write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+JSON_LEAVES = (st.integers() | st.integers(-10 ** 40, 10 ** 40) | st.booleans() | st.none()
+               | st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", "\u2028", "😀"]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.integers()) | st.dictionaries(st.text(), inner)),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+@example({"": [], "a": {}, "b": (), "c": [True, 1], "d": [[1, -2], [False]], "é\"": None})
+def test_write_json_matches_json_dumps(obj):
+    assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [[], {}, (), [True, 1], [1, True], [[]], {"a": [{}]}, 0, "",
+                                 [10 ** 100, -1, 0]])
+def test_write_json_edge_cases(obj):
+    assert _written(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, [1, 2.0], {"a": float("nan")}, {1: 2}, {"a": {3}},
+                                 b"bytes"])
+def test_write_json_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        _written(obj)
 
 
 # -- byte pins ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from zipstrata.rootsystem import _mat_vec, dot
 from zipstrata.sections import (SectionError, ampleness, char_section_verdict,
                                 character_tests, flag_ampleness, gln_certificate,
                                 n_alpha, purity_report, r_w, section_cone,
-                                twist_power, _box_points, _check_box, _wall_root,
+                                twist_power, _box_coeffs, _check_box, _wall_root,
                                 _wall_rows)
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import flag_datum, zip_from_cochar
@@ -351,7 +351,7 @@ def test_monotonicity_ample_close_implies_positive():
         wg = Z.wg
         reps = wg.min_coset_reps(Z.I, "left")
         basis = _lattice_basis(Z, "levi")
-        for chi in _box_points(basis, 2):
+        for chi in _walk_points(basis, 2):
             if not ampleness(Z, chi)[0]:
                 continue
             if not character_tests(Z.rd, chi, Z.q).orbitally_q_close:
@@ -486,17 +486,47 @@ def _sorted_box(basis, radius):
     return [tuple(sum(c[k] * basis[k][j] for k in range(m)) for j in range(n)) for c in pts]
 
 
+def _walk_points(basis, radius):
+    """The box points in the order of the coefficient walk of `purity_report`."""
+    return [tuple(sum(c[k] * b[j] for k, b in enumerate(basis)) for j in range(len(basis[0])))
+            for c in _box_coeffs(len(basis), radius)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 4), st.integers(1, 4), st.integers(0, 3), st.data())
 def test_box_points_match_sorted_box(m, n, radius, data):
     basis = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=m, max_size=m))
-    assert list(_box_points(basis, radius)) == _sorted_box(basis, radius)
+    assert _walk_points(basis, radius) == _sorted_box(basis, radius)
 
 
 def test_box_points_edge_cases():
-    assert list(_box_points([], 5)) == [] == _sorted_box([], 5)
-    assert list(_box_points([(1, 2)], 0)) == [] == _sorted_box([(1, 2)], 0)
-    assert list(_box_points([(1, 0), (0, 1)], 1))[:4] == [(-1, -1), (-1, 0), (-1, 1), (0, -1)]
+    assert _walk_points([], 5) == [] == _sorted_box([], 5)
+    assert _walk_points([(1, 2)], 0) == [] == _sorted_box([(1, 2)], 0)
+    assert _walk_points([(1, 0), (0, 1)], 1)[:4] == [(-1, -1), (-1, 0), (-1, 1), (0, -1)]
+
+
+AMPLE_DATA = [("C3", I, p, None, None) for I in ((), (0,), (1,), (2,), (0, 1), (0, 2),
+                                                 (1, 2), (0, 1, 2)) for p in (2, 7)]
+AMPLE_DATA += [(preset, I, p, None, None) for preset, I, ps in (
+    ("A4", (1,), (2, 5)), ("A3", (), (2, 5)), ("B3", (), (2, 7))) for p in ps]
+AMPLE_DATA += [("C3", (0, 2), 7, None, (0,)), ("A3", (0,), 3, "flip", None),
+               ("GL4", (0, 2), 3, None, None)]
+
+
+@pytest.mark.parametrize("preset, I, p, galois, I0", AMPLE_DATA)
+def test_ample_search_matches_brute_force(preset, I, p, galois, I0):
+    """The coefficient walk finds the first box point of the old search: every
+    point of the sorted box built as a character, then tested for ampleness and
+    orbital q-closeness."""
+    Z = datum(preset, I, p=p, galois=galois)
+    obj = flag_datum(Z, I0) if I0 is not None else Z
+    Zt = obj.Z0 if I0 is not None else Z
+    levi = sections._lattice_basis(Zt, "levi")
+    for box in (1, 2, 3):
+        expected = next((chi for chi in _sorted_box(levi, box)
+                         if ampleness(Zt, chi)[0]
+                         and character_tests(Zt.rd, chi, Zt.q).orbitally_q_close), None)
+        assert purity_report(obj, box=box).ample_close_char == expected
 
 
 def test_box_cap():

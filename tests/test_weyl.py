@@ -213,6 +213,23 @@ def test_canonical_word_is_lex_least():
         assert word == min(smaller)
 
 
+@pytest.mark.parametrize("preset, galois", [
+    ("A3", None), ("B3", None), ("C4", None), ("D4", None), ("A5", None), ("GL4", None),
+    ("A2xB2", None), ("A3", "flip"), ("D4", "dswap")])
+def test_walk_order_is_length_then_canonical_word(preset, galois):
+    """The level walk needs no sort: its elements come in (length, canonical
+    word) order, checked against an explicit sort on a fresh group."""
+    rd, _ = group(preset, galois)
+    wg = WeylGroup(rd)
+    m = rd.num_simple
+    key = lambda w: (wg.length(w), wg.canonical_word(w))
+    for K in {(), (0,), (m - 1,), tuple(range(m // 2)), tuple(range(0, m, 2)),
+              tuple(range(1, m)), tuple(range(m))}:
+        for walk in (wg.subgroup_elements(K), wg.min_coset_reps(K, "left")):
+            assert list(walk) == sorted(walk, key=key)
+            assert len(set(walk)) == len(walk)
+
+
 def _reduced_words(wg, w):
     if w == wg.e:
         return [()]
