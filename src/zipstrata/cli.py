@@ -24,10 +24,13 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 # the cap on the bit length of a character entry.  A wall multiplicity pairs a
-# character with a wall row, whose entries are below 2^ROW_BIT_CAP = 2^10,000
-# times a coroot entry, over at most RANK_CAP = 100 coordinates; so it has at
-# most about 14,007 bits plus those of a coroot entry, and prints within the
-# 4300 digits (14,284 bits) that int-to-str allows
+# character with a wall row over at most RANK_CAP = 100 coordinates, and a row
+# entry sums T terms q^i c with T * bits(q) <= ROW_BIT_CAP = 10,000 (so T <= 5,000)
+# and c a coroot entry.  A coroot sums at most 200 simple coroots (its height is
+# below the Coxeter number, at most 200 at rank 100), whose entries have at most
+# ENTRY_BIT_CAP = 64 bits, so c has at most 72.  A multiplicity then has at most
+# ROW_BIT_CAP + log2 T + 72 + CHAR_BIT_CAP + log2 RANK_CAP < 14,092 bits, under
+# the 14,284 (4300 digits) that int-to-str allows
 CHAR_BIT_CAP = 4_000
 
 
@@ -175,10 +178,19 @@ def _emit(out, render):
 
 
 def _render(bundle, fmt, write):
-    """json or text; `main` refuses dot for every command that renders here."""
+    """json, text, or dot, which draws the nodes and edges of a `hasse`
+    payload; `main` refuses dot for every other command."""
     if fmt == "json":
         _write_json(bundle, write)
         write("\n")
+        return
+    if fmt == "dot":
+        write("digraph strata {\n")
+        for s in bundle["payload"]["nodes"]:
+            write('  "%s" [label="%s (l=%d)"];\n' % (s["label"], s["label"], s["length"]))
+        for a, b in bundle["payload"]["edges"]:
+            write('  "%s" -> "%s";\n' % (a, b))
+        write("}\n")
         return
     lines = ["# zipstrata %s (%s)" % (__version__, bundle["kind"])]
     lines += _text_lines(bundle["payload"], "")
@@ -255,33 +267,18 @@ def _text_lines(obj, indent):
     return lines
 
 
-def _poset_payload(poset):
-    nodes = [{"label": s.label, "length": s.length,
-              "variety_dim": s.variety_dim, "stack_dim": s.stack_dim}
-             for s in poset.strata]
-    edges = [[poset.strata[i].label, poset.strata[j].label] for i, j in poset.covers]
-    return {"side": poset.side, "nodes": nodes, "edges": edges}
-
-
-def _write_dot(poset, write):
-    write("digraph strata {\n")
-    for s in poset.strata:
-        write('  "%s" [label="%s (l=%d)"];\n' % (s.label, s.label, s.length))
-    for i, j in poset.covers:
-        write('  "%s" -> "%s";\n' % (poset.strata[i].label, poset.strata[j].label))
-    write("}\n")
-
+# -- payloads: the library's tuples go to the writer as they are ---------------------
 
 def _cone_payload(c):
     return {
         "stratum": c.stratum,
         "lattice": c.lattice,
-        "basis": [list(b) for b in c.basis],
-        "walls": [list(a) for a in c.walls],
-        "inequalities_ambient": [list(r) for r in c.ambient_rows],
-        "inequalities_reduced": [list(r) for r in c.reduced_rows],
+        "basis": c.basis,
+        "walls": c.walls,
+        "inequalities_ambient": c.ambient_rows,
+        "inequalities_reduced": c.reduced_rows,
         "feasible": c.feasible,
-        "witness": list(c.witness) if c.witness is not None else None,
+        "witness": c.witness,
         "certificate": [str(x) for x in c.certificate] if c.certificate else None,
     }
 
@@ -291,28 +288,49 @@ def _verdict_payload(rep):
     return {
         "principally_pure": rep.principally_pure,
         "uniformly_pure": rep.uniformly_pure,
-        "uniform_witness": list(rep.uniform_witness) if rep.uniform_witness else None,
+        "uniform_witness": rep.uniform_witness or None,
         "uniform_certificate": ([str(x) for x in rep.uniform_certificate]
                                 if rep.uniform_certificate else None),
-        "failing_strata": list(rep.failing_strata()),
+        "failing_strata": rep.failing_strata(),
     }
 
 
-def _purity_payload(rep):
-    return {
-        "datum": rep.datum,
-        "lattice": rep.lattice,
-        "convention": rep.convention,
-        "box_radius": rep.box_radius,
-        **_verdict_payload(rep),
-        "ample_close_char": list(rep.ample_close_char) if rep.ample_close_char else None,
-        "strata": [_cone_payload(c) for c in rep.strata],
-    }
+def _counted(rows):
+    return {"count": len(rows), "strata": rows}
 
 
-# -- subcommands ---------------------------------------------------------------------
+def _strata_payload(found):
+    return _counted([{"label": s.label, "side": s.side, "length": s.length,
+                      "variety_dim": s.variety_dim, "stack_dim": s.stack_dim}
+                     for s in found])
 
-def _cmd_describe(Z, FZ, args):
+
+def _poset_payload(poset):
+    nodes = [{"label": s.label, "length": s.length,
+              "variety_dim": s.variety_dim, "stack_dim": s.stack_dim}
+             for s in poset.strata]
+    edges = [[poset.strata[i].label, poset.strata[j].label] for i, j in poset.covers]
+    return {"side": poset.side, "nodes": nodes, "edges": edges}
+
+
+def _flagged(FZ, args):
+    if FZ is None:
+        raise ConfigError("%s requires config.I0" % args.command)
+    return FZ
+
+
+def _stratum(Z, FZ, cfg, args):
+    """The datum that config.w labels a stratum of (the induced one of a flag
+    datum), and that label."""
+    Zt = FZ.Z0 if FZ else Z
+    if "w" not in cfg:
+        raise ConfigError("%s requires config.w" % args.command)
+    return Zt, _parse_label(Zt.wg, cfg["w"])
+
+
+# -- subcommands: (Z, FZ, cfg, args) -> payload -------------------------------------
+
+def _describe(Z, FZ, cfg, args):
     d = dims(FZ if FZ else Z)
     payload = {"datum": Z.describe(), "dims": d.as_dict(),
                "frame_violations": validate_frame(Z)}
@@ -320,43 +338,27 @@ def _cmd_describe(Z, FZ, args):
         payload["I0"] = [i + 1 for i in FZ.I0]
         payload["J0"] = [j + 1 for j in FZ.J0]
         payload["induced"] = FZ.Z0.describe()
-    return _bundle("describe", payload)
+    return payload
 
 
-def _stratum_payload(s):
-    return {"label": s.label, "side": s.side, "length": s.length,
-            "variety_dim": s.variety_dim, "stack_dim": s.stack_dim}
+def _coarse_strata(Z, FZ, cfg, args):
+    return _counted([{"label": s.label, "length": s.length,
+                      "I_w": [i + 1 for i in s.I_w],
+                      "reference_dim": s.reference_dim, "derived_dim": s.derived_dim}
+                     for s in strata.coarse_strata(_flagged(FZ, args))])
 
 
-def _cmd_strata(Z, FZ, args):
-    out = [_stratum_payload(s) for s in strata.zip_strata(Z, args.side)]
-    return _bundle("strata", {"count": len(out), "strata": out})
+def _hasse(Z, FZ, cfg, args):
+    return _poset_payload(strata.fine_hasse_diagram(FZ, args.side) if FZ
+                          else strata.hasse_diagram(Z, args.side))
 
 
-def _cmd_flag_strata(Z, FZ, args):
-    if FZ is None:
-        raise ConfigError("flag-strata requires config.I0")
-    out = [_stratum_payload(s) for s in strata.fine_strata(FZ, args.side)]
-    return _bundle("flag-strata", {"count": len(out), "strata": out})
-
-
-def _cmd_coarse_strata(Z, FZ, args):
-    if FZ is None:
-        raise ConfigError("coarse-strata requires config.I0")
-    rows = [{"label": s.label, "length": s.length,
-             "I_w": [i + 1 for i in s.I_w],
-             "reference_dim": s.reference_dim, "derived_dim": s.derived_dim}
-            for s in strata.coarse_strata(FZ)]
-    return _bundle("coarse-strata", {"count": len(rows), "strata": rows})
-
-
-def _cmd_char_test(Z, FZ, cfg, args):
-    rd = Z.rd
+def _char_test(Z, FZ, cfg, args):
     rows = []
-    for chi in _characters(cfg, rd.rank):
-        v = sections.character_tests(rd, chi, Z.q)
+    for chi in _characters(cfg, Z.rd.rank):
+        v = sections.character_tests(Z.rd, chi, Z.q)
         amp, wit = sections.ampleness(Z, chi)
-        row = {"chi": list(chi), "q_small": v.q_small,
+        row = {"chi": chi, "q_small": v.q_small,
                "orbitally_q_close": v.orbitally_q_close,
                "zip_ample": amp, "witnesses": v.witnesses}
         if not amp:
@@ -367,45 +369,55 @@ def _cmd_char_test(Z, FZ, cfg, args):
             if not fa:
                 row["witnesses"] = dict(row["witnesses"], flag_ample=fwit)
         rows.append(row)
-    return _bundle("char-test", {"q": Z.q, "characters": rows})
+    return {"q": Z.q, "characters": rows}
 
 
-def _cmd_n_alpha(Z, FZ, cfg, args):
-    Zt = FZ.Z0 if FZ else Z
-    wg = Zt.wg
-    if "w" not in cfg:
-        raise ConfigError("n-alpha requires config.w")
-    w = _parse_label(wg, cfg["w"])
+def _n_alpha(Z, FZ, cfg, args):
+    Zt, w = _stratum(Z, FZ, cfg, args)
     rows = []
     for chi in _characters(cfg, Zt.rd.rank):
         sv = sections.char_section_verdict(Zt, w, chi)
-        rows.append({"chi": list(chi),
-                     "multiplicities": [[list(a), str(n)] for a, n in sv.multiplicities],
+        rows.append({"chi": chi,
+                     "multiplicities": [(a, str(n)) for a, n in sv.multiplicities],
                      "verdict": sv.verdict,
                      "r_w": sv.r_w, "m": sv.m, "period": sv.period})
-    return _bundle("n-alpha", {"stratum": wg.describe(w), "rows": rows,
-                               "convention": CONVENTION})
+    return {"stratum": Zt.wg.describe(w), "rows": rows, "convention": CONVENTION}
 
 
-def _cmd_cone(Z, FZ, cfg, args):
-    Zt = FZ.Z0 if FZ else Z
-    wg = Zt.wg
-    if "w" not in cfg:
-        raise ConfigError("cone requires config.w")
-    w = _parse_label(wg, cfg["w"])
-    cone = sections.section_cone(Zt, w, args.lattice)
-    bundle = _bundle("cone", _cone_payload(cone))
-    return bundle, (EXIT_OK if cone.feasible else EXIT_INFEASIBLE)
+def _cone(Z, FZ, cfg, args):
+    return _cone_payload(sections.section_cone(*_stratum(Z, FZ, cfg, args), args.lattice))
 
 
-def _cmd_purity(Z, FZ, cfg, args):
-    rep = sections.purity_report(FZ if FZ else Z, lattice=args.lattice,
-                                 box=args.box,
+def _purity(Z, FZ, cfg, args):
+    rep = sections.purity_report(FZ if FZ else Z, lattice=args.lattice, box=args.box,
                                  candidates=_characters(cfg, Z.rd.rank))
-    return _bundle("purity", _purity_payload(rep))
+    return {
+        "datum": rep.datum,
+        "lattice": rep.lattice,
+        "convention": rep.convention,
+        "box_radius": rep.box_radius,
+        **_verdict_payload(rep),
+        "ample_close_char": rep.ample_close_char or None,
+        "strata": [_cone_payload(c) for c in rep.strata],
+    }
 
 
-def _cmd_scan(cfg, args):
+# every command that reads one datum, in the order the parser lists them
+_COMMANDS = {
+    "describe": _describe,
+    "strata": lambda Z, FZ, cfg, args: _strata_payload(strata.zip_strata(Z, args.side)),
+    "flag-strata": lambda Z, FZ, cfg, args: _strata_payload(
+        strata.fine_strata(_flagged(FZ, args), args.side)),
+    "coarse-strata": _coarse_strata,
+    "hasse": _hasse,
+    "char-test": _char_test,
+    "n-alpha": _n_alpha,
+    "cone": _cone,
+    "purity": _purity,
+}
+
+
+def _scan(cfg, args):
     primes = cfg.get("primes", [])
     types = cfg.get("types")
     if types is None:
@@ -434,23 +446,14 @@ def _cmd_scan(cfg, args):
         firsts = [r["p"] for r in results
                   if r["I"] == list(t) and r.get("uniformly_pure")]
         summary[key] = {"first_uniform_prime": min(firsts) if firsts else None}
-    return _bundle("scan", {"cells": results, "summary": summary})
-
-
-def _cmd_golden(args):
-    ok, report = golden.golden_report()
-    _emit(args.out, lambda write: write(report))
-    return EXIT_OK if ok else 1
+    return {"cells": results, "summary": summary}
 
 
 # -- entry point ---------------------------------------------------------------------
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="zipstrata", description=__doc__)
-    ap.add_argument("command", choices=["describe", "strata", "flag-strata",
-                                        "coarse-strata", "hasse", "char-test",
-                                        "n-alpha", "cone", "purity", "scan",
-                                        "golden"])
+    ap.add_argument("command", choices=[*_COMMANDS, "scan", "golden"])
     ap.add_argument("--config", default=None, help="path to the JSON configuration")
     ap.add_argument("--format", default="json", choices=["json", "text", "dot"])
     ap.add_argument("--out", default=None, help="write output to a file")
@@ -474,40 +477,18 @@ def main(argv=None) -> int:
         if args.format == "dot" and args.command not in ("hasse", "golden"):
             raise ConfigError("format %r not supported for this subcommand" % args.format)
         if args.command == "golden":
-            return _cmd_golden(args)
+            ok, report = golden.golden_report()
+            _emit(args.out, lambda write: write(report))
+            return EXIT_OK if ok else 1
         cfg = _load_config(args.config)
         if args.command == "scan":
-            _emit(args.out, partial(_render, _cmd_scan(cfg, args), args.format))
-            return EXIT_OK
-        Z, FZ = _datum_from_config(cfg, *_group_from_config(cfg))
-        code = EXIT_OK
-        if args.command == "describe":
-            bundle = _cmd_describe(Z, FZ, args)
-        elif args.command == "strata":
-            bundle = _cmd_strata(Z, FZ, args)
-        elif args.command == "flag-strata":
-            bundle = _cmd_flag_strata(Z, FZ, args)
-        elif args.command == "coarse-strata":
-            bundle = _cmd_coarse_strata(Z, FZ, args)
-        elif args.command == "hasse":
-            poset = strata.fine_hasse_diagram(FZ, args.side) if FZ \
-                else strata.hasse_diagram(Z, args.side)
-            if args.format == "dot":
-                _emit(args.out, partial(_write_dot, poset))
-                return EXIT_OK
-            bundle = _bundle("hasse", _poset_payload(poset))
-        elif args.command == "char-test":
-            bundle = _cmd_char_test(Z, FZ, cfg, args)
-        elif args.command == "n-alpha":
-            bundle = _cmd_n_alpha(Z, FZ, cfg, args)
-        elif args.command == "cone":
-            bundle, code = _cmd_cone(Z, FZ, cfg, args)
-        elif args.command == "purity":
-            bundle = _cmd_purity(Z, FZ, cfg, args)
-        else:  # pragma: no cover
-            raise ConfigError("unknown command")
-        _emit(args.out, partial(_render, bundle, args.format))
-        return code
+            payload = _scan(cfg, args)
+        else:
+            Z, FZ = _datum_from_config(cfg, *_group_from_config(cfg))
+            payload = _COMMANDS[args.command](Z, FZ, cfg, args)
+        _emit(args.out, partial(_render, _bundle(args.command, payload), args.format))
+        return EXIT_INFEASIBLE if args.command == "cone" and not payload["feasible"] \
+            else EXIT_OK
     except (ConfigError, RootDatumError, WeylError, ZipDatumError,
             strata.StrataError, sections.SectionError) as e:
         sys.stderr.write("error: %s\n" % e)

@@ -18,6 +18,8 @@ ROOT_ENUMERATION_CAP = 10_000
 # the largest lattice rank built; A99 and GL100, the largest single-factor
 # presets under the root cap, reach it
 RANK_CAP = 100
+# the largest bit length of an explicit simple root or coroot entry
+ENTRY_BIT_CAP = 64
 
 
 class RootDatumError(ValueError):
@@ -330,9 +332,19 @@ def _dswap_galois(rank: int, nsimple: int) -> GaloisAction:
 
 
 def _integer(x, what: str) -> int:
-    if not isinstance(x, int):
+    if type(x) is not int:      # JSON true is a bool
         raise RootDatumError("%s must be an integer, got %r" % (what, x))
     return x
+
+
+def _entries(vectors, what: str) -> list:
+    """Explicit vectors as tuples of plain ints of at most ENTRY_BIT_CAP bits."""
+    out = [tuple(_integer(x, what + " entry") for x in a) for a in vectors]
+    bits = max((x.bit_length() for a in out for x in a), default=0)
+    if bits > ENTRY_BIT_CAP:
+        raise RootDatumError("a %s entry has %d bits, more than the cap %d"
+                             % (what, bits, ENTRY_BIT_CAP))
+    return out
 
 
 def _check_rank(rank: int, what: str):
@@ -383,8 +395,8 @@ def build_root_datum(spec, galois=None) -> RootDatum:
         if rank < 0:
             raise RootDatumError("rank must be a non-negative integer, got %d" % rank)
         _check_rank(rank, "the explicit datum")
-        roots = [tuple(a) for a in spec["simple_roots"]]
-        coroots = [tuple(a) for a in spec["simple_coroots"]]
+        roots = _entries(spec["simple_roots"], "simple root")
+        coroots = _entries(spec["simple_coroots"], "simple coroot")
         preset = None
 
     nsimple = len(roots)

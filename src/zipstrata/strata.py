@@ -53,12 +53,6 @@ class StrataPoset:
     def leq(self, i: int, j: int) -> bool:
         return bool(self.below[j] >> i & 1)
 
-    def bottom(self) -> Stratum:
-        return self.strata[0]
-
-    def top(self) -> Stratum:
-        return self.strata[-1]
-
 
 # -- the twisted conjugation of the closure order --------------------------------
 

@@ -100,7 +100,6 @@ class WeylGroup:
         self.e = tuple(range(len(self._roots)))
         # the root permutations of gamma^k, keyed by k mod the galois order
         self._gamma_pow = {0: self.e, 1: self._perm_of(lambda a: rd.images_of[a][-1])}
-        self._word: dict = {}
         self._subgroups: dict = {}
         self._bracket = None     # (axis-root getter, digit of each axis root, separator)
 
@@ -173,9 +172,6 @@ class WeylGroup:
         return p
 
     def canonical_word(self, w: tuple) -> tuple:
-        cached = self._word.get(w)
-        if cached is not None:
-            return cached
         # the left descents of w are the right descents of x = w^{-1}
         n = self._npos
         word = []
@@ -188,9 +184,7 @@ class WeylGroup:
                     break
             else:
                 raise WeylError("no descent found; not a Weyl element")
-        word = tuple(word)
-        self._word[w] = word
-        return word
+        return tuple(word)
 
     def describe(self, w: tuple) -> str:
         """Deterministic display label: bracket for pure B/C presets, else word."""

@@ -330,6 +330,16 @@ def test_out_file(tmp_path, capsys):
     code = cli.main(["describe", "--config", cfg, "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["kind"] == "describe"
+    # --out gets the bytes that stdout gets, dot (drawn by the renderer) included
+    scan = write_config(tmp_path, dict(C3_CONFIG, primes=[2, 3]), "scan.json")
+    for argv in (["hasse", "--config", cfg], ["hasse", "--config", cfg, "--format", "dot"],
+                 ["purity", "--config", cfg], ["scan", "--config", scan]):
+        code, out = run(argv, tmp_path, capsys)
+        assert code == 0 and out
+        target = tmp_path / "out.txt"
+        assert cli.main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == out.encode()
 
 
 REFUSED_DOT = "error: format 'dot' not supported for this subcommand\n"
@@ -547,6 +557,27 @@ def test_wall_rows_past_the_bit_cap_exit_2(tmp_path):
     assert proc.returncode == 0 and json.loads(proc.stdout)["payload"]["rows"][0]["period"] == 27720
 
 
+@pytest.mark.parametrize("command, explicit, message", [
+    ("purity", {"rank": 2, "simple_roots": [[1.0, 0]], "simple_coroots": [[2, 0]]},
+     "simple root entry must be an integer, got 1.0"),
+    ("describe", {"rank": 2, "simple_roots": [[True, 0]], "simple_coroots": [[2, 0]]},
+     "simple root entry must be an integer, got True"),
+    ("n-alpha", {"rank": 2, "simple_roots": [[1, 0]], "simple_coroots": [[2, 10 ** 4299]]},
+     "a simple coroot entry has 14281 bits, more than the cap 64"),
+], ids=["float-root", "true-root", "huge-coroot"])
+def test_explicit_entries_are_plain_bounded_integers(tmp_path, capsys, command, explicit,
+                                                     message):
+    # unchecked, the float reaches the JSON writer only after the whole report,
+    # true reads as 1, and the coroot makes a multiplicity (the character is
+    # under CHAR_BIT_CAP) past the 4300 digits that int-to-str allows
+    cfg = {"group": {"explicit": explicit}, "p": 2, "n": 1, "I": [], "w": [1],
+           "characters": [[0, 10 ** 1000]]}
+    code = cli.main([command, "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_oversized_character_exits_2(tmp_path, capsys):
     # a multiplicity of the character (10^4299, 0, 0) has more than the 4300
     # digits that int-to-str allows; at the bit cap every product still prints
@@ -652,8 +683,10 @@ PIN_CONFIGS = {
     "gl1xgl1": {"group": {"preset": "GL1xGL1"}, "p": 2, "n": 1, "I": [], "I0": [], "w": "e",
                 "characters": [[1, 0], [2, -1]], "primes": [2, 3]},
 }
-PIN_COMMANDS = ["describe", "strata", "flag-strata", "coarse-strata", "hasse", "char-test",
-                "n-alpha", "cone", "purity", "scan"]
+# every command the parser offers, so that a new one cannot go unpinned; golden
+# reads no config and has its own pin
+PIN_COMMANDS = [c for a in cli.build_parser()._actions if a.dest == "command"
+                for c in a.choices if c != "golden"]
 PIN_FILE = Path(__file__).resolve().parent / "cli_digests.json"
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -286,3 +287,31 @@ def test_explicit_galois_wrong_order_rejected():
     for order in (1, 3):
         with pytest.raises(RootDatumError, match="declared order"):
             build_root_datum(A2_SHEAR, galois={"matrix": SHEAR_MATRIX, "order": order})
+
+
+A1_IN_RANK2 = {"rank": 2, "simple_roots": [[1, 0]], "simple_coroots": [[2, 0]]}
+
+
+@pytest.mark.parametrize("spec, galois, message", [
+    (dict(A1_IN_RANK2, rank=True), None, "rank must be an integer, got True"),
+    (A1_IN_RANK2, {"matrix": [[True, 0], [0, 1]], "order": 1},
+     "galois matrix entry must be an integer, got True"),
+    ("A3", {"matrix": A3_FLIP_MATRIX, "order": True}, "galois order must be an integer, got True"),
+    (dict(A1_IN_RANK2, simple_coroots=[[2, 0.0]]), None,
+     "simple coroot entry must be an integer, got 0.0"),
+    (dict(A1_IN_RANK2, simple_coroots=[[2, -2 ** 64]]), None,
+     "a simple coroot entry has 65 bits, more than the cap 64"),
+    (dict(A1_IN_RANK2, simple_roots=[[1, 2 ** 64]]), None,
+     "a simple root entry has 65 bits, more than the cap 64"),
+], ids=["rank-true", "matrix-true", "order-true", "coroot-float", "coroot-65-bits",
+        "root-65-bits"])
+def test_explicit_integers_are_plain_and_bounded(spec, galois, message):
+    # a bool is an int in Python, and JSON true must not read as 1
+    with pytest.raises(RootDatumError, match=re.escape(message)):
+        build_root_datum(spec, galois=galois)
+
+
+def test_explicit_entries_at_the_bit_cap_are_accepted():
+    top = 2 ** rootsystem.ENTRY_BIT_CAP - 1
+    rd = build_root_datum(dict(A1_IN_RANK2, simple_coroots=[[2, -top]]))
+    assert rd.coroot((1, 0)) == (2, -top)
