@@ -434,7 +434,7 @@ def _scan(cfg, args):
                 rep = sections.purity_report(FZ if FZ else Z, lattice=args.lattice,
                                              box=args.box, candidates=candidates)
                 results.append({"I": list(t), "p": p, "ok": True, **_verdict_payload(rep)})
-            except sections.SectionError:
+            except sections.BoxError:
                 raise               # an oversized --box is a bad request, not a bad cell
             except Exception as e:  # per-cell failures reported, scan continues
                 results.append({"I": list(t), "p": p, "ok": False, "error": str(e),

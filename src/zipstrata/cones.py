@@ -12,7 +12,8 @@ The solver minimises the sum of artificial variables for sum_i y_i r_i = 0,
 sum_i y_i = 1, y >= 0, by the simplex method with Bland's rule, which cannot
 cycle.  The pivots are integer-preserving (Edmonds 1967; Bareiss 1968, as in
 Avis's lrs): the tableau is held as integers over one running denominator d,
-the previous pivot, and each update (x * piv - f * y) // d divides exactly.
+the previous pivot, and each update (x * piv - f * y) // d divides exactly; a
+row with f = 0 only rescales, and not at all when piv = d.
 The ratio test compares the quotients of two rows by cross-multiplying their
 integer entries, so the loop builds no Fraction: only the witness point and
 the certificate's multipliers are rational.
@@ -47,11 +48,13 @@ class Feasibility:
 
 
 def _normalize(row):
-    """The integer row of content 1 on the ray of a rational row (ints and
-    Fractions alike carry .numerator and .denominator)."""
-    denom = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (denom // x.denominator) for x in row]
-    g = gcd(*ints)
+    """The integer row of content 1 on the ray of a row of ints or Fractions."""
+    try:
+        ints, g = row, gcd(*row)     # ints need no common denominator
+    except TypeError:                # gcd takes no Fraction
+        denom = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (denom // x.denominator) for x in row]
+        g = gcd(*ints)
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
@@ -93,9 +96,11 @@ def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
         prow = tab[leave]
         piv = prow[enter]
         for row in tab + [cost]:
-            if row is not prow:
-                f = row[enter]
+            f = row[enter]
+            if f and row is not prow:
                 row[:] = [(x * piv - f * y) // d for x, y in zip(row, prow)]
+            elif not f and piv != d:        # (x * piv - 0 * y) // d
+                row[:] = [x * piv // d for x in row]
         basis[leave], d = enter, piv
 
     if cost[-1] == 0:

@@ -31,7 +31,7 @@ from weakref import WeakKeyDictionary
 
 from . import cones
 from .rootsystem import RootDatum, Vec, dot, vneg
-from .weyl import _inverse, _mul
+from .weyl import WeylGroup, _inverse, _mul
 from .zipdatum import (FlaggedZipDatum, ZipDatum, prime_power,
                        zip_from_cochar)
 
@@ -44,12 +44,18 @@ BOX_POINT_CAP = 1_000_000
 # 3011 decimal digits, under the 4300 that int-to-str conversion allows
 ROW_BIT_CAP = 10_000
 
-# `_datum_loop` of each live datum: the loop of every stratum needs it
-_DATUM_LOOPS: "WeakKeyDictionary[ZipDatum, Tuple[tuple, int]]" = WeakKeyDictionary()
+# the `_ConeData` of each datum of each live Weyl group, keyed by (I, J, n, z);
+# a `_ConeData` holds no reference to its group, so the group can still go
+_CONE_DATA: "WeakKeyDictionary[WeylGroup, dict]" = WeakKeyDictionary()
 
 
 class SectionError(ValueError):
     pass
+
+
+class BoxError(SectionError):
+    """The search box holds more than BOX_POINT_CAP points: a bad request,
+    whatever the datum."""
 
 
 @dataclass(frozen=True)
@@ -205,51 +211,81 @@ def r_w(Z: ZipDatum, w: tuple) -> Tuple[int, int]:
     raise AssertionError("twisted power recursion failed to close")
 
 
-def _radical_order(Z: ZipDatum) -> int:
-    """The order of gamma^n on X_0, the characters that vanish on every coroot.
+class _ConeData:
+    """The part of a datum's cone data that p does not change, so that every
+    prime of a scan shares it: the loop tail z^{-1} o gamma^{-n}, the root
+    permutation that ends the loop sigma of every stratum; the
+    `_radical_order`; the coroot of each indexed root; and, each filled on
+    first use, the stratum labels and each `stratum`'s display label, walls
+    and loop order T."""
 
-    gamma permutes the coroots, so gamma^n maps X_0 to itself; a linear map
-    fixes X_0 exactly when it fixes each vector of a rational basis, so the
-    order is the lcm of the periods of the `cones.kernel_basis` vectors under
-    gamma^n.  On split data the order is 1.  Computed once per datum, by
-    `_datum_loop`.
-    """
-    return _datum_loop(Z)[1]
-
-
-def _datum_loop(Z: ZipDatum) -> Tuple[tuple, int]:
-    """The loop tail z^{-1} o gamma^{-n}, the root permutation that ends the
-    loop sigma of every stratum, and `_radical_order`; once per datum."""
-    loop = _DATUM_LOOPS.get(Z)
-    if loop is None:
+    def __init__(self, Z: ZipDatum):
         g, order = Z.rd.galois, 1
         for v in cones.kernel_basis(Z.rd.simple_coroots, Z.rd.rank):
             u, period = g.char(v, Z.n), 1
             while u != v:
                 u, period = g.char(u, Z.n), period + 1
             order = lcm(order, period)
-        loop = _DATUM_LOOPS[Z] = (_mul(_inverse(Z.z), Z.wg.galois_perm(-Z.n)), order)
-    return loop
+        self.tail = _mul(_inverse(Z.z), Z.wg.galois_perm(-Z.n))
+        self.radical_order = order
+        self.coroots = tuple(map(Z.rd.coroot, Z.wg._roots))
+        self.labels = None
+        self.strata = {}
+
+    def stratum(self, wg: WeylGroup, w: tuple) -> Tuple[str, tuple, int]:
+        """The display label, the walls (`lower_reflections`) and the loop
+        order T of the stratum w.
+
+        T is the order of the root permutation sigma = w o z^{-1} o gamma^{-n},
+        the adjoint L^t of the character-side loop operator
+        L = gamma^n o z o w^{-1}: L^t sends the coroot of b to the coroot of
+        sigma(b).  L acts on the root span through sigma^{-1} and on X_0 as
+        gamma^n (W fixes X_0 pointwise), so T = lcm(the cycle order of sigma,
+        the order of gamma^n on X_0).
+        """
+        found = self.strata.get(w)
+        if found is None:
+            sigma, T, seen = _mul(w, self.tail), self.radical_order, set()
+            for start in range(len(sigma)):
+                j, length = start, 0
+                while j not in seen:
+                    seen.add(j)
+                    j, length = sigma[j], length + 1
+                T = lcm(T, length) if length else T
+            found = self.strata[w] = (wg.describe(w), wg.lower_reflections(w), T)
+        return found
 
 
-def _loop_perm(Z: ZipDatum, w: tuple) -> Tuple[tuple, int]:
-    """The root permutation sigma = w o z^{-1} o gamma^{-n}, and the loop order T.
+def _cone_data(Z: ZipDatum) -> _ConeData:
+    """The `_ConeData` of Z, built once per Weyl group and (I, J, n, z)."""
+    by_datum = _CONE_DATA.get(Z.wg)
+    if by_datum is None:
+        by_datum = _CONE_DATA[Z.wg] = {}
+    key = (Z.I, Z.J, Z.n, Z.z)
+    data = by_datum.get(key)
+    if data is None:
+        data = by_datum[key] = _ConeData(Z)
+    return data
 
-    sigma is the adjoint L^t of the character-side loop operator
-    L = gamma^n o z o w^{-1}: L^t sends the coroot of b to the coroot of
-    sigma(b).  L acts on the root span through sigma^{-1} and on X_0 as gamma^n
-    (W fixes X_0 pointwise), so T = lcm(the cycle order of sigma, the order of
-    gamma^n on X_0).
+
+def _radical_order(Z: ZipDatum) -> int:
+    """The order of gamma^n on X_0, the characters that vanish on every coroot.
+
+    gamma permutes the coroots, so gamma^n maps X_0 to itself; a linear map
+    fixes X_0 exactly when it fixes each vector of a rational basis, so the
+    order is the lcm of the periods of the `cones.kernel_basis` vectors under
+    gamma^n.  On split data the order is 1.  Computed once per datum, in its
+    `_ConeData`.
     """
-    tail, T = _datum_loop(Z)
-    sigma, seen = _mul(w, tail), set()
-    for start in range(len(sigma)):
-        j, length = start, 0
-        while j not in seen:
-            seen.add(j)
-            j, length = sigma[j], length + 1
-        T = lcm(T, length) if length else T
-    return sigma, T
+    return _cone_data(Z).radical_order
+
+
+def _labels(Z: ZipDatum) -> tuple:
+    """The stratum labels `min_coset_reps(I)`, enumerated once per datum."""
+    data = _cone_data(Z)
+    if data.labels is None:
+        data.labels = Z.wg.min_coset_reps(Z.I, "left")
+    return data.labels
 
 
 def _wall_root(Z: ZipDatum, w: tuple, alpha: Vec) -> Vec:
@@ -266,10 +302,9 @@ def _stratum_label_ok(Z: ZipDatum, w: tuple) -> bool:
 def n_alpha(Z: ZipDatum, w: tuple, chi: Vec, alpha: Vec) -> int:
     """The wall multiplicity for the stratum w and wall alpha (in E_w): chi
     paired with the wall's row from `_wall_rows`.  Linear in chi; exact integer."""
-    wg = Z.wg
     if not _stratum_label_ok(Z, w):
         raise SectionError("w is not a stratum label for this datum")
-    if alpha not in set(wg.lower_reflections(w)):
+    if alpha not in _cone_data(Z).stratum(Z.wg, w)[1]:
         raise SectionError("alpha is not a wall of the stratum")
     (row,), _T = _wall_rows(Z, w, (alpha,))
     return dot(row, chi)
@@ -280,35 +315,39 @@ def _wall_rows(Z: ZipDatum, w: tuple, walls) -> Tuple[tuple, int]:
     the loop order T.  Each row is the adjoint form sum_{i<T} q^i (L^t)^i c of
     the sum in n_alpha, where c, the wall transport, is the coroot of the root
     `_wall_root` gives.  L^t = w o z^{-1} o gamma^{-n} sends coroots to coroots
-    through the root permutation sigma of `_loop_perm`, so the row is
-    sum_{i<T} q^i coroot(sigma^i(w(-alpha))): root lookups only.  Rows past
-    `ROW_BIT_CAP` are refused before any is built."""
-    wg, rd, q = Z.wg, Z.rd, Z.q
-    sigma, T = _loop_perm(Z, w)
+    through the root permutation sigma of `_ConeData.stratum`, so the row is
+    sum_{i<T} q^i coroot(sigma^i(w(-alpha))): a walk over root indices.  Only
+    the q-powers, these walks and the simplex depend on p; T comes from the
+    datum's `_ConeData`, and rows past `ROW_BIT_CAP` are refused before any
+    orbit is walked."""
+    wg, q, data = Z.wg, Z.q, _cone_data(Z)
+    label, _walls, T = data.stratum(wg, w)
     if not walls:
         return (), T
     if T * q.bit_length() > ROW_BIT_CAP:
         raise SectionError("the loop order T = %d of stratum %s times the bit length %d "
                            "of q is %d, more than the cap %d on wall-row bits"
-                           % (T, wg.describe(w), q.bit_length(), T * q.bit_length(),
-                              ROW_BIT_CAP))
+                           % (T, label, q.bit_length(), T * q.bit_length(), ROW_BIT_CAP))
+    sigma, coroots = _mul(w, data.tail), data.coroots
     powers, rows = [q ** i for i in range(T)], []
     for alpha in walls:
-        coroots = map(rd.coroot, wg.orbit(sigma, _wall_root(Z, w, alpha), T))
-        rows.append(tuple(sum(map(mul, powers, col)) for col in zip(*coroots)))
+        j, orbit = wg._root_index(_wall_root(Z, w, alpha)), []
+        for _ in range(T):
+            orbit.append(coroots[j])
+            j = sigma[j]
+        rows.append(tuple(sum(map(mul, powers, col)) for col in zip(*orbit)))
     return tuple(rows), T
 
 
 def char_section_verdict(Z: ZipDatum, w: tuple, chi: Vec) -> SectionVerdict:
     """All wall multiplicities of the stratum, and their joint positivity."""
-    wg = Z.wg
     if not _stratum_label_ok(Z, w):
         raise SectionError("w is not a stratum label for this datum")
-    walls = wg.lower_reflections(w)
+    label, walls, _T = _cone_data(Z).stratum(Z.wg, w)
     rows, T = _wall_rows(Z, w, walls)
     mults = tuple((a, dot(row, chi)) for a, row in zip(walls, rows))
     r, m = r_w(Z, w)
-    return SectionVerdict(stratum=wg.describe(w), chi=tuple(chi),
+    return SectionVerdict(stratum=label, chi=tuple(chi),
                           multiplicities=mults,
                           verdict=all(v > 0 for _a, v in mults),
                           r_w=r, m=m, period=T)
@@ -333,10 +372,10 @@ def section_cone(Z: ZipDatum, w: tuple, lattice: str = "levi",
                  basis: Optional[Sequence[tuple]] = None) -> SectionCone:
     """Exact feasibility of {n_alpha(chi) > 0} over the chosen character lattice;
     `basis`, when given, is that lattice's `_lattice_basis`."""
-    wg, rd = Z.wg, Z.rd
+    rd = Z.rd
     if not _stratum_label_ok(Z, w):
         raise SectionError("w is not a stratum label for this datum")
-    walls = wg.lower_reflections(w)
+    label, walls, _T = _cone_data(Z).stratum(Z.wg, w)
     ambient, _T = _wall_rows(Z, w, walls)
     if basis is None:
         basis = _lattice_basis(Z, lattice)
@@ -350,7 +389,7 @@ def section_cone(Z: ZipDatum, w: tuple, lattice: str = "levi",
         for row in ambient:
             if walls and dot(row, witness) <= 0:
                 raise AssertionError("cone witness fails its own inequalities")
-    return SectionCone(stratum=wg.describe(w), lattice=lattice, basis=tuple(basis),
+    return SectionCone(stratum=label, lattice=lattice, basis=tuple(basis),
                        walls=walls, ambient_rows=ambient, reduced_rows=reduced,
                        feasible=res.feasible, witness=witness,
                        certificate=res.certificate)
@@ -359,8 +398,8 @@ def section_cone(Z: ZipDatum, w: tuple, lattice: str = "levi",
 def _check_box(m: int, radius: int):
     size = (2 * radius + 1) ** m - 1
     if size > BOX_POINT_CAP:
-        raise SectionError("the search box of radius %d on a rank-%d lattice holds %d "
-                           "points, more than the cap %d" % (radius, m, size, BOX_POINT_CAP))
+        raise BoxError("the search box of radius %d on a rank-%d lattice holds %d "
+                       "points, more than the cap %d" % (radius, m, size, BOX_POINT_CAP))
 
 
 def _shell(m: int, r: int):
@@ -401,11 +440,11 @@ def purity_report(obj, lattice: str = "levi", box: int = 2,
         Z = obj
     else:
         raise SectionError("purity_report expects a ZipDatum or FlaggedZipDatum")
-    wg, rd = Z.wg, Z.rd
+    rd = Z.rd
     levi = _lattice_basis(Z, "levi")
     _check_box(len(levi), box)
     basis = levi if lattice == "levi" else _lattice_basis(Z, lattice)
-    per = [section_cone(Z, w, lattice, basis) for w in wg.min_coset_reps(Z.I, "left")]
+    per = [section_cone(Z, w, lattice, basis) for w in _labels(Z)]
 
     all_rows = [row for c in per for row in c.reduced_rows]
     res = cones.feasible_strict(all_rows, len(basis))

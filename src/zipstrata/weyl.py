@@ -123,14 +123,6 @@ class WeylGroup:
         """The root w(alpha), read from the permutation."""
         return self._roots[w[self._root_index(alpha)]]
 
-    def orbit(self, perm: tuple, alpha, length: int) -> list:
-        """alpha and its next images under a root permutation, `length` roots."""
-        j, out = self._root_index(alpha), []
-        for _ in range(length):
-            out.append(self._roots[j])
-            j = perm[j]
-        return out
-
     def compose(self, a: tuple, b: tuple) -> tuple:
         return _mul(a, b)
 

@@ -67,6 +67,7 @@ E7_TYPE = (0, 1, 2, 3, 4, 5, 7)     # I = {1,...,6,8}, 0-based
 EXPLICIT = {"G2-explicit": (G2_EXPLICIT, None),
             "A2-shear": (A2_SHEAR, {"matrix": SHEAR_MATRIX, "order": 2}),
             "A1-rot3": (A1_ROT3, {"matrix": ROT3_MATRIX, "order": 3}),
+            "A1-rank41": (A1_RANK41, RANK41_GALOIS),
             "E8-explicit": (E8_EXPLICIT, None)}
 
 
@@ -125,6 +126,17 @@ def loop_matrix(Z, w):
     while acc != _identity(rank):
         acc, order = _mat_mul(acc, loop), order + 1
     return loop, order
+
+
+def transport_orbit(Z, w, alpha, length):
+    """The wall transport c and its next images (L^t)^i c under the adjoint of
+    the loop matrix, `length` coroots."""
+    loop, _T = loop_matrix(Z, w)
+    adjoint, v, out = tuple(zip(*loop)), composed_transport(Z, w, alpha), []
+    for _ in range(length):
+        out.append(v)
+        v = _mat_vec(adjoint, v)
+    return out
 
 
 def forward_n_alpha(Z, w, chi, alpha, steps=None):

@@ -324,6 +324,19 @@ def test_scan_cell_reports_error_type(tmp_path, capsys):
     assert not bad["ok"] and bad["error_type"] == "ZipDatumError" and bad["error"]
 
 
+def test_scan_cell_past_the_bit_cap_fails_alone(tmp_path, capsys):
+    # at q = 2^2500 the stratum [312] of I = {1,3} has T = 4, so its rows would
+    # need 10,004 bits: that cell fails and the cell of I = {1,2,3} still answers
+    cfg = write_config(tmp_path, {"group": {"preset": "C3"}, "n": 2500,
+                                  "types": [[1, 2, 3], [1, 3]], "primes": [2]})
+    code, out = run(["scan", "--config", cfg], tmp_path, capsys)
+    assert code == 0
+    good, bad = json.loads(out)["payload"]["cells"]
+    assert good["ok"] and good["I"] == [1, 2, 3] and good["principally_pure"]
+    assert not bad["ok"] and bad["error_type"] == "SectionError"
+    assert "T = 4 of stratum [312]" in bad["error"] and "is 10004" in bad["error"]
+
+
 def test_out_file(tmp_path, capsys):
     cfg = write_config(tmp_path, C3_CONFIG)
     target = tmp_path / "out.json"

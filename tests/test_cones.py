@@ -202,6 +202,11 @@ def _fraction_simplex(rows, nvars):
 @example(([(-1, 2, 1), (2, 2, 1)], 3))
 @example(([(-1, 1), (-1, 0), (2, 2), (0, -2)], 2))
 @example(([(2, 1, -2), (2, -2, 1), (0, -1, 1), (1, 1, 2), (-2, 1, -1)], 3))
+# rows with a zero entering entry are only rescaled by piv / d: here the second
+# pivot equals d = 2, so they stay as they are, and there the fourth pivot, 18,
+# rescales them over d = 3
+@example(([(2, 1), (0, 0), (-1, 2), (-1, 0)], 2))
+@example(([(-1, 0, 0), (2, 1, 2), (1, 2, -2), (1, -1, 1)], 3))
 def test_integer_pivots_match_fraction_pivots(system):
     """Integer pivoting over a running denominator takes the same pivots as the
     Fraction tableau, so the point and the certificate are the same values."""

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (A1_RANK41, RANK41_GALOIS, composed_transport, datum, forward_n_alpha,
-                      group, loop_matrix)
+                      group, loop_matrix, transport_orbit)
 from zipstrata import cones, rootsystem, sections, weyl
 from zipstrata.golden import C3_N_TABLE
 from zipstrata.rootsystem import _mat_vec, dot
@@ -206,27 +206,25 @@ def test_n_alpha_window_is_the_loop_order():
     assert n_alpha(Z, w, chi, alpha) == (1 + Z.q) * dot(chi, c) == 4
 
 
-def _window_row(rd, q, roots):
-    """sum_i q^i coroot(roots[i]): a wall row summed over len(roots) terms."""
-    return tuple(sum(q ** i * rd.coroot(b)[k] for i, b in enumerate(roots))
-                 for k in range(rd.rank))
+def _window_row(q, coroots):
+    """sum_i q^i coroots[i]: a wall row summed over len(coroots) terms."""
+    return tuple(sum(q ** i * c for i, c in enumerate(col)) for col in zip(*coroots))
 
 
 def test_351_rows_are_antiperiodic_half_windows():
-    # On [351], T = 6 and sigma^3 sends each wall's transport root to its
+    # On [351], T = 6 and (L^t)^3 sends each wall's transport to its
     # negative, so each row is (1 - q^3) times its three-term half-window row;
     # at (1,1,0) the half window gives -(q + 1) times the reference table,
     # the wrong sign, so no window reproduces the table
     for p in (2, 3, 5, 7):
         Z = datum("C3", (0, 2), p=p)
         w, q = w351(Z), Z.q
-        sigma, _T = sections._loop_perm(Z, w)
         rows, T = _wall_rows(Z, w, WALLS_351)
         assert T == 6
         for a, row, ref in zip(WALLS_351, rows, C3_N_TABLE[p]):
-            orbit = Z.wg.orbit(sigma, _wall_root(Z, w, a), 4)
+            orbit = transport_orbit(Z, w, a, 4)
             assert orbit[3] == rootsystem.vneg(orbit[0])
-            half = _window_row(Z.rd, q, orbit[:3])
+            half = _window_row(q, orbit[:3])
             assert row == tuple((1 - q ** 3) * x for x in half)
             assert dot(half, (1, 1, 0)) == -(q + 1) * ref
 
@@ -240,15 +238,13 @@ def test_period_windows_scale_rows_positively(preset, I, galois):
         Z = datum(preset, I, p=p, galois=galois)
         for w in Z.wg.min_coset_reps(Z.I, "left"):
             walls = Z.wg.lower_reflections(w)
-            sigma, _T = sections._loop_perm(Z, w)
             rows, T = _wall_rows(Z, w, walls)
             for a, row in zip(walls, rows):
-                orbit = Z.wg.orbit(sigma, _wall_root(Z, w, a), T)
+                orbit = transport_orbit(Z, w, a, T)
                 for P in (P for P in range(1, T + 1) if T % P == 0):
                     if orbit[P:] == orbit[:T - P]:
                         factor = (Z.q ** T - 1) // (Z.q ** P - 1)
-                        assert row == tuple(factor * x
-                                            for x in _window_row(Z.rd, Z.q, orbit[:P]))
+                        assert row == tuple(factor * x for x in _window_row(Z.q, orbit[:P]))
 
 
 def test_n_alpha_rejects_non_wall(c3_datum):
@@ -604,6 +600,32 @@ def test_wall_rows_are_the_matrix_adjoint_sum(group_spec, I, p, n, data):
         assert row == expected
 
 
+def test_wall_rows_refuse_past_the_bit_cap_before_any_walk(monkeypatch):
+    # the wall of s_1 on the rank-41 datum has T = 27,720: the cap is read off
+    # the stratum's cone data, before any orbit starts at its wall root
+    rd, wg = group("A1-rank41")
+    Z = zip_from_cochar(rd, I=(), p=2, wg=wg)
+    w = wg.from_word([0])
+    monkeypatch.setattr(sections, "_wall_root", _refuse)
+    with pytest.raises(SectionError, match="T = 27720 of stratum 1"):
+        _wall_rows(Z, w, wg.lower_reflections(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ROW_GROUPS), st.sets(st.integers(0, 3)),
+       st.sampled_from([2, 3, 5, 7]), st.integers(1, 2))
+def test_purity_reports_share_prime_free_data_across_primes(group_spec, I, p, n):
+    """A report whose cone data other primes filled equals one on a fresh group."""
+    preset, galois = group_spec
+    rd, _ = group(preset, galois)
+    I = sorted(i for i in I if i < rd.num_simple)
+    for other in (2, 3, 5, 7):
+        if other != p:
+            purity_report(datum(preset, I, p=other, n=n, galois=galois))
+    shared = purity_report(datum(preset, I, p=p, n=n, galois=galois))
+    assert shared == purity_report(zip_from_cochar(rd, I=I, n=n, p=p, wg=WeylGroup(rd)))
+
+
 def test_wall_rows_need_no_lattice_action(monkeypatch):
     cases = [(datum(preset, I, p=3, n=n, galois=galois), I)
              for preset, I, n, galois in [("A3", (1,), 1, "flip"), ("D4", (), 2, "dswap"),
@@ -639,16 +661,19 @@ def test_purity_report_builds_each_lattice_basis_once(monkeypatch, preset, I, ga
 def test_radical_order_is_computed_once_per_datum(monkeypatch, preset, I, galois, order):
     # the order of gamma^n on X_0 steps gamma through the period of each vector
     # of a basis of X_0, here `order` steps for each of the rank - m vectors,
-    # once for the whole report and not once per stratum
-    rd, wg = group(preset, galois)
-    Z = zip_from_cochar(rd, I=I, p=3, wg=wg)       # fresh: nothing is kept for it yet
-    expected = purity_report(datum(preset, I, p=3, galois=galois))
+    # once for the whole report and not once per stratum; a second prime keeps it
+    rd, _ = group(preset, galois)
+    wg = WeylGroup(rd)                              # fresh: nothing is kept for it yet
+    Z = zip_from_cochar(rd, I=I, p=3, wg=wg)
+    expected = [purity_report(datum(preset, I, p=p, galois=galois)) for p in (3, 5)]
     calls = []
     char = rootsystem.GaloisAction.char
     monkeypatch.setattr(rootsystem.GaloisAction, "char",
                         lambda g, v, k=1: calls.append(v) or char(g, v, k))
-    assert purity_report(Z) == expected and len(expected.strata) > 1
+    assert purity_report(Z) == expected[0] and len(expected[0].strata) > 1
     assert sections._radical_order(Z) == order
+    assert len(calls) == order * (rd.rank - rd.num_simple)
+    assert purity_report(zip_from_cochar(rd, I=I, p=5, wg=wg)) == expected[1]
     assert len(calls) == order * (rd.rank - rd.num_simple)
 
 
