@@ -5,6 +5,11 @@ Vectors are plain tuples of ints in the character lattice X*(T) (resp. the
 cocharacter lattice X_*(T)); the pairing is the standard dot product between
 the two mutually dual lattices.  Presets are realized in e_i coordinates so
 that pairings and Weyl actions are signed-permutation arithmetic.
+
+Every galois spec (split, "flip", "dswap" or an explicit matrix) becomes one
+integer matrix M acting on characters and one order d with M^d = I; the
+permutation of the simple roots is read off M.  The action on cocharacters is
+the inverse transpose of M, which only validation needs.
 """
 from __future__ import annotations
 
@@ -41,12 +46,20 @@ def vneg(a: Vec) -> Vec:
 
 
 def _mat_vec(m, v):
-    return tuple(sum(m[i][k] * v[k] for k in range(len(v))) for i in range(len(m)))
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+    """a b, each row the sum of the rows of b at that row's nonzero entries of a."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _identity(n):
@@ -65,23 +78,18 @@ def _mat_pow(m, k):
 
 @dataclass(frozen=True)
 class GaloisAction:
-    """Finite-order lattice automorphism permuting the simple roots.  For the
-    char matrix M the cochar matrix is transpose(M^(order - 1)); `RootDatum`
-    checks M^(order - 1) M = I, which is M^order = I."""
+    """Finite-order lattice automorphism permuting the simple roots.  The char
+    matrix M acts on characters and its inverse transpose on cocharacters;
+    `RootDatum` checks M^order = I and that gamma sends alpha_i to
+    alpha_{perm[i]} and alpha_i^vee to alpha_{perm[i]}^vee."""
 
     char_matrix: tuple
-    cochar_matrix: tuple
     order: int
     simple_perm: tuple  # 0-based: gamma(alpha_i) = alpha_{perm[i]}
 
     def char(self, v: Vec, k: int = 1) -> Vec:
         for _ in range(k % self.order):
             v = _mat_vec(self.char_matrix, v)
-        return v
-
-    def cochar(self, v: Vec, k: int = 1) -> Vec:
-        for _ in range(k % self.order):
-            v = _mat_vec(self.cochar_matrix, v)
         return v
 
     def perm(self, i: int, k: int = 1) -> int:
@@ -127,17 +135,8 @@ class RootDatum:
 
     # -- construction checks -------------------------------------------------
     def _validate_base(self):
-        m = len(self.simple_roots)
-        if len(self.simple_coroots) != m:
-            raise RootDatumError("simple roots and coroots differ in number")
-        for a in list(self.simple_roots) + list(self.simple_coroots):
-            if len(a) != self.rank:
-                raise RootDatumError("vector length does not match rank")
-        for i in range(m):
-            for j in range(m):
-                c = dot(self.simple_roots[j], self.simple_coroots[i])
-                if c != self.cartan[i][j]:
-                    raise RootDatumError("Cartan matrix inconsistent with pairings")
+        for i, row in enumerate(self.cartan):
+            for j, c in enumerate(row):
                 if i == j and c != 2:
                     raise RootDatumError("diagonal Cartan entry must be 2")
                 if i != j and c > 0:
@@ -179,15 +178,16 @@ class RootDatum:
 
     def _validate_galois(self):
         g = self.galois
-        # the cochar matrix is the transpose of M^(d-1), so M^d = M^(d-1) M
-        if _mat_mul(tuple(zip(*g.cochar_matrix)), g.char_matrix) != _identity(self.rank):
+        if _mat_pow(g.char_matrix, g.order) != _identity(self.rank):
             raise RootDatumError("galois matrix does not have the declared order")
+        # gamma acts on cocharacters by the inverse transpose of M, so it sends
+        # alpha_i^vee to alpha_j^vee exactly when transpose(M) alpha_j^vee = alpha_i^vee
+        transpose = tuple(zip(*g.char_matrix))
         for i, a in enumerate(self.simple_roots):
-            img = g.char(a)
             j = g.simple_perm[i]
-            if img != self.simple_roots[j]:
+            if g.char(a) != self.simple_roots[j]:
                 raise RootDatumError("galois action does not permute the simple roots as declared")
-            if g.cochar(self.simple_coroots[i]) != self.simple_coroots[j]:
+            if _mat_vec(transpose, self.simple_coroots[j]) != self.simple_coroots[i]:
                 raise RootDatumError("galois action does not permute the simple coroots compatibly")
 
     def _coroot_orbits(self):
@@ -257,11 +257,6 @@ def reflect(rd: RootDatum, alpha: Vec, v: Vec, side: str = "char") -> Vec:
 
 # -- presets ------------------------------------------------------------------
 
-def _identity_galois(rank: int, nsimple: int) -> GaloisAction:
-    m = _identity(rank)
-    return GaloisAction(m, m, 1, tuple(range(nsimple)))
-
-
 def _e(rank, i):
     return tuple(1 if k == i else 0 for k in range(rank))
 
@@ -316,19 +311,15 @@ def _root_count(family: str, n: int) -> int:
             "D": 2 * n * (n - 1), "GL": n * (n - 1)}[family]
 
 
-def _flip_galois(preset: str, rank: int, nsimple: int) -> GaloisAction:
+def _flip_matrix(rank: int) -> tuple:
     """The order-2 diagram flip for A/GL presets: e_i -> -e_{rank+1-i}."""
-    m = tuple(tuple(-1 if j == rank - 1 - i else 0 for j in range(rank)) for i in range(rank))
-    perm = tuple(nsimple - 1 - i for i in range(nsimple))
-    return GaloisAction(m, m, 2, perm)
+    return tuple(tuple(-1 if j == rank - 1 - i else 0 for j in range(rank)) for i in range(rank))
 
 
-def _dswap_galois(rank: int, nsimple: int) -> GaloisAction:
+def _dswap_matrix(rank: int) -> tuple:
     """The order-2 swap of the two fork nodes for D presets: e_n -> -e_n."""
-    m = tuple(tuple((-1 if i == rank - 1 else 1) if i == j else 0 for j in range(rank))
-              for i in range(rank))
-    perm = tuple(range(nsimple - 2)) + (nsimple - 1, nsimple - 2)
-    return GaloisAction(m, m, 2, perm)
+    return tuple(tuple((-1 if i == rank - 1 else 1) if i == j else 0 for j in range(rank))
+                 for i in range(rank))
 
 
 def _integer(x, what: str) -> int:
@@ -369,9 +360,11 @@ def build_root_datum(spec, galois=None) -> RootDatum:
     """Construct a root datum.
 
     `spec` is a preset name ("A<n>", "B<n>", "C<n>", "D<n>", "GL<n>", products
-    like "C3xGL1") or a dict {rank, simple_roots, simple_coroots, cartan?}.
+    like "C3xGL1") or a dict {rank, simple_roots, simple_coroots}.
     `galois` is None (split), the string "flip"/"dswap" for preset diagram
     automorphisms, or a dict {matrix, order} (explicit lattice automorphism).
+    Each becomes a matrix M and an order d, and the permutation of the simple
+    roots is read off M.
     """
     if isinstance(spec, str):
         factors = [_parse_preset(part) for part in spec.split("x")]
@@ -397,6 +390,10 @@ def build_root_datum(spec, galois=None) -> RootDatum:
         _check_rank(rank, "the explicit datum")
         roots = _entries(spec["simple_roots"], "simple root")
         coroots = _entries(spec["simple_coroots"], "simple coroot")
+        if len(coroots) != len(roots):
+            raise RootDatumError("simple roots and coroots differ in number")
+        if any(len(a) != rank for a in roots + coroots):
+            raise RootDatumError("vector length does not match rank")
         preset = None
 
     nsimple = len(roots)
@@ -404,16 +401,15 @@ def build_root_datum(spec, galois=None) -> RootDatum:
                    for i in range(nsimple))
 
     if galois is None:
-        ga = _identity_galois(rank, nsimple)
+        m, order = _identity(rank), 1
     elif galois == "flip":
-        if preset is None or _parse_preset(preset.split("x")[0])[0] not in ("A", "GL") \
-                or "x" in (preset or ""):
+        if preset is None or "x" in preset or _parse_preset(preset)[0] not in ("A", "GL"):
             raise RootDatumError("'flip' is available for single-factor A/GL presets only")
-        ga = _flip_galois(preset, rank, nsimple)
+        m, order = _flip_matrix(rank), 2
     elif galois == "dswap":
         if preset is None or not preset.startswith("D") or "x" in preset:
             raise RootDatumError("'dswap' is available for single-factor D presets only")
-        ga = _dswap_galois(rank, nsimple)
+        m, order = _dswap_matrix(rank), 2
     elif isinstance(galois, dict):
         m = tuple(tuple(_integer(x, "galois matrix entry") for x in row)
                   for row in galois["matrix"])
@@ -427,18 +423,16 @@ def build_root_datum(spec, galois=None) -> RootDatum:
             raise RootDatumError("galois order %d exceeds %d, which every finite order of "
                                  "an invertible integer %d x %d matrix divides"
                                  % (order, bound, rank, rank))
-        # recover the permutation of the simple roots before full validation
-        perm = []
-        for a in roots:
-            img = _mat_vec(m, a)
-            if img not in roots:
-                raise RootDatumError("galois matrix is not a diagram automorphism")
-            perm.append(roots.index(img))
-        # M^order = M^(order-1) M = I (checked in validation), so M^(order-1) inverts M
-        cochar = tuple(zip(*_mat_pow(m, order - 1)))
-        ga = GaloisAction(m, cochar, order, tuple(perm))
     else:
         raise RootDatumError("unsupported galois spec %r" % (galois,))
+    # read the permutation of the simple roots off M; validation checks the rest
+    perm = []
+    for a in roots:
+        img = _mat_vec(m, a)
+        if img not in roots:
+            raise RootDatumError("galois matrix is not a diagram automorphism")
+        perm.append(roots.index(img))
 
     return RootDatum(rank=rank, simple_roots=tuple(roots), simple_coroots=tuple(coroots),
-                     cartan=cartan, galois=ga, preset=preset)
+                     cartan=cartan, galois=GaloisAction(m, order, tuple(perm)),
+                     preset=preset)

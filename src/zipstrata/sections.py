@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -214,18 +214,26 @@ def r_w(Z: ZipDatum, w: tuple) -> Tuple[int, int]:
 class _ConeData:
     """The part of a datum's cone data that p does not change, so that every
     prime of a scan shares it: the loop tail z^{-1} o gamma^{-n}, the root
-    permutation that ends the loop sigma of every stratum; the
-    `_radical_order`; the coroot of each indexed root; and, each filled on
-    first use, the stratum labels and each `stratum`'s display label, walls
-    and loop order T."""
+    permutation that ends the loop sigma of every stratum; the radical order;
+    the coroot of each indexed root; and, each filled on first use, the
+    stratum labels and each `stratum`'s display label, walls and loop order T.
+
+    The radical order is the order of gamma^n on X_0, the characters that
+    vanish on every coroot.  gamma permutes the coroots, so gamma^n maps X_0 to
+    itself; a linear map fixes X_0 exactly when it fixes each vector of a
+    rational basis, so the order is the lcm of the periods of the
+    `cones.kernel_basis` vectors under gamma^n.  A vector of period P under
+    gamma has period P / gcd(P, n) under gamma^n, so each P is found one gamma
+    step at a time, whatever n is.  On split data the order is 1.
+    """
 
     def __init__(self, Z: ZipDatum):
         g, order = Z.rd.galois, 1
         for v in cones.kernel_basis(Z.rd.simple_coroots, Z.rd.rank):
-            u, period = g.char(v, Z.n), 1
+            u, period = g.char(v), 1
             while u != v:
-                u, period = g.char(u, Z.n), period + 1
-            order = lcm(order, period)
+                u, period = g.char(u), period + 1
+            order = lcm(order, period // gcd(period, Z.n))
         self.tail = _mul(_inverse(Z.z), Z.wg.galois_perm(-Z.n))
         self.radical_order = order
         self.coroots = tuple(map(Z.rd.coroot, Z.wg._roots))
@@ -266,18 +274,6 @@ def _cone_data(Z: ZipDatum) -> _ConeData:
     if data is None:
         data = by_datum[key] = _ConeData(Z)
     return data
-
-
-def _radical_order(Z: ZipDatum) -> int:
-    """The order of gamma^n on X_0, the characters that vanish on every coroot.
-
-    gamma permutes the coroots, so gamma^n maps X_0 to itself; a linear map
-    fixes X_0 exactly when it fixes each vector of a rational basis, so the
-    order is the lcm of the periods of the `cones.kernel_basis` vectors under
-    gamma^n.  On split data the order is 1.  Computed once per datum, in its
-    `_ConeData`.
-    """
-    return _cone_data(Z).radical_order
 
 
 def _labels(Z: ZipDatum) -> tuple:

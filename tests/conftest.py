@@ -115,6 +115,29 @@ def composed_transport(Z, w, alpha):
     return wg.act(wg.compose(w, wg.reflection(alpha)), Z.rd.coroot(alpha), "cochar")
 
 
+def triple_sum_product(a, b):
+    """The matrix product a b entry by entry, sum_k a[i][k] b[k][j]."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]) if b else 0)) for i in range(len(a)))
+
+
+@functools.lru_cache(maxsize=None)
+def _cochar_matrix(galois):
+    """transpose(M^(d-1)) for the char matrix M and order d: the inverse
+    transpose of M, since M^d = I."""
+    power = _identity(len(galois.char_matrix))
+    for _ in range(galois.order - 1):
+        power = triple_sum_product(power, galois.char_matrix)
+    return tuple(zip(*power))
+
+
+def cochar(galois, v, k=1):
+    """gamma^k on a cocharacter v, by the inverse transpose of the char matrix."""
+    for _ in range(k % galois.order):
+        v = _mat_vec(_cochar_matrix(galois), v)
+    return v
+
+
 def loop_matrix(Z, w):
     """The loop operator gamma^n o z o w^{-1} on characters, column by column
     through the canonical word, and its order by powering the matrix."""

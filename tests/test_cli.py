@@ -446,6 +446,45 @@ def test_readme_synopsis_matches_parser():
     assert re.findall(r"`([a-z-]+)`", listed) == list(actions["command"].choices)
 
 
+def test_readme_config_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Configuration schema (abridged):", 1)[1]
+    example = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+    cfg = write_config(tmp_path, example)
+    for command in ("describe", "n-alpha", "flag-strata", "scan"):
+        assert run([command, "--config", cfg], tmp_path, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("preset, spelled, named", [
+    ("A3", {"perm": [3, 2, 1]}, "flip"),
+    ("GL4", {"perm": [3, 2, 1], "order": 2}, "flip"),
+    ("D4", {"perm": [1, 2, 4, 3]}, "dswap"),
+    ("C3", {"perm": [1, 2, 3]}, None),
+    ("A3", {"matrix": A3_FLIP_MATRIX, "order": 2}, "flip"),
+], ids=["A3-perm", "GL4-perm", "D4-perm", "C3-identity-perm", "A3-matrix"])
+def test_galois_spellings_agree(tmp_path, capsys, preset, spelled, named):
+    # each accepted spelling of a galois action prints what its named form prints
+    base = {"group": {"preset": preset}, "p": 3, "n": 1, "I": [1]}
+    outs = []
+    for galois in (spelled, named):
+        cfg = write_config(tmp_path, dict(base, galois=galois))
+        code, out = run(["purity", "--config", cfg], tmp_path, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("preset, perm", [("C3", [3, 2, 1]), ("A3", [2, 1, 3]),
+                                          ("D4", [4, 3, 2, 1])])
+def test_other_galois_permutations_exit_2(tmp_path, capsys, preset, perm):
+    cfg = write_config(tmp_path, {"group": {"preset": preset}, "galois": {"perm": perm},
+                                  "p": 3, "n": 1, "I": [1]})
+    code = cli.main(["describe", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and captured.out == ""
+    assert captured.err == "error: config.galois: give an explicit matrix for this permutation\n"
+
+
 @pytest.mark.parametrize("cfg", [
     dict(C3_CONFIG),
     {"group": {"preset": "B2"}, "p": 2, "n": 2, "I": [1]},

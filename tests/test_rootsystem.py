@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -6,11 +7,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (A1_RANK41, A2_SHEAR, A3_FLIP_MATRIX, G2_EXPLICIT, RANK41_GALOIS,
-                      SHEAR_MATRIX, group)
+                      SHEAR_MATRIX, cochar, group, triple_sum_product)
 from zipstrata import rootsystem, weyl
 from zipstrata.rootsystem import (GaloisAction, RootDatumError, _parse_preset, _root_count,
                                   build_root_datum, dot, reflect)
@@ -168,7 +169,7 @@ def test_reflection_fixed_hyperplane(preset, x, y, z):
 def test_coroot_orbits_match_weyl_group(preset, galois):
     # oracle: apply every element of W and every galois power to each coroot
     rd, wg = group(preset, galois)
-    orbits = {tuple(sorted({rd.galois.cochar(wg.act(w, c, "cochar"), k)
+    orbits = {tuple(sorted({cochar(rd.galois, wg.act(w, c, "cochar"), k)
                             for w in wg.elements() for k in range(rd.galois.order)}))
               for c in rd.coroot_of.values()}
     assert rd.coroot_orbits == tuple(sorted(orbits))
@@ -179,9 +180,9 @@ def test_coroot_orbits_match_weyl_group(preset, galois):
                          ids=["C3", "A3-flip", "A2-shear"])
 def test_set_up_reads_one_image_table(monkeypatch, spec, galois):
     # the root datum and its Weyl group reflect no root through `reflect` and
-    # apply gamma at most once per root besides the checks on the simple roots
-    # and coroots; the table they read agrees with `reflect` and gamma, and
-    # holds the root objects themselves
+    # apply gamma at most once per root besides the check on the simple roots;
+    # the table they read agrees with `reflect` and gamma, and holds the root
+    # objects themselves
     calls = Counter()
 
     def counting(name, fn):
@@ -191,12 +192,11 @@ def test_set_up_reads_one_image_table(monkeypatch, spec, galois):
         return counted
     for module in (rootsystem, weyl):
         monkeypatch.setattr(module, "reflect", counting("reflect", module.reflect))
-    for name in ("char", "cochar"):
-        monkeypatch.setattr(GaloisAction, name, counting("gamma", getattr(GaloisAction, name)))
+    monkeypatch.setattr(GaloisAction, "char", counting("gamma", GaloisAction.char))
     rd = build_root_datum(spec, galois)
     weyl.WeylGroup(rd)
     assert calls["reflect"] == 0
-    assert calls["gamma"] <= len(rd.roots) + 2 * rd.num_simple
+    assert calls["gamma"] <= len(rd.roots) + rd.num_simple
     monkeypatch.undo()
     keys = {id(a) for a in rd.roots}
     for a, images in rd.images_of.items():
@@ -209,7 +209,7 @@ def test_galois_perm_walks_the_cycle_not_the_order():
     # k mod the declared order times; a fresh interpreter turns a walk of 10^15
     # steps into a timeout instead of a hang
     code = ("from zipstrata.rootsystem import GaloisAction\n"
-            "g = GaloisAction((), (), 3 * 10**15, (1, 2, 0))\n"     # perm reads simple_perm only
+            "g = GaloisAction((), 3 * 10**15, (1, 2, 0))\n"     # perm reads simple_perm only
             "print(g.perm(0, -1), g.perm(0, 10**15 + 1), g.perm(2, 10**15))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -267,20 +267,20 @@ def test_explicit_galois_cochar_is_dual(spec, matrix, order):
     for k in range(order):
         for x in units:
             for y in units:
-                assert dot(g.char(x, k), g.cochar(y, k)) == dot(x, y)
+                assert dot(g.char(x, k), cochar(g, y, k)) == dot(x, y)
 
 
 def test_explicit_galois_matrix_is_powered_once(monkeypatch):
-    # the cochar matrix is transpose(M^(d-1)), by squaring, and the order check
-    # reuses it as M^d = M^(d-1) M: one power and one product, not a second power
+    # the order check takes M^d by squaring, the one power of M, and no second
+    # power or product follows: the coroots are checked through transpose(M)
     calls = []
     mat_mul = rootsystem._mat_mul
     monkeypatch.setattr(rootsystem, "_mat_mul",
                         lambda a, b: calls.append(len(a)) or mat_mul(a, b))
     rd = build_root_datum(A1_RANK41, RANK41_GALOIS)
-    k = RANK41_GALOIS["order"] - 1
+    d = RANK41_GALOIS["order"]
     assert rd.rank == 41 and set(calls) == {41}
-    assert len(calls) == k.bit_length() + bin(k).count("1") + 1
+    assert len(calls) == d.bit_length() + bin(d).count("1")
 
 
 def test_explicit_galois_wrong_order_rejected():
@@ -315,3 +315,76 @@ def test_explicit_entries_at_the_bit_cap_are_accepted():
     top = 2 ** rootsystem.ENTRY_BIT_CAP - 1
     rd = build_root_datum(dict(A1_IN_RANK2, simple_coroots=[[2, -top]]))
     assert rd.coroot((1, 0)) == (2, -top)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (dict(A1_IN_RANK2, simple_coroots=[]), "simple roots and coroots differ in number"),
+    (dict(A1_IN_RANK2, simple_roots=[[1, 0], [0, 1]]), "simple roots and coroots differ in number"),
+    (dict(A1_IN_RANK2, simple_roots=[[1, 0, 0]], simple_coroots=[[2, 0, 0]]),
+     "vector length does not match rank"),
+    (dict(A1_IN_RANK2, simple_coroots=[[2, 0, 0]]), "vector length does not match rank"),
+], ids=["no-coroot", "one-coroot", "both-rank-3", "coroot-rank-3"])
+def test_explicit_shapes_are_checked_first(spec, message):
+    # a short coroot list indexed past its end, and vectors of the wrong length
+    # read the galois matrix as no diagram automorphism, unless the shapes come first
+    with pytest.raises(RootDatumError, match=re.escape(message)):
+        build_root_datum(spec)
+
+
+def _square(n):
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    return st.lists(st.one_of(st.just((0,) * n), row), min_size=n, max_size=n).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(_square(n), _square(n))))
+@example(((), ()))
+@example((((0, 0), (0, 0)), ((1, 2), (3, 4))))
+@example((((1, 2), (3, 4)), ((0, 0), (0, 0))))
+def test_mat_mul_matches_the_triple_sum(pair):
+    a, b = pair
+    assert rootsystem._mat_mul(a, b) == triple_sum_product(a, b)
+
+
+@pytest.mark.parametrize("spec, galois, message", [
+    ("A1", {"matrix": [[1, 1], [0, 1]], "order": 1}, "galois matrix is not a diagram automorphism"),
+    (A2_SHEAR, {"matrix": SHEAR_MATRIX, "order": 3},
+     "galois matrix does not have the declared order"),
+    # M fixes the root e_1 and M^2 = I, but transpose(M) sends the coroot 2e_1
+    # to (2, 2), not to itself
+    (A1_IN_RANK2, {"matrix": [[1, 1], [0, -1]], "order": 2},
+     "galois action does not permute the simple coroots compatibly"),
+    ("A3", {"matrix": A3_FLIP_MATRIX, "order": 121}, "galois order 121 exceeds 120"),
+    ("C3", "flip", "'flip' is available for single-factor A/GL presets only"),
+    ("A2xA1", "flip", "'flip' is available for single-factor A/GL presets only"),
+    (G2_EXPLICIT, "flip", "'flip' is available for single-factor A/GL presets only"),
+    ("A3", "dswap", "'dswap' is available for single-factor D presets only"),
+    ("D4xA1", "dswap", "'dswap' is available for single-factor D presets only"),
+    ("A3", "swap", "unsupported galois spec 'swap'"),
+], ids=["not-automorphism", "declared-order", "coroots", "order-bound", "flip-C3",
+        "flip-product", "flip-explicit", "dswap-A3", "dswap-product", "unknown"])
+def test_galois_rejections(spec, galois, message):
+    with pytest.raises(RootDatumError, match=re.escape(message)):
+        build_root_datum(spec, galois=galois)
+
+
+def test_galois_perm_disagreeing_with_the_matrix_is_rejected():
+    # build_root_datum reads the permutation off the matrix; a datum given a
+    # GaloisAction whose permutation disagrees with its matrix is refused
+    rd = build_root_datum("A3", "flip")
+    with pytest.raises(RootDatumError,
+                       match="galois action does not permute the simple roots as declared"):
+        dataclasses.replace(rd, galois=GaloisAction(rd.galois.char_matrix, 2, (0, 1, 2)))
+
+
+@pytest.mark.parametrize("preset, galois", [("A%d" % n, "flip") for n in range(1, 7)]
+                         + [("GL%d" % n, "flip") for n in range(2, 8)]
+                         + [("D%d" % n, "dswap") for n in range(3, 7)])
+def test_preset_permutations_read_off_the_matrix(preset, galois):
+    # the diagram automorphisms written out by hand: the flip reverses the A/GL
+    # chain, i -> m-1-i, and dswap exchanges the two fork nodes of D, the last two
+    rd = build_root_datum(preset, galois)
+    m = rd.num_simple
+    by_hand = (tuple(m - 1 - i for i in range(m)) if galois == "flip"
+               else tuple(range(m - 2)) + (m - 1, m - 2))
+    assert rd.galois.order == 2 and rd.galois.simple_perm == by_hand

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -671,26 +672,31 @@ def test_radical_order_is_computed_once_per_datum(monkeypatch, preset, I, galois
     monkeypatch.setattr(rootsystem.GaloisAction, "char",
                         lambda g, v, k=1: calls.append(v) or char(g, v, k))
     assert purity_report(Z) == expected[0] and len(expected[0].strata) > 1
-    assert sections._radical_order(Z) == order
+    assert sections._cone_data(Z).radical_order == order
     assert len(calls) == order * (rd.rank - rd.num_simple)
     assert purity_report(zip_from_cochar(rd, I=I, p=5, wg=wg)) == expected[1]
     assert len(calls) == order * (rd.rank - rd.num_simple)
 
 
 def test_radical_order_takes_the_periods_of_a_basis():
-    # on the rank-41 datum the order 27,720 is the lcm of the basis periods,
-    # 5, 7, 8, 9 and 11, not a walk of 27,720 powers of gamma on every unit
-    # vector; a fresh interpreter turns such a walk into a timeout
+    # on the rank-41 datum gamma has cycles 5, 7, 8, 9 and 11 on X_0, so gamma^n
+    # has order lcm(c / gcd(c, n)) there; each basis period is walked one gamma
+    # at a time, not n matrix steps per step, and a fresh interpreter turns
+    # such a walk into a timeout
+    ns = (1, 2, 8, 3465, 4999)
     code = """if True:
         from zipstrata import sections
         from zipstrata.rootsystem import build_root_datum
         from zipstrata.zipdatum import zip_from_cochar
         rd = build_root_datum(%r, %r)
-        print(rd.rank, sections._radical_order(zip_from_cochar(rd, I=(), p=2)))
-    """ % (A1_RANK41, RANK41_GALOIS)
+        print(rd.rank, *(sections._cone_data(zip_from_cochar(rd, I=(), p=2, n=n)).radical_order
+                         for n in %r))
+    """ % (A1_RANK41, RANK41_GALOIS, ns)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=20)
-    assert proc.stdout.split() == ["41", "27720"], proc.stderr
+    expected = [lcm(*(c // gcd(c, n) for c in (5, 7, 8, 9, 11))) for n in ns]
+    assert expected == [27720, 13860, 3465, 8, 27720]
+    assert proc.stdout.split() == ["41"] + [str(t) for t in expected], proc.stderr
