@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
@@ -166,9 +167,19 @@ def _bundle(kind, payload):
 
 
 def _emit(out, render):
-    """Call render(write) with the write of stdout, or of the --out file."""
+    """Call render(write) with the write of stdout, or of the --out file.  A
+    reader that closes stdout early fails the command like an unwritable file;
+    stdout then points at the null device, so the interpreter's final flush of
+    what is still buffered prints nothing."""
     if not out:
-        render(sys.stdout.write)
+        try:
+            render(sys.stdout.write)
+            sys.stdout.flush()
+        except BrokenPipeError as e:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigError("cannot write output: %s" % e)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:

@@ -14,6 +14,8 @@ the inverse transpose of M, which only validation needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from operator import mul
 from typing import Iterable, Optional
 
@@ -87,9 +89,23 @@ class GaloisAction:
     order: int
     simple_perm: tuple  # 0-based: gamma(alpha_i) = alpha_{perm[i]}
 
+    @cached_property
+    def _columns(self) -> tuple:
+        """Each column j of M as its nonzero entries (i, M[i][j])."""
+        m = self.char_matrix
+        return tuple(tuple((i, row[j]) for i, row in enumerate(m) if row[j])
+                     for j in range(len(m)))
+
     def char(self, v: Vec, k: int = 1) -> Vec:
+        """gamma^k(v); each step adds up the columns of M at the nonzero entries
+        of v, reading only the nonzero entries of M."""
+        cols = self._columns
         for _ in range(k % self.order):
-            v = _mat_vec(self.char_matrix, v)
+            out = [0] * len(v)
+            for j in compress(range(len(v)), v):
+                for i, x in cols[j]:
+                    out[i] += x * v[j]
+            v = tuple(out)
         return v
 
     def perm(self, i: int, k: int = 1) -> int:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, List
 
-from .weyl import _mul
+from .weyl import _getter, _mul
 from .zipdatum import FlaggedZipDatum, ZipDatum, dims, flag_datum
 
 
@@ -56,15 +56,32 @@ class StrataPoset:
 
 # -- the twisted conjugation of the closure order --------------------------------
 
+def _twists(Z: ZipDatum) -> list:
+    """The pairs (u, psi(u)^{-1}) for u in W_I.  The Frobenius twist through
+    the frame is psi(u) = z^{-1} gamma^n(u) z, so psi(u)^{-1} = z^{-1}
+    gamma^n(u^{-1}) z, formed once per u."""
+    wg, zi = Z.wg, Z.wg.inverse(Z.z)
+    return [(u, _mul(_mul(zi, wg.galois(wg.inverse(u), Z.n)), Z.z))
+            for u in wg.subgroup_elements(Z.I)]
+
+
 def _twisted_orbits(Z: ZipDatum, ws):
     """Yield the twisted orbit {u w psi(u)^{-1} : u in W_I} of each w in ws as a
-    set, one label at a time.  The Frobenius twist through the frame is psi(u)
-    = z^{-1} gamma^n(u) z; psi(u)^{-1} = z^{-1} gamma^n(u^{-1}) z is formed once."""
-    wg, zi = Z.wg, Z.wg.inverse(Z.z)
-    twist = [(u, _mul(_mul(zi, wg.galois(wg.inverse(u), Z.n)), Z.z))
-             for u in wg.subgroup_elements(Z.I)]
+    set, one label at a time."""
+    twist = _twists(Z)
     for w in ws:
         yield {_mul(_mul(u, w), v) for u, v in twist}
+
+
+def _twisted_keys(Z: ZipDatum, ws):
+    """Yield the set of keys of each w's twisted orbit, composing no element:
+    key(u w v) is u[w[v[alpha_i]]] over the simple indices, so each v =
+    psi(u)^{-1} is kept as its m simple images and the key is one getter over u."""
+    simple = Z.wg._simple_index
+    twist = [(u, tuple(v[i] for i in simple)) for u, v in _twists(Z)]
+    for w in ws:
+        at = w.__getitem__
+        yield {_getter(tuple(map(at, vs)))(u) for u, vs in twist}
 
 
 def _closure_below(Z: ZipDatum, lo: tuple, hi: tuple) -> bool:
@@ -161,12 +178,12 @@ def coarse_poset(FZ: FlaggedZipDatum) -> StrataPoset:
 
 def _closure_down_sets(Z: ZipDatum, ws) -> list:
     """below[j] has bit i when ws[i] lies in the closure of ws[j]: some twisted
-    conjugate of ws[i] is Bruhat-below ws[j].  Every element of the twisted
-    orbit of ws[i] carries bit i, so the orbits must be disjoint."""
+    conjugate of ws[i] is Bruhat-below ws[j].  Every key of the twisted orbit
+    of ws[i] carries bit i, so the orbits must be disjoint."""
     key, label = Z.wg.key, {}
-    for i, orbit in enumerate(_twisted_orbits(Z, ws)):
-        for t in orbit:
-            if label.setdefault(key(t), 1 << i) != 1 << i:
+    for i, keys in enumerate(_twisted_keys(Z, ws)):
+        for k in keys:
+            if label.setdefault(k, 1 << i) != 1 << i:
                 raise AssertionError("twisted orbits of two strata meet; convention error")
     return Z.wg._down_sets(label, [key(w) for w in ws])
 

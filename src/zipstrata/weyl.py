@@ -313,20 +313,29 @@ class WeylGroup:
         W is walked by levels; x s_a is a lower cover of x exactly when it lies
         in the previous level, so only two levels of down-sets stay alive and
         those of ws are copied out on the way.  Down-sets are keyed by key(x),
-        and the key of each x s_a is read from x, never composed.  x s_a with
-        x(a) positive is longer than x, so it needs no inversion test."""
+        and the key of each x s_a is read from x, never composed.  Only the
+        inversions a of x, x(a) negative, are followed: x s_a is longer than x
+        otherwise.  An element longer than every w in ws lies below none of
+        them, so the walk ends at the level where the last of ws is reached."""
         self._check_enumerable()
-        key, covers, out, prev = self.key, self._reflection_keys, dict.fromkeys(ws), {}
+        n, key, out, prev = self._npos, self.key, dict.fromkeys(ws), {}
+        covers, left = tuple(enumerate(self._reflection_keys)), len(out)
+        if not left:
+            return []
         for level in self._levels(range(self.rd.num_simple)):
             cur, below = {}, prev.get
             for x in level:
                 k = key(x)
                 d = label.get(k, 0)
-                for cover in covers:
-                    d |= below(cover(x), 0)
+                for j, cover in covers:
+                    if x[j] >= n:
+                        d |= below(cover(x), 0)
                 cur[k] = d
                 if k in out:
                     out[k] = d
+                    left -= 1
+            if not left:
+                break
             prev = cur
         return [out[w] for w in ws]
 

@@ -379,6 +379,21 @@ def test_out_and_format_are_checked(tmp_path, capsys, argv, code, stderr):
         assert (tmp_path / "golden.txt").read_text() == golden.golden_report()[1]
 
 
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # A5 Borel `hasse` prints about 340 kB, more than a pipe holds, so the
+    # command is still writing when the reader stops after one line
+    cfg = write_config(tmp_path, {"group": {"preset": "A5"}, "p": 2, "n": 1, "I": []})
+    with subprocess.Popen([sys.executable, "-m", "zipstrata.cli", "hasse", "--config", cfg],
+                          env=cli_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=20) == 2
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_golden_subcommand(capsys):
     code = cli.main(["golden"])
     out = capsys.readouterr().out
@@ -512,11 +527,15 @@ def test_negative_box_rejected(tmp_path, capsys, command):
 
 # -- size caps: oversized input exits 2 instead of hanging ------------------------------
 
+def cli_env():
+    """The environment of a fresh interpreter that imports this checkout's src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_subprocess(args, timeout):
     """The CLI in a fresh interpreter, killed after `timeout` seconds."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-m", "zipstrata.cli"] + args, env=env,
+    return subprocess.run([sys.executable, "-m", "zipstrata.cli"] + args, env=cli_env(),
                           capture_output=True, text=True, timeout=timeout)
 
 

@@ -346,6 +346,24 @@ def test_mat_mul_matches_the_triple_sum(pair):
     assert rootsystem._mat_mul(a, b) == triple_sum_product(a, b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    _square(n), st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple),
+    st.integers(1, 4), st.integers(-5, 5))))
+@example(((), (), 1, 1))
+@example((((0, 0), (0, 0)), (1, 2), 2, 1))
+@example((((0, 1), (1, 0)), (0, 0), 2, 3))
+def test_galois_char_matches_the_dense_product(case):
+    # char reads only the nonzero entries of M; the oracle is the full product,
+    # sum_j M[i][j] v[j], taken k mod the order times
+    m, v, order, k = case
+    expected = v
+    for _ in range(k % order):
+        expected = tuple(sum(m[i][j] * expected[j] for j in range(len(v)))
+                         for i in range(len(v)))
+    assert GaloisAction(m, order, ()).char(v, k) == expected
+
+
 @pytest.mark.parametrize("spec, galois, message", [
     ("A1", {"matrix": [[1, 1], [0, 1]], "order": 1}, "galois matrix is not a diagram automorphism"),
     (A2_SHEAR, {"matrix": SHEAR_MATRIX, "order": 3},

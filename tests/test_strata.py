@@ -176,7 +176,8 @@ def test_down_sets_match_pairwise_oracles(spec, I, I0, columns):
 def test_twisted_orbits_match_word_oracle(spec):
     # each orbit {u w psi(u)^{-1} : u in W_I} with psi(u) = z^{-1} gamma^n(u) z,
     # where gamma^n(u) is spelled from the canonical word of u with each letter
-    # i sent to gamma^n(i); no galois table is read.  Every type I is checked.
+    # i sent to gamma^n(i); no galois table is read.  Every type I is checked,
+    # and the keys read without composing are the keys of those orbits.
     preset, galois, n = spec
     rd, wg = group(preset, galois)
     for r in range(rd.num_simple + 1):
@@ -186,8 +187,10 @@ def test_twisted_orbits_match_word_oracle(spec):
                 [rd.galois.perm(i, n) for i in wg.canonical_word(u)])), Z.z))
                 for u in wg.subgroup_elements(I)]
             ws = wg.min_coset_reps(I, "left")
-            assert list(strata._twisted_orbits(Z, ws)) == \
-                [{wg.compose(wg.compose(u, w), wg.inverse(v)) for u, v in psi} for w in ws]
+            orbits = [{wg.compose(wg.compose(u, w), wg.inverse(v)) for u, v in psi}
+                      for w in ws]
+            assert list(strata._twisted_orbits(Z, ws)) == orbits
+            assert list(strata._twisted_keys(Z, ws)) == [set(map(wg.key, o)) for o in orbits]
 
 
 @pytest.mark.parametrize("preset, I, galois", [("C3", (0, 2), None), ("A3", (0,), "flip"),

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -444,9 +445,11 @@ def test_level_walk(preset, galois):
             tuple(w for w in wg.elements() if wg.is_min_left(w, K))
 
 
-@pytest.mark.parametrize("preset, galois", [("C3", None), ("B2", None), ("A3", "flip"),
-                                            ("D4", "dswap"), ("G2-explicit", None),
-                                            ("A1", None), ("GL1xGL1", None)])
+DOWN_SET_GROUPS = [("C3", None), ("B2", None), ("A3", "flip"), ("D4", "dswap"),
+                   ("G2-explicit", None), ("A1", None), ("GL1xGL1", None)]
+
+
+@pytest.mark.parametrize("preset, galois", DOWN_SET_GROUPS)
 def test_down_sets_over_all_of_w(preset, galois):
     # every element of W carries its own bit, so each column of the keyed walk
     # is a whole Bruhat down-set; the key tells the elements apart (it is the
@@ -460,15 +463,46 @@ def test_down_sets_over_all_of_w(preset, galois):
         assert {u for i, u in enumerate(elts) if down >> i & 1} == subword_down_set(wg, w)
 
 
+@pytest.mark.parametrize("preset, galois", DOWN_SET_GROUPS)
+def test_down_sets_of_part_of_w(preset, galois):
+    # the walk ends at the level where the last requested key is reached, so
+    # ask for shuffled parts of W: every element of length <= k, and random
+    # samples, one with a repeated key; each column is still a whole down-set
+    _, wg = group(preset, galois)
+    elts = wg.elements()
+    label = {wg.key(w): 1 << i for i, w in enumerate(elts)}
+    oracle = {w: subword_down_set(wg, w) for w in elts}
+    rng = random.Random(preset)
+    parts = [[w for w in elts if wg.length(w) <= k]
+             for k in range(wg.length(wg.longest_element()) + 1)]
+    parts += [rng.sample(elts, rng.randint(1, len(elts))) for _ in range(3)]
+    parts.append(parts[-1] + parts[-1][:1])
+    for ws in parts:
+        ws = rng.sample(ws, len(ws))
+        below = wg._down_sets(label, [wg.key(w) for w in ws])
+        assert len(below) == len(ws)
+        for w, down in zip(ws, below):
+            assert {u for i, u in enumerate(elts) if down >> i & 1} == oracle[w]
+    assert wg._down_sets(label, []) == []
+
+
 def test_down_sets_compose_only_new_elements(monkeypatch):
-    # the walk composes each element of W once, as it first meets its key;
-    # the lower covers x s_a are read off x and never composed
+    # the walk composes each element of W once, as it first meets its key, and
+    # reads the lower covers x s_a off x; it stops at the level of the longest
+    # requested key, so no key composes nothing, w0 at most all of W, and the
+    # C4 labels of length <= 3 at most the elements of length <= 3
     _, wg = group("C4")
+    w0 = wg.longest_element()
+    short = [wg.key(w) for w in wg.elements() if wg.length(w) <= 3]
     calls = Counter()
     mul = weyl._mul
     monkeypatch.setattr(weyl, "_mul", lambda p, q: calls.update(["mul"]) or mul(p, q))
-    assert wg._down_sets({}, []) == []
+    assert wg._down_sets({}, []) == [] and calls["mul"] == 0
+    assert wg._down_sets({}, [wg.key(w0)]) == [0]
     assert 0 < calls["mul"] <= wg.order() == 384
+    calls.clear()
+    assert wg._down_sets(dict.fromkeys(short, 1), short) == [1] * len(short)
+    assert 0 < calls["mul"] <= len(short) == 1 + 4 + 9 + 16
 
 
 @pytest.mark.parametrize("preset, galois", [("C3", None), ("A3", "flip"), ("A2-shear", None)])
