@@ -5,7 +5,7 @@ import argparse
 import itertools
 
 from zipstrata.rootsystem import build_root_datum
-from zipstrata.sections import purity_report
+from zipstrata.sections import purity_verdict
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import is_prime, zip_from_cochar
 
@@ -29,7 +29,7 @@ def main():
             row = []
             for p in args.primes:
                 Z = zip_from_cochar(rd, I=I, n=1, p=p, wg=wg)
-                rep = purity_report(Z, lattice="levi", box=args.box)
+                rep = purity_verdict(Z, lattice="levi", box=args.box)
                 row.append("p%d:%s%s" % (p, "P" if rep.principally_pure else "-",
                                          "U" if rep.uniformly_pure else "-"))
                 if rep.uniformly_pure and first is None:

@@ -10,9 +10,10 @@ from .strata import (CoarseStratum, ProjectionError, StrataPoset, Stratum,
                      cross_label, fine_hasse_diagram, fine_strata, hasse_diagram,
                      project_stratum, zip_strata)
 from .sections import (CONVENTION, CharacterVerdict, GlnCertificate, PurityReport,
-                       SectionCone, SectionVerdict, ampleness, char_section_verdict,
-                       character_tests, flag_ampleness, gln_certificate, n_alpha,
-                       purity_report, r_w, section_cone, twist_power)
+                       PurityVerdict, SectionCone, SectionVerdict, ampleness,
+                       char_section_verdict, character_tests, flag_ampleness,
+                       gln_certificate, n_alpha, purity_report, purity_verdict, r_w,
+                       section_cone, twist_power)
 
 __version__ = "0.1.0"
 
@@ -26,7 +27,7 @@ __all__ = [
     "cross_label", "fine_hasse_diagram", "fine_strata", "hasse_diagram",
     "project_stratum", "zip_strata",
     "CONVENTION", "CharacterVerdict", "GlnCertificate", "PurityReport",
-    "SectionCone", "SectionVerdict", "ampleness", "char_section_verdict",
-    "character_tests", "flag_ampleness", "gln_certificate", "n_alpha",
-    "purity_report", "r_w", "section_cone", "twist_power",
+    "PurityVerdict", "SectionCone", "SectionVerdict", "ampleness",
+    "char_section_verdict", "character_tests", "flag_ampleness", "gln_certificate",
+    "n_alpha", "purity_report", "purity_verdict", "r_w", "section_cone", "twist_power",
 ]

@@ -442,8 +442,8 @@ def _scan(cfg, args):
         for p in primes:
             try:
                 Z, FZ = _datum_from_config(dict(cfg, I=list(t), p=p), rd, wg)
-                rep = sections.purity_report(FZ if FZ else Z, lattice=args.lattice,
-                                             box=args.box, candidates=candidates)
+                rep = sections.purity_verdict(FZ if FZ else Z, lattice=args.lattice,
+                                              box=args.box, candidates=candidates)
                 results.append({"I": list(t), "p": p, "ok": True, **_verdict_payload(rep)})
             except sections.BoxError:
                 raise               # an oversized --box is a bad request, not a bad cell

@@ -52,14 +52,20 @@ def _mat_vec(m, v):
 
 
 def _mat_mul(a, b):
-    """a b, each row the sum of the rows of b at that row's nonzero entries of a."""
+    """a b, each row the sum of the rows of b at that row's nonzero entries of a;
+    a row with one nonzero entry, as in a permutation matrix, is that row of b,
+    scaled."""
     width = len(b[0]) if b else 0
     out = []
     for row in a:
+        terms = [(x, brow) for x, brow in zip(row, b) if x]
+        if len(terms) == 1:
+            x, brow = terms[0]
+            out.append(tuple(brow) if x == 1 else tuple(x * v for v in brow))
+            continue
         acc = [0] * width
-        for x, brow in zip(row, b):
-            if x:
-                acc = [u + x * v for u, v in zip(acc, brow)]
+        for x, brow in terms:
+            acc = [u + x * v for u, v in zip(acc, brow)]
         out.append(tuple(acc))
     return tuple(out)
 

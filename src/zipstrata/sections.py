@@ -95,20 +95,27 @@ class SectionCone:
 
 
 @dataclass(frozen=True)
-class PurityReport:
-    datum: dict
-    lattice: str
-    strata: tuple            # SectionCone per stratum
+class PurityVerdict:
+    """The verdicts that `purity` and every `scan` cell print alike."""
     principally_pure: bool
     uniformly_pure: bool
     uniform_witness: Optional[tuple]
     uniform_certificate: Optional[tuple]
+    failing: tuple           # the labels of the strata whose section cone is infeasible
+
+    def failing_strata(self) -> tuple:
+        return self.failing
+
+
+@dataclass(frozen=True)
+class PurityReport(PurityVerdict):
+    """A `PurityVerdict` with every stratum's section cone behind it."""
+    datum: dict
+    lattice: str
+    strata: tuple            # SectionCone per stratum
     ample_close_char: Optional[tuple]
     box_radius: int
     convention: str = CONVENTION
-
-    def failing_strata(self) -> tuple:
-        return tuple(c.stratum for c in self.strata if not c.feasible)
 
 
 # -- character tests ---------------------------------------------------------------
@@ -215,8 +222,10 @@ class _ConeData:
     """The part of a datum's cone data that p does not change, so that every
     prime of a scan shares it: the loop tail z^{-1} o gamma^{-n}, the root
     permutation that ends the loop sigma of every stratum; the radical order;
-    the coroot of each indexed root; and, each filled on first use, the
-    stratum labels and each `stratum`'s display label, walls and loop order T.
+    the coroot of each indexed root; the Levi lattice basis (`levi`, the
+    `cones.kernel_basis` of the coroots of I); and, each filled on first use,
+    the stratum labels and each `stratum`'s display label, walls and loop
+    order T.
 
     The radical order is the order of gamma^n on X_0, the characters that
     vanish on every coroot.  gamma permutes the coroots, so gamma^n maps X_0 to
@@ -237,6 +246,7 @@ class _ConeData:
         self.tail = _mul(_inverse(Z.z), Z.wg.galois_perm(-Z.n))
         self.radical_order = order
         self.coroots = tuple(map(Z.rd.coroot, Z.wg._roots))
+        self.levi = tuple(cones.kernel_basis(_lattice_equations(Z, "levi"), Z.rd.rank))
         self.labels = None
         self.strata = {}
 
@@ -360,35 +370,53 @@ def _lattice_equations(Z: ZipDatum, lattice: str) -> List[tuple]:
     raise SectionError("lattice must be 'torus' or 'levi'")
 
 
-def _lattice_basis(Z: ZipDatum, lattice: str) -> List[tuple]:
-    return cones.kernel_basis(_lattice_equations(Z, lattice), Z.rd.rank)
+def _lattice_basis(Z: ZipDatum, lattice: str) -> tuple:
+    """The `cones.kernel_basis` of the lattice; the Levi one is the datum's
+    `_ConeData.levi`.  With no equations (always under 'torus', and under
+    'levi' when I is empty) it is the standard basis, and only then does it
+    have rank-many vectors."""
+    eqs = _lattice_equations(Z, lattice)
+    return _cone_data(Z).levi if lattice == "levi" else tuple(cones.kernel_basis(eqs, Z.rd.rank))
 
 
-def section_cone(Z: ZipDatum, w: tuple, lattice: str = "levi",
-                 basis: Optional[Sequence[tuple]] = None) -> SectionCone:
-    """Exact feasibility of {n_alpha(chi) > 0} over the chosen character lattice;
-    `basis`, when given, is that lattice's `_lattice_basis`."""
-    rd = Z.rd
-    if not _stratum_label_ok(Z, w):
-        raise SectionError("w is not a stratum label for this datum")
+def _expand(t: tuple, basis: tuple, rank: int) -> tuple:
+    """The ambient character sum_k t_k b_k; over the standard basis, t itself."""
+    if len(basis) == rank:
+        return t
+    return tuple(sum(t[k] * basis[k][j] for k in range(len(basis))) for j in range(rank))
+
+
+def _stratum_rows(Z: ZipDatum, w: tuple, basis: tuple) -> tuple:
+    """The label, the walls and the wall rows of the stratum w, over ambient
+    coordinates and over the basis; over the standard basis they are the same."""
     label, walls, _T = _cone_data(Z).stratum(Z.wg, w)
     ambient, _T = _wall_rows(Z, w, walls)
-    if basis is None:
-        basis = _lattice_basis(Z, lattice)
-    reduced = tuple(tuple(dot(row, b) for b in basis) for row in ambient)
+    if len(basis) == Z.rd.rank:
+        return label, walls, ambient, ambient
+    return label, walls, ambient, tuple(tuple(dot(row, b) for b in basis) for row in ambient)
+
+
+def _solve_cone(Z: ZipDatum, lattice: str, basis: tuple,
+                label: str, walls: tuple, ambient: tuple, reduced: tuple) -> SectionCone:
+    """The section cone of one stratum's rows; its witness is replayed on them."""
     res = cones.feasible_strict(reduced, len(basis))
     witness = None
     if res.feasible:
-        t = res.integral_point()
-        witness = tuple(sum(t[k] * basis[k][j] for k in range(len(basis)))
-                        for j in range(rd.rank))
-        for row in ambient:
-            if walls and dot(row, witness) <= 0:
-                raise AssertionError("cone witness fails its own inequalities")
-    return SectionCone(stratum=label, lattice=lattice, basis=tuple(basis),
+        witness = _expand(res.integral_point(), basis, Z.rd.rank)
+        if not _positive_on(ambient, witness):
+            raise AssertionError("cone witness fails its own inequalities")
+    return SectionCone(stratum=label, lattice=lattice, basis=basis,
                        walls=walls, ambient_rows=ambient, reduced_rows=reduced,
                        feasible=res.feasible, witness=witness,
                        certificate=res.certificate)
+
+
+def section_cone(Z: ZipDatum, w: tuple, lattice: str = "levi") -> SectionCone:
+    """Exact feasibility of {n_alpha(chi) > 0} over the chosen character lattice."""
+    if not _stratum_label_ok(Z, w):
+        raise SectionError("w is not a stratum label for this datum")
+    basis = _lattice_basis(Z, lattice)
+    return _solve_cone(Z, lattice, basis, *_stratum_rows(Z, w, basis))
 
 
 def _check_box(m: int, radius: int):
@@ -416,39 +444,43 @@ def _box_coeffs(m: int, radius: int):
         yield from _shell(m, r)
 
 
-def _positive_on(section_cones, chi) -> bool:
-    """chi is strictly positive on every wall row of every section cone: the
-    stratum verdicts of `char_section_verdict`, from rows already built."""
-    return all(dot(row, chi) > 0 for c in section_cones for row in c.ambient_rows)
+def _positive_on(rows, chi) -> bool:
+    """chi is strictly positive on every row: the stratum verdicts of
+    `char_section_verdict`, from rows already built."""
+    return all(dot(row, chi) > 0 for row in rows)
 
 
-def purity_report(obj, lattice: str = "levi", box: int = 2,
-                  candidates: Sequence = ()) -> PurityReport:
-    """Per-stratum section cones, the uniform intersection cone, and the
-    sufficient-condition search for an ample, orbitally q-close character.
-
-    For a flagged datum the cones are taken over the induced datum, so the
-    lattice 'levi' means characters of the small Levi.
-    """
+def _purity_datum(obj) -> ZipDatum:
+    """The datum whose cones a purity question is about: for a flagged datum,
+    the induced one, so that the lattice 'levi' means the small Levi's
+    characters."""
     if isinstance(obj, FlaggedZipDatum):
-        Z = obj.Z0
-    elif isinstance(obj, ZipDatum):
-        Z = obj
-    else:
-        raise SectionError("purity_report expects a ZipDatum or FlaggedZipDatum")
-    rd = Z.rd
-    levi = _lattice_basis(Z, "levi")
-    _check_box(len(levi), box)
-    basis = levi if lattice == "levi" else _lattice_basis(Z, lattice)
-    per = [section_cone(Z, w, lattice, basis) for w in _labels(Z)]
+        return obj.Z0
+    if isinstance(obj, ZipDatum):
+        return obj
+    raise SectionError("purity_report expects a ZipDatum or FlaggedZipDatum")
 
-    all_rows = [row for c in per for row in c.reduced_rows]
-    res = cones.feasible_strict(all_rows, len(basis))
+
+def _uniform_purity(Z: ZipDatum, lattice: str, box: int, candidates: Sequence):
+    """What `purity_report` and `purity_verdict` share: every stratum's rows
+    (`_stratum_rows`), the uniform cone over all of them, the candidates, and
+    the search for an ample, orbitally q-close character.  Returns the basis,
+    the rows per stratum, the uniform cone's `Feasibility`, the uniform witness
+    and the ample, orbitally q-close character.  The uniform witness, whichever
+    it is, has been replayed on every stratum's ambient rows."""
+    rd = Z.rd
+    levi = _cone_data(Z).levi
+    _check_box(len(levi), box)
+    basis = _lattice_basis(Z, lattice)
+    per = [_stratum_rows(Z, w, basis) for w in _labels(Z)]
+    ambient = [row for s in per for row in s[2]]
+    res = cones.feasible_strict(ambient if len(basis) == rd.rank
+                                else [row for s in per for row in s[3]], len(basis))
     uniform_witness = None
     if res.feasible:
-        t = res.integral_point()
-        uniform_witness = tuple(sum(t[k] * basis[k][j] for k in range(len(basis)))
-                                for j in range(rd.rank))
+        uniform_witness = _expand(res.integral_point(), basis, rd.rank)
+        if not _positive_on(ambient, uniform_witness):
+            raise AssertionError("uniform witness fails a stratum's inequalities")
 
     # verified candidate characters take precedence as the uniform witness
     eqs = _lattice_equations(Z, lattice)
@@ -456,7 +488,7 @@ def purity_report(obj, lattice: str = "levi", box: int = 2,
         cand = tuple(cand)
         if any(dot(cand, e) != 0 for e in eqs):
             continue
-        if _positive_on(per, cand):
+        if _positive_on(ambient, cand):
             if not res.feasible:
                 raise AssertionError("candidate witness contradicts cone infeasibility")
             uniform_witness = cand
@@ -474,21 +506,53 @@ def purity_report(obj, lattice: str = "levi", box: int = 2,
                 ample_close = chi
                 break
     if ample_close is not None:
-        if not _positive_on(per, ample_close):
+        if not _positive_on(ambient, ample_close):
             raise AssertionError("ample orbitally q-close character fails a stratum "
                                  "verdict; convention error")
         if not res.feasible:
             raise AssertionError("sufficient condition met but the uniform cone "
                                  "is infeasible; convention error")
-        if uniform_witness is None:
-            uniform_witness = ample_close
+    return basis, per, res, uniform_witness, ample_close
 
-    return PurityReport(datum=Z.describe(), lattice=lattice, strata=tuple(per),
-                        principally_pure=all(c.feasible for c in per),
-                        uniformly_pure=res.feasible,
+
+def purity_report(obj, lattice: str = "levi", box: int = 2,
+                  candidates: Sequence = ()) -> PurityReport:
+    """Every stratum's section cone, the uniform intersection cone, and the
+    sufficient-condition search for an ample, orbitally q-close character.
+
+    Every section cone is solved, and each witness it finds is replayed on its
+    stratum's rows.  For a flagged datum the cones are taken over the induced
+    datum, so the lattice 'levi' means characters of the small Levi.
+    """
+    Z = _purity_datum(obj)
+    basis, per, res, uniform_witness, ample_close = _uniform_purity(Z, lattice, box,
+                                                                    candidates)
+    strata = tuple(_solve_cone(Z, lattice, basis, *s) for s in per)
+    failing = tuple(c.stratum for c in strata if not c.feasible)
+    return PurityReport(principally_pure=not failing, uniformly_pure=res.feasible,
                         uniform_witness=uniform_witness,
-                        uniform_certificate=res.certificate,
+                        uniform_certificate=res.certificate, failing=failing,
+                        datum=Z.describe(), lattice=lattice, strata=strata,
                         ample_close_char=ample_close, box_radius=box)
+
+
+def purity_verdict(obj, lattice: str = "levi", box: int = 2,
+                   candidates: Sequence = ()) -> PurityVerdict:
+    """The verdicts of `purity_report`, solving only what they need.
+
+    A uniform witness is positive on every stratum's walls, so when the uniform
+    cone is feasible every section cone is too: its witness, replayed on every
+    stratum's rows, certifies principal purity, and no per-stratum simplex
+    runs.  Only an infeasible uniform cone can leave a stratum failing, and
+    then every section cone is solved as in `purity_report`.
+    """
+    Z = _purity_datum(obj)
+    basis, per, res, uniform_witness, _ample = _uniform_purity(Z, lattice, box, candidates)
+    failing = () if res.feasible else tuple(
+        c.stratum for c in (_solve_cone(Z, lattice, basis, *s) for s in per) if not c.feasible)
+    return PurityVerdict(principally_pure=not failing, uniformly_pure=res.feasible,
+                         uniform_witness=uniform_witness,
+                         uniform_certificate=res.certificate, failing=failing)
 
 
 # -- the GL_n block certificate ---------------------------------------------------------

@@ -98,17 +98,27 @@ def closure_leq(Z: ZipDatum, lo: tuple, hi: tuple) -> bool:
 
 def _cross_labels(Z: ZipDatum, ws):
     """Yield the one twisted conjugate of each w in ws that is minimal on the J
-    side; uniqueness and length preservation are asserted."""
-    wg = Z.wg
-    for w, orbit in zip(ws, _twisted_orbits(Z, ws)):
-        found = [t for t in orbit if wg.is_min_right(t, Z.J)]
+    side; uniqueness and length preservation are asserted.  As in
+    `_twisted_keys`, a conjugate u w v is read from its key u[w[v(alpha_i)]]:
+    it is minimal on the J side when the entries at J are positive roots, and
+    distinct keys are distinct elements.  Only the conjugate kept is composed."""
+    wg, n, simple = Z.wg, Z.wg._npos, Z.wg._simple_index
+    twist = [(u, v, tuple(v[i] for i in simple), tuple(v[simple[j]] for j in Z.J))
+             for u, v in _twists(Z)]
+    for w in ws:
+        at, found = w.__getitem__, {}
+        for u, v, vs, vJ in twist:
+            if not any(map(n.__le__, map(u.__getitem__, map(at, vJ)))):
+                found.setdefault(tuple(map(u.__getitem__, map(at, vs))), (u, v))
         if len(found) != 1:
             raise AssertionError(
                 "twisted orbit of %s meets the J-side labels %d times; convention error"
                 % (wg.describe(w), len(found)))
-        if wg.length(found[0]) != wg.length(w):
+        (u, v), = found.values()
+        t = _mul(_mul(u, w), v)
+        if wg.length(t) != wg.length(w):
             raise AssertionError("cross label changed the length; convention error")
-        yield found[0]
+        yield t
 
 
 def cross_label(Z: ZipDatum, w: tuple) -> tuple:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from .rootsystem import RootDatum, Vec, dot, vneg
 from .weyl import WeylGroup
@@ -25,6 +26,11 @@ PRIME_BOUND = 3317044064679887385961981
 # the cap on n times the bit length of p, so that q = p^n < 2^Q_BIT_CAP prints
 # in at most 3011 decimal digits
 Q_BIT_CAP = 10_000
+
+# the validated frame (J, z, q_roots) of each type of each live Weyl group, keyed
+# by (I, n): p does not enter it, so every prime of a scan shares it; weak, so
+# that it goes with the group
+_FRAMES: "WeakKeyDictionary[WeylGroup, dict]" = WeakKeyDictionary()
 
 
 def is_prime(p: int) -> bool:
@@ -172,7 +178,9 @@ def zip_from_cochar(rd: RootDatum, I=None, mu=None, n: int = 1, p: int = 2,
                     wg: Optional[WeylGroup] = None) -> ZipDatum:
     """Build the framed zip datum of exponent n for a parabolic type I (or an
     anti-dominant cocharacter mu): J = -w0(gamma^n(I)), z = w0 * w0_J, and the
-    second parabolic in the anti-standard position."""
+    second parabolic in the anti-standard position.  The frame is built and
+    validated once per Weyl group and (I, n); p, n and q are checked on every
+    call."""
     if not is_prime(p):
         raise ZipDatumError("p = %d is not prime" % p)
     if n < 1:
@@ -188,17 +196,23 @@ def zip_from_cochar(rd: RootDatum, I=None, mu=None, n: int = 1, p: int = 2,
     if any(not 0 <= i < rd.num_simple for i in I):
         raise ZipDatumError("I contains an invalid simple-root index")
     wg = wg or WeylGroup(rd)
-
-    gI = tuple(sorted(rd.galois.perm(i, n) for i in I))
-    J = _opposition(rd, wg, gI)
-    z = wg.compose(wg.longest_element(), wg.longest_element(J))
-    levi = rd.levi_roots(gI)
-    q_roots = frozenset(vneg(a) for a in rd.positive) | levi
-    Z = ZipDatum(rd=rd, wg=wg, n=n, p=p, I=I, J=J, z=z, q_roots=q_roots)
-    bad = validate_frame(Z)
-    if bad:
-        raise ZipDatumError("constructed datum fails frame validation: %s" % "; ".join(bad))
-    return Z
+    frames = _FRAMES.get(wg)
+    if frames is None:
+        frames = _FRAMES[wg] = {}
+    frame = frames.get((I, n))
+    if frame is None:
+        gI = tuple(sorted(rd.galois.perm(i, n) for i in I))
+        J = _opposition(rd, wg, gI)
+        z = wg.compose(wg.longest_element(), wg.longest_element(J))
+        q_roots = frozenset(vneg(a) for a in rd.positive) | rd.levi_roots(gI)
+        bad = validate_frame(ZipDatum(rd=rd, wg=wg, n=n, p=p, I=I, J=J, z=z,
+                                      q_roots=q_roots))
+        if bad:
+            raise ZipDatumError("constructed datum fails frame validation: %s"
+                                % "; ".join(bad))
+        frame = frames[(I, n)] = (J, z, q_roots)
+    J, z, q_roots = frame
+    return ZipDatum(rd=rd, wg=wg, n=n, p=p, I=I, J=J, z=z, q_roots=q_roots)
 
 
 def validate_frame(Z: ZipDatum) -> list:

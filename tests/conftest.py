@@ -70,6 +70,10 @@ EXPLICIT = {"G2-explicit": (G2_EXPLICIT, None),
             "A1-rank41": (A1_RANK41, RANK41_GALOIS),
             "E8-explicit": (E8_EXPLICIT, None)}
 
+# groups whose wall rows, verdicts and scans the property tests draw from
+ROW_GROUPS = [("B2", None), ("C3", None), ("A3", "flip"), ("D4", "dswap"),
+              ("G2-explicit", None), ("A2-shear", None), ("A1-rot3", None)]
+
 
 @functools.lru_cache(maxsize=None)
 def _group(preset, galois):

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (A1_RANK41, A3_FLIP_MATRIX, E7_TYPE, E8_EXPLICIT, PSI_12, PSI_13,
-                      RANK41_GALOIS)
-from zipstrata import cli, golden
+from conftest import (A1_RANK41, A3_FLIP_MATRIX, E7_TYPE, E8_EXPLICIT, EXPLICIT, PSI_12,
+                      PSI_13, RANK41_GALOIS, ROW_GROUPS, group)
+from zipstrata import cli, cones, golden, sections, zipdatum
 from zipstrata.cones import verify_certificate
+from zipstrata.rootsystem import dot
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_CONFIGS = ROOT / "perfbench" / "configs"
@@ -335,6 +336,67 @@ def test_scan_cell_past_the_bit_cap_fails_alone(tmp_path, capsys):
     assert good["ok"] and good["I"] == [1, 2, 3] and good["principally_pure"]
     assert not bad["ok"] and bad["error_type"] == "SectionError"
     assert "T = 4 of stratum [312]" in bad["error"] and "is 10004" in bad["error"]
+
+
+def _group_config(preset, galois):
+    """The config's group and galois entries for a ROW_GROUPS member."""
+    if preset in EXPLICIT:
+        spec, galois = EXPLICIT[preset]
+        return {"group": {"explicit": spec}, **({"galois": galois} if galois else {})}
+    return {"group": {"preset": preset}, **({"galois": galois} if galois else {})}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ROW_GROUPS), st.lists(st.sets(st.integers(0, 3)), min_size=1, max_size=3),
+       st.integers(1, 2))
+@example(("C3", None), [{0, 2}, {0, 1, 2}], 1)      # I = {1,3}: no uniform cone at p = 2
+@example(("B2", None), [set(), {0}], 1)
+@example(("C3", None), [{0, 1, 2}, {0, 2}], 2500)   # I = {1,3} is past ROW_BIT_CAP
+def test_scan_cells_print_the_purity_report_verdicts(group_spec, types, n):
+    """Each scan cell prints the five verdict fields of `purity_report` on its
+    datum, whether its uniform cone is feasible or not, and a cell whose rows
+    are past the bit cap fails alone with the report's error."""
+    preset, galois = group_spec
+    m = group(preset, galois)[0].num_simple
+    types = [sorted(i + 1 for i in I if i < m) for I in types]
+    cfg = dict(_group_config(preset, galois), n=n, types=types, primes=[2, 3, 5, 7])
+    cells = cli._scan(cfg, cli.build_parser().parse_args(["scan"]))["cells"]
+    rd, wg = cli._group_from_config(cfg)
+    for cell in cells:
+        Z, _FZ = cli._datum_from_config(dict(cfg, I=cell["I"], p=cell["p"]), rd, wg)
+        try:
+            rep = sections.purity_report(Z)
+        except sections.SectionError as e:
+            assert cell == {"I": cell["I"], "p": cell["p"], "ok": False, "error": str(e),
+                            "error_type": "SectionError"}
+            continue
+        assert cell == {"I": cell["I"], "p": cell["p"], "ok": True, **cli._verdict_payload(rep)}
+
+
+def test_scan_solves_the_section_cones_only_without_a_uniform_witness(monkeypatch):
+    # the C3 scan: 24 of its 32 cells have a feasible uniform cone, whose witness
+    # certifies all 147 strata; the other 8 cells solve their 228 section cones.
+    # The Levi basis is built once per type, beside the radical order's basis,
+    # and the frame is validated once per type.
+    calls = {"feasible_strict": 0, "kernel_basis": 0, "validate_frame": 0}
+    for mod, name in ((cones, "feasible_strict"), (cones, "kernel_basis"),
+                      (zipdatum, "validate_frame")):
+        def counted(*args, _name=name, _fn=getattr(mod, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    cfg = json.loads((BENCH_CONFIGS / "c3-scan.json").read_text())
+    cells = cli._scan(cfg, cli.build_parser().parse_args(["scan"]))["cells"]
+    assert calls == {"feasible_strict": 260, "kernel_basis": 16, "validate_frame": 8}
+    monkeypatch.undo()
+    uniform = [c for c in cells if c["uniformly_pure"]]
+    assert len(cells) == 32 and len(uniform) == 24
+    rd, wg = cli._group_from_config(cfg)
+    for cell in uniform:
+        Z, _FZ = cli._datum_from_config(dict(cfg, I=cell["I"], p=cell["p"]), rd, wg)
+        rows = [row for c in sections.purity_report(Z).strata for row in c.ambient_rows]
+        assert cell["principally_pure"] and cell["failing_strata"] == ()
+        assert all(dot(row, cell["uniform_witness"]) > 0 for row in rows)
 
 
 def test_out_file(tmp_path, capsys):

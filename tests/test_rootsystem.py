@@ -346,6 +346,32 @@ def test_mat_mul_matches_the_triple_sum(pair):
     assert rootsystem._mat_mul(a, b) == triple_sum_product(a, b)
 
 
+def _monomial(n):
+    """n x n matrices whose rows have one nonzero entry each, at a column drawn
+    per row: signed, scaled permutation matrices and their degenerate kin."""
+    entry = st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1, 2, -3]))
+    return st.lists(entry, min_size=n, max_size=n).map(
+        lambda row: tuple(tuple(x if j == c else 0 for j in range(n)) for c, x in row))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_monomial(n), _square(n), _monomial(n))))
+@example(((((1, 0), (0, 1)), ((1, 2), (3, 4)), ((0, -1), (2, 0)))))
+def test_mat_mul_takes_a_monomial_row_as_a_scaled_row(case):
+    # a row with one nonzero entry is read as a scaled copy of one row of b; the
+    # oracle is the dense product, sum_k a[i][k] b[k][j] over every k
+    p, b, q = case
+    def dense(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                           for j in range(len(b[0]))) for i in range(len(a)))
+    for x, y in ((p, b), (b, p), (p, q)):
+        assert rootsystem._mat_mul(x, y) == dense(x, y)
+    power = tuple(tuple(int(i == j) for j in range(len(p))) for i in range(len(p)))
+    for k in range(5):
+        assert rootsystem._mat_pow(p, k) == power
+        power = dense(power, p)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
     _square(n), st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple),

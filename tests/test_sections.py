@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (A1_RANK41, RANK41_GALOIS, composed_transport, datum, forward_n_alpha,
-                      group, loop_matrix, transport_orbit)
+from conftest import (A1_RANK41, RANK41_GALOIS, ROW_GROUPS, composed_transport, datum,
+                      forward_n_alpha, group, loop_matrix, transport_orbit)
 from zipstrata import cones, rootsystem, sections, weyl
 from zipstrata.golden import C3_N_TABLE
 from zipstrata.rootsystem import _mat_vec, dot
@@ -574,10 +574,6 @@ def test_loops_and_transport_do_not_enumerate(monkeypatch):
 
 # -- wall rows from the root permutation ------------------------------------------------
 
-ROW_GROUPS = [("B2", None), ("C3", None), ("A3", "flip"), ("D4", "dswap"),
-              ("G2-explicit", None), ("A2-shear", None), ("A1-rot3", None)]
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(ROW_GROUPS), st.sets(st.integers(0, 3)), st.sampled_from([2, 3]),
        st.integers(1, 2), st.data())
@@ -651,10 +647,28 @@ def test_purity_report_builds_each_lattice_basis_once(monkeypatch, preset, I, ga
         calls.append(args)
         return _fn(*args)
     monkeypatch.setattr(cones, "kernel_basis", counted)
-    for lattice, uses in (("levi", 1), ("torus", 2)):     # torus also searches the Levi box
+    for lattice, uses in (("levi", 0), ("torus", 1)):     # the datum's cone data keeps the Levi one
         calls.clear()
         assert purity_report(Z, lattice=lattice) == expected[lattice]
         assert len(calls) == uses
+
+
+@pytest.mark.parametrize("preset, I, lattice", [("B3", (), "levi"), ("A3", (), "torus"),
+                                                ("C3", (0, 2), "torus")])
+def test_standard_basis_cones_skip_the_change_of_basis(preset, I, lattice):
+    # over the standard basis (I empty under levi, always under torus) the
+    # reduced rows are the ambient rows and the witness is the simplex's point
+    Z = datum(preset, I, p=3)
+    rank = Z.rd.rank
+    rep = purity_report(Z, lattice=lattice)
+    for c in rep.strata:
+        assert c.basis == tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        assert c.reduced_rows is c.ambient_rows
+        point = cones.feasible_strict(c.ambient_rows, rank).integral_point()
+        assert c.witness == (point if c.feasible else None)
+    if rep.uniformly_pure:
+        rows = [row for c in rep.strata for row in c.ambient_rows]
+        assert rep.uniform_witness == cones.feasible_strict(rows, rank).integral_point()
 
 
 @pytest.mark.parametrize("preset, I, galois, order", [("A3", (1,), "flip", 2),

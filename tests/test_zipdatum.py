@@ -4,6 +4,8 @@ import itertools
 import pytest
 
 from conftest import PSI_12, PSI_13, datum, group
+from zipstrata import zipdatum
+from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import (ZipDatumError, dims, flag_datum, is_prime,
                                 prime_power, validate_frame, zip_from_cochar)
 
@@ -203,3 +205,19 @@ def test_induced_second_parabolic_is_parabolic_subset():
                                 s = tuple(x + y for x, y in zip(a, b))
                                 if s in rd.roots:
                                     assert s in qr
+
+
+def test_the_frame_is_built_once_per_type_and_every_call_checks_p_and_n(monkeypatch):
+    rd, _ = group("A3", "flip")
+    wg, calls = WeylGroup(rd), []
+    monkeypatch.setattr(zipdatum, "validate_frame",
+                        lambda Z, _fn=validate_frame: calls.append((Z.I, Z.n)) or _fn(Z))
+    data = [zip_from_cochar(rd, I=(1, 2), n=n, p=p, wg=wg) for n in (1, 2) for p in (2, 3, 5)]
+    assert calls == [((1, 2), 1), ((1, 2), 2)]
+    for Z in data:
+        fresh = zip_from_cochar(rd, I=(1, 2), n=Z.n, p=Z.p)
+        assert (Z.J, Z.z, Z.q_roots, Z.q) == (fresh.J, fresh.z, fresh.q_roots, Z.p ** Z.n)
+    for kwargs, message in (({"p": 4}, "p = 4 is not prime"), ({"n": 0}, "exponent n"),
+                            ({"p": 3, "n": 6000}, "q = p.n is too large")):
+        with pytest.raises(ZipDatumError, match=message):
+            zip_from_cochar(rd, I=(1, 2), wg=wg, **{"n": 1, **kwargs})
