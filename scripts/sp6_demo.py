@@ -49,7 +49,7 @@ def main():
         rep = purity_report(Zp, lattice="levi", box=2)
         print("  p=%d  principal=%s uniform=%s failing=%s witness=%s" %
               (p, rep.principally_pure, rep.uniformly_pure,
-               list(rep.failing_strata()), rep.uniform_witness))
+               list(rep.failing_strata), rep.uniform_witness))
 
     ok, _report = golden.golden_report()
     print("\ngolden gate:", "PASS" if ok else "FAIL")

@@ -3,12 +3,11 @@ strata posets, section multiplicities and rational purity cones."""
 
 from .rootsystem import RootDatum, RootDatumError, build_root_datum, reflect
 from .weyl import WeylError, WeylGroup
-from .zipdatum import (DimReport, FlaggedZipDatum, ZipDatum, ZipDatumError, dims,
-                       flag_datum, validate_frame, zip_from_cochar)
+from .zipdatum import (DimReport, ZipDatum, ZipDatumError, dims, flag_datum,
+                       validate_frame, zip_from_cochar)
 from .strata import (CoarseStratum, ProjectionError, StrataPoset, Stratum,
                      classify_stratum, closure_leq, coarse_poset, coarse_strata,
-                     cross_label, fine_hasse_diagram, fine_strata, hasse_diagram,
-                     project_stratum, zip_strata)
+                     cross_label, hasse_diagram, project_stratum, zip_strata)
 from .sections import (CONVENTION, CharacterVerdict, GlnCertificate, PurityReport,
                        PurityVerdict, SectionCone, SectionVerdict, ampleness,
                        char_section_verdict, character_tests, flag_ampleness,
@@ -20,12 +19,11 @@ __version__ = "0.1.0"
 __all__ = [
     "RootDatum", "RootDatumError", "build_root_datum", "reflect",
     "WeylError", "WeylGroup",
-    "DimReport", "FlaggedZipDatum", "ZipDatum", "ZipDatumError", "dims",
-    "flag_datum", "validate_frame", "zip_from_cochar",
+    "DimReport", "ZipDatum", "ZipDatumError", "dims", "flag_datum",
+    "validate_frame", "zip_from_cochar",
     "CoarseStratum", "ProjectionError", "StrataPoset", "Stratum",
     "classify_stratum", "closure_leq", "coarse_poset", "coarse_strata",
-    "cross_label", "fine_hasse_diagram", "fine_strata", "hasse_diagram",
-    "project_stratum", "zip_strata",
+    "cross_label", "hasse_diagram", "project_stratum", "zip_strata",
     "CONVENTION", "CharacterVerdict", "GlnCertificate", "PurityReport",
     "PurityVerdict", "SectionCone", "SectionVerdict", "ampleness",
     "char_section_verdict", "character_tests", "flag_ampleness", "gln_certificate",

@@ -82,6 +82,9 @@ def _galois_spec(cfg):
         return None
     if isinstance(g, str):
         return g
+    if isinstance(g, dict) and set(g) - {"order"} not in ({"matrix"}, {"perm"}):
+        raise ConfigError("config.galois needs one of 'matrix' and 'perm', and at most "
+                          "'order' besides; got keys %s" % sorted(g))
     if "matrix" in g:
         return {"matrix": g["matrix"], "order": g.get("order", 1)}
     perm = list(g.get("perm", []))
@@ -101,12 +104,10 @@ def _group_from_config(cfg):
     group = cfg.get("group")
     if not isinstance(group, dict):
         raise ConfigError("config.group must be an object")
-    if "preset" in group:
-        spec = group["preset"]
-    elif "explicit" in group:
-        spec = group["explicit"]
-    else:
-        raise ConfigError("config.group needs 'preset' or 'explicit'")
+    if set(group) not in ({"preset"}, {"explicit"}):
+        raise ConfigError("config.group needs exactly one of 'preset' and 'explicit'; "
+                          "got keys %s" % sorted(group))
+    (spec,) = group.values()
     try:
         rd = build_root_datum(spec, galois=_galois_spec(cfg))
     except (KeyError, TypeError, AttributeError) as e:
@@ -126,10 +127,9 @@ def _datum_from_config(cfg, rd, wg):
         Z = zip_from_cochar(rd, mu=tuple(cfg["mu"]), n=n, p=p, wg=wg)
     else:
         raise ConfigError("config needs 'I' (1-based indices) or 'mu'")
-    FZ = None
     if "I0" in cfg:
-        FZ = flag_datum(Z, tuple(i - 1 for i in cfg["I0"]))
-    return Z, FZ
+        return flag_datum(Z, tuple(i - 1 for i in cfg["I0"]))
+    return Z
 
 
 def _parse_label(wg, spec):
@@ -302,7 +302,7 @@ def _verdict_payload(rep):
         "uniform_witness": rep.uniform_witness or None,
         "uniform_certificate": ([str(x) for x in rep.uniform_certificate]
                                 if rep.uniform_certificate else None),
-        "failing_strata": rep.failing_strata(),
+        "failing_strata": rep.failing_strata,
     }
 
 
@@ -324,58 +324,51 @@ def _poset_payload(poset):
     return {"side": poset.side, "nodes": nodes, "edges": edges}
 
 
-def _flagged(FZ, args):
-    if FZ is None:
+def _flagged(Z, args):
+    if Z.base is None:
         raise ConfigError("%s requires config.I0" % args.command)
-    return FZ
+    return Z
 
 
-def _stratum(Z, FZ, cfg, args):
-    """The datum that config.w labels a stratum of (the induced one of a flag
-    datum), and that label."""
-    Zt = FZ.Z0 if FZ else Z
+def _stratum(Z, cfg, args):
+    """The stratum that config.w labels."""
     if "w" not in cfg:
         raise ConfigError("%s requires config.w" % args.command)
-    return Zt, _parse_label(Zt.wg, cfg["w"])
+    return _parse_label(Z.wg, cfg["w"])
 
 
-# -- subcommands: (Z, FZ, cfg, args) -> payload -------------------------------------
+# -- subcommands: (Z, cfg, args) -> payload, Z the flag level when the config sets I0
 
-def _describe(Z, FZ, cfg, args):
-    d = dims(FZ if FZ else Z)
-    payload = {"datum": Z.describe(), "dims": d.as_dict(),
-               "frame_violations": validate_frame(Z)}
-    if FZ:
-        payload["I0"] = [i + 1 for i in FZ.I0]
-        payload["J0"] = [j + 1 for j in FZ.J0]
-        payload["induced"] = FZ.Z0.describe()
+def _describe(Z, cfg, args):
+    base = Z.base or Z
+    payload = {"datum": base.describe(), "dims": dims(Z).as_dict(),
+               "frame_violations": validate_frame(base)}
+    if Z.base:
+        payload["I0"] = [i + 1 for i in Z.I]
+        payload["J0"] = [j + 1 for j in Z.J]
+        payload["induced"] = Z.describe()
     return payload
 
 
-def _coarse_strata(Z, FZ, cfg, args):
+def _coarse_strata(Z, cfg, args):
     return _counted([{"label": s.label, "length": s.length,
                       "I_w": [i + 1 for i in s.I_w],
                       "reference_dim": s.reference_dim, "derived_dim": s.derived_dim}
-                     for s in strata.coarse_strata(_flagged(FZ, args))])
+                     for s in strata.coarse_strata(_flagged(Z, args))])
 
 
-def _hasse(Z, FZ, cfg, args):
-    return _poset_payload(strata.fine_hasse_diagram(FZ, args.side) if FZ
-                          else strata.hasse_diagram(Z, args.side))
-
-
-def _char_test(Z, FZ, cfg, args):
-    rows = []
+def _char_test(Z, cfg, args):
+    base, rows = Z.base or Z, []
     for chi in _characters(cfg, Z.rd.rank):
         v = sections.character_tests(Z.rd, chi, Z.q)
-        amp, wit = sections.ampleness(Z, chi)
+        amp, wit = sections.ampleness(base, chi)
         row = {"chi": chi, "q_small": v.q_small,
                "orbitally_q_close": v.orbitally_q_close,
                "zip_ample": amp, "witnesses": v.witnesses}
         if not amp:
             row["witnesses"] = dict(row["witnesses"], zip_ample=wit)
-        if FZ is not None:
-            fa, fwit = sections.flag_ampleness(FZ, chi)
+        if Z.base:
+            fa, fwit = sections.flag_ampleness(Z, chi)
             row["flag_ample"] = fa
             if not fa:
                 row["witnesses"] = dict(row["witnesses"], flag_ample=fwit)
@@ -383,24 +376,23 @@ def _char_test(Z, FZ, cfg, args):
     return {"q": Z.q, "characters": rows}
 
 
-def _n_alpha(Z, FZ, cfg, args):
-    Zt, w = _stratum(Z, FZ, cfg, args)
-    rows = []
-    for chi in _characters(cfg, Zt.rd.rank):
-        sv = sections.char_section_verdict(Zt, w, chi)
+def _n_alpha(Z, cfg, args):
+    w, rows = _stratum(Z, cfg, args), []
+    for chi in _characters(cfg, Z.rd.rank):
+        sv = sections.char_section_verdict(Z, w, chi)
         rows.append({"chi": chi,
                      "multiplicities": [(a, str(n)) for a, n in sv.multiplicities],
                      "verdict": sv.verdict,
                      "r_w": sv.r_w, "m": sv.m, "period": sv.period})
-    return {"stratum": Zt.wg.describe(w), "rows": rows, "convention": CONVENTION}
+    return {"stratum": Z.wg.describe(w), "rows": rows, "convention": CONVENTION}
 
 
-def _cone(Z, FZ, cfg, args):
-    return _cone_payload(sections.section_cone(*_stratum(Z, FZ, cfg, args), args.lattice))
+def _cone(Z, cfg, args):
+    return _cone_payload(sections.section_cone(Z, _stratum(Z, cfg, args), args.lattice))
 
 
-def _purity(Z, FZ, cfg, args):
-    rep = sections.purity_report(FZ if FZ else Z, lattice=args.lattice, box=args.box,
+def _purity(Z, cfg, args):
+    rep = sections.purity_report(Z, lattice=args.lattice, box=args.box,
                                  candidates=_characters(cfg, Z.rd.rank))
     return {
         "datum": rep.datum,
@@ -416,11 +408,12 @@ def _purity(Z, FZ, cfg, args):
 # every command that reads one datum, in the order the parser lists them
 _COMMANDS = {
     "describe": _describe,
-    "strata": lambda Z, FZ, cfg, args: _strata_payload(strata.zip_strata(Z, args.side)),
-    "flag-strata": lambda Z, FZ, cfg, args: _strata_payload(
-        strata.fine_strata(_flagged(FZ, args), args.side)),
+    "strata": lambda Z, cfg, args: _strata_payload(
+        strata.zip_strata(Z.base or Z, args.side)),
+    "flag-strata": lambda Z, cfg, args: _strata_payload(
+        strata.zip_strata(_flagged(Z, args), args.side)),
     "coarse-strata": _coarse_strata,
-    "hasse": _hasse,
+    "hasse": lambda Z, cfg, args: _poset_payload(strata.hasse_diagram(Z, args.side)),
     "char-test": _char_test,
     "n-alpha": _n_alpha,
     "cone": _cone,
@@ -441,9 +434,9 @@ def _scan(cfg, args):
     for t in types:
         for p in primes:
             try:
-                Z, FZ = _datum_from_config(dict(cfg, I=list(t), p=p), rd, wg)
-                rep = sections.purity_verdict(FZ if FZ else Z, lattice=args.lattice,
-                                              box=args.box, candidates=candidates)
+                Z = _datum_from_config(dict(cfg, I=list(t), p=p), rd, wg)
+                rep = sections.purity_verdict(Z, lattice=args.lattice, box=args.box,
+                                              candidates=candidates)
                 results.append({"I": list(t), "p": p, "ok": True, **_verdict_payload(rep)})
             except sections.BoxError:
                 raise               # an oversized --box is a bad request, not a bad cell
@@ -495,8 +488,8 @@ def main(argv=None) -> int:
         if args.command == "scan":
             payload = _scan(cfg, args)
         else:
-            Z, FZ = _datum_from_config(cfg, *_group_from_config(cfg))
-            payload = _COMMANDS[args.command](Z, FZ, cfg, args)
+            Z = _datum_from_config(cfg, *_group_from_config(cfg))
+            payload = _COMMANDS[args.command](Z, cfg, args)
         _emit(args.out, partial(_render, _bundle(args.command, payload), args.format))
         return EXIT_INFEASIBLE if args.command == "cone" and not payload["feasible"] \
             else EXIT_OK

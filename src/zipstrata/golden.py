@@ -156,7 +156,7 @@ def _run_golden_checks(checks):
         rep = sections.purity_report(Zp, lattice="levi", box=2)
         check("principal purity p=%d" % p, rep.principally_pure, p != 2)
         if p == 2:
-            check("failing stratum p=2", rep.failing_strata(), (C3_W,))
+            check("failing stratum p=2", rep.failing_strata, (C3_W,))
         else:
             check("uniform purity p=%d" % p, rep.uniformly_pure, True)
 

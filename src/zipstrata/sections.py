@@ -32,8 +32,7 @@ from weakref import WeakKeyDictionary
 from . import cones
 from .rootsystem import RootDatum, Vec, dot, vneg
 from .weyl import WeylGroup, _inverse, _mul
-from .zipdatum import (FlaggedZipDatum, ZipDatum, prime_power,
-                       zip_from_cochar)
+from .zipdatum import ZipDatum, _flag_base, prime_power, zip_from_cochar
 
 CONVENTION = "loop(z*w^-1)/wall-transport/base(q)"
 
@@ -101,10 +100,7 @@ class PurityVerdict:
     uniformly_pure: bool
     uniform_witness: Optional[tuple]
     uniform_certificate: Optional[tuple]
-    failing: tuple           # the labels of the strata whose section cone is infeasible
-
-    def failing_strata(self) -> tuple:
-        return self.failing
+    failing_strata: tuple    # the labels of the strata whose section cone is infeasible
 
 
 @dataclass(frozen=True)
@@ -173,13 +169,14 @@ def ampleness(Z: ZipDatum, chi: Vec) -> Tuple[bool, dict]:
     return True, {}
 
 
-def flag_ampleness(FZ: FlaggedZipDatum, chi: Vec) -> Tuple[bool, dict]:
+def flag_ampleness(FZ: ZipDatum, chi: Vec) -> Tuple[bool, dict]:
     """Positivity on I \\ I0 and negativity on the positive roots outside the
-    Levi of P (the cocharacter-type characterization)."""
-    Z = FZ.base
+    Levi of P (the cocharacter-type characterization), for a flag level of
+    type I0 over a base of type I."""
+    Z = _flag_base(FZ)
     rd = Z.rd
     chi = tuple(chi)
-    for i in sorted(set(Z.I) - set(FZ.I0)):
+    for i in sorted(set(Z.I) - set(FZ.I)):
         v = dot(chi, rd.coroot(rd.simple_roots[i]))
         if v <= 0:
             return False, {"simple_root": i + 1, "pairing": v}
@@ -450,17 +447,6 @@ def _positive_on(rows, chi) -> bool:
     return all(dot(row, chi) > 0 for row in rows)
 
 
-def _purity_datum(obj) -> ZipDatum:
-    """The datum whose cones a purity question is about: for a flagged datum,
-    the induced one, so that the lattice 'levi' means the small Levi's
-    characters."""
-    if isinstance(obj, FlaggedZipDatum):
-        return obj.Z0
-    if isinstance(obj, ZipDatum):
-        return obj
-    raise SectionError("purity_report expects a ZipDatum or FlaggedZipDatum")
-
-
 def _uniform_purity(Z: ZipDatum, lattice: str, box: int, candidates: Sequence):
     """What `purity_report` and `purity_verdict` share: every stratum's rows
     (`_stratum_rows`), the uniform cone over all of them, the candidates, and
@@ -515,28 +501,27 @@ def _uniform_purity(Z: ZipDatum, lattice: str, box: int, candidates: Sequence):
     return basis, per, res, uniform_witness, ample_close
 
 
-def purity_report(obj, lattice: str = "levi", box: int = 2,
+def purity_report(Z: ZipDatum, lattice: str = "levi", box: int = 2,
                   candidates: Sequence = ()) -> PurityReport:
     """Every stratum's section cone, the uniform intersection cone, and the
     sufficient-condition search for an ample, orbitally q-close character.
 
     Every section cone is solved, and each witness it finds is replayed on its
-    stratum's rows.  For a flagged datum the cones are taken over the induced
-    datum, so the lattice 'levi' means characters of the small Levi.
+    stratum's rows.  On a flag level the lattice 'levi' means characters of
+    its own, small Levi.
     """
-    Z = _purity_datum(obj)
     basis, per, res, uniform_witness, ample_close = _uniform_purity(Z, lattice, box,
                                                                     candidates)
     strata = tuple(_solve_cone(Z, lattice, basis, *s) for s in per)
     failing = tuple(c.stratum for c in strata if not c.feasible)
     return PurityReport(principally_pure=not failing, uniformly_pure=res.feasible,
                         uniform_witness=uniform_witness,
-                        uniform_certificate=res.certificate, failing=failing,
+                        uniform_certificate=res.certificate, failing_strata=failing,
                         datum=Z.describe(), lattice=lattice, strata=strata,
                         ample_close_char=ample_close, box_radius=box)
 
 
-def purity_verdict(obj, lattice: str = "levi", box: int = 2,
+def purity_verdict(Z: ZipDatum, lattice: str = "levi", box: int = 2,
                    candidates: Sequence = ()) -> PurityVerdict:
     """The verdicts of `purity_report`, solving only what they need.
 
@@ -546,13 +531,12 @@ def purity_verdict(obj, lattice: str = "levi", box: int = 2,
     runs.  Only an infeasible uniform cone can leave a stratum failing, and
     then every section cone is solved as in `purity_report`.
     """
-    Z = _purity_datum(obj)
     basis, per, res, uniform_witness, _ample = _uniform_purity(Z, lattice, box, candidates)
     failing = () if res.feasible else tuple(
         c.stratum for c in (_solve_cone(Z, lattice, basis, *s) for s in per) if not c.feasible)
     return PurityVerdict(principally_pure=not failing, uniformly_pure=res.feasible,
                          uniform_witness=uniform_witness,
-                         uniform_certificate=res.certificate, failing=failing)
+                         uniform_certificate=res.certificate, failing_strata=failing)
 
 
 # -- the GL_n block certificate ---------------------------------------------------------

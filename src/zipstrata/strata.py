@@ -4,11 +4,11 @@ the correspondence between the two stratum labelings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, List
 
 from .weyl import _getter, _mul
-from .zipdatum import FlaggedZipDatum, ZipDatum, dims, flag_datum
+from .zipdatum import ZipDatum, _flag_base, dims, flag_datum
 
 
 class StrataError(ValueError):
@@ -139,7 +139,8 @@ def _make_stratum(Z: ZipDatum, w: tuple, side: str, dim_P: int, dim_G: int) -> S
 
 
 def zip_strata(Z: ZipDatum, side: str = "I") -> List[Stratum]:
-    """One stratum per minimal coset representative, ordered by (length, word)."""
+    """One stratum per minimal coset representative, ordered by (length, word);
+    on a flag level, its fine strata, with dimensions measured over the base."""
     wg = Z.wg
     d = dims(Z)
     if side == "I":
@@ -151,22 +152,17 @@ def zip_strata(Z: ZipDatum, side: str = "I") -> List[Stratum]:
     return [_make_stratum(Z, w, side, d.dim_P, d.dim_G) for w in reps]
 
 
-def fine_strata(FZ: FlaggedZipDatum, side: str = "I") -> List[Stratum]:
-    """Strata of the induced datum, with dimensions measured in the base datum."""
+def coarse_strata(FZ: ZipDatum) -> List[CoarseStratum]:
+    """Double-coset strata of a flag level with both the classical and the
+    derived dimension."""
+    _flag_base(FZ)
+    wg = FZ.wg
     d = dims(FZ)
-    return [_make_stratum(FZ.Z0, s.w, side, d.dim_P, d.dim_G)
-            for s in zip_strata(FZ.Z0, side)]
-
-
-def coarse_strata(FZ: FlaggedZipDatum) -> List[CoarseStratum]:
-    """Double-coset strata with both the classical and the derived dimension."""
-    wg = FZ.Z0.wg
-    d = dims(FZ)
-    l_i0 = wg.length(wg.longest_element(FZ.I0))
-    l_j0 = wg.length(wg.longest_element(FZ.J0))
+    l_i0 = wg.length(wg.longest_element(FZ.I))
+    l_j0 = wg.length(wg.longest_element(FZ.J))
     out = []
-    for w in wg.double_coset_reps(FZ.I0, FZ.J0):
-        I_w = wg.double_coset_type(w, FZ.I0, FZ.J0)
+    for w in wg.double_coset_reps(FZ.I, FZ.J):
+        I_w = wg.double_coset_type(w, FZ.I, FZ.J)
         l = wg.length(w)
         l_iw = wg.length(wg.longest_element(I_w))
         reference_dim = l + l_j0 - l_iw - d.dim_P0
@@ -176,12 +172,13 @@ def coarse_strata(FZ: FlaggedZipDatum) -> List[CoarseStratum]:
     return out
 
 
-def coarse_poset(FZ: FlaggedZipDatum) -> StrataPoset:
-    """Closure order on coarse strata: induced Bruhat order on the reps."""
-    FZ.Z0.wg._check_enumerable()
+def coarse_poset(FZ: ZipDatum) -> StrataPoset:
+    """Closure order on the coarse strata of a flag level: induced Bruhat order
+    on the reps."""
+    FZ.wg._check_enumerable()
     cs = coarse_strata(FZ)
-    ws = [FZ.Z0.wg.key(s.w) for s in cs]
-    below = FZ.Z0.wg._down_sets({w: 1 << i for i, w in enumerate(ws)}, ws)
+    ws = [FZ.wg.key(s.w) for s in cs]
+    below = FZ.wg._down_sets({w: 1 << i for i, w in enumerate(ws)}, ws)
     return StrataPoset(side="coarse", strata=tuple(cs), covers=_covers(below),
                        below=tuple(below))
 
@@ -221,7 +218,8 @@ def _covers(below) -> tuple:
 
 
 def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
-    """Closure-order poset with cover edges.
+    """Closure-order poset with cover edges; on a flag level, the poset of its
+    fine strata, with dimensions measured over the base.
 
     The order is computed on the I-side labels; the J-side poset carries the
     same order moved to the cross labels of one pass over the twisted orbits.
@@ -243,26 +241,19 @@ def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
                        below=tuple(below))
 
 
-def fine_hasse_diagram(FZ: FlaggedZipDatum, side: str = "I") -> StrataPoset:
-    """Closure-order poset of the fine strata (order from the induced datum,
-    dimensions from the base)."""
-    poset = hasse_diagram(FZ.Z0, side)
-    d = dims(FZ)
-    return replace(poset, strata=tuple(_make_stratum(FZ.Z0, s.w, side, d.dim_P, d.dim_G)
-                                       for s in poset.strata))
-
-
 # -- classification and projection ---------------------------------------------
 
-def classify_stratum(FZ: FlaggedZipDatum, w: tuple, I0p: Iterable[int]) -> dict:
-    """Minimality/cominimality of a fine stratum with respect to a larger type."""
+def classify_stratum(FZ: ZipDatum, w: tuple, I0p: Iterable[int]) -> dict:
+    """Minimality/cominimality of a fine stratum of a flag level with respect
+    to a larger type."""
+    base = _flag_base(FZ)
     I0p = tuple(sorted(set(I0p)))
-    if not (set(FZ.I0) <= set(I0p) <= set(FZ.base.I)):
+    if not (set(FZ.I) <= set(I0p) <= set(base.I)):
         raise StrataError("need I0 <= I0' <= I")
-    wg = FZ.Z0.wg
-    if not wg.is_min_left(w, FZ.I0):
+    wg = FZ.wg
+    if not wg.is_min_left(w, FZ.I):
         raise StrataError("label is not minimal for the base flag type")
-    J0p = flag_datum(FZ.base, I0p).J0
+    J0p = flag_datum(base, I0p).J
     return {"minimal": wg.is_min_left(w, I0p),
             "cominimal": wg.is_min_right(w, J0p)}
 
@@ -279,19 +270,18 @@ def project_stratum(Z: ZipDatum, I1: Iterable[int], I0: Iterable[int],
     I0 = tuple(sorted(set(I0)))
     if not (set(I1) <= set(I0) <= set(Z.I)):
         raise StrataError("need I1 <= I0 <= I")
-    FZ1 = flag_datum(Z, I1)
     FZ0 = flag_datum(Z, I0)
     wg = Z.wg
     if not wg.is_min_left(w, I1):
         raise StrataError("label is not a stratum label at the source level")
     minimal = wg.is_min_left(w, I0)
-    cominimal = wg.is_min_right(w, FZ0.J0)
+    cominimal = wg.is_min_right(w, FZ0.J)
     if minimal or cominimal:
         d = dims(FZ0)
         side = "I" if minimal else "J"
-        return _make_stratum(FZ0.Z0, w, side, d.dim_P, d.dim_G)
+        return _make_stratum(FZ0, w, side, d.dim_P, d.dim_G)
     cands = set()
-    for t in next(_twisted_orbits(FZ0.Z0, [w])):     # FZ0.Z0 has I = I0
+    for t in next(_twisted_orbits(FZ0, [w])):     # FZ0 has I = I0
         while not wg.is_min_left(t, I0):
             i = next(i for i in I0 if wg.has_left_descent(t, i))
             t = wg.compose(wg.simple_reflection(i), t)

@@ -3,7 +3,8 @@ induced sub-datum attached to a smaller parabolic type, and dimension counts.
 
 A datum records the roots of the second parabolic explicitly (`q_roots`), so
 frame validation can check the containment axiom and induced data can inherit
-the correct parabolic position.
+the correct parabolic position.  A flag level is the induced datum itself, with
+the datum it was induced from as its `base`.
 """
 from __future__ import annotations
 
@@ -95,6 +96,7 @@ class ZipDatum:
     J: tuple
     z: tuple
     q_roots: frozenset       # root set of the second parabolic
+    base: Optional["ZipDatum"] = None    # the datum a flag level is induced from
 
     @property
     def q(self) -> int:
@@ -118,14 +120,6 @@ class ZipDatum:
             "z": wg.describe(self.z),
             "galois_order": self.rd.galois.order,
         }
-
-
-@dataclass(frozen=True, eq=False)
-class FlaggedZipDatum:
-    base: ZipDatum
-    I0: tuple
-    J0: tuple
-    Z0: ZipDatum
 
 
 @dataclass(frozen=True)
@@ -246,10 +240,11 @@ def validate_frame(Z: ZipDatum) -> list:
     return bad
 
 
-def flag_datum(Z: ZipDatum, I0: Iterable[int]) -> FlaggedZipDatum:
-    """Induced datum for a sub-type I0 of I: J0 = z^{-1}(gamma^n(I0)) and the
-    second parabolic generated by the twisted Levi part together with the
-    unipotent radical inherited from Z."""
+def flag_datum(Z: ZipDatum, I0: Iterable[int]) -> ZipDatum:
+    """The flag level of a sub-type I0 of I: the induced datum with I = I0,
+    J = J0 = z^{-1}(gamma^n(I0)), the same z, the second parabolic generated by
+    the twisted Levi part together with the unipotent radical inherited from Z,
+    and base Z."""
     I0 = tuple(sorted(set(I0)))
     if not set(I0) <= set(Z.I):
         raise ZipDatumError("I0 must be a subset of I")
@@ -270,21 +265,25 @@ def flag_datum(Z: ZipDatum, I0: Iterable[int]) -> FlaggedZipDatum:
                 | rd.levi_roots(gI0)
                 | (Z.q_roots - rd.levi_roots(gI)))
     Z0 = ZipDatum(rd=rd, wg=wg, n=Z.n, p=Z.p, I=I0, J=J0, z=Z.z,
-                  q_roots=frozenset(q0_roots))
+                  q_roots=frozenset(q0_roots), base=Z)
     bad = validate_frame(Z0)
     if bad:
         raise ZipDatumError("induced datum fails frame validation: %s" % "; ".join(bad))
-    return FlaggedZipDatum(base=Z, I0=I0, J0=J0, Z0=Z0)
+    return Z0
 
 
-def dims(obj) -> DimReport:
-    """All dimension bookkeeping for a datum or a flagged datum."""
-    if isinstance(obj, FlaggedZipDatum):
-        Z, Z0 = obj.base, obj.Z0
-    elif isinstance(obj, ZipDatum):
-        Z, Z0 = obj, None
-    else:
-        raise ZipDatumError("dims expects a ZipDatum or FlaggedZipDatum")
+def _flag_base(Z: ZipDatum) -> ZipDatum:
+    """The base of a flag level; a datum with none raises ZipDatumError."""
+    if Z.base is None:
+        raise ZipDatumError("this needs a flag level (a datum from flag_datum), "
+                            "and the datum has no base")
+    return Z.base
+
+
+def dims(Z0: ZipDatum) -> DimReport:
+    """All dimension bookkeeping for a datum, measured over its base when it
+    is a flag level; a flag level adds the dimensions of its own level."""
+    Z = Z0.base or Z0
     rd = Z.rd
     dim_G = rd.dim_group()
     dim_B = rd.dim_borel()
@@ -293,7 +292,7 @@ def dims(obj) -> DimReport:
     dim_Q = rd.rank + len(Z.q_roots)
     dim_V = dim_G - dim_Q
     dim_E = dim_P + dim_V
-    if Z0 is None:
+    if Z0.base is None:
         return DimReport(dim_G=dim_G, dim_B=dim_B, dim_P=dim_P, dim_Q=dim_Q, dim_E=dim_E)
     pos_I0 = len(rd.levi_positive(Z0.I))
     dim_P0 = dim_B + pos_I0

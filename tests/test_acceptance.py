@@ -20,8 +20,8 @@ from zipstrata import golden, sections, strata
 from zipstrata.cones import verify_certificate
 from zipstrata.sections import (char_section_verdict, gln_certificate, n_alpha,
                                 purity_report, section_cone)
-from zipstrata.strata import (coarse_poset, coarse_strata, fine_hasse_diagram,
-                              fine_strata, hasse_diagram, zip_strata)
+from zipstrata.strata import (coarse_poset, coarse_strata, hasse_diagram,
+                              zip_strata)
 from zipstrata.zipdatum import dims, flag_datum
 
 GROUPS = ("A1", "A2", "B2", "A3", "C3")
@@ -221,20 +221,20 @@ def test_criterion_6_property_suites():
             for r0 in range(len(I) + 1):
                 for I0 in itertools.combinations(I, r0):
                     FZ = flag_datum(Z, I0)
-                    fs = fine_strata(FZ)
+                    fs = zip_strata(FZ)
                     ok = ok and max(s.stack_dim for s in fs) == dims(FZ).dim_P_over_P0
                     for r1 in range(len(I0) + 1):
                         for I1 in itertools.combinations(I0, r1):
-                            via = flag_datum(FZ.Z0, I1).Z0
-                            direct = flag_datum(Z, I1).Z0
+                            via = flag_datum(FZ, I1)
+                            direct = flag_datum(Z, I1)
                             ok = ok and via.I == direct.I and via.J == direct.J \
                                 and via.z == direct.z and via.q_roots == direct.q_roots
             FZB = flag_datum(Z, ())
             cs = coarse_strata(FZB)
-            fs = fine_strata(FZB)
+            fs = zip_strata(FZB)
             ok = ok and [c.label for c in cs] == [f.label for f in fs]
             ok = ok and [c.derived_dim for c in cs] == [f.variety_dim for f in fs]
-            cp, fp = coarse_poset(FZB), fine_hasse_diagram(FZB)
+            cp, fp = coarse_poset(FZB), hasse_diagram(FZB)
             ok = ok and set(cp.covers) == set(fp.covers)
     # multiplicity linearity and period stability
     Z3 = datum("C3", (0, 2), p=3)

@@ -363,7 +363,7 @@ def test_scan_cells_print_the_purity_report_verdicts(group_spec, types, n):
     cells = cli._scan(cfg, cli.build_parser().parse_args(["scan"]))["cells"]
     rd, wg = cli._group_from_config(cfg)
     for cell in cells:
-        Z, _FZ = cli._datum_from_config(dict(cfg, I=cell["I"], p=cell["p"]), rd, wg)
+        Z = cli._datum_from_config(dict(cfg, I=cell["I"], p=cell["p"]), rd, wg)
         try:
             rep = sections.purity_report(Z)
         except sections.SectionError as e:
@@ -393,7 +393,7 @@ def test_scan_solves_the_section_cones_only_without_a_uniform_witness(monkeypatc
     assert len(cells) == 32 and len(uniform) == 24
     rd, wg = cli._group_from_config(cfg)
     for cell in uniform:
-        Z, _FZ = cli._datum_from_config(dict(cfg, I=cell["I"], p=cell["p"]), rd, wg)
+        Z = cli._datum_from_config(dict(cfg, I=cell["I"], p=cell["p"]), rd, wg)
         rows = [row for c in sections.purity_report(Z).strata for row in c.ambient_rows]
         assert cell["principally_pure"] and cell["failing_strata"] == ()
         assert all(dot(row, cell["uniform_witness"]) > 0 for row in rows)
@@ -560,6 +560,58 @@ def test_other_galois_permutations_exit_2(tmp_path, capsys, preset, perm):
     captured = capsys.readouterr()
     assert code == cli.EXIT_CONFIG and captured.out == ""
     assert captured.err == "error: config.galois: give an explicit matrix for this permutation\n"
+
+
+@pytest.mark.parametrize("group, galois, keys", [
+    ({"preset": "A3"}, {"Matrix": A3_FLIP_MATRIX, "order": 2},
+     "config.galois needs one of 'matrix' and 'perm', and at most 'order' besides; "
+     "got keys ['Matrix', 'order']"),
+    ({"preset": "A3"}, {},
+     "config.galois needs one of 'matrix' and 'perm', and at most 'order' besides; "
+     "got keys []"),
+    ({"preset": "A3"}, {"matrix": A3_FLIP_MATRIX, "perm": [3, 2, 1]},
+     "config.galois needs one of 'matrix' and 'perm', and at most 'order' besides; "
+     "got keys ['matrix', 'perm']"),
+    ({"preset": "C3", "explicit": EXPLICIT["G2-explicit"][0]}, None,
+     "config.group needs exactly one of 'preset' and 'explicit'; "
+     "got keys ['explicit', 'preset']"),
+    ({}, None,
+     "config.group needs exactly one of 'preset' and 'explicit'; got keys []"),
+], ids=["galois-misspelled", "galois-empty", "galois-both", "group-both", "group-empty"])
+def test_config_objects_saying_two_things_or_nothing_exit_2(tmp_path, capsys, group, galois,
+                                                          keys):
+    cfg = {"group": group, "p": 3, "n": 1, "I": [1]}
+    if galois is not None:
+        cfg["galois"] = galois
+    code = cli.main(["describe", "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and captured.out == ""
+    assert captured.err == "error: %s\n" % keys
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("describe", None, "cannot read config: "),
+    ("describe", {"group": {"preset": "C3"}, "p": 2}, "config needs 'I' (1-based indices) or 'mu'"),
+    ("n-alpha", dict(C3_CONFIG, w="351"),
+     'config.w: use a bracket like "[351]", "e", or a word list'),
+    ("n-alpha", {k: v for k, v in C3_CONFIG.items() if k != "w"}, "n-alpha requires config.w"),
+    ("cone", {k: v for k, v in C3_CONFIG.items() if k != "w"}, "cone requires config.w"),
+    ("scan", {"group": {"preset": "C3"}, "n": 1, "primes": [2]},
+     "scan requires 'types' or 'I' in the config"),
+    ("flag-strata", C3_CONFIG, "flag-strata requires config.I0"),
+    ("coarse-strata", C3_CONFIG, "coarse-strata requires config.I0"),
+    ("n-alpha", dict(C3_CONFIG, w="[213]"), "w is not a stratum label for this datum"),
+    ("cone", dict(C3_CONFIG, w="[213]"), "w is not a stratum label for this datum"),
+], ids=["missing-file", "no-type", "w-no-bracket", "n-alpha-no-w", "cone-no-w",
+        "scan-no-types", "flag-strata-no-I0", "coarse-strata-no-I0", "n-alpha-non-label",
+        "cone-non-label"])
+def test_config_errors_exit_2_with_their_message(tmp_path, capsys, command, cfg, message):
+    path = str(tmp_path / "absent.json") if cfg is None else write_config(tmp_path, cfg)
+    code = cli.main([command, "--config", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("error: " + message)
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cfg", [

@@ -254,6 +254,16 @@ def test_n_alpha_rejects_non_wall(c3_datum):
         n_alpha(Z, w351(Z), (1, 0, 0), (0, 0, 2))
 
 
+def test_stratum_functions_refuse_a_non_label(c3_datum):
+    Z = c3_datum
+    w = Z.wg.from_bracket("[213]")      # s1: in W_I, and not minimal on the J side
+    for call in (lambda: n_alpha(Z, w, (1, 1, 0), (1, -1, 0)),
+                 lambda: char_section_verdict(Z, w, (1, 1, 0)),
+                 lambda: section_cone(Z, w)):
+        with pytest.raises(SectionError, match="w is not a stratum label for this datum"):
+            call()
+
+
 def test_verdicts(c3_datum):
     Z2 = datum("C3", (0, 2), p=2)
     Z3 = datum("C3", (0, 2), p=3)
@@ -303,7 +313,7 @@ def test_cone_witnesses_replay():
 def test_purity_c3():
     rep2 = purity_report(datum("C3", (0, 2), p=2))
     assert not rep2.principally_pure
-    assert rep2.failing_strata() == ("[351]",)
+    assert rep2.failing_strata == ("[351]",)
     assert not rep2.uniformly_pure
     assert rep2.ample_close_char is None
     rep3 = purity_report(datum("C3", (0, 2), p=3))
@@ -516,14 +526,13 @@ def test_ample_search_matches_brute_force(preset, I, p, galois, I0):
     point of the sorted box built as a character, then tested for ampleness and
     orbital q-closeness."""
     Z = datum(preset, I, p=p, galois=galois)
-    obj = flag_datum(Z, I0) if I0 is not None else Z
-    Zt = obj.Z0 if I0 is not None else Z
+    Zt = flag_datum(Z, I0) if I0 is not None else Z
     levi = sections._lattice_basis(Zt, "levi")
     for box in (1, 2, 3):
         expected = next((chi for chi in _sorted_box(levi, box)
                          if ampleness(Zt, chi)[0]
                          and character_tests(Zt.rd, chi, Zt.q).orbitally_q_close), None)
-        assert purity_report(obj, box=box).ample_close_char == expected
+        assert purity_report(Zt, box=box).ample_close_char == expected
 
 
 def test_box_cap():

@@ -8,8 +8,7 @@ from conftest import datum, group
 from zipstrata import strata
 from zipstrata.strata import (ProjectionError, StrataError, classify_stratum,
                               closure_leq, coarse_poset, coarse_strata, cross_label,
-                              fine_hasse_diagram, fine_strata, hasse_diagram,
-                              project_stratum, zip_strata)
+                              hasse_diagram, project_stratum, zip_strata)
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import dims, flag_datum, zip_from_cochar
 
@@ -248,9 +247,9 @@ def test_covers_match_brute_force(case):
 def test_fine_strata(c3_datum):
     Z = c3_datum
     FZ = flag_datum(Z, Z.I)
-    assert [s.label for s in fine_strata(FZ)] == [s.label for s in zip_strata(Z, "I")]
+    assert [s.label for s in zip_strata(FZ)] == [s.label for s in zip_strata(Z, "I")]
     FZB = flag_datum(Z, ())
-    fs = fine_strata(FZB)
+    fs = zip_strata(FZB)
     assert len(fs) == 48
     assert max(s.stack_dim for s in fs) == 2
     assert max(s.stack_dim for s in fs) == dims(FZB).dim_P_over_P0
@@ -265,7 +264,7 @@ def test_open_fine_stratum_dimension():
                 for r0 in range(len(I) + 1):
                     for I0 in itertools.combinations(I, r0):
                         FZ = flag_datum(Z, I0)
-                        fs = fine_strata(FZ)
+                        fs = zip_strata(FZ)
                         assert max(s.stack_dim for s in fs) == dims(FZ).dim_P_over_P0
 
 
@@ -274,11 +273,11 @@ def test_coarse_equals_fine_at_borel_type():
         Z = datum(preset, I)
         FZ = flag_datum(Z, ())
         cs = coarse_strata(FZ)
-        fs = fine_strata(FZ)
+        fs = zip_strata(FZ)
         assert [c.label for c in cs] == [f.label for f in fs]
         assert [c.derived_dim for c in cs] == [f.variety_dim for f in fs]
         cp = coarse_poset(FZ)
-        fp = fine_hasse_diagram(FZ)
+        fp = hasse_diagram(FZ)
         assert {(cp.strata[i].label, cp.strata[j].label) for i, j in cp.covers} == \
             {(fp.strata[i].label, fp.strata[j].label) for i, j in fp.covers}
 
@@ -326,7 +325,7 @@ def test_project_stratum(c3_datum):
     # a label that is neither minimal nor cominimal projects to a union
     bad = next(u for u in wg.min_coset_reps((), "left")
                if not wg.is_min_left(u, (0, 2))
-               and not wg.is_min_right(u, flag_datum(Z, (0, 2)).J0))
+               and not wg.is_min_right(u, flag_datum(Z, (0, 2)).J))
     with pytest.raises(ProjectionError) as ei:
         project_stratum(Z, (), (0, 2), bad)
     assert ei.value.candidates
@@ -386,7 +385,7 @@ def test_twisted_datum_poset_and_cross_labels():
 def test_project_cominimal_label(c3_datum):
     Z = c3_datum
     wg = Z.wg
-    J0 = flag_datum(Z, Z.I).J0
+    J0 = flag_datum(Z, Z.I).J
     w = next(u for u in wg.min_coset_reps((), "left")
              if wg.is_min_right(u, J0) and not wg.is_min_left(u, Z.I))
     s = project_stratum(Z, (), Z.I, w)

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from conftest import PSI_12, PSI_13, datum, group
-from zipstrata import zipdatum
+from zipstrata import sections, strata, zipdatum
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import (ZipDatumError, dims, flag_datum, is_prime,
                                 prime_power, validate_frame, zip_from_cochar)
@@ -83,8 +83,8 @@ def test_validation_is_axiomatic_not_formula_based():
                 opp = tuple(sorted(
                     rd.simple_index(tuple(-x for x in wg.act(w0, rd.simple_roots[i])))
                     for i in I0))
-                if FZ.J0 != opp:
-                    assert validate_frame(FZ.Z0) == []
+                if FZ.J != opp:
+                    assert validate_frame(FZ) == []
                     found = True
     assert found
 
@@ -102,14 +102,36 @@ def test_invalid_prime_and_exponent():
 def test_flag_datum_basic(c3_datum):
     Z = c3_datum
     full = flag_datum(Z, Z.I)
-    assert full.J0 == Z.J and full.Z0.I == Z.I
-    assert full.Z0.q_roots == Z.q_roots
+    assert full.J == Z.J and full.I == Z.I
+    assert full.q_roots == Z.q_roots
     empty = flag_datum(Z, ())
-    assert empty.J0 == ()
+    assert empty.J == ()
     single = flag_datum(Z, (0,))
-    assert single.J0 == (0,)
+    assert single.J == (0,)
     with pytest.raises(ZipDatumError):
         flag_datum(Z, (1,))  # alpha_2 is not in I
+
+
+def test_a_flag_level_is_the_induced_datum_with_its_base(c3_datum):
+    Z = c3_datum
+    FZ = flag_datum(Z, (0,))
+    assert type(FZ) is zipdatum.ZipDatum and Z.base is None and FZ.base is Z
+    assert (FZ.rd, FZ.wg, FZ.n, FZ.p, FZ.z) == (Z.rd, Z.wg, Z.n, Z.p, Z.z)
+    assert [f.name for f in dataclasses.fields(FZ)] == \
+        ["rd", "wg", "n", "p", "I", "J", "z", "q_roots", "base"]
+    assert flag_datum(FZ, ()).base is FZ
+
+
+@pytest.mark.parametrize("needs_flag", [
+    strata.coarse_strata,
+    strata.coarse_poset,
+    lambda Z: strata.classify_stratum(Z, Z.wg.e, Z.I),
+    lambda Z: sections.flag_ampleness(Z, (-2, -3, 1)),
+], ids=["coarse_strata", "coarse_poset", "classify_stratum", "flag_ampleness"])
+def test_functions_of_a_flag_level_refuse_a_datum_with_no_base(c3_datum, needs_flag):
+    with pytest.raises(ZipDatumError, match="needs a flag level"):
+        needs_flag(c3_datum)
+    needs_flag(flag_datum(c3_datum, ()))
 
 
 def test_dims_c3(c3_datum):
@@ -144,8 +166,8 @@ def test_tower_coherence():
                 FZ0 = flag_datum(Z, I0)
                 for r1 in range(len(I0) + 1):
                     for I1 in itertools.combinations(I0, r1):
-                        via = flag_datum(FZ0.Z0, I1).Z0
-                        direct = flag_datum(Z, I1).Z0
+                        via = flag_datum(FZ0, I1)
+                        direct = flag_datum(Z, I1)
                         assert via.I == direct.I and via.J == direct.J
                         assert via.z == direct.z
                         assert via.q_roots == direct.q_roots
@@ -165,7 +187,7 @@ def test_frame_length_identity():
                 WJ = wg.min_coset_reps(Z.J, "right")
                 for r0 in range(len(I) + 1):
                     for I0 in itertools.combinations(I, r0):
-                        J0 = flag_datum(Z, I0).J0
+                        J0 = flag_datum(Z, I0).J
                         assert set(J0) <= set(Z.J)
                         assert all(wg.is_min_right(w, J0) for w in WJ)
 
@@ -195,7 +217,7 @@ def test_induced_second_parabolic_is_parabolic_subset():
                 Z = zip_from_cochar(rd, I=I, n=1, p=2, wg=wg)
                 for r0 in range(len(I) + 1):
                     for I0 in itertools.combinations(I, r0):
-                        Z0 = flag_datum(Z, I0).Z0
+                        Z0 = flag_datum(Z, I0)
                         qr = Z0.q_roots
                         neg = {tuple(-x for x in a) for a in qr}
                         assert qr | neg == rd.roots
