@@ -77,26 +77,28 @@ def _load_config(path):
 
 
 def _galois_spec(cfg):
+    """The galois spec and the declared order (None for the spec's own) that
+    `build_root_datum` reads off config.galois.  A permutation names the
+    split, "flip" or "dswap" matrix, and its `order`, like a matrix's, is
+    checked against that matrix."""
     g = cfg.get("galois")
-    if g is None:
-        return None
-    if isinstance(g, str):
-        return g
+    if g is None or isinstance(g, str):
+        return g, None
     if isinstance(g, dict) and set(g) - {"order"} not in ({"matrix"}, {"perm"}):
         raise ConfigError("config.galois needs one of 'matrix' and 'perm', and at most "
                           "'order' besides; got keys %s" % sorted(g))
     if "matrix" in g:
-        return {"matrix": g["matrix"], "order": g.get("order", 1)}
-    perm = list(g.get("perm", []))
+        return {"matrix": g["matrix"], "order": g.get("order", 1)}, None
+    perm, order = list(g.get("perm", [])), g.get("order")
     if not perm or perm == list(range(1, len(perm) + 1)):
-        return None
+        return None, order
     preset = cfg.get("group", {}).get("preset") or ""
     if perm == list(range(len(perm), 0, -1)) and \
             (preset.startswith("A") or preset.startswith("GL")):
-        return "flip"
+        return "flip", order
     n = len(perm)
     if n >= 2 and perm == list(range(1, n - 1)) + [n, n - 1] and preset.startswith("D"):
-        return "dswap"
+        return "dswap", order
     raise ConfigError("config.galois: give an explicit matrix for this permutation")
 
 
@@ -109,7 +111,8 @@ def _group_from_config(cfg):
                           "got keys %s" % sorted(group))
     (spec,) = group.values()
     try:
-        rd = build_root_datum(spec, galois=_galois_spec(cfg))
+        galois, order = _galois_spec(cfg)
+        rd = build_root_datum(spec, galois=galois, order=order)
     except (KeyError, TypeError, AttributeError) as e:
         raise ConfigError("malformed config.group or config.galois: %r" % (e,))
     return rd, WeylGroup(rd)

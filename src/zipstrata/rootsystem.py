@@ -378,7 +378,7 @@ def _finite_order_bound(n: int) -> int:
     return bound
 
 
-def build_root_datum(spec, galois=None) -> RootDatum:
+def build_root_datum(spec, galois=None, order=None) -> RootDatum:
     """Construct a root datum.
 
     `spec` is a preset name ("A<n>", "B<n>", "C<n>", "D<n>", "GL<n>", products
@@ -386,7 +386,9 @@ def build_root_datum(spec, galois=None) -> RootDatum:
     `galois` is None (split), the string "flip"/"dswap" for preset diagram
     automorphisms, or a dict {matrix, order} (explicit lattice automorphism).
     Each becomes a matrix M and an order d, and the permutation of the simple
-    roots is read off M.
+    roots is read off M.  `order`, when given, is the declared d in place of
+    the spec's own (1 when split, 2 for "flip" and "dswap", the dict's
+    "order"), checked like any other.
     """
     if isinstance(spec, str):
         factors = [_parse_preset(part) for part in spec.split("x")]
@@ -423,30 +425,31 @@ def build_root_datum(spec, galois=None) -> RootDatum:
                    for i in range(nsimple))
 
     if galois is None:
-        m, order = _identity(rank), 1
+        m, own = _identity(rank), 1
     elif galois == "flip":
         if preset is None or "x" in preset or _parse_preset(preset)[0] not in ("A", "GL"):
             raise RootDatumError("'flip' is available for single-factor A/GL presets only")
-        m, order = _flip_matrix(rank), 2
+        m, own = _flip_matrix(rank), 2
     elif galois == "dswap":
         if preset is None or not preset.startswith("D") or "x" in preset:
             raise RootDatumError("'dswap' is available for single-factor D presets only")
-        m, order = _dswap_matrix(rank), 2
+        m, own = _dswap_matrix(rank), 2
     elif isinstance(galois, dict):
         m = tuple(tuple(_integer(x, "galois matrix entry") for x in row)
                   for row in galois["matrix"])
         if len(m) != rank or any(len(row) != rank for row in m):
             raise RootDatumError("galois matrix must be %d x %d" % (rank, rank))
-        order = _integer(galois["order"], "galois order")
-        if order < 1:
-            raise RootDatumError("galois order must be a positive integer, got %d" % order)
-        bound = _finite_order_bound(rank)
-        if order > bound:
-            raise RootDatumError("galois order %d exceeds %d, which every finite order of "
-                                 "an invertible integer %d x %d matrix divides"
-                                 % (order, bound, rank, rank))
+        own = galois["order"]
     else:
         raise RootDatumError("unsupported galois spec %r" % (galois,))
+    order = _integer(own if order is None else order, "galois order")
+    if order < 1:
+        raise RootDatumError("galois order must be a positive integer, got %d" % order)
+    bound = _finite_order_bound(rank)
+    if order > bound:
+        raise RootDatumError("galois order %d exceeds %d, which every finite order of "
+                             "an invertible integer %d x %d matrix divides"
+                             % (order, bound, rank, rank))
     # read the permutation of the simple roots off M; validation checks the rest
     perm = []
     for a in roots:

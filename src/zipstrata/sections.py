@@ -42,6 +42,10 @@ BOX_POINT_CAP = 1_000_000
 # integers have about that many bits; like q itself, they then print in about
 # 3011 decimal digits, under the 4300 that int-to-str conversion allows
 ROW_BIT_CAP = 10_000
+# the most section-cone witnesses `purity_verdict` tries on a stratum before it
+# solves the stratum's cone: each stratum costs at most this many replays, where
+# an unbounded list would cost quadratically many on Borel types
+WITNESS_LIST = 4
 
 # the `_ConeData` of each datum of each live Weyl group, keyed by (I, J, n, z);
 # a `_ConeData` holds no reference to its group, so the group can still go
@@ -220,9 +224,10 @@ class _ConeData:
     prime of a scan shares it: the loop tail z^{-1} o gamma^{-n}, the root
     permutation that ends the loop sigma of every stratum; the radical order;
     the coroot of each indexed root; the Levi lattice basis (`levi`, the
-    `cones.kernel_basis` of the coroots of I); and, each filled on first use,
-    the stratum labels and each `stratum`'s display label, walls and loop
-    order T.
+    `cones.kernel_basis` of the coroots of I); `columns`, each root's coroot
+    followed by its pairings with the Levi basis (the coroot alone when the
+    Levi basis is the standard one); and, each filled on first use, the
+    stratum labels and each `stratum`'s table entry.
 
     The radical order is the order of gamma^n on X_0, the characters that
     vanish on every coroot.  gamma permutes the coroots, so gamma^n maps X_0 to
@@ -243,13 +248,17 @@ class _ConeData:
         self.tail = _mul(_inverse(Z.z), Z.wg.galois_perm(-Z.n))
         self.radical_order = order
         self.coroots = tuple(map(Z.rd.coroot, Z.wg._roots))
-        self.levi = tuple(cones.kernel_basis(_lattice_equations(Z, "levi"), Z.rd.rank))
+        self.levi = levi = tuple(cones.kernel_basis(_lattice_equations(Z, "levi"), Z.rd.rank))
+        self.columns = self.coroots if len(levi) == Z.rd.rank else tuple(
+            c + tuple(dot(c, b) for b in levi) for c in self.coroots)
         self.labels = None
         self.strata = {}
 
-    def stratum(self, wg: WeylGroup, w: tuple) -> Tuple[str, tuple, int]:
-        """The display label, the walls (`lower_reflections`) and the loop
-        order T of the stratum w.
+    def stratum(self, wg: WeylGroup, w: tuple) -> list:
+        """The table entry [label, walls, T, starts] of the stratum w: its
+        display label, its walls (`lower_reflections`), its loop order T and
+        the root index of each wall's start w(-alpha) (`_wall_root`), which
+        the first `_wall_rows` to walk them fills in.
 
         T is the order of the root permutation sigma = w o z^{-1} o gamma^{-n},
         the adjoint L^t of the character-side loop operator
@@ -267,7 +276,7 @@ class _ConeData:
                     seen.add(j)
                     j, length = sigma[j], length + 1
                 T = lcm(T, length) if length else T
-            found = self.strata[w] = (wg.describe(w), wg.lower_reflections(w), T)
+            found = self.strata[w] = [wg.describe(w), wg.lower_reflections(w), T, None]
         return found
 
 
@@ -313,30 +322,42 @@ def n_alpha(Z: ZipDatum, w: tuple, chi: Vec, alpha: Vec) -> int:
     return dot(row, chi)
 
 
-def _wall_rows(Z: ZipDatum, w: tuple, walls) -> Tuple[tuple, int]:
+def _wall_rows(Z: ZipDatum, w: tuple, walls, data: Optional[_ConeData] = None,
+               found: Optional[list] = None, levi: bool = False) -> Tuple[tuple, int]:
     """The n_alpha coefficient rows over ambient coordinates, one per wall, and
     the loop order T.  Each row is the adjoint form sum_{i<T} q^i (L^t)^i c of
     the sum in n_alpha, where c, the wall transport, is the coroot of the root
     `_wall_root` gives.  L^t = w o z^{-1} o gamma^{-n} sends coroots to coroots
     through the root permutation sigma of `_ConeData.stratum`, so the row is
-    sum_{i<T} q^i coroot(sigma^i(w(-alpha))): a walk over root indices.  Only
-    the q-powers, these walks and the simplex depend on p; T comes from the
-    datum's `_ConeData`, and rows past `ROW_BIT_CAP` are refused before any
-    orbit is walked."""
-    wg, q, data = Z.wg, Z.q, _cone_data(Z)
-    label, _walls, T = data.stratum(wg, w)
+    sum_{i<T} q^i coroot(sigma^i(w(-alpha))): a walk over root indices from
+    each wall's start, kept in the stratum's entry.  Only the q-powers, these
+    walks and the simplex depend on p; T comes from the datum's `_ConeData`,
+    and rows past `ROW_BIT_CAP` are refused before any orbit is walked.
+
+    `data` and `found` are the datum's `_ConeData` and the stratum's entry in
+    it, for a caller that holds them.  With `levi`, each row goes on with its
+    pairings with the Levi basis: the walk sums `_ConeData.columns`, so one
+    walk gives both rows, exactly, since a row's pairing is linear in it."""
+    wg, q = Z.wg, Z.q
+    data = data or _cone_data(Z)
+    found = found or data.stratum(wg, w)
+    label, own, T, starts = found
     if not walls:
         return (), T
     if T * q.bit_length() > ROW_BIT_CAP:
         raise SectionError("the loop order T = %d of stratum %s times the bit length %d "
                            "of q is %d, more than the cap %d on wall-row bits"
                            % (T, label, q.bit_length(), T * q.bit_length(), ROW_BIT_CAP))
-    sigma, coroots = _mul(w, data.tail), data.coroots
+    if walls is not own or starts is None:
+        starts = tuple(wg._root_index(_wall_root(Z, w, alpha)) for alpha in walls)
+        if walls is own:
+            found[3] = starts
+    sigma, columns = _mul(w, data.tail), data.columns if levi else data.coroots
     powers, rows = [q ** i for i in range(T)], []
-    for alpha in walls:
-        j, orbit = wg._root_index(_wall_root(Z, w, alpha)), []
+    for j in starts:
+        orbit = []
         for _ in range(T):
-            orbit.append(coroots[j])
+            orbit.append(columns[j])
             j = sigma[j]
         rows.append(tuple(sum(map(mul, powers, col)) for col in zip(*orbit)))
     return tuple(rows), T
@@ -346,7 +367,7 @@ def char_section_verdict(Z: ZipDatum, w: tuple, chi: Vec) -> SectionVerdict:
     """All wall multiplicities of the stratum, and their joint positivity."""
     if not _stratum_label_ok(Z, w):
         raise SectionError("w is not a stratum label for this datum")
-    label, walls, _T = _cone_data(Z).stratum(Z.wg, w)
+    label, walls, _T, _starts = _cone_data(Z).stratum(Z.wg, w)
     rows, T = _wall_rows(Z, w, walls)
     mults = tuple((a, dot(row, chi)) for a, row in zip(walls, rows))
     r, m = r_w(Z, w)
@@ -383,14 +404,17 @@ def _expand(t: tuple, basis: tuple, rank: int) -> tuple:
     return tuple(sum(t[k] * basis[k][j] for k in range(len(basis))) for j in range(rank))
 
 
-def _stratum_rows(Z: ZipDatum, w: tuple, basis: tuple) -> tuple:
+def _stratum_rows(Z: ZipDatum, w: tuple, basis: tuple, data: _ConeData) -> tuple:
     """The label, the walls and the wall rows of the stratum w, over ambient
-    coordinates and over the basis; over the standard basis they are the same."""
-    label, walls, _T = _cone_data(Z).stratum(Z.wg, w)
-    ambient, _T = _wall_rows(Z, w, walls)
-    if len(basis) == Z.rd.rank:
+    coordinates and over the basis; over the standard basis they are the same,
+    and otherwise the basis is the Levi one, whose rows the same walk gives."""
+    found = data.stratum(Z.wg, w)
+    label, walls, rank = found[0], found[1], Z.rd.rank
+    if len(basis) == rank:
+        ambient, _T = _wall_rows(Z, w, walls, data, found)
         return label, walls, ambient, ambient
-    return label, walls, ambient, tuple(tuple(dot(row, b) for b in basis) for row in ambient)
+    rows, _T = _wall_rows(Z, w, walls, data, found, True)
+    return label, walls, tuple(r[:rank] for r in rows), tuple(r[rank:] for r in rows)
 
 
 def _solve_cone(Z: ZipDatum, lattice: str, basis: tuple,
@@ -413,7 +437,7 @@ def section_cone(Z: ZipDatum, w: tuple, lattice: str = "levi") -> SectionCone:
     if not _stratum_label_ok(Z, w):
         raise SectionError("w is not a stratum label for this datum")
     basis = _lattice_basis(Z, lattice)
-    return _solve_cone(Z, lattice, basis, *_stratum_rows(Z, w, basis))
+    return _solve_cone(Z, lattice, basis, *_stratum_rows(Z, w, basis, _cone_data(Z)))
 
 
 def _check_box(m: int, radius: int):
@@ -444,7 +468,7 @@ def _box_coeffs(m: int, radius: int):
 def _positive_on(rows, chi) -> bool:
     """chi is strictly positive on every row: the stratum verdicts of
     `char_section_verdict`, from rows already built."""
-    return all(dot(row, chi) > 0 for row in rows)
+    return all(sum(map(mul, row, chi)) > 0 for row in rows)
 
 
 def _uniform_purity(Z: ZipDatum, lattice: str, box: int, candidates: Sequence):
@@ -454,11 +478,11 @@ def _uniform_purity(Z: ZipDatum, lattice: str, box: int, candidates: Sequence):
     the rows per stratum, the uniform cone's `Feasibility`, the uniform witness
     and the ample, orbitally q-close character.  The uniform witness, whichever
     it is, has been replayed on every stratum's ambient rows."""
-    rd = Z.rd
-    levi = _cone_data(Z).levi
+    rd, data = Z.rd, _cone_data(Z)
+    levi = data.levi
     _check_box(len(levi), box)
     basis = _lattice_basis(Z, lattice)
-    per = [_stratum_rows(Z, w, basis) for w in _labels(Z)]
+    per = [_stratum_rows(Z, w, basis, data) for w in _labels(Z)]
     ambient = [row for s in per for row in s[2]]
     res = cones.feasible_strict(ambient if len(basis) == rd.rank
                                 else [row for s in per for row in s[3]], len(basis))
@@ -528,15 +552,29 @@ def purity_verdict(Z: ZipDatum, lattice: str = "levi", box: int = 2,
     A uniform witness is positive on every stratum's walls, so when the uniform
     cone is feasible every section cone is too: its witness, replayed on every
     stratum's rows, certifies principal purity, and no per-stratum simplex
-    runs.  Only an infeasible uniform cone can leave a stratum failing, and
-    then every section cone is solved as in `purity_report`.
+    runs.  Only an infeasible uniform cone can leave a stratum failing.  Then
+    a stratum is certified feasible, with no simplex, by any of the last
+    `WITNESS_LIST` section-cone witnesses that is strictly positive on its
+    ambient rows: every witness lies in the chosen lattice, so it is a point
+    of the stratum's cone.  The list is kept move-to-front, and only the
+    strata that none of its witnesses certifies have their cone solved.
     """
     basis, per, res, uniform_witness, _ample = _uniform_purity(Z, lattice, box, candidates)
-    failing = () if res.feasible else tuple(
-        c.stratum for c in (_solve_cone(Z, lattice, basis, *s) for s in per) if not c.feasible)
+    failing, witnesses = [], []
+    for s in () if res.feasible else per:
+        k = next((k for k, chi in enumerate(witnesses) if _positive_on(s[2], chi)), None)
+        if k is not None:
+            witnesses.insert(0, witnesses.pop(k))
+            continue
+        cone = _solve_cone(Z, lattice, basis, *s)
+        if cone.feasible:
+            witnesses.insert(0, cone.witness)
+            del witnesses[WITNESS_LIST:]
+        else:
+            failing.append(cone.stratum)
     return PurityVerdict(principally_pure=not failing, uniformly_pure=res.feasible,
                          uniform_witness=uniform_witness,
-                         uniform_certificate=res.certificate, failing_strata=failing)
+                         uniform_certificate=res.certificate, failing_strata=tuple(failing))
 
 
 # -- the GL_n block certificate ---------------------------------------------------------

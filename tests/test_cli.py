@@ -375,9 +375,11 @@ def test_scan_cells_print_the_purity_report_verdicts(group_spec, types, n):
 
 def test_scan_solves_the_section_cones_only_without_a_uniform_witness(monkeypatch):
     # the C3 scan: 24 of its 32 cells have a feasible uniform cone, whose witness
-    # certifies all 147 strata; the other 8 cells solve their 228 section cones.
-    # The Levi basis is built once per type, beside the radical order's basis,
-    # and the frame is validated once per type.
+    # certifies all 147 strata, and 8 do not. Of the 228 strata of those 8, 144
+    # are certified by a recent section-cone witness, so the scan solves the 32
+    # uniform cones and 84 section cones. The Levi basis is built once per
+    # type, beside the radical order's basis, and the frame is validated once
+    # per type.
     calls = {"feasible_strict": 0, "kernel_basis": 0, "validate_frame": 0}
     for mod, name in ((cones, "feasible_strict"), (cones, "kernel_basis"),
                       (zipdatum, "validate_frame")):
@@ -387,7 +389,7 @@ def test_scan_solves_the_section_cones_only_without_a_uniform_witness(monkeypatc
         monkeypatch.setattr(mod, name, counted)
     cfg = json.loads((BENCH_CONFIGS / "c3-scan.json").read_text())
     cells = cli._scan(cfg, cli.build_parser().parse_args(["scan"]))["cells"]
-    assert calls == {"feasible_strict": 260, "kernel_basis": 16, "validate_frame": 8}
+    assert calls == {"feasible_strict": 116, "kernel_basis": 16, "validate_frame": 8}
     monkeypatch.undo()
     uniform = [c for c in cells if c["uniformly_pure"]]
     assert len(cells) == 32 and len(uniform) == 24
@@ -602,9 +604,11 @@ def test_config_objects_saying_two_things_or_nothing_exit_2(tmp_path, capsys, gr
     ("coarse-strata", C3_CONFIG, "coarse-strata requires config.I0"),
     ("n-alpha", dict(C3_CONFIG, w="[213]"), "w is not a stratum label for this datum"),
     ("cone", dict(C3_CONFIG, w="[213]"), "w is not a stratum label for this datum"),
+    ("describe", {"group": {"preset": "A3"}, "galois": {"perm": [3, 2, 1], "order": 3},
+                  "p": 3, "n": 1, "I": [1]}, "galois matrix does not have the declared order"),
 ], ids=["missing-file", "no-type", "w-no-bracket", "n-alpha-no-w", "cone-no-w",
         "scan-no-types", "flag-strata-no-I0", "coarse-strata-no-I0", "n-alpha-non-label",
-        "cone-non-label"])
+        "cone-non-label", "perm-wrong-order"])
 def test_config_errors_exit_2_with_their_message(tmp_path, capsys, command, cfg, message):
     path = str(tmp_path / "absent.json") if cfg is None else write_config(tmp_path, cfg)
     code = cli.main([command, "--config", path])

@@ -16,7 +16,7 @@ from zipstrata.golden import C3_N_TABLE
 from zipstrata.rootsystem import _mat_vec, dot
 from zipstrata.sections import (SectionError, ampleness, char_section_verdict,
                                 character_tests, flag_ampleness, gln_certificate,
-                                n_alpha, purity_report, r_w, section_cone,
+                                n_alpha, purity_report, purity_verdict, r_w, section_cone,
                                 twist_power, _box_coeffs, _check_box, _wall_root,
                                 _wall_rows)
 from zipstrata.weyl import WeylGroup
@@ -567,6 +567,62 @@ def test_purity_report_reuses_cone_rows(monkeypatch, preset, I, p, n, cand):
     monkeypatch.setattr(sections, "ampleness", _refuse)
     assert purity_report(Z, candidates=[cand]) == expected
     assert calls == {"_wall_rows": len(expected.strata), "_ample_transports": 1}
+
+
+PURITY_ORACLE_CELLS = [(preset, I, p) for preset, m in (("C3", 3), ("C4", 4))
+                       for k in range(m + 1) for I in itertools.combinations(range(m), k)
+                       for p in (2, 3)]
+
+
+@pytest.mark.parametrize("preset, I, p", PURITY_ORACLE_CELLS)
+def test_witness_rule_matches_solving_every_cone(preset, I, p):
+    # `purity_report` solves every section cone; `purity_verdict` solves only
+    # the strata that no recent witness certifies, and must fail the same ones.
+    # Among the cells: C3 I={1,3} fails [351] at p = 2, and C4 I={2} and
+    # I={3} fail 4 and 12 strata there, each with an infeasible uniform cone
+    Z = datum(preset, I, p=p)
+    report = purity_report(Z)
+    assert purity_verdict(Z).failing_strata == report.failing_strata
+    failing = {("C3", (0, 2), 2): 1, ("C4", (1,), 2): 4, ("C4", (2,), 2): 12}
+    if (preset, I, p) in failing:
+        assert not report.uniformly_pure
+        assert len(report.failing_strata) == failing[preset, I, p]
+    if (preset, I, p) == ("C3", (0, 2), 2):
+        assert report.failing_strata == ("[351]",)
+
+
+def test_witness_rule_solves_fewer_cones_than_strata(monkeypatch):
+    # C4 Borel at p = 2: the uniform cone is infeasible and every one of the
+    # 384 section cones is feasible; the move-to-front list certifies most of
+    # them, and no stratum is tried against more witnesses than the list holds
+    # (a solved cone's replay of its own witness is not a try)
+    Z = datum("C4", (), p=2)
+    labels = Z.wg.min_coset_reps(Z.I, "left")
+    assert len(labels) == 384 and not purity_report(Z).uniformly_pure
+    solves, tries, solving = [0], {}, []
+
+    def counted_solve(*args, _fn=cones.feasible_strict):
+        solves[0] += 1
+        return _fn(*args)
+
+    def replaying(*args, _fn=sections._solve_cone):
+        solving.append(True)
+        try:
+            return _fn(*args)
+        finally:
+            solving.pop()
+
+    def counted_try(rows, chi, _fn=sections._positive_on):
+        if not solving:
+            tries[id(rows)] = tries.get(id(rows), 0) + 1
+        return _fn(rows, chi)
+    monkeypatch.setattr(cones, "feasible_strict", counted_solve)
+    monkeypatch.setattr(sections, "_solve_cone", replaying)
+    monkeypatch.setattr(sections, "_positive_on", counted_try)
+    verdict = purity_verdict(Z)
+    assert verdict.principally_pure and not verdict.uniformly_pure
+    assert solves[0] < len(labels)
+    assert max(tries.values()) <= sections.WITNESS_LIST
 
 
 def test_loops_and_transport_do_not_enumerate(monkeypatch):
