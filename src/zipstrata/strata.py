@@ -177,8 +177,8 @@ def coarse_poset(FZ: ZipDatum) -> StrataPoset:
     on the reps."""
     FZ.wg._check_enumerable()
     cs = coarse_strata(FZ)
-    ws = [FZ.wg.key(s.w) for s in cs]
-    below = FZ.wg._down_sets({w: 1 << i for i, w in enumerate(ws)}, ws)
+    ws = [s.w for s in cs]
+    below = FZ.wg._down_sets({FZ.wg.key(w): 1 << i for i, w in enumerate(ws)}, ws)
     return StrataPoset(side="coarse", strata=tuple(cs), covers=_covers(below),
                        below=tuple(below))
 
@@ -187,12 +187,12 @@ def _closure_down_sets(Z: ZipDatum, ws) -> list:
     """below[j] has bit i when ws[i] lies in the closure of ws[j]: some twisted
     conjugate of ws[i] is Bruhat-below ws[j].  Every key of the twisted orbit
     of ws[i] carries bit i, so the orbits must be disjoint."""
-    key, label = Z.wg.key, {}
+    label = {}
     for i, keys in enumerate(_twisted_keys(Z, ws)):
         for k in keys:
             if label.setdefault(k, 1 << i) != 1 << i:
                 raise AssertionError("twisted orbits of two strata meet; convention error")
-    return Z.wg._down_sets(label, [key(w) for w in ws])
+    return Z.wg._down_sets(label, ws)
 
 
 def _covers(below) -> tuple:
@@ -223,8 +223,11 @@ def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
 
     The order is computed on the I-side labels; the J-side poset carries the
     same order moved to the cross labels of one pass over the twisted orbits.
-    The order walks all of W, so its size is checked before any labelling.
+    The order labels all |W| keys, so the size of W is checked before any
+    labelling.
     """
+    if side not in ("I", "J"):
+        raise StrataError("side must be 'I' or 'J'")
     Z.wg._check_enumerable()
     strata = zip_strata(Z, "I")
     ws = [s.w for s in strata]
@@ -234,8 +237,6 @@ def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
             ((_make_stratum(Z, t, "J", d.dim_P, d.dim_G), w)
              for t, w in zip(_cross_labels(Z, ws), ws)),
             key=lambda sw: (sw[0].length, sw[0].label)))
-    elif side != "I":
-        raise StrataError("side must be 'I' or 'J'")
     below = _closure_down_sets(Z, ws)
     return StrataPoset(side=side, strata=tuple(strata), covers=_covers(below),
                        below=tuple(below))

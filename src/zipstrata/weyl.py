@@ -287,17 +287,20 @@ class WeylGroup:
 
     # -- Bruhat order -----------------------------------------------------------
     def bruhat_leq(self, u: tuple, w: tuple) -> bool:
-        """Recursive descent criterion: for a left descent s of w,
-        u <= w iff min(u, su) <= sw."""
-        lu = self.length(u)
-        if lu > self.length(w):
-            return False
-        if u == w or lu == 0:
-            return True
-        i = next(i for i in range(self.rd.num_simple) if self.has_left_descent(w, i))
-        sw = _mul(self.simple[i], w)
-        su = _mul(self.simple[i], u)
-        return self.bruhat_leq(su if self.length(su) < lu else u, sw)
+        """Descent criterion: for a left descent s of w, u <= w iff
+        min(u, su) <= sw, applied in a loop that strips one descent of w per
+        step, so no recursion depth grows with l(w)."""
+        lu, lw = self.length(u), self.length(w)
+        while lu <= lw:
+            if u == w or lu == 0:
+                return True
+            s = self.simple[next(i for i in range(self.rd.num_simple)
+                                 if self.has_left_descent(w, i))]
+            w, lw, su = _mul(s, w), lw - 1, _mul(s, u)
+            lsu = self.length(su)
+            if lsu < lu:
+                u, lu = su, lsu
+        return False
 
     # -- lower reflections and Bruhat down-sets -----------------------------------
     def lower_reflections(self, w: tuple) -> tuple:
@@ -307,22 +310,84 @@ class WeylGroup:
         return tuple(a for j, a in enumerate(self.rd.positive) if w[j] >= n
                      and self.length(_mul(w, self._reflections[j])) == lower)
 
+    def _ideal_levels(self, ws):
+        """Yield the Bruhat ideal {x : x <= w for some w in ws} one length level
+        at a time.  Each w of ws not yet in the ideal adds [e, w], the products
+        of the subwords of a reduced word of w, one letter s at a time: P_k is
+        P_{k-1} with x s for each x in it (Björner-Brenti, Combinatorics of
+        Coxeter Groups, ch. 2).  An x s with x(alpha_s) negative is skipped,
+        since P_{k-1} is down-closed and holds it already.  x s is keyed from
+        x and composed only the first time its key is met.  ws is read from
+        its end, longest first for labels in (length, word) order, so a
+        shorter label is mostly found in the ideal already; any order gives
+        the same ideal.  When ws holds w0 the ideal is W, and the level walk
+        enumerates it for less than the lifting would cost."""
+        if not ws:
+            return
+        # w0 sends every simple root negative; it comes last in the usual
+        # (length, word) order, so the search starts there
+        n, simple = self._npos, self._simple_index
+        if any(all(w[j] >= n for j in simple) for w in reversed(ws)):
+            yield from self._levels(range(self.rd.num_simple))
+            return
+        levels = self._ideal(reversed(ws))
+        levels.reverse()
+        while levels:           # each level is dropped once it has been walked
+            yield levels.pop()
+
+    def _ideal(self, ws) -> list:
+        """The ideal of `_ideal_levels` below the elements ws, as lists of
+        elements by length; the lifting dicts die on return."""
+        n, key, e = self._npos, self.key, self.e
+        steps = [(j, self.simple[i], self._reflection_keys[j])
+                 for i, j in enumerate(self._simple_index)]
+        bottom = {key(e): (e, 0)}
+        met = dict(bottom)          # key -> (element, length), over all of ws
+        for w in ws:
+            k = key(w)
+            if k in met:
+                continue
+            # a reduced word of w, last letter first, by stripping one right
+            # descent at a time; the elements passed lie in [e, w] and are kept
+            l = self.length(w)
+            met[k], x, word = (w, l), w, []
+            while l:
+                step = next(t for t in steps if x[t[0]] >= n)
+                word.append(step)
+                k = step[2](x)
+                if k not in met:
+                    met[k] = (_mul(x, step[1]), l - 1)
+                x, l = met[k]
+            down = dict(bottom)     # P_k, for the first k letters of the word
+            for j, s, key_xs in reversed(word):
+                for x, l in list(down.values()):
+                    if x[j] < n:
+                        k = key_xs(x)
+                        if k not in down:
+                            y = met.get(k)
+                            if y is None:
+                                y = met[k] = (_mul(x, s), l + 1)
+                            down[k] = y
+        levels = [[] for _ in range(max(l for x, l in met.values()) + 1)]
+        for x, l in met.values():
+            levels[l].append(x)
+        return levels
+
     def _down_sets(self, label: dict, ws) -> list:
-        """For each key w in ws, the OR of label.get(key(x), 0) over all x <= w
-        in Bruhat order (Björner-Brenti, Combinatorics of Coxeter Groups, ch. 2).
-        W is walked by levels; x s_a is a lower cover of x exactly when it lies
-        in the previous level, so only two levels of down-sets stay alive and
+        """For each element w of ws, the OR of label.get(key(x), 0) over all
+        x <= w in Bruhat order (Björner-Brenti, ch. 2).  Only the ideal below
+        ws is walked, by levels (`_ideal_levels`); x s_a is a lower cover of x
+        exactly when it lies in the previous level, which the ideal holds whole
+        since it is down-closed, so only two levels of down-sets stay alive and
         those of ws are copied out on the way.  Down-sets are keyed by key(x),
         and the key of each x s_a is read from x, never composed.  Only the
         inversions a of x, x(a) negative, are followed: x s_a is longer than x
-        otherwise.  An element longer than every w in ws lies below none of
-        them, so the walk ends at the level where the last of ws is reached."""
+        otherwise."""
         self._check_enumerable()
-        n, key, out, prev = self._npos, self.key, dict.fromkeys(ws), {}
-        covers, left = tuple(enumerate(self._reflection_keys)), len(out)
-        if not left:
-            return []
-        for level in self._levels(range(self.rd.num_simple)):
+        n, key, prev = self._npos, self.key, {}
+        keys = [key(w) for w in ws]
+        out, covers = dict.fromkeys(keys), tuple(enumerate(self._reflection_keys))
+        for level in self._ideal_levels(ws):
             cur, below = {}, prev.get
             for x in level:
                 k = key(x)
@@ -333,11 +398,8 @@ class WeylGroup:
                 cur[k] = d
                 if k in out:
                     out[k] = d
-                    left -= 1
-            if not left:
-                break
             prev = cur
-        return [out[w] for w in ws]
+        return [out[k] for k in keys]
 
     # -- bracket notation (hyperoctahedral presets) -------------------------------
     def supports_bracket(self) -> bool:

@@ -84,6 +84,16 @@ def test_hasse_single_node():
     assert len(poset.strata) == 1 and poset.covers == ()
 
 
+def test_hasse_rejects_a_bad_side_before_enumerating(c3_datum, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the labels were enumerated")
+
+    monkeypatch.setattr(strata, "zip_strata", refuse)
+    monkeypatch.setattr(WeylGroup, "min_coset_reps", refuse)
+    with pytest.raises(StrataError, match="side must be 'I' or 'J'"):
+        hasse_diagram(c3_datum, side="K")
+
+
 def test_closure_equals_bruhat_restriction_on_c3(c3_datum):
     Z = c3_datum
     wg = Z.wg

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E7_TYPE, cochar, group, subword_down_set, subword_leq
-from zipstrata import weyl
+from conftest import E7_TYPE, cochar, datum, group, subword_down_set, subword_leq
+from zipstrata import strata, weyl
 from zipstrata.rootsystem import build_root_datum, reflect
 from zipstrata.weyl import WeylError, WeylGroup
 
 SMALL = ("A1", "A2", "B2", "A3")
+DOWN_SET_GROUPS = [("C3", None), ("B2", None), ("A3", "flip"), ("D4", "dswap"),
+                   ("G2-explicit", None), ("A1", None), ("GL1xGL1", None)]
 
 
 def test_from_word_identity(c3):
@@ -49,12 +51,13 @@ def test_action_preserves_pairing(c3):
 
 
 def test_bruhat_against_subword_oracle_exhaustive():
-    for preset in SMALL:
-        _, wg = group(preset)
+    for preset, galois in [(p, None) for p in SMALL] + DOWN_SET_GROUPS:
+        _, wg = group(preset, galois)
         els = wg.elements()
-        for u in els:
-            for w in els:
-                assert wg.bruhat_leq(u, w) == subword_leq(wg, u, w), \
+        for w in els:
+            down = subword_down_set(wg, w)
+            for u in els:
+                assert wg.bruhat_leq(u, w) == (u in down), \
                     (preset, wg.describe(u), wg.describe(w))
 
 
@@ -445,8 +448,15 @@ def test_level_walk(preset, galois):
             tuple(w for w in wg.elements() if wg.is_min_left(w, K))
 
 
-DOWN_SET_GROUPS = [("C3", None), ("B2", None), ("A3", "flip"), ("D4", "dswap"),
-                   ("G2-explicit", None), ("A1", None), ("GL1xGL1", None)]
+def test_bruhat_leq_on_a_long_element():
+    # on A50, l(w0) = 1,275: the descent criterion strips one left descent of
+    # w0 per step, which a recursion could not do without overflowing the stack
+    _, wg = group("A50")
+    w0 = wg.longest_element()
+    u = wg.compose(w0, wg.simple_reflection(0))
+    assert wg.length(w0) == 1275 and wg.length(u) == 1274
+    assert wg.bruhat_leq(u, w0)
+    assert not wg.bruhat_leq(w0, u)
 
 
 @pytest.mark.parametrize("preset, galois", DOWN_SET_GROUPS)
@@ -458,16 +468,16 @@ def test_down_sets_over_all_of_w(preset, galois):
     elts = wg.elements()
     keys = [wg.key(w) for w in elts]
     assert len(set(keys)) == len(elts)
-    below = wg._down_sets({k: 1 << i for i, k in enumerate(keys)}, keys)
+    below = wg._down_sets({k: 1 << i for i, k in enumerate(keys)}, elts)
     for w, down in zip(elts, below):
         assert {u for i, u in enumerate(elts) if down >> i & 1} == subword_down_set(wg, w)
 
 
 @pytest.mark.parametrize("preset, galois", DOWN_SET_GROUPS)
 def test_down_sets_of_part_of_w(preset, galois):
-    # the walk ends at the level where the last requested key is reached, so
-    # ask for shuffled parts of W: every element of length <= k, and random
-    # samples, one with a repeated key; each column is still a whole down-set
+    # the walk covers only the ideal below the requested elements, so ask for
+    # shuffled parts of W: every element of length <= k, and random samples,
+    # one with a repeated element; each column is still a whole down-set
     _, wg = group(preset, galois)
     elts = wg.elements()
     label = {wg.key(w): 1 << i for i, w in enumerate(elts)}
@@ -479,7 +489,7 @@ def test_down_sets_of_part_of_w(preset, galois):
     parts.append(parts[-1] + parts[-1][:1])
     for ws in parts:
         ws = rng.sample(ws, len(ws))
-        below = wg._down_sets(label, [wg.key(w) for w in ws])
+        below = wg._down_sets(label, ws)
         assert len(below) == len(ws)
         for w, down in zip(ws, below):
             assert {u for i, u in enumerate(elts) if down >> i & 1} == oracle[w]
@@ -487,22 +497,73 @@ def test_down_sets_of_part_of_w(preset, galois):
 
 
 def test_down_sets_compose_only_new_elements(monkeypatch):
-    # the walk composes each element of W once, as it first meets its key, and
-    # reads the lower covers x s_a off x; it stops at the level of the longest
-    # requested key, so no key composes nothing, w0 at most all of W, and the
-    # C4 labels of length <= 3 at most the elements of length <= 3
+    # the walk composes each element of its ideal once, as it first meets its
+    # key, and reads the lower covers x s_a off x; so no element composes
+    # nothing, w0 at most all of W, and the C4 elements of length <= 3 (their
+    # own ideal) at most those elements
     _, wg = group("C4")
     w0 = wg.longest_element()
-    short = [wg.key(w) for w in wg.elements() if wg.length(w) <= 3]
+    short = [w for w in wg.elements() if wg.length(w) <= 3]
     calls = Counter()
     mul = weyl._mul
     monkeypatch.setattr(weyl, "_mul", lambda p, q: calls.update(["mul"]) or mul(p, q))
     assert wg._down_sets({}, []) == [] and calls["mul"] == 0
-    assert wg._down_sets({}, [wg.key(w0)]) == [0]
+    assert wg._down_sets({}, [w0]) == [0]
     assert 0 < calls["mul"] <= wg.order() == 384
     calls.clear()
-    assert wg._down_sets(dict.fromkeys(short, 1), short) == [1] * len(short)
+    assert wg._down_sets(dict.fromkeys(map(wg.key, short), 1), short) == [1] * len(short)
     assert 0 < calls["mul"] <= len(short) == 1 + 4 + 9 + 16
+
+
+@pytest.mark.parametrize("preset, galois", DOWN_SET_GROUPS)
+def test_ideal_levels_match_the_bruhat_oracle(preset, galois):
+    # the ideal below a request is {x : x <= w for some requested w}, by
+    # length; asked of random parts of W, one with a repeated element, of
+    # nothing, and of parts holding w0, where it is W itself
+    _, wg = group(preset, galois)
+    elts = wg.elements()
+    below = {w: {u for u in elts if wg.bruhat_leq(u, w)} for w in elts}
+    w0 = wg.longest_element()
+    rng = random.Random(preset)
+    parts = [rng.sample(elts, rng.randint(1, len(elts))) for _ in range(4)]
+    parts += [parts[-1] + parts[-1][:1], [], [w0], rng.sample(elts, len(elts) // 2) + [w0]]
+    for ws in parts:
+        ideal = set().union(*(below[w] for w in ws))
+        levels = [list(level) for level in wg._ideal_levels(ws)]
+        assert [set(level) for level in levels] == [
+            {x for x in ideal if wg.length(x) == l}
+            for l in range(max(map(wg.length, ws), default=-1) + 1)]
+        assert sum(map(len, levels)) == len(ideal)
+
+
+def test_hasse_walks_only_the_ideal_of_its_labels(monkeypatch):
+    # on C5 Siegel the longest label w_{0,I} w0 has length 15, and its ideal
+    # holds 1,082 elements, of the 2,882 of length <= 15 in W; the walk visits
+    # the ideal and composes each of its elements once, but e and that label
+    Z = datum("C5", (0, 1, 2, 3))
+    wg, walked, calls = Z.wg, [], Counter()
+    mul, ideal_levels, down_sets = weyl._mul, WeylGroup._ideal_levels, WeylGroup._down_sets
+
+    def levels(self, ws):
+        for level in ideal_levels(self, ws):
+            walked.extend(level)
+            yield level
+
+    def counted(self, label, ws):
+        start = calls["mul"]
+        out = down_sets(self, label, ws)
+        calls["down_sets"] += calls["mul"] - start
+        return out
+
+    monkeypatch.setattr(weyl, "_mul", lambda p, q: calls.update(["mul"]) or mul(p, q))
+    monkeypatch.setattr(WeylGroup, "_ideal_levels", levels)
+    monkeypatch.setattr(WeylGroup, "_down_sets", counted)
+    poset = strata.hasse_diagram(Z)
+    assert len(poset.strata) == 32 and poset.strata[-1].length == 15
+    assert len(walked) == len(set(walked)) == 1082
+    assert calls["down_sets"] == 1080
+    monkeypatch.undo()
+    assert sum(1 for w in wg.elements() if wg.length(w) <= 15) == 2882
 
 
 @pytest.mark.parametrize("preset, galois", [("C3", None), ("A3", "flip"), ("A2-shear", None)])
