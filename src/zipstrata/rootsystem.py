@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import mul
+from operator import mul, neg, or_
 from typing import Iterable, Optional
 
 Vec = tuple  # integer lattice vector
@@ -44,7 +44,7 @@ def vadd(a: Vec, b: Vec) -> Vec:
 
 
 def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def _mat_vec(m, v):
@@ -167,30 +167,70 @@ class RootDatum:
     def _enumerate_roots(self):
         """Close the simple roots under the simple reflections: root a -> (a, coroot,
         coefficients over the simple roots, [s_1(a), ..., s_m(a)] as key objects).
-        s_i changes only the i-th coefficient of a root a, by -<a, alpha_i^vee>."""
-        m = len(self.simple_roots)
-        found = {a: (a, ac, tuple(int(i == j) for j in range(m)), [])
+
+        The closure runs on coefficient vectors (Casselman, "Computation in
+        Coxeter groups I", Electron. J. Combin. 9, 2002).  For a = sum c_j alpha_j
+        with coroot a^vee = sum d_j alpha_j^vee, s_i changes only c_i, by
+        -<a, alpha_i^vee> = -sum_j c_j cartan[i][j], and only d_i, by
+        -<alpha_i, a^vee> = -sum_j d_j cartan[j][i].  All m pairings of a are
+        summed over the nonzero c_j (d_j) and the nonzero Cartan entries of
+        their columns (rows), and s_i(a) = a wherever both are 0.  Root and
+        coroot vectors are built only for new coefficient vectors; each is the
+        linear image of its coefficients, so the checks below are those of a
+        closure on the vectors themselves."""
+        m, cartan = len(self.simple_roots), self.cartan
+        # column j of the Cartan matrix, <alpha_j, alpha_i^vee> over i, and row j,
+        # <alpha_i, alpha_j^vee> over i, each as its nonzero entries (i, x)
+        cols = [tuple((i, row[j]) for i, row in enumerate(cartan) if row[j]) for j in range(m)]
+        rows = [tuple((i, x) for i, x in enumerate(row) if x) for row in cartan]
+
+        def pairings(c, table):
+            out = [0] * m
+            for j in compress(range(m), c):
+                for i, x in table[j]:
+                    out[i] += c[j] * x
+            return out
+
+        def step(v, k, sparse):
+            """v - k * (a simple root or coroot given by its nonzero entries)."""
+            out = list(v)
+            for j, x in sparse:
+                out[j] -= k * x
+            return tuple(out)
+
+        simple, simple_co = ([tuple((j, x) for j, x in enumerate(v) if x) for v in vectors]
+                             for vectors in (self.simple_roots, self.simple_coroots))
+        found = {a: (a, ac, tuple(int(i == j) for j in range(m)), [a] * m)
                  for i, (a, ac) in enumerate(zip(self.simple_roots, self.simple_coroots))}
+        # coefficients -> (root, coefficients of its coroot); a simple coroot's are its own
+        by_coeffs = {c: (a, c) for a, _, c, _ in found.values()}
         frontier = list(found)
         while frontier:
             new = []
             for a in frontier:
                 _, ac, c, images = found[a]
-                for i in range(m):
-                    si, sic = self.simple_roots[i], self.simple_coroots[i]
-                    k, kc = dot(a, sic), dot(si, ac)
-                    b = tuple(a[j] - k * si[j] for j in range(self.rank))
-                    bc = tuple(ac[j] - kc * sic[j] for j in range(self.rank))
+                d = by_coeffs[c][1]
+                ks, kcs = pairings(c, cols), pairings(d, rows)
+                for i in compress(range(m), map(or_, ks, kcs)):
+                    k, kc = ks[i], kcs[i]
                     coeffs = c[:i] + (c[i] - k,) + c[i + 1:]
-                    seen = found.get(b)
+                    dc = d[:i] + (d[i] - kc,) + d[i + 1:]
+                    seen = by_coeffs.get(coeffs)
                     if seen is None:
-                        found[b] = (b, bc, coeffs, [])
-                        new.append(b)
-                    elif seen[1:3] != (bc, coeffs):
+                        b = step(a, k, simple[i])
+                        clash = b in found      # reached before with other coefficients
+                        if not clash:
+                            found[b] = (b, step(ac, kc, simple_co[i]), coeffs, [b] * m)
+                            by_coeffs[coeffs] = (b, dc)
+                            new.append(b)
+                    else:
+                        b, known = seen
+                        clash = known != dc and found[b][1] != step(ac, kc, simple_co[i])
+                    if clash:
                         raise RootDatumError(
                             "root %r is reached with two coefficient vectors or coroots; "
                             "the simple roots are not linearly independent" % (b,))
-                    images.append(found[b][0])
+                    images[i] = b
             if len(found) > ROOT_ENUMERATION_CAP:
                 raise RootDatumError(
                     "root enumeration exceeded %d; Cartan data do not define a "
@@ -257,8 +297,9 @@ class RootDatum:
     def levi_positive(self, K: Iterable[int]) -> frozenset:
         """Positive roots lying in the span of the simple roots indexed by K."""
         K = set(K)
-        return frozenset(a for a in self.positive
-                         if all(i in K for i, x in enumerate(self.coeffs_of[a]) if x))
+        outside = [i not in K for i in range(self.num_simple)]
+        return frozenset(a for a, c in self.coeffs_of.items()
+                         if min(c) >= 0 and not any(compress(c, outside)))
 
     def levi_roots(self, K: Iterable[int]) -> frozenset:
         pos = self.levi_positive(K)

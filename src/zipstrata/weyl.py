@@ -10,9 +10,12 @@ Composition is an index lookup, the inverse is the inverse permutation, and
 the length counts positive indices sent to negative ones.  w is already
 determined by the images of the m simple roots, so the walks over W key
 elements by ``key(w)``, those m entries, and read the key of a product x s_a
-off x.  The action on arbitrary characters and cocharacters applies the
-simple reflections of the canonical reduced word, the lexicographically least
-one, found by greedy left descents.
+off x.  A group holds its m simple reflections from the start; the other
+positive reflections, the key getters of x s_a and the reflections'
+inversion sets are each built whole on first use and kept.  The action on
+arbitrary characters and cocharacters applies the simple reflections of the
+canonical reduced word, the lexicographically least one, found by greedy
+left descents.
 
 Group orders come from root heights and never from enumeration, so the
 enumerating methods check the size they would build against
@@ -21,6 +24,8 @@ enumerating methods check the size they would build against
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -78,30 +83,80 @@ class WeylGroup:
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        self._roots = tuple(rd.positive) + tuple(vneg(a) for a in rd.positive)
+        # the roots as rd's own key objects, which rd.images_of holds as images,
+        # so that the image table is read by identity and no vector is hashed
+        own = {a: a for a in rd.images_of}
+        self._roots = tuple(rd.positive) + tuple(own[vneg(a)] for a in rd.positive)
         self._index = {a: j for j, a in enumerate(self._roots)}
-        self._npos = n = len(rd.positive)
+        self._npos = len(rd.positive)
         self._simple_index = tuple(self._index[a] for a in rd.simple_roots)
-        self.simple = [self._perm_of(lambda a, i=i: rd.images_of[a][i])
-                       for i in range(rd.num_simple)]
-        # s_b for the positive roots b, in rd.positive order, by increasing height:
-        # s_b = s_i s_c s_i for a simple s_i taking b to c = s_i(b) of lower height
+        # s_i and gamma as root permutations, read off the columns of rd.images_of
+        at = {id(a): j for j, a in enumerate(self._roots)}.__getitem__
+        images = [None] * len(self._roots)
+        for a, row in rd.images_of.items():
+            images[at(id(a))] = tuple(map(at, map(id, row)))
+
+        def column(i):
+            return tuple(map(itemgetter(i), images))
+        self.simple = [column(i) for i in range(rd.num_simple)]
+        self.key = _getter(self._simple_index)
+        self.e = tuple(range(len(self._roots)))
+        # the root permutations of gamma^k, keyed by k mod the galois order
+        self._gamma_pow = {0: self.e, 1: column(-1)}
+        self._subgroups: dict = {}
+        self._longest: dict = {}
+        self._bracket = None     # (axis-root getter, digit of each axis root, separator)
+
+    # -- tables built on first use ----------------------------------------------
+    @cached_property
+    def _reflections(self) -> tuple:
+        """s_b for the positive roots b, in rd.positive order, by increasing height:
+        s_b = s_i s_c s_i for a simple s_i taking b to c = s_i(b) of lower height."""
+        n, rd = self._npos, self.rd
         height = [sum(rd.coeffs_of[a]) for a in rd.positive]
         refl = dict(zip(self._simple_index, self.simple))
         for j in sorted(range(n), key=height.__getitem__):
             if j not in refl:
                 s = next(s for s in self.simple if s[j] < n and height[s[j]] < height[j])
                 refl[j] = _mul(_mul(s, refl[s[j]]), s)
-        self._reflections = tuple(refl[j] for j in range(n))
-        # key(x s_b) = x[s_b(alpha_1)], ..., x[s_b(alpha_m)], one getter per positive b
-        self.key = _getter(self._simple_index)
-        self._reflection_keys = tuple(_getter(tuple(s[i] for i in self._simple_index))
-                                      for s in self._reflections)
-        self.e = tuple(range(len(self._roots)))
-        # the root permutations of gamma^k, keyed by k mod the galois order
-        self._gamma_pow = {0: self.e, 1: self._perm_of(lambda a: rd.images_of[a][-1])}
-        self._subgroups: dict = {}
-        self._bracket = None     # (axis-root getter, digit of each axis root, separator)
+        return tuple(refl[j] for j in range(n))
+
+    @cached_property
+    def _reflection_keys(self) -> tuple:
+        """key(x s_b) = x[s_b(alpha_1)], ..., x[s_b(alpha_m)], one getter per
+        positive b, from s_b(alpha_i) = alpha_i - <alpha_i, b^vee> b: m roots
+        per b and no permutation.  The pairing reads the nonzero entries of
+        alpha_i, and a zero pairing leaves alpha_i fixed."""
+        rd, index, simple = self.rd, self._index, self._simple_index
+        support = [tuple((j, x) for j, x in enumerate(a) if x) for a in rd.simple_roots]
+        keys = []
+        for b in rd.positive:
+            bc, idx = rd.coroot_of[b], list(simple)
+            for i, a in enumerate(rd.simple_roots):
+                k = sum(x * bc[j] for j, x in support[i])
+                if k:
+                    idx[i] = index[tuple(x - k * y for x, y in zip(a, b))]
+            keys.append(_getter(tuple(idx)))
+        return tuple(keys)
+
+    @cached_property
+    def _simple_keys(self) -> tuple:
+        """key(x s_i), one getter per simple s_i, for the walks that step by
+        simple reflections only: m getters, where `_reflection_keys` pairs
+        every positive root with every simple root (4,950 by 99 on GL100)."""
+        return tuple(_getter(tuple(s[i] for i in self._simple_index)) for s in self.simple)
+
+    @cached_property
+    def _reflection_inversions(self) -> tuple:
+        """N(s_b) = {c > 0 : s_b(c) < 0} for each positive b, as an int whose
+        byte j is 1 when positive root j is in the set (`_inversion_bytes`)."""
+        return tuple(int.from_bytes(self._inversion_bytes(s), "little")
+                     for s in self._reflections)
+
+    def _inversion_bytes(self, w: tuple) -> bytes:
+        """Byte j is 1 when w sends positive root j negative, else 0."""
+        n = self._npos
+        return bytes(map(n.__le__, w[:n]))
 
     # -- basics ---------------------------------------------------------------
     def _perm_of(self, f) -> tuple:
@@ -213,8 +268,7 @@ class WeylGroup:
         prefix-closed in weak order.  x s_i is deduplicated by its key, read
         from x, and composed only the first time that key is seen."""
         n, level = self._npos, [self.e]
-        steps = [(self._simple_index[i], self.simple[i],
-                  self._reflection_keys[self._simple_index[i]]) for i in gens]
+        steps = [(self._simple_index[i], self.simple[i], self._simple_keys[i]) for i in gens]
         while level:
             yield level
             nxt = {}
@@ -237,13 +291,18 @@ class WeylGroup:
         return tuple(p for level in levels for p in level)
 
     def longest_element(self, K: Optional[Iterable[int]] = None) -> tuple:
+        """w0 of W_K (of W when K is None), by right ascents from e; kept per K."""
         K = tuple(range(self.rd.num_simple)) if K is None else tuple(sorted(set(K)))
-        w = self.e
-        while True:
-            i = next((i for i in K if not self.has_right_descent(w, i)), None)
-            if i is None:
-                return w
-            w = _mul(w, self.simple[i])
+        if K not in self._longest:
+            n, w = self._npos, self.e
+            steps = [(self._simple_index[i], self.simple[i]) for i in K]
+            while True:
+                s = next((s for j, s in steps if w[j] < n), None)
+                if s is None:
+                    break
+                w = _mul(w, s)
+            self._longest[K] = w
+        return self._longest[K]
 
     # -- descents and coset representatives ------------------------------------
     def has_left_descent(self, w: tuple, i: int) -> bool:
@@ -305,10 +364,16 @@ class WeylGroup:
     # -- lower reflections and Bruhat down-sets -----------------------------------
     def lower_reflections(self, w: tuple) -> tuple:
         """Positive roots a with w s_a < w of length exactly l(w) - 1, sorted.
-        w s_a < w exactly when w(a) is negative."""
-        n, lower = self._npos, self.length(w) - 1
-        return tuple(a for j, a in enumerate(self.rd.positive) if w[j] >= n
-                     and self.length(_mul(w, self._reflections[j])) == lower)
+        w s_a < w exactly when w(a) is negative, and l(w s_a) = |N(w) Δ N(s_a)|
+        for the inversion sets N(x) = {b > 0 : x(b) < 0} (Björner-Brenti,
+        Combinatorics of Coxeter Groups, ch. 1 and 4): N(w s_a) is
+        N(s_a) Δ s_a N(w) up to sign, and b -> ±s_a(b) permutes the positive
+        roots and maps N(s_a) onto itself.  So no w s_a is composed; each test
+        is one XOR and a popcount of byte masks."""
+        inv = self._inversion_bytes(w)
+        nw, lower, masks = int.from_bytes(inv, "little"), sum(inv) - 1, self._reflection_inversions
+        return tuple(a for j, a in compress(enumerate(self.rd.positive), inv)
+                     if (nw ^ masks[j]).bit_count() == lower)
 
     def _ideal_levels(self, ws):
         """Yield the Bruhat ideal {x : x <= w for some w in ws} one length level
@@ -339,8 +404,7 @@ class WeylGroup:
         """The ideal of `_ideal_levels` below the elements ws, as lists of
         elements by length; the lifting dicts die on return."""
         n, key, e = self._npos, self.key, self.e
-        steps = [(j, self.simple[i], self._reflection_keys[j])
-                 for i, j in enumerate(self._simple_index)]
+        steps = list(zip(self._simple_index, self.simple, self._simple_keys))
         bottom = {key(e): (e, 0)}
         met = dict(bottom)          # key -> (element, length), over all of ws
         for w in ws:

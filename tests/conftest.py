@@ -2,7 +2,8 @@ import functools
 
 import pytest
 
-from zipstrata.rootsystem import _identity, _mat_mul, _mat_vec, build_root_datum, dot
+from zipstrata.rootsystem import (ROOT_ENUMERATION_CAP, RootDatumError, _identity, _mat_mul,
+                                  _mat_vec, build_root_datum, dot)
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import zip_from_cochar
 
@@ -97,6 +98,43 @@ def _datum(preset, I, p, n, galois):
 
 def datum(preset, I, p=2, n=1, galois=None):
     return _datum(preset, tuple(I), p, n, galois)
+
+
+def dot_closure(simple_roots, simple_coroots):
+    """Reference root closure on the vectors themselves, one dot product per
+    (root, simple root) pair: root a -> (a, coroot, coefficients over the
+    simple roots, [s_1(a), ..., s_m(a)] as key objects), in the order the
+    breadth-first closure meets the roots.  It raises RootDatumError with the
+    library's messages."""
+    m, rank = len(simple_roots), len(simple_roots[0]) if simple_roots else 0
+    found = {a: (a, ac, tuple(int(i == j) for j in range(m)), [])
+             for i, (a, ac) in enumerate(zip(simple_roots, simple_coroots))}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for a in frontier:
+            _, ac, c, images = found[a]
+            for i in range(m):
+                si, sic = simple_roots[i], simple_coroots[i]
+                k, kc = dot(a, sic), dot(si, ac)
+                b = tuple(a[j] - k * si[j] for j in range(rank))
+                bc = tuple(ac[j] - kc * sic[j] for j in range(rank))
+                coeffs = c[:i] + (c[i] - k,) + c[i + 1:]
+                seen = found.get(b)
+                if seen is None:
+                    found[b] = (b, bc, coeffs, [])
+                    new.append(b)
+                elif seen[1:3] != (bc, coeffs):
+                    raise RootDatumError(
+                        "root %r is reached with two coefficient vectors or coroots; "
+                        "the simple roots are not linearly independent" % (b,))
+                images.append(found[b][0])
+        if len(found) > ROOT_ENUMERATION_CAP:
+            raise RootDatumError(
+                "root enumeration exceeded %d; Cartan data do not define a "
+                "finite Weyl group" % ROOT_ENUMERATION_CAP)
+        frontier = new
+    return found
 
 
 def subword_down_set(wg, w):

@@ -731,6 +731,17 @@ def test_oversized_rank_exits_2(tmp_path):
     assert proc.returncode == 2 and "rank must be a non-negative integer" in proc.stderr
 
 
+def test_describe_at_the_rank_cap_finishes(tmp_path):
+    # GL100 has 9,900 roots and rank 100, the largest preset under both caps;
+    # its set-up is linear in the roots times the simple roots, and no table
+    # of all |Phi+| reflections is built for a datum that never asks for one
+    cfg = {"group": {"preset": "GL100"}, "p": 2, "n": 1, "I": list(range(1, 99))}
+    proc = run_subprocess(["describe", "--config", write_config(tmp_path, cfg)], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    datum = json.loads(proc.stdout)["payload"]["datum"]
+    assert datum["rank"] == 100 and datum["J"] == list(range(2, 100))
+
+
 def test_wall_rows_past_the_bit_cap_exit_2(tmp_path):
     # the one wall of s_1 on the rank-41 datum has the loop order T = 27,720,
     # the order of gamma on X_0, so its row would hold integers of about

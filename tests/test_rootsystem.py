@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (A1_RANK41, A2_SHEAR, A3_FLIP_MATRIX, G2_EXPLICIT, RANK41_GALOIS,
-                      SHEAR_MATRIX, cochar, group, triple_sum_product)
+from conftest import (A1_RANK41, A2_SHEAR, A3_FLIP_MATRIX, E8_EXPLICIT, G2_EXPLICIT,
+                      RANK41_GALOIS, SHEAR_MATRIX, cochar, dot_closure, group,
+                      triple_sum_product)
 from zipstrata import rootsystem, weyl
 from zipstrata.rootsystem import (GaloisAction, RootDatumError, _parse_preset, _root_count,
                                   build_root_datum, dot, reflect)
@@ -133,6 +134,63 @@ def test_invalid_cartan_detected():
         build_root_datum({"rank": 2,
                           "simple_roots": [(1, 0), (-2, 1)],
                           "simple_coroots": [(2, 0), (-1, 0)]})
+
+
+# the closure oracle's data: every small preset family, products, both preset
+# diagram automorphisms and the explicit G2 and E8
+CLOSURE_DATA = ([(name, None) for name in
+                 ["A%d" % n for n in range(1, 8)] + ["B%d" % n for n in range(2, 7)]
+                 + ["C%d" % n for n in range(2, 7)] + ["D%d" % n for n in range(4, 7)]
+                 + ["GL%d" % n for n in range(1, 6)] + ["C3xGL1", "A2xA2"]]
+                + [("A3", "flip"), ("D4", "dswap"), (G2_EXPLICIT, None), (E8_EXPLICIT, None)])
+
+
+@pytest.mark.parametrize("spec, galois", CLOSURE_DATA,
+                         ids=[s if isinstance(s, str) else "explicit-rank%d" % s["rank"]
+                              for s, _ in CLOSURE_DATA])
+def test_closure_matches_the_dot_product_reference(spec, galois):
+    # the coefficient closure gives what closing the vectors under reflections
+    # by dot products gives: the same roots, coroots, coefficients and images,
+    # in the same order, and the same coroot orbits
+    rd = build_root_datum(spec, galois)
+    found = dot_closure(rd.simple_roots, rd.simple_coroots)
+    assert rd.roots == frozenset(found)
+    assert list(rd.coroot_of.items()) == [(a, ac) for a, ac, _, _ in found.values()]
+    assert list(rd.coeffs_of.items()) == [(a, c) for a, _, c, _ in found.values()]
+    assert rd.positive == tuple(sorted(a for a, _, c, _ in found.values() if min(c) >= 0))
+    assert list(rd.images_of.items()) == [(a, (*images, rd.galois.char(a)))
+                                          for a, _, _, images in found.values()]
+    keys = {id(a) for a in rd.images_of}
+    assert all(id(b) in keys for images in rd.images_of.values() for b in images)
+    orbits, seen = set(), set()
+    for a in found:
+        if a not in seen:
+            orbit, frontier = {a}, [a]
+            while frontier:
+                for b in rd.images_of[frontier.pop()]:
+                    if b not in orbit:
+                        orbit.add(b)
+                        frontier.append(b)
+            seen |= orbit
+            orbits.add(tuple(sorted(found[b][1] for b in orbit)))
+    assert rd.coroot_orbits == tuple(sorted(orbits))
+
+
+@pytest.mark.parametrize("spec", [
+    # alpha_2 = -alpha_1: s_1(alpha_2) is alpha_1 again, with coefficients (2, 1)
+    {"rank": 1, "simple_roots": [(1,), (-1,)], "simple_coroots": [(2,), (-2,)]},
+    # <alpha_2, alpha_1^vee> = 0 but <alpha_1, alpha_2^vee> = -1: s_1 fixes
+    # alpha_2 and moves its coroot
+    {"rank": 2, "simple_roots": [(1, 0), (0, 1)], "simple_coroots": [(2, 0), (-1, 2)]},
+], ids=["dependent-roots", "asymmetric-zero"])
+def test_dependent_simple_roots_are_rejected(spec):
+    # both pass the Cartan sign checks, and the closure meets one root twice;
+    # the dot-product closure stops on the same root with the same message
+    with pytest.raises(RootDatumError, match="not linearly independent") as raised:
+        build_root_datum(spec)
+    with pytest.raises(RootDatumError) as reference:
+        dot_closure(spec["simple_roots"], spec["simple_coroots"])
+    assert str(raised.value) == str(reference.value)
 
 
 def test_invalid_galois_rejected():

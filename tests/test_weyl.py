@@ -423,13 +423,82 @@ def test_enumeration_cap_boundary(monkeypatch):
         WeylGroup(rd).min_coset_reps((0,), "left")
 
 
-@pytest.mark.parametrize("preset, galois", [("C3", None), ("D4", "dswap"), ("G2-explicit", None)])
+def composed_walls(wg, w):
+    """The positive roots a with l(w s_a) = l(w) - 1, by composing w s_a."""
+    return tuple(a for a in wg.rd.positive
+                 if wg.length(wg.compose(w, wg.reflection(a))) == wg.length(w) - 1)
+
+
+@pytest.mark.parametrize("preset, galois", [("C3", None), ("D4", "dswap"), ("G2-explicit", None),
+                                            ("A3", "flip"), ("A5", None), ("B4", None)])
 def test_lower_covers_are_the_composed_walls(preset, galois):
-    rd, wg = group(preset, galois)
+    _, wg = group(preset, galois)
     for w in wg.elements():
-        below = [a for a in rd.positive
-                 if wg.length(wg.compose(w, wg.reflection(a))) == wg.length(w) - 1]
-        assert wg.lower_reflections(w) == tuple(below)
+        assert wg.lower_reflections(w) == composed_walls(wg, w)
+
+
+def test_lower_covers_on_e8_are_the_composed_walls():
+    # |W(E8)| is too large to enumerate, so take 300 elements from random
+    # words, seeded, of every length up to past l(w0) = 120
+    _, wg = group("E8-explicit")
+    rng = random.Random(8)
+    for _ in range(300):
+        w = wg.from_word([rng.randrange(8) for _ in range(rng.randint(0, 150))])
+        assert wg.lower_reflections(w) == composed_walls(wg, w)
+
+
+@pytest.mark.parametrize("preset, galois", [("C3", None), ("D4", "dswap")])
+def test_length_of_a_wall_is_the_inversion_set_difference(preset, galois):
+    # l(w s_a) = |N(w) ^ N(s_a)| with N(x) = {b > 0 : x(b) < 0}, read off
+    # root images and compared with the composed length
+    rd, wg = group(preset, galois)
+    pos = set(rd.positive)
+
+    def inversions(x):
+        return {b for b in rd.positive if wg.root_image(x, b) not in pos}
+    for w in wg.elements():
+        for a in rd.positive:
+            s = wg.reflection(a)
+            assert wg.length(wg.compose(w, s)) == len(inversions(w) ^ inversions(s))
+
+
+def test_reflection_tables_are_built_on_first_use():
+    # a fresh group holds only its simple reflections; reflection() and
+    # lower_reflections() build the positive reflections, _down_sets builds
+    # only the keys x -> key(x s_b), from the roots, and a walk by simple
+    # reflections alone (min_coset_reps) builds none of the three
+    tables = ("_reflections", "_reflection_keys", "_reflection_inversions")
+    rd = build_root_datum("A5")
+
+    def built(wg):
+        return {t for t in tables if t in vars(wg)}
+    wg = WeylGroup(rd)
+    assert built(wg) == set()
+    wg.longest_element()
+    wg.min_coset_reps((0, 1, 2))
+    assert built(wg) == set()
+    wg = WeylGroup(rd)
+    wg.reflection(rd.positive[-1])
+    assert built(wg) == {"_reflections"}
+    wg = WeylGroup(rd)
+    wg.lower_reflections(wg.longest_element())
+    assert built(wg) == {"_reflections", "_reflection_inversions"}
+    wg = WeylGroup(rd)
+    wg._down_sets({}, [wg.longest_element()])
+    assert built(wg) == {"_reflection_keys"}
+    # each reflection is s_i s_c s_i for c = s_i(b) of lower height, as the
+    # action of reflect on the roots, and a key getter reads key(x s_b)
+    height = {b: sum(rd.coeffs_of[b]) for b in rd.positive}
+    for j, b in enumerate(rd.positive):
+        s_b = wg.reflection(b)
+        assert s_b == wg._perm_of(lambda v: reflect(rd, b, v))
+        for i, alpha in enumerate(rd.simple_roots):
+            c = reflect(rd, alpha, b)
+            if c in height and height[c] < height[b]:
+                s_i = wg.simple_reflection(i)
+                assert s_b == wg.compose(s_i, wg.compose(wg.reflection(c), s_i))
+        for x in (wg.e, wg.longest_element(), wg.from_word([0, 2, 1, 4])):
+            assert wg._reflection_keys[j](x) == wg.key(wg.compose(x, s_b))
 
 
 @pytest.mark.parametrize("preset, galois", [("C3", None), ("A3", "flip"), ("D4", "dswap"),
