@@ -211,25 +211,35 @@ def _render(bundle, fmt, write):
     write("\n".join(lines) + "\n")
 
 
-def _write_json(obj, write, indent="\n"):
+def _write_json(obj, write, indent="\n", _ints=None):
     """Write obj exactly as json.dumps(obj, sort_keys=True, indent=2) would,
     piece by piece through `write`, so that no full-size copy of the output is
     held.  The stdlib encoder falls back to pure Python whenever indent is set;
-    here a list of plain ints, the bulk of every payload, is one C-level join.
-    Dicts need str keys; str, int, bool and None are the only leaves, and
-    anything else, a float included, raises TypeError."""
+    here a list of plain ints, the bulk of every payload, is one C-level join,
+    and its text is kept by (identity, indent) for the rest of the call, since
+    a payload repeats the same tuples (the Levi basis, the wall roots) in
+    every stratum.  Dicts need str keys; str, int, bool and None are the only
+    leaves, and anything else, a float included, raises TypeError."""
+    if _ints is None:
+        _ints = {}
     if isinstance(obj, (list, tuple)):
         if not obj:
             write("[]")
             return
+        text = _ints.get((id(obj), indent))
+        if text is not None:
+            write(text)
+            return
         inner = indent + "  "
         if all(type(v) is int for v in obj):       # a bool is an int, but not a plain one
-            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]")
+            text = _ints[id(obj), indent] = \
+                "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]"
+            write(text)
             return
         sep = "[" + inner
         for v in obj:
             write(sep)
-            _write_json(v, write, inner)
+            _write_json(v, write, inner, _ints)
             sep = "," + inner
         write(indent + "]")
     elif isinstance(obj, dict):
@@ -242,7 +252,7 @@ def _write_json(obj, write, indent="\n"):
             if not isinstance(k, str):
                 raise TypeError("keys must be str, not %s" % type(k).__name__)
             write(sep + _quote(k) + ": ")
-            _write_json(obj[k], write, inner)
+            _write_json(obj[k], write, inner, _ints)
             sep = "," + inner
         write(indent + "}")
     elif isinstance(obj, str):

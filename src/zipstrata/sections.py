@@ -449,12 +449,7 @@ def _check_box(m: int, radius: int):
 
 def _shell(m: int, r: int):
     """The integer m-tuples of sup-norm exactly r >= 1, in lex order."""
-    if m == 0:
-        return
-    for x in range(-r, r + 1):
-        tails = iproduct(range(-r, r + 1), repeat=m - 1) if abs(x) == r else _shell(m - 1, r)
-        for t in tails:
-            yield (x,) + t
+    return (t for t in iproduct(range(-r, r + 1), repeat=m) if r in t or -r in t)
 
 
 def _box_coeffs(m: int, radius: int):

@@ -261,25 +261,28 @@ class WeylGroup:
         """Refuse a walk over all of W beyond the cap, as `elements()` would."""
         _check_size("the subgroup W_K", tuple(range(self.rd.num_simple)), self.order())
 
-    def _levels(self, gens, keep=None):
+    def _levels(self, gens, K=None):
         """Yield the root permutations generated by the simple reflections
         `gens`, one length level at a time: level l + 1 is {x s_i : x at level
-        l, i in gens not a right descent of x}.  `keep` prunes a set that is
-        prefix-closed in weak order.  x s_i is deduplicated by its key, read
-        from x, and composed only the first time that key is seen."""
+        l, i in gens not a right descent of x}.  With K, only the minimal
+        representatives ᴷW of K\\W: for x in ᴷW with x(alpha_i) > 0, x s_i
+        is in ᴷW exactly when x(alpha_i) is not a simple root of K (Deodhar,
+        Invent. Math. 39, 1977), so a step is refused by one lookup before
+        anything is composed.  x s_i is deduplicated by its key, read from x,
+        and composed only the first time that key is seen."""
         n, level = self._npos, [self.e]
+        stop = {self._simple_index[i] for i in K or ()}
         steps = [(self._simple_index[i], self.simple[i], self._simple_keys[i]) for i in gens]
         while level:
             yield level
             nxt = {}
             for x in level:
                 for j, s, key_xs in steps:
-                    if x[j] < n:
+                    if x[j] < n and x[j] not in stop:
                         k = key_xs(x)
                         if k not in nxt:
-                            y = _mul(x, s)
-                            nxt[k] = y if keep is None or keep(y) else None
-            level = [y for y in nxt.values() if y is not None]
+                            nxt[k] = _mul(x, s)
+            level = list(nxt.values())
 
     @staticmethod
     def _sorted(levels) -> tuple:
@@ -329,8 +332,7 @@ class WeylGroup:
         if side != "left":
             raise WeylError("side must be 'left' or 'right'")
         _check_size("the coset set K\\W", K, self.order() // self._subgroup_order(K))
-        return self._sorted(self._levels(range(self.rd.num_simple),
-                                         lambda p: self.is_min_left(p, K)))
+        return self._sorted(self._levels(range(self.rd.num_simple), K))
 
     def double_coset_reps(self, I0: Iterable[int], J0: Iterable[int]) -> tuple:
         """Minimal representatives of W_{I0}\\W/W_{J0} = ᴵ⁰W ∩ Wᴶ⁰."""

@@ -75,6 +75,11 @@ EXPLICIT = {"G2-explicit": (G2_EXPLICIT, None),
 ROW_GROUPS = [("B2", None), ("C3", None), ("A3", "flip"), ("D4", "dswap"),
               ("G2-explicit", None), ("A2-shear", None), ("A1-rot3", None)]
 
+# groups small enough to check walks over W against oracles on all of W,
+# rank 1 and no roots at all included
+DOWN_SET_GROUPS = [("C3", None), ("B2", None), ("A3", "flip"), ("D4", "dswap"),
+                   ("G2-explicit", None), ("A1", None), ("GL1xGL1", None)]
+
 
 @functools.lru_cache(maxsize=None)
 def _group(preset, galois):

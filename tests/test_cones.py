@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import DOWN_SET_GROUPS, ROW_GROUPS, group
 from zipstrata.cones import (ConeError, _normalize, feasible_strict, kernel_basis,
                              verify_certificate)
 
@@ -227,3 +229,86 @@ def test_certificate_rejects_garbage():
     assert not verify_certificate(rows, (1, -1))
     assert not verify_certificate(rows, (1, 2))
     assert verify_certificate(rows, (1, 1))
+
+
+def _lcm_point(point):
+    """The rational point times the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (scale // x.denominator) for x in point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_integral_point_clears_the_denominators(system):
+    """The integral witness, read off the final tableau as v // gcd(d, *v),
+    is the rational point scaled by the lcm of its denominators."""
+    res = feasible_strict(*system)
+    if res.feasible:
+        assert res.integral_point() == _lcm_point(res.point)
+        assert all(type(x) is int for x in res.integral_point())
+    else:
+        assert res.point is None and res.integral_point() is None
+
+
+def _fraction_kernel_basis(equalities, nvars):
+    """Gauss-Jordan elimination over Fraction to the reduced row echelon
+    form; each free column's vector is read off it and made primitive."""
+    rows = [[Fraction(x) for x in r] for r in equalities]
+    piv_cols = []
+    for c in range(nvars):
+        r = len(piv_cols)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+    basis = []
+    for fc in (c for c in range(nvars) if c not in piv_cols):
+        v = [Fraction(0)] * nvars
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(piv_cols):
+            v[pc] = -rows[i][fc]
+        basis.append(_normalize(v))
+    return basis
+
+
+@st.composite
+def integer_systems(draw):
+    """(rows, nvars): 0-7 variables, up to 7 rows of entries in -5..5, some
+    of them combinations a * row_i + b * row_j of earlier rows with a, b in
+    -2..2, so zero, repeated and dependent rows all occur."""
+    n = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), max_size=5))
+    if rows:
+        index, coeff = st.integers(0, len(rows) - 1), st.integers(-2, 2)
+        for i, j, a, b in draw(st.lists(st.tuples(index, index, coeff, coeff), max_size=2)):
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_kernel_basis_matches_fraction_elimination(system):
+    rows, n = system
+    basis = kernel_basis(rows, n)
+    assert basis == _fraction_kernel_basis(rows, n)
+    assert all(type(x) is int for v in basis for x in v)
+
+
+@pytest.mark.parametrize("preset, galois", sorted(set(ROW_GROUPS + DOWN_SET_GROUPS),
+                                                  key=str))
+def test_kernel_basis_of_coroots_and_levi_equations(preset, galois):
+    # the equations of the Levi lattice of every parabolic type I are the
+    # simple coroots of I; I = all nodes gives the coroot equations
+    rd, _ = group(preset, galois)
+    m = rd.num_simple
+    for r in range(m + 1):
+        for I in itertools.combinations(range(m), r):
+            eqs = [rd.coroot(rd.simple_roots[i]) for i in I]
+            assert kernel_basis(eqs, rd.rank) == _fraction_kernel_basis(eqs, rd.rank)

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E7_TYPE, cochar, datum, group, subword_down_set, subword_leq
+from conftest import (DOWN_SET_GROUPS, E7_TYPE, cochar, datum, group, subword_down_set,
+                      subword_leq)
 from zipstrata import strata, weyl
 from zipstrata.rootsystem import build_root_datum, reflect
 from zipstrata.weyl import WeylError, WeylGroup
 
 SMALL = ("A1", "A2", "B2", "A3")
-DOWN_SET_GROUPS = [("C3", None), ("B2", None), ("A3", "flip"), ("D4", "dswap"),
-                   ("G2-explicit", None), ("A1", None), ("GL1xGL1", None)]
 
 
 def test_from_word_identity(c3):
@@ -510,11 +509,31 @@ def test_level_walk(preset, galois):
         lengths = Counter(wg.length(w) for w in wg.subgroup_elements(K))
         assert [len(level) for level in wg._levels(K)] == \
             [lengths[l] for l in range(len(lengths))]
-        pruned = wg._levels(range(n), lambda p: wg.is_min_left(p, K))
+        pruned = wg._levels(range(n), K)
         for l, level in enumerate(pruned):
             assert all(wg.length(p) == l for p in level)
         assert wg.min_coset_reps(K, "left") == \
             tuple(w for w in wg.elements() if wg.is_min_left(w, K))
+
+
+@pytest.mark.parametrize("preset, galois, Ks", [
+    *((p, g, None) for p, g in DOWN_SET_GROUPS),
+    ("C4", None, [(0, 1, 2)]), ("C5", None, [(0, 1, 2, 3)])])
+def test_coset_walk_needs_no_descent_test(monkeypatch, preset, galois, Ks):
+    # the walk of K\W refuses x s_i by Deodhar's lemma alone (x(alpha_i) a
+    # simple root of K), so it still gives the filter of W by is_min_left, in
+    # the same order, with both descent tests made to raise; Ks None is
+    # every K, and C4 and C5 take the Siegel one
+    _, wg = group(preset, galois)
+    n = wg.rd.num_simple
+    Ks = Ks or [K for r in range(n + 1) for K in itertools.combinations(range(n), r)]
+    expected = [tuple(w for w in wg.elements() if wg.is_min_left(w, K)) for K in Ks]
+
+    def refuse(*args):
+        raise AssertionError("a descent test was called")
+    monkeypatch.setattr(WeylGroup, "is_min_left", refuse)
+    monkeypatch.setattr(WeylGroup, "has_left_descent", refuse)
+    assert [wg.min_coset_reps(K, "left") for K in Ks] == expected
 
 
 def test_bruhat_leq_on_a_long_element():
