@@ -53,8 +53,8 @@ class Feasibility:
         return tuple(Fraction(x, self.scale) for x in self.witness)
 
     def integral_point(self) -> Optional[tuple]:
-        """The point scaled by the least positive integer that clears its
-        denominators."""
+        """An alias of `witness`, kept for existing callers: the point scaled
+        by the least positive integer that clears its denominators."""
         return self.witness
 
 

@@ -423,7 +423,7 @@ def _solve_cone(Z: ZipDatum, lattice: str, basis: tuple,
     res = cones.feasible_strict(reduced, len(basis))
     witness = None
     if res.feasible:
-        witness = _expand(res.integral_point(), basis, Z.rd.rank)
+        witness = _expand(res.witness, basis, Z.rd.rank)
         if not _positive_on(ambient, witness):
             raise AssertionError("cone witness fails its own inequalities")
     return SectionCone(stratum=label, lattice=lattice, basis=basis,
@@ -448,8 +448,20 @@ def _check_box(m: int, radius: int):
 
 
 def _shell(m: int, r: int):
-    """The integer m-tuples of sup-norm exactly r >= 1, in lex order."""
-    return (t for t in iproduct(range(-r, r + 1), repeat=m) if r in t or -r in t)
+    """The integer m-tuples of sup-norm exactly r >= 1, in lex order.  A head
+    of m - 1 entries that already reaches r takes every last entry, any other
+    head only -r and r; each head yields at least two points, so the shells up
+    to radius R cost no more than the box they fill."""
+    if m == 0:
+        return
+    full = range(-r, r + 1)
+    for head in iproduct(full, repeat=m - 1):
+        if r in head or -r in head:
+            for x in full:
+                yield head + (x,)
+        else:
+            yield head + (-r,)
+            yield head + (r,)
 
 
 def _box_coeffs(m: int, radius: int):
@@ -483,7 +495,7 @@ def _uniform_purity(Z: ZipDatum, lattice: str, box: int, candidates: Sequence):
                                 else [row for s in per for row in s[3]], len(basis))
     uniform_witness = None
     if res.feasible:
-        uniform_witness = _expand(res.integral_point(), basis, rd.rank)
+        uniform_witness = _expand(res.witness, basis, rd.rank)
         if not _positive_on(ambient, uniform_witness):
             raise AssertionError("uniform witness fails a stratum's inequalities")
 

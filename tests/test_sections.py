@@ -804,3 +804,29 @@ def test_feasible_cones_build_no_fraction(monkeypatch, preset, I, p):
     assert [section_cone(Z, w) for w in labels] == expected
     if pure:
         assert (purity_report(Z), purity_verdict(Z)) == reports
+
+
+def test_box_walk_stays_within_the_box(monkeypatch):
+    # the shells up to radius R draw no more tuples from `product` than the
+    # box of radius R holds, so BOX_POINT_CAP (checked by `_check_box`) bounds
+    # the walk; a filter of the whole box at each radius draws
+    # sum_r (2r + 1)^m, about R times the box on a rank-1 lattice
+    drawn = [0]
+
+    def counting(*args, **kwargs):
+        for t in itertools.product(*args, **kwargs):
+            drawn[0] += 1
+            yield t
+    monkeypatch.setattr(sections, "iproduct", counting)
+    for m, radius in ((1, 5000), (2, 200), (3, 12), (5, 3)):
+        drawn[0] = 0
+        size = (2 * radius + 1) ** m - 1
+        assert sum(1 for _ in _box_coeffs(m, radius)) == size
+        assert drawn[0] <= size
+    # the ample search fails on C3, I = {1,3}, p = 2, whose Levi lattice has
+    # rank 1, so it walks its whole box
+    Z = datum("C3", (0, 2), p=2)
+    assert len(sections._cone_data(Z).levi) == 1
+    drawn[0] = 0
+    assert purity_report(Z, box=5000).ample_close_char is None
+    assert drawn[0] <= 2 * 5000
