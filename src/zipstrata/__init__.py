@@ -6,13 +6,13 @@ from .weyl import WeylError, WeylGroup
 from .zipdatum import (DimReport, ZipDatum, ZipDatumError, dims, flag_datum,
                        validate_frame, zip_from_cochar)
 from .strata import (CoarseStratum, ProjectionError, StrataPoset, Stratum,
-                     classify_stratum, closure_leq, coarse_poset, coarse_strata,
-                     cross_label, hasse_diagram, project_stratum, zip_strata)
+                     classify_stratum, coarse_strata, hasse_diagram, project_stratum,
+                     zip_strata)
 from .sections import (CONVENTION, CharacterVerdict, GlnCertificate, PurityReport,
                        PurityVerdict, SectionCone, SectionVerdict, ampleness,
                        char_section_verdict, character_tests, flag_ampleness,
                        gln_certificate, n_alpha, purity_report, purity_verdict, r_w,
-                       section_cone, twist_power)
+                       section_cone)
 
 __version__ = "0.1.0"
 
@@ -22,10 +22,10 @@ __all__ = [
     "DimReport", "ZipDatum", "ZipDatumError", "dims", "flag_datum",
     "validate_frame", "zip_from_cochar",
     "CoarseStratum", "ProjectionError", "StrataPoset", "Stratum",
-    "classify_stratum", "closure_leq", "coarse_poset", "coarse_strata",
-    "cross_label", "hasse_diagram", "project_stratum", "zip_strata",
+    "classify_stratum", "coarse_strata", "hasse_diagram", "project_stratum",
+    "zip_strata",
     "CONVENTION", "CharacterVerdict", "GlnCertificate", "PurityReport",
     "PurityVerdict", "SectionCone", "SectionVerdict", "ampleness",
     "char_section_verdict", "character_tests", "flag_ampleness", "gln_certificate",
-    "n_alpha", "purity_report", "purity_verdict", "r_w", "section_cone", "twist_power",
+    "n_alpha", "purity_report", "purity_verdict", "r_w", "section_cone",
 ]

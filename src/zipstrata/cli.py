@@ -142,6 +142,10 @@ def _parse_label(wg, spec):
         if spec.startswith("["):
             return wg.from_bracket(spec)
         raise ConfigError("config.w: use a bracket like \"[351]\", \"e\", or a word list")
+    m = wg.rd.num_simple
+    for i in spec:
+        if not 1 <= i <= m:
+            raise ConfigError("config.w: letter %d is out of range 1..%d" % (i, m))
     return wg.from_word([i - 1 for i in spec])
 
 

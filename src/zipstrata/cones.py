@@ -52,11 +52,6 @@ class Feasibility:
             return None
         return tuple(Fraction(x, self.scale) for x in self.witness)
 
-    def integral_point(self) -> Optional[tuple]:
-        """An alias of `witness`, kept for existing callers: the point scaled
-        by the least positive integer that clears its denominators."""
-        return self.witness
-
 
 def _normalize(row):
     """The integer row of content 1 on the ray of a row of ints or Fractions."""

@@ -196,19 +196,9 @@ def flag_ampleness(FZ: ZipDatum, chi: Vec) -> Tuple[bool, dict]:
 
 # -- twisted powers and the multiplicity sum -----------------------------------------
 
-def twist_power(Z: ZipDatum, w: tuple, r: int) -> tuple:
-    """The sigma-twisted power w^(r): w^(0) = e, w^(r) = gamma^{-1}(w^(r-1) w)."""
-    if r < 0:
-        raise SectionError("twist power needs r >= 0")
-    wg = Z.wg
-    out = wg.e
-    for _ in range(r):
-        out = wg.galois(wg.compose(out, w), -1)
-    return out
-
-
 def r_w(Z: ZipDatum, w: tuple) -> Tuple[int, int]:
-    """Least r >= 1 with (w gamma^n(z))^(r) = e, and m = the galois order."""
+    """Least r >= 1 with (w gamma^n(z))^(r) = e, and m = the galois order; the
+    sigma-twisted power is v^(0) = e, v^(r) = gamma^{-1}(v^(r-1) v)."""
     wg = Z.wg
     v = wg.compose(w, wg.galois(Z.z, Z.n))
     acc = wg.e

@@ -65,14 +65,6 @@ def _twists(Z: ZipDatum) -> list:
             for u in wg.subgroup_elements(Z.I)]
 
 
-def _twisted_orbits(Z: ZipDatum, ws):
-    """Yield the twisted orbit {u w psi(u)^{-1} : u in W_I} of each w in ws as a
-    set, one label at a time."""
-    twist = _twists(Z)
-    for w in ws:
-        yield {_mul(_mul(u, w), v) for u, v in twist}
-
-
 def _twisted_keys(Z: ZipDatum, ws):
     """Yield the set of keys of each w's twisted orbit, composing no element:
     key(u w v) is u[w[v[alpha_i]]] over the simple indices, so each v =
@@ -82,18 +74,6 @@ def _twisted_keys(Z: ZipDatum, ws):
     for w in ws:
         at = w.__getitem__
         yield {_getter(tuple(map(at, vs)))(u) for u, vs in twist}
-
-
-def _closure_below(Z: ZipDatum, lo: tuple, hi: tuple) -> bool:
-    """lo is in the closure of hi: exists u in W_I with u lo psi(u)^{-1} <= hi."""
-    return any(Z.wg.bruhat_leq(t, hi) for t in next(_twisted_orbits(Z, [lo])))
-
-
-def closure_leq(Z: ZipDatum, lo: tuple, hi: tuple) -> bool:
-    if not all(Z.wg.is_min_left(w, Z.I) for w in (lo, hi)):
-        raise StrataError("labels for the closure order must be minimal "
-                          "left coset representatives")
-    return _closure_below(Z, lo, hi)
 
 
 def _cross_labels(Z: ZipDatum, ws):
@@ -119,14 +99,6 @@ def _cross_labels(Z: ZipDatum, ws):
         if wg.length(t) != wg.length(w):
             raise AssertionError("cross label changed the length; convention error")
         yield t
-
-
-def cross_label(Z: ZipDatum, w: tuple) -> tuple:
-    """The unique twisted conjugate of w that is minimal on the J side.
-    Bridges the two stratum parametrizations."""
-    if not Z.wg.is_min_left(w, Z.I):
-        raise StrataError("cross_label expects a label minimal on the I side")
-    return next(_cross_labels(Z, [w]))
 
 
 # -- stratum enumeration -----------------------------------------------------------
@@ -170,17 +142,6 @@ def coarse_strata(FZ: ZipDatum) -> List[CoarseStratum]:
         out.append(CoarseStratum(w=w, label=wg.describe(w), length=l, I_w=I_w,
                                  reference_dim=reference_dim, derived_dim=derived_dim))
     return out
-
-
-def coarse_poset(FZ: ZipDatum) -> StrataPoset:
-    """Closure order on the coarse strata of a flag level: induced Bruhat order
-    on the reps."""
-    FZ.wg._check_enumerable()
-    cs = coarse_strata(FZ)
-    ws = [s.w for s in cs]
-    below = FZ.wg._down_sets({FZ.wg.key(w): 1 << i for i, w in enumerate(ws)}, ws)
-    return StrataPoset(side="coarse", strata=tuple(cs), covers=_covers(below),
-                       below=tuple(below))
 
 
 def _closure_down_sets(Z: ZipDatum, ws) -> list:
@@ -282,7 +243,7 @@ def project_stratum(Z: ZipDatum, I1: Iterable[int], I0: Iterable[int],
         side = "I" if minimal else "J"
         return _make_stratum(FZ0, w, side, d.dim_P, d.dim_G)
     cands = set()
-    for t in next(_twisted_orbits(FZ0, [w])):     # FZ0 has I = I0
+    for t in {_mul(_mul(u, w), v) for u, v in _twists(FZ0)}:     # FZ0 has I = I0
         while not wg.is_min_left(t, I0):
             i = next(i for i in I0 if wg.has_left_descent(t, i))
             t = wg.compose(wg.simple_reflection(i), t)

@@ -4,6 +4,7 @@ import pytest
 
 from zipstrata.rootsystem import (ROOT_ENUMERATION_CAP, RootDatumError, _identity, _mat_mul,
                                   _mat_vec, build_root_datum, dot)
+from zipstrata.strata import StrataPoset, _covers, coarse_strata
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import zip_from_cochar
 
@@ -153,6 +154,47 @@ def subword_down_set(wg, w):
 
 def subword_leq(wg, u, w):
     return u in subword_down_set(wg, w)
+
+
+def twisted_orbit(Z, w):
+    """The twisted orbit {u w psi(u)^{-1} : u in W_I}, psi(u) = z^{-1} gamma^n(u) z,
+    each element composed through the group's public operations."""
+    wg = Z.wg
+    zi = wg.inverse(Z.z)
+    return {wg.compose(wg.compose(u, w),
+                       wg.inverse(wg.compose(wg.compose(zi, wg.galois(u, Z.n)), Z.z)))
+            for u in wg.subgroup_elements(Z.I)}
+
+
+def closure_leq(Z, lo, hi):
+    """One-pair closure oracle: the stratum lo lies in the closure of hi when
+    some twisted conjugate of lo is Bruhat-below hi."""
+    return any(Z.wg.bruhat_leq(t, hi) for t in twisted_orbit(Z, lo))
+
+
+def cross_label(Z, w):
+    """The J-side label of the I-side label w: the one element of its twisted
+    orbit that is minimal on the J side."""
+    t, = [t for t in twisted_orbit(Z, w) if Z.wg.is_min_right(t, Z.J)]
+    return t
+
+
+def coarse_poset(FZ):
+    """The closure order on the coarse strata of a flag level: the Bruhat order
+    induced on their representatives, with the library's cover extraction."""
+    cs = coarse_strata(FZ)
+    ws = [s.w for s in cs]
+    below = FZ.wg._down_sets({FZ.wg.key(w): 1 << i for i, w in enumerate(ws)}, ws)
+    return StrataPoset(side="coarse", strata=tuple(cs), covers=_covers(below),
+                       below=tuple(below))
+
+
+def twist_power(Z, w, r):
+    """The sigma-twisted power w^(r): w^(0) = e, w^(r) = gamma^{-1}(w^(r-1) w)."""
+    wg, out = Z.wg, Z.wg.e
+    for _ in range(r):
+        out = wg.galois(wg.compose(out, w), -1)
+    return out
 
 
 def composed_transport(Z, w, alpha):

@@ -15,13 +15,12 @@ import sys
 import time
 from fractions import Fraction
 
-from conftest import datum, forward_n_alpha, group, subword_leq
+from conftest import closure_leq, coarse_poset, datum, forward_n_alpha, group, subword_leq
 from zipstrata import golden, sections, strata
 from zipstrata.cones import verify_certificate
 from zipstrata.sections import (char_section_verdict, gln_certificate, n_alpha,
                                 purity_report, section_cone)
-from zipstrata.strata import (coarse_poset, coarse_strata, hasse_diagram,
-                              zip_strata)
+from zipstrata.strata import coarse_strata, hasse_diagram, zip_strata
 from zipstrata.zipdatum import dims, flag_datum
 
 GROUPS = ("A1", "A2", "B2", "A3", "C3")
@@ -78,7 +77,7 @@ def test_criterion_2_strata_and_diagram():
     ok = ok and edges == PAPER_EDGES
     # closure order equals the restriction of the Bruhat order here
     reps = wg.min_coset_reps(Z.I, "left")
-    ok = ok and all(strata.closure_leq(Z, a, b) == wg.bruhat_leq(a, b)
+    ok = ok and all(closure_leq(Z, a, b) == wg.bruhat_leq(a, b)
                     for a in reps for b in reps)
     announce(2, "12 strata, 16 cover arrows, Bruhat restriction", ok, 1,
              time.monotonic() - t0)

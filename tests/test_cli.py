@@ -352,17 +352,20 @@ def _group_config(preset, galois):
 @example(("C3", None), [{0, 2}, {0, 1, 2}], 1)      # I = {1,3}: no uniform cone at p = 2
 @example(("B2", None), [set(), {0}], 1)
 @example(("C3", None), [{0, 1, 2}, {0, 2}], 2500)   # I = {1,3} is past ROW_BIT_CAP
+@example(("A2", None), [set(), {0}, {1}, {0, 1}], 1)  # a sweep over every type
 def test_scan_cells_print_the_purity_report_verdicts(group_spec, types, n):
     """Each scan cell prints the five verdict fields of `purity_report` on its
     datum, whether its uniform cone is feasible or not, and a cell whose rows
-    are past the bit cap fails alone with the report's error."""
+    are past the bit cap fails alone with the report's error.  The summary
+    gives each type's least prime whose report is uniformly pure."""
     preset, galois = group_spec
     m = group(preset, galois)[0].num_simple
     types = [sorted(i + 1 for i in I if i < m) for I in types]
     cfg = dict(_group_config(preset, galois), n=n, types=types, primes=[2, 3, 5, 7])
-    cells = cli._scan(cfg, cli.build_parser().parse_args(["scan"]))["cells"]
+    payload = cli._scan(cfg, cli.build_parser().parse_args(["scan"]))
     rd, wg = cli._group_from_config(cfg)
-    for cell in cells:
+    first_uniform = {}
+    for cell in payload["cells"]:
         Z = cli._datum_from_config(dict(cfg, I=cell["I"], p=cell["p"]), rd, wg)
         try:
             rep = sections.purity_report(Z)
@@ -371,6 +374,10 @@ def test_scan_cells_print_the_purity_report_verdicts(group_spec, types, n):
                             "error_type": "SectionError"}
             continue
         assert cell == {"I": cell["I"], "p": cell["p"], "ok": True, **cli._verdict_payload(rep)}
+        if rep.uniformly_pure:
+            first_uniform.setdefault(json.dumps(cell["I"]), cell["p"])    # primes ascend
+    assert payload["summary"] == {
+        json.dumps(t): {"first_uniform_prime": first_uniform.get(json.dumps(t))} for t in types}
 
 
 def test_scan_solves_the_section_cones_only_without_a_uniform_witness(monkeypatch):
@@ -596,6 +603,8 @@ def test_config_objects_saying_two_things_or_nothing_exit_2(tmp_path, capsys, gr
     ("describe", {"group": {"preset": "C3"}, "p": 2}, "config needs 'I' (1-based indices) or 'mu'"),
     ("n-alpha", dict(C3_CONFIG, w="351"),
      'config.w: use a bracket like "[351]", "e", or a word list'),
+    ("n-alpha", dict(C3_CONFIG, w=[1, 4]), "config.w: letter 4 is out of range 1..3"),
+    ("n-alpha", dict(C3_CONFIG, w=[0]), "config.w: letter 0 is out of range 1..3"),
     ("n-alpha", {k: v for k, v in C3_CONFIG.items() if k != "w"}, "n-alpha requires config.w"),
     ("cone", {k: v for k, v in C3_CONFIG.items() if k != "w"}, "cone requires config.w"),
     ("scan", {"group": {"preset": "C3"}, "n": 1, "primes": [2]},
@@ -606,7 +615,8 @@ def test_config_objects_saying_two_things_or_nothing_exit_2(tmp_path, capsys, gr
     ("cone", dict(C3_CONFIG, w="[213]"), "w is not a stratum label for this datum"),
     ("describe", {"group": {"preset": "A3"}, "galois": {"perm": [3, 2, 1], "order": 3},
                   "p": 3, "n": 1, "I": [1]}, "galois matrix does not have the declared order"),
-], ids=["missing-file", "no-type", "w-no-bracket", "n-alpha-no-w", "cone-no-w",
+], ids=["missing-file", "no-type", "w-no-bracket", "w-letter-past-rank", "w-letter-zero",
+        "n-alpha-no-w", "cone-no-w",
         "scan-no-types", "flag-strata-no-I0", "coarse-strata-no-I0", "n-alpha-non-label",
         "cone-non-label", "perm-wrong-order"])
 def test_config_errors_exit_2_with_their_message(tmp_path, capsys, command, cfg, message):

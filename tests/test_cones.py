@@ -14,7 +14,7 @@ from zipstrata.cones import (ConeError, _normalize, feasible_strict, kernel_basi
 def test_single_halfspace():
     res = feasible_strict([(1,)], 1)
     assert res.feasible and res.point[0] > 0
-    assert res.integral_point()[0] >= 1
+    assert res.witness[0] >= 1
 
 
 def test_opposite_halfspaces_infeasible():
@@ -40,7 +40,7 @@ def test_wedge():
     rows = [(1, -1), (-1, 2)]
     res = feasible_strict(rows, 2)
     assert res.feasible
-    x = res.integral_point()
+    x = res.witness
     assert x[0] - x[1] > 0 and -x[0] + 2 * x[1] > 0
 
 
@@ -71,7 +71,7 @@ def test_kernel_basis_orthogonal():
 def test_fractional_rows_normalized():
     res = feasible_strict([(Fraction(1, 2), Fraction(-1, 3))], 2)
     assert res.feasible
-    x = res.integral_point()
+    x = res.witness
     assert 3 * x[0] - 2 * x[1] > 0
 
 
@@ -94,7 +94,7 @@ def systems(draw):
 
 def assert_self_certified(rows, nvars, res):
     if res.feasible:
-        for point in (res.point, res.integral_point()):
+        for point in (res.point, res.witness):
             for r in rows:
                 assert sum(Fraction(a) * b for a, b in zip(r, point)) > 0
     else:
@@ -244,10 +244,10 @@ def test_integral_point_clears_the_denominators(system):
     is the rational point scaled by the lcm of its denominators."""
     res = feasible_strict(*system)
     if res.feasible:
-        assert res.integral_point() == _lcm_point(res.point)
-        assert all(type(x) is int for x in res.integral_point())
+        assert res.witness == _lcm_point(res.point)
+        assert all(type(x) is int for x in res.witness)
     else:
-        assert res.point is None and res.integral_point() is None
+        assert res.point is None and res.witness is None
 
 
 def _fraction_kernel_basis(equalities, nvars):

@@ -1,5 +1,6 @@
-"""In-process smoke runs of the demo scripts, the only non-test callers of the
-public API outside the package."""
+"""An in-process smoke run of the Sp(6) demo script, the only non-test caller of
+the public API outside the package.  Sweeps over all types are `scan` runs with
+a `types` list, tested in test_cli.py."""
 import runpy
 import sys
 from pathlib import Path
@@ -20,10 +21,3 @@ def test_sp6_demo(monkeypatch, capsys):
     assert "p=3  principal=True uniform=True failing=[]" in out
     assert out.rstrip().endswith("golden gate: PASS")
 
-
-def test_prime_scan(monkeypatch, capsys):
-    out = run_script("prime_scan.py", ["--preset", "A2", "--primes", "2", "3", "--box", "1"],
-                     monkeypatch, capsys)
-    lines = out.splitlines()
-    assert [l.split()[0] for l in lines] == ["I=[]", "I=[1]", "I=[2]", "I=[1,"]
-    assert all(l.endswith("first-uniform=2") for l in lines)

@@ -10,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (A1_RANK41, RANK41_GALOIS, ROW_GROUPS, composed_transport, datum,
-                      forward_n_alpha, group, loop_matrix, transport_orbit)
+                      forward_n_alpha, group, loop_matrix, transport_orbit, twist_power)
 from zipstrata import cones, rootsystem, sections, weyl
 from zipstrata.golden import C3_N_TABLE
 from zipstrata.rootsystem import _mat_vec, dot
 from zipstrata.sections import (SectionError, ampleness, char_section_verdict,
                                 character_tests, flag_ampleness, gln_certificate,
                                 n_alpha, purity_report, purity_verdict, r_w, section_cone,
-                                twist_power, _box_coeffs, _check_box, _wall_root,
-                                _wall_rows)
+                                _box_coeffs, _check_box, _wall_root, _wall_rows)
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import flag_datum, zip_from_cochar
 
@@ -123,6 +122,10 @@ def test_twist_power_flip():
     lhs = twist_power(Z, w, 2)
     rhs = wg.galois(wg.compose(wg.galois(w, -1), w), -1)
     assert lhs == rhs
+    # r_w is the least r >= 1 with (w gamma^n(z))^(r) = e
+    v = wg.compose(w, wg.galois(Z.z, Z.n))
+    r = r_w(Z, w)[0]
+    assert [twist_power(Z, v, k) == wg.e for k in range(1, r + 1)] == [False] * (r - 1) + [True]
 
 
 def test_r_w_split(c3_datum):
@@ -729,11 +732,11 @@ def test_standard_basis_cones_skip_the_change_of_basis(preset, I, lattice):
     for c in rep.strata:
         assert c.basis == tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
         assert c.reduced_rows is c.ambient_rows
-        point = cones.feasible_strict(c.ambient_rows, rank).integral_point()
+        point = cones.feasible_strict(c.ambient_rows, rank).witness
         assert c.witness == (point if c.feasible else None)
     if rep.uniformly_pure:
         rows = [row for c in rep.strata for row in c.ambient_rows]
-        assert rep.uniform_witness == cones.feasible_strict(rows, rank).integral_point()
+        assert rep.uniform_witness == cones.feasible_strict(rows, rank).witness
 
 
 @pytest.mark.parametrize("preset, I, galois, order", [("A3", (1,), "flip", 2),

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from conftest import PSI_12, PSI_13, datum, group
+from conftest import PSI_12, PSI_13, coarse_poset, datum, group
 from zipstrata import sections, strata, zipdatum
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import (ZipDatumError, dims, flag_datum, is_prime,
@@ -124,7 +124,7 @@ def test_a_flag_level_is_the_induced_datum_with_its_base(c3_datum):
 
 @pytest.mark.parametrize("needs_flag", [
     strata.coarse_strata,
-    strata.coarse_poset,
+    coarse_poset,
     lambda Z: strata.classify_stratum(Z, Z.wg.e, Z.I),
     lambda Z: sections.flag_ampleness(Z, (-2, -3, 1)),
 ], ids=["coarse_strata", "coarse_poset", "classify_stratum", "flag_ampleness"])
