@@ -307,7 +307,7 @@ def _cone_payload(c):
         "inequalities_reduced": c.reduced_rows,
         "feasible": c.feasible,
         "witness": c.witness,
-        "certificate": [str(x) for x in c.certificate] if c.certificate else None,
+        "certificate": c.certificate,
     }
 
 
@@ -317,8 +317,7 @@ def _verdict_payload(rep):
         "principally_pure": rep.principally_pure,
         "uniformly_pure": rep.uniformly_pure,
         "uniform_witness": rep.uniform_witness or None,
-        "uniform_certificate": ([str(x) for x in rep.uniform_certificate]
-                                if rep.uniform_certificate else None),
+        "uniform_certificate": rep.uniform_certificate,
         "failing_strata": rep.failing_strata,
     }
 

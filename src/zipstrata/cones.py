@@ -21,15 +21,15 @@ multipliers pi of the final basis give the witness t = -pi[:nvars], with
 r . t >= pi[nvars] > 0 on every row (Farkas); it is read off the final
 tableau as integers.
 
-Everything a feasible system touches is integral, the kernel bases included
-(`kernel_basis`).  `Fraction` is left to the certificate path, the rational
-multipliers and their replay (`verify_certificate`), and to the rational
-point `Feasibility.point`, built only when it is read.
+Everything is integral: the rows, the tableau, the witnesses and the kernel
+bases (`kernel_basis`).  A certificate's multipliers are exact rationals,
+written as text "p/q" (or "p" when q = 1) from the integers of the final
+tableau; `verify_certificate` reads that text back and replays it over the
+lcm of the denominators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence
 
@@ -42,26 +42,13 @@ class ConeError(ValueError):
 class Feasibility:
     feasible: bool
     witness: Optional[tuple] = None        # integral interior point
-    certificate: Optional[tuple] = None    # multipliers over the input rows
-    scale: int = 1                         # the simplex's point is witness / scale
-
-    @property
-    def point(self) -> Optional[tuple]:
-        """The rational interior point the simplex found."""
-        if self.witness is None:
-            return None
-        return tuple(Fraction(x, self.scale) for x in self.witness)
+    certificate: Optional[tuple] = None    # "p/q" multipliers over the input rows
 
 
 def _normalize(row):
-    """The integer row of content 1 on the ray of a row of ints or Fractions."""
-    try:
-        ints, g = row, gcd(*row)     # ints need no common denominator
-    except TypeError:                # gcd takes no Fraction
-        denom = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (denom // x.denominator) for x in row]
-        g = gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+    """The integer row of content 1 on the ray of an integer row."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
 def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
@@ -116,43 +103,42 @@ def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
         basis[leave], d = enter, piv
 
     if cost[-1] == 0:
-        certificate = [Fraction(0)] * len(rows)
-        origin = list(kept.items())
+        # row idx is gcd(row) times its kept normal form, so its multiplier is
+        # y_j / gcd(row) = tab[k][-1] / (d * gcd(row)), with 1 for a zero row
+        certificate = ["0"] * len(rows)
+        origin = list(kept.values())
         for k, j in enumerate(basis):
             if j < m:
-                nrm, idx = origin[j]
-                certificate[idx] = Fraction(tab[k][-1], d) / _scale_between(rows[idx], nrm)
+                idx = origin[j]
+                num, den = tab[k][-1], d * (gcd(*rows[idx]) or 1)
+                g = gcd(num, den)
+                num, den = num // g, den // g
+                certificate[idx] = "%d/%d" % (num, den) if den > 1 else str(num)
         return Feasibility(False, certificate=tuple(certificate))
     # the reduced cost of artificial k is 1 - pi_k, so t_k = v_k / d with
-    # v_k = cost[m + k] - d; over g = gcd(d, v), v / g is the least integral
-    # multiple of t and d / g the least denominator
+    # v_k = cost[m + k] - d; v / gcd(d, *v) is the least integral multiple of t
     v = [c - d for c in cost[m:m + nvars]]
     g = gcd(d, *v)
-    return Feasibility(True, witness=tuple(x // g for x in v), scale=d // g)
-
-
-def _scale_between(row, normalized):
-    """The positive rational s with row = s * normalized (zero rows: s = 1)."""
-    for a, b in zip(row, normalized):
-        if b != 0:
-            return Fraction(a) / b
-    return Fraction(1)
+    return Feasibility(True, witness=tuple(x // g for x in v))
 
 
 def verify_certificate(rows: Sequence[Sequence], certificate: Sequence) -> bool:
-    """Replay: nonnegative multipliers, not all zero, combining rows to zero."""
-    rows = [tuple(Fraction(x) for x in r) for r in rows]
-    cert = [Fraction(c) for c in certificate]
-    if len(cert) != len(rows):
+    """Replay: nonnegative multipliers, not all zero, combining rows to zero.
+
+    A multiplier is an int or the text "p" or "p/q" that `feasible_strict`
+    writes; other text, a denominator q <= 0 or ragged rows do not verify.
+    """
+    try:
+        pairs = [(int(p), int(q) if slash else 1)
+                 for p, slash, q in (str(c).partition("/") for c in certificate)]
+    except ValueError:
         return False
-    if any(c < 0 for c in cert) or all(c == 0 for c in cert):
+    if (len(pairs) != len(rows) or len(set(map(len, rows))) > 1
+            or any(p < 0 or q <= 0 for p, q in pairs) or not any(p for p, _ in pairs)):
         return False
-    n = len(rows[0]) if rows else 0
-    total = [Fraction(0)] * n
-    for c, r in zip(cert, rows):
-        for k in range(n):
-            total[k] += c * r[k]
-    return all(x == 0 for x in total)
+    den = lcm(*(q for _, q in pairs))
+    ys = [p * (den // q) for p, q in pairs]
+    return all(sum(y * x for y, x in zip(ys, col)) == 0 for col in zip(*rows))
 
 
 def kernel_basis(equalities: Sequence[Sequence], nvars: int) -> List[tuple]:
@@ -161,7 +147,7 @@ def kernel_basis(equalities: Sequence[Sequence], nvars: int) -> List[tuple]:
     Basis vectors have integer entries with content 1; they span the solution
     space over Q (a finite-index sublattice of the full integral kernel, which
     is enough for witnesses of open conditions).  Gauss-Jordan elimination
-    without fractions: each update a * row - f * pivot row stays integral and
+    in integers: each update a * row - f * pivot row stays integral and
     is divided by its content.  For each free column f the vector has x_f > 0,
     0 on the other free columns, and on the pivot columns what the pivot rows
     force; the reduced echelon form is unique up to row scaling, so these are

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from . import cones
-from .rootsystem import RootDatum, Vec, dot, vneg
+from .rootsystem import RootDatum, Vec, build_root_datum, dot, vneg
 from .weyl import WeylGroup, _inverse, _mul
 from .zipdatum import ZipDatum, _flag_base, prime_power, zip_from_cochar
 
@@ -596,7 +596,6 @@ def gln_certificate(blocks: Sequence[int], q: int) -> GlnCertificate:
         raise SectionError("blocks must be positive integers")
     N = sum(blocks)
     p, n = prime_power(q)
-    from .rootsystem import build_root_datum
     rd = build_root_datum("GL%d" % N)
     boundaries = set()
     acc = 0

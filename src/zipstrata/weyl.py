@@ -491,10 +491,8 @@ class WeylGroup:
             raise WeylError("bracket notation requires a pure B/C preset")
         n = self.rd.rank
         body = text.strip().strip("[]").replace(",", " ")
-        if " " in body:
-            vals = [int(t) for t in body.split()]
-        else:
-            vals = [int(c) for c in body]
+        digits = body.split() if " " in body else body
+        vals = [int(t) for t in digits] if all(t.isdecimal() for t in digits) else ()
         if len(vals) != n or any(not 1 <= v <= 2 * n for v in vals):
             raise WeylError("bracket %r is not valid for rank %d" % (text, n))
         if len({min(v, 2 * n + 1 - v) for v in vals}) != n:

@@ -605,6 +605,8 @@ def test_config_objects_saying_two_things_or_nothing_exit_2(tmp_path, capsys, gr
      'config.w: use a bracket like "[351]", "e", or a word list'),
     ("n-alpha", dict(C3_CONFIG, w=[1, 4]), "config.w: letter 4 is out of range 1..3"),
     ("n-alpha", dict(C3_CONFIG, w=[0]), "config.w: letter 0 is out of range 1..3"),
+    ("n-alpha", dict(C3_CONFIG, w="[1a2]"), "bracket '[1a2]' is not valid for rank 3"),
+    ("n-alpha", dict(C3_CONFIG, w="[1 2 x]"), "bracket '[1 2 x]' is not valid for rank 3"),
     ("n-alpha", {k: v for k, v in C3_CONFIG.items() if k != "w"}, "n-alpha requires config.w"),
     ("cone", {k: v for k, v in C3_CONFIG.items() if k != "w"}, "cone requires config.w"),
     ("scan", {"group": {"preset": "C3"}, "n": 1, "primes": [2]},
@@ -616,6 +618,7 @@ def test_config_objects_saying_two_things_or_nothing_exit_2(tmp_path, capsys, gr
     ("describe", {"group": {"preset": "A3"}, "galois": {"perm": [3, 2, 1], "order": 3},
                   "p": 3, "n": 1, "I": [1]}, "galois matrix does not have the declared order"),
 ], ids=["missing-file", "no-type", "w-no-bracket", "w-letter-past-rank", "w-letter-zero",
+        "w-bracket-letter", "w-bracket-spaced-letter",
         "n-alpha-no-w", "cone-no-w",
         "scan-no-types", "flag-strata-no-I0", "coarse-strata-no-I0", "n-alpha-non-label",
         "cone-non-label", "perm-wrong-order"])

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +13,7 @@ from zipstrata.cones import (ConeError, _normalize, feasible_strict, kernel_basi
 
 def test_single_halfspace():
     res = feasible_strict([(1,)], 1)
-    assert res.feasible and res.point[0] > 0
-    assert res.witness[0] >= 1
+    assert res.feasible and res.witness[0] >= 1
 
 
 def test_opposite_halfspaces_infeasible():
@@ -26,7 +25,7 @@ def test_opposite_halfspaces_infeasible():
 
 def test_empty_system_feasible():
     res = feasible_strict([], 3)
-    assert res.feasible and res.point == (0, 0, 0)
+    assert res.feasible and res.witness == (0, 0, 0)
 
 
 def test_zero_row_infeasible():
@@ -68,23 +67,16 @@ def test_kernel_basis_orthogonal():
     assert kernel_basis([(1, 0), (0, 1)], 2) == []
 
 
-def test_fractional_rows_normalized():
-    res = feasible_strict([(Fraction(1, 2), Fraction(-1, 3))], 2)
-    assert res.feasible
-    x = res.witness
-    assert 3 * x[0] - 2 * x[1] > 0
-
-
 @st.composite
 def systems(draw):
-    """(rows, nvars): 1-5 variables, up to 30 rows of small integers and
-    fractions, with scaled duplicates and sometimes a zero row."""
+    """(rows, nvars): 1-5 variables, up to 30 rows of small integers, with
+    duplicates scaled by 1, 2 and 3 (rows of content > 1) and sometimes a
+    zero row."""
     n = draw(st.integers(1, 5))
-    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
-    rows = draw(st.lists(st.tuples(*[entry] * n), max_size=25))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=25))
     if rows:
         copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
-                                         st.sampled_from([1, 2, Fraction(1, 3)])),
+                                         st.sampled_from([1, 2, 3])),
                                max_size=4))
         rows += [tuple(c * x for x in rows[i]) for i, c in copies]
     if draw(st.integers(0, 4)) == 0:
@@ -94,12 +86,11 @@ def systems(draw):
 
 def assert_self_certified(rows, nvars, res):
     if res.feasible:
-        for point in (res.point, res.witness):
-            for r in rows:
-                assert sum(Fraction(a) * b for a, b in zip(r, point)) > 0
+        for r in rows:
+            assert sum(a * b for a, b in zip(r, res.witness)) > 0
     else:
         assert verify_certificate(rows, res.certificate)
-        assert sum(1 for c in res.certificate if c) <= nvars + 1
+        assert sum(1 for c in res.certificate if c != "0") <= nvars + 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -152,13 +143,28 @@ def test_verdict_matches_sympy_lpmax(system):
     assert feasible_strict(rows, n).feasible == (best > 0)
 
 
+def _lcm_point(point):
+    """The rational point times the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (scale // x.denominator) for x in point)
+
+
+def _fraction_normalize(row):
+    """The integer row of content 1 on the ray of a row of Fractions."""
+    denom = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (denom // x.denominator) for x in row]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
 def _fraction_simplex(rows, nvars):
     """The same phase-I tableau, Bland rule and outputs as `feasible_strict`,
-    pivoted in plain Fraction arithmetic: (feasible, point, certificate)."""
+    pivoted in plain Fraction arithmetic: (feasible, point, certificate), with
+    the point and the multipliers as Fractions."""
     kept = {}
     for idx, r in enumerate(rows):
         orig = tuple(Fraction(x) for x in r)
-        nrm = _normalize(orig)
+        nrm = _fraction_normalize(orig)
         if nrm not in kept:
             kept[nrm] = (idx, next((Fraction(a) / b for a, b in zip(orig, nrm) if b),
                                    Fraction(1)))
@@ -211,15 +217,18 @@ def _fraction_simplex(rows, nvars):
 @example(([(-1, 0, 0), (2, 1, 2), (1, 2, -2), (1, -1, 1)], 3))
 def test_integer_pivots_match_fraction_pivots(system):
     """Integer pivoting over a running denominator takes the same pivots as the
-    Fraction tableau, so the point and the certificate are the same values."""
+    Fraction tableau: the witness is its point with the denominators cleared,
+    and the certificate is the text of its multipliers."""
     rows, n = system
     res = feasible_strict(rows, n)
-    assert (res.feasible, res.point, res.certificate) == _fraction_simplex(rows, n)
+    feasible, point, certificate = _fraction_simplex(rows, n)
+    assert res.feasible == feasible
+    assert res.witness == (_lcm_point(point) if feasible else None)
+    assert res.certificate == (None if feasible else tuple(map(str, certificate)))
 
 
 def test_normalize_reads_ints_and_fractions():
     assert _normalize((2, -4, 0)) == (1, -2, 0)
-    assert _normalize((Fraction(1, 2), Fraction(-1, 3), 1)) == (3, -2, 6)
     assert _normalize((0, 0)) == (0, 0)
 
 
@@ -229,25 +238,28 @@ def test_certificate_rejects_garbage():
     assert not verify_certificate(rows, (1, -1))
     assert not verify_certificate(rows, (1, 2))
     assert verify_certificate(rows, (1, 1))
-
-
-def _lcm_point(point):
-    """The rational point times the lcm of its denominators."""
-    scale = lcm(*(x.denominator for x in point))
-    return tuple(x.numerator * (scale // x.denominator) for x in point)
+    # printed text: a zero or negative denominator and a non-number do not verify
+    assert not verify_certificate(rows, ("1/0", "1"))
+    assert not verify_certificate(rows, ("1/-2", "1/2"))
+    assert not verify_certificate(rows, ("x", "1"))
+    assert verify_certificate(rows, ("1/2", "1/2"))
+    assert verify_certificate(rows, (1, "1"))
+    # rows of unequal length are no system
+    assert not verify_certificate([(1, 5), (-1,)], (1, 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(systems())
 def test_integral_point_clears_the_denominators(system):
     """The integral witness, read off the final tableau as v // gcd(d, *v),
-    is the rational point scaled by the lcm of its denominators."""
+    is the Fraction tableau's point scaled by the lcm of its denominators."""
     res = feasible_strict(*system)
+    feasible, point, _certificate = _fraction_simplex(*system)
     if res.feasible:
-        assert res.witness == _lcm_point(res.point)
+        assert res.witness == _lcm_point(point)
         assert all(type(x) is int for x in res.witness)
     else:
-        assert res.point is None and res.witness is None
+        assert not feasible and res.witness is None
 
 
 def _fraction_kernel_basis(equalities, nvars):
@@ -273,7 +285,7 @@ def _fraction_kernel_basis(equalities, nvars):
         v[fc] = Fraction(1)
         for i, pc in enumerate(piv_cols):
             v[pc] = -rows[i][fc]
-        basis.append(_normalize(v))
+        basis.append(_fraction_normalize(v))
     return basis
 
 

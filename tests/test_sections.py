@@ -784,29 +784,31 @@ def test_radical_order_takes_the_periods_of_a_basis():
     assert proc.stdout.split() == ["41"] + [str(t) for t in expected], proc.stderr
 
 
-@pytest.mark.parametrize("preset, I, p", [("C3", (0, 2), 3), ("A3", (), 2)])
-def test_feasible_cones_build_no_fraction(monkeypatch, preset, I, p):
-    # a feasible cone touches no Fraction: the kernel bases eliminate in
-    # integers and the witnesses are read off the final tableau, so with
-    # cones.Fraction made to raise, every feasible section cone and, on the
-    # uniformly pure golden datum (C3, I = {1,3}, p = 3), the purity report
-    # and verdict come out as before; a fresh WeylGroup keeps no cone data,
-    # so the Levi basis is eliminated again under the patch
-    rd, _ = group(preset)
-    Z = datum(preset, I, p=p)
-    labels = [w for w in Z.wg.min_coset_reps(I, "left") if section_cone(Z, w).feasible]
-    expected = [section_cone(Z, w) for w in labels]
-    reports = purity_report(Z), purity_verdict(Z)
-    pure = reports[0].uniformly_pure and reports[0].principally_pure
-    assert pure == (preset == "C3")
-
-    def refuse(*args):
-        raise AssertionError("a Fraction was built")
-    monkeypatch.setattr(cones, "Fraction", refuse)
-    Z = zip_from_cochar(rd, I=I, p=p, wg=WeylGroup(rd))
-    assert [section_cone(Z, w) for w in labels] == expected
-    if pure:
-        assert (purity_report(Z), purity_verdict(Z)) == reports
+def test_cli_loads_no_fractions():
+    # no library path builds a Fraction: certificates are written from the
+    # integers of the final tableau, so a fresh interpreter that prints the
+    # certificates of the infeasible uniform cones of A4 I = {2} and A3 Borel,
+    # and a whole C3 scan, never imports `fractions` (nor `decimal`, which it
+    # loads)
+    root = Path(__file__).resolve().parents[1]
+    configs = root / "perfbench" / "configs"
+    argvs = [["purity", "--config", str(configs / "a4-i2.json")],
+             ["purity", "--config", str(configs / "a3-borel.json")],
+             ["scan", "--config", str(configs / "c3-scan.json")]]
+    code = """if True:
+        import sys
+        from zipstrata import cli
+        for argv in %r:
+            assert cli.main(argv) == 0, argv
+        loaded = {"fractions", "decimal"} & set(sys.modules)
+        assert not loaded, loaded
+    """ % argvs
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"uniform_certificate": [') >= 2
 
 
 def test_box_walk_stays_within_the_box(monkeypatch):
