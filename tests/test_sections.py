@@ -1,3 +1,4 @@
+import fractions
 import itertools
 import os
 import subprocess
@@ -782,6 +783,31 @@ def test_radical_order_takes_the_periods_of_a_basis():
     expected = [lcm(*(c // gcd(c, n) for c in (5, 7, 8, 9, 11))) for n in ns]
     assert expected == [27720, 13860, 3465, 8, 27720]
     assert proc.stdout.split() == ["41"] + [str(t) for t in expected], proc.stderr
+
+
+@pytest.mark.parametrize("preset, I, p", [("C3", (0, 2), 3), ("A3", (), 2)])
+def test_feasible_cones_build_no_fraction(monkeypatch, preset, I, p):
+    # a feasible cone touches no Fraction: the kernel bases eliminate in
+    # integers and the witnesses are read off the final tableau, so with
+    # every Fraction construction made to raise, every feasible section cone
+    # and, on the uniformly pure golden datum (C3, I = {1,3}, p = 3), the
+    # purity report and verdict come out as before; a fresh WeylGroup keeps
+    # no cone data, so the Levi basis is eliminated again under the patch
+    rd, _ = group(preset)
+    Z = datum(preset, I, p=p)
+    labels = [w for w in Z.wg.min_coset_reps(I, "left") if section_cone(Z, w).feasible]
+    expected = [section_cone(Z, w) for w in labels]
+    reports = purity_report(Z), purity_verdict(Z)
+    pure = reports[0].uniformly_pure and reports[0].principally_pure
+    assert pure == (preset == "C3")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    Z = zip_from_cochar(rd, I=I, p=p, wg=WeylGroup(rd))
+    assert [section_cone(Z, w) for w in labels] == expected
+    if pure:
+        assert (purity_report(Z), purity_verdict(Z)) == reports
 
 
 def test_cli_loads_no_fractions():
