@@ -46,7 +46,7 @@ def main():
     print("\npurity over the Levi-character lattice:")
     for p in args.primes:
         Zp = zip_from_cochar(rd, I=(0, 2), n=1, p=p, wg=wg)
-        rep = purity_report(Zp, lattice="levi", box=2)
+        rep = purity_report(Zp, lattice="levi")
         print("  p=%d  principal=%s uniform=%s failing=%s witness=%s" %
               (p, rep.principally_pure, rep.uniformly_pure,
                list(rep.failing_strata), rep.uniform_witness))

@@ -408,13 +408,12 @@ def _cone(Z, cfg, args):
 
 
 def _purity(Z, cfg, args):
-    rep = sections.purity_report(Z, lattice=args.lattice, box=args.box,
+    rep = sections.purity_report(Z, lattice=args.lattice,
                                  candidates=_characters(cfg, Z.rd.rank))
     return {
         "datum": rep.datum,
         "lattice": rep.lattice,
         "convention": rep.convention,
-        "box_radius": rep.box_radius,
         **_verdict_payload(rep),
         "ample_close_char": rep.ample_close_char or None,
         "strata": [_cone_payload(c) for c in rep.strata],
@@ -451,11 +450,8 @@ def _scan(cfg, args):
         for p in primes:
             try:
                 Z = _datum_from_config(dict(cfg, I=list(t), p=p), rd, wg)
-                rep = sections.purity_verdict(Z, lattice=args.lattice, box=args.box,
-                                              candidates=candidates)
+                rep = sections.purity_verdict(Z, lattice=args.lattice, candidates=candidates)
                 results.append({"I": list(t), "p": p, "ok": True, **_verdict_payload(rep)})
-            except sections.BoxError:
-                raise               # an oversized --box is a bad request, not a bad cell
             except Exception as e:  # per-cell failures reported, scan continues
                 results.append({"I": list(t), "p": p, "ok": False, "error": str(e),
                                 "error_type": type(e).__name__})
@@ -478,8 +474,6 @@ def build_parser():
     ap.add_argument("--format", default="json", choices=["json", "text", "dot"])
     ap.add_argument("--out", default=None, help="write output to a file")
     ap.add_argument("--lattice", default="levi", choices=["torus", "levi"])
-    ap.add_argument("--box", type=int, default=2,
-                    help="search radius for the sufficient-condition character")
     ap.add_argument("--workers", type=int, default=1,
                     help="ignored (scan runs sequentially); kept so existing "
                          "command lines still parse")
@@ -491,8 +485,6 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.box < 0:
-        ap.error("argument --box: must be at least 0")
     try:
         if args.format == "dot" and args.command not in ("hasse", "golden"):
             raise ConfigError("format %r not supported for this subcommand" % args.format)

@@ -1,31 +1,28 @@
-"""Exact rational feasibility of homogeneous strict-inequality systems by a
-phase-I simplex on Gordan's alternative, with integral witnesses and
-replayable infeasibility certificates.
+"""Exact rational feasibility of homogeneous systems of strict rows a and
+weak rows c by a phase-I simplex, with integral witnesses and replayable
+infeasibility certificates.  Exactly one of two things exists (Motzkin's
+transposition theorem; Schrijver, Theory of Linear and Integer Programming,
+1986, Sec. 7.8; Gordan's alternative without weak rows): a rational t with
+a . t > 0 on every strict row and c . t >= 0 on every weak row, or
+multipliers y >= 0 on the strict rows, not all zero, and z >= 0 on the weak
+rows with sum_j y_j a_j + sum_k z_k c_k = 0, a sum that is > 0 at t.
 
-A system is a list of coefficient rows r; feasibility asks for a rational
-point t with r . t > 0 for every row.  Exactly one of two things exists
-(Gordan's alternative): such a point, or a certificate, nonnegative rational
-multipliers y, not all zero, combining the rows to the zero form (a positive
-combination of strictly positive forms cannot vanish).
-
-The solver minimises the sum of artificial variables for sum_i y_i r_i = 0,
-sum_i y_i = 1, y >= 0, by the simplex method with Bland's rule, which cannot
-cycle.  The pivots are integer-preserving (Edmonds 1967; Bareiss 1968, as in
-Avis's lrs): the tableau is held as integers over one running denominator d,
-the previous pivot, and each update (x * piv - f * y) // d divides exactly; a
-row with f = 0 only rescales, and not at all when piv = d.
-The ratio test compares the quotients of two rows by cross-multiplying their
-integer entries.  At objective 0, y is a basic solution and so a certificate
+The solver minimises the sum of artificial variables for that equation and
+sum_j y_j = 1 by the simplex method with Bland's rule, which cannot cycle.
+The pivots are integer-preserving (Edmonds 1967; Bareiss 1968, as in Avis's
+lrs): the tableau is held as integers over one running denominator d, the
+previous pivot, and each update (x * piv - f * y) // d divides exactly; a row
+with f = 0 only rescales, and not at all when piv = d.  The ratio test
+compares the quotients of two rows by cross-multiplying their integer
+entries.  At objective 0, (y, z) is a basic solution and so a certificate
 with at most nvars + 1 nonzero multipliers.  Otherwise the simplex
 multipliers pi of the final basis give the witness t = -pi[:nvars], with
-r . t >= pi[nvars] > 0 on every row (Farkas); it is read off the final
-tableau as integers.
-
-Everything is integral: the rows, the tableau, the witnesses and the kernel
-bases (`kernel_basis`).  A certificate's multipliers are exact rationals,
-written as text "p/q" (or "p" when q = 1) from the integers of the final
-tableau; `verify_certificate` reads that text back and replays it over the
-lcm of the denominators.
+a . t >= pi[nvars] > 0 and c . t >= 0 (Farkas), read off the final tableau
+as integers.  Everything is integral: the rows, the tableau, the witnesses
+and the kernel bases (`kernel_basis`).  A certificate's multipliers are
+exact rationals, written as text "p/q" (or "p" when q = 1) from the integers
+of the final tableau; `verify_certificate` reads that text back and replays
+it over the lcm of the denominators.
 """
 from __future__ import annotations
 
@@ -42,7 +39,7 @@ class ConeError(ValueError):
 class Feasibility:
     feasible: bool
     witness: Optional[tuple] = None        # integral interior point
-    certificate: Optional[tuple] = None    # "p/q" multipliers over the input rows
+    certificate: Optional[tuple] = None    # "p/q" multipliers over the strict, then weak rows
 
 
 def _normalize(row):
@@ -51,28 +48,28 @@ def _normalize(row):
     return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
-def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
-    """Decide whether a rational t exists with row . t > 0 for all rows."""
-    kept = {}          # normalised row -> first original index
-    for idx, r in enumerate(rows):
+def feasible_strict(rows: Sequence[Sequence], nvars: int, weak: Sequence = ()) -> Feasibility:
+    """Decide whether a rational t has row . t > 0 on rows and >= 0 on weak rows."""
+    every, kept, kept_weak = [*rows, *weak], {}, {}   # normalised row -> first index
+    for idx, r in enumerate(every):
         if len(r) != nvars:
             raise ConeError("row length does not match the variable count")
-        kept.setdefault(_normalize(r), idx)
+        (kept if idx < len(rows) else kept_weak).setdefault(_normalize(r), idx)
     if not kept:
         return Feasibility(True, witness=(0,) * nvars)
 
-    # Tableau rows: the nvars coordinates of sum_j y_j r_j = 0, then sum_j y_j = 1,
-    # then `cost`, the phase-I reduced costs and, last, minus the objective.
-    # Columns: y_0..y_{m-1}, one artificial per constraint row (the starting
-    # basis), then the right-hand side.  The true tableau is tab / d, with
-    # d > 0, so signs read off the integers directly.
-    m, n1 = len(kept), nvars + 1
-    tab = [*map(list, zip(*kept)), [1] * m]
+    # Tableau rows: the nvars coordinates of sum_j y_j r_j + sum_k z_k c_k = 0,
+    # then sum_j y_j = 1, then `cost`, the phase-I reduced costs and, last,
+    # minus the objective.  Columns: y_0..y_{s-1}, z_s..z_{m-1}, one artificial
+    # per constraint row (the starting basis), then the right-hand side.  The
+    # true tableau is tab / d, with d > 0, so signs read off the integers directly.
+    s, m, n1 = len(kept), len(kept) + len(kept_weak), nvars + 1
+    tab = [*map(list, zip(*kept, *kept_weak)), [1] * s + [0] * (m - s)]
     for k, row in enumerate(tab):
         row += [0] * (n1 + 1)
         row[m + k] = 1
     tab[-1][-1] = 1
-    tab.append([-1 - sum(r) for r in kept] + [0] * n1 + [-1])
+    tab.append([-1 - sum(r) for r in kept] + [-sum(c) for c in kept_weak] + [0] * n1 + [-1])
     ncols, basis, d = m + n1, list(range(m, m + n1)), 1
     while True:
         # Bland's rule: the lowest entering index, ties in the ratio test to the
@@ -105,12 +102,12 @@ def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
     if cost[-1] == 0:
         # row idx is gcd(row) times its kept normal form, so its multiplier is
         # y_j / gcd(row) = tab[k][-1] / (d * gcd(row)), with 1 for a zero row
-        certificate = ["0"] * len(rows)
-        origin = list(kept.values())
+        certificate = ["0"] * len(every)
+        origin = [*kept.values(), *kept_weak.values()]
         for k, j in enumerate(basis):
             if j < m:
                 idx = origin[j]
-                num, den = tab[k][-1], d * (gcd(*rows[idx]) or 1)
+                num, den = tab[k][-1], d * (gcd(*every[idx]) or 1)
                 g = gcd(num, den)
                 num, den = num // g, den // g
                 certificate[idx] = "%d/%d" % (num, den) if den > 1 else str(num)
@@ -122,8 +119,10 @@ def feasible_strict(rows: Sequence[Sequence], nvars: int) -> Feasibility:
     return Feasibility(True, witness=tuple(x // g for x in v))
 
 
-def verify_certificate(rows: Sequence[Sequence], certificate: Sequence) -> bool:
-    """Replay: nonnegative multipliers, not all zero, combining rows to zero.
+def verify_certificate(rows: Sequence[Sequence], certificate: Sequence,
+                       weak: Sequence = ()) -> bool:
+    """Replay: nonnegative multipliers over the rows, then the weak rows, not
+    all zero on the rows, combining them to zero.
 
     A multiplier is an int or the text "p" or "p/q" that `feasible_strict`
     writes; other text, a denominator q <= 0 or ragged rows do not verify.
@@ -133,12 +132,14 @@ def verify_certificate(rows: Sequence[Sequence], certificate: Sequence) -> bool:
                  for p, slash, q in (str(c).partition("/") for c in certificate)]
     except ValueError:
         return False
-    if (len(pairs) != len(rows) or len(set(map(len, rows))) > 1
-            or any(p < 0 or q <= 0 for p, q in pairs) or not any(p for p, _ in pairs)):
+    every = [*rows, *weak]
+    if (len(pairs) != len(every) or len(set(map(len, every))) > 1
+            or any(p < 0 or q <= 0 for p, q in pairs)
+            or not any(p for p, _ in pairs[:len(rows)])):
         return False
     den = lcm(*(q for _, q in pairs))
     ys = [p * (den // q) for p, q in pairs]
-    return all(sum(y * x for y, x in zip(ys, col)) == 0 for col in zip(*rows))
+    return all(sum(y * x for y, x in zip(ys, col)) == 0 for col in zip(*every))
 
 
 def kernel_basis(equalities: Sequence[Sequence], nvars: int) -> List[tuple]:

@@ -153,7 +153,7 @@ def _run_golden_checks(checks):
             check("vanishing wall p=2", dict(sv.multiplicities)[zero_wall], 0)
         cone = sections.section_cone(Zp, w, "levi")
         check("cone feasibility p=%d" % p, cone.feasible, C3_CONE_FEASIBLE[p])
-        rep = sections.purity_report(Zp, lattice="levi", box=2)
+        rep = sections.purity_report(Zp, lattice="levi")
         check("principal purity p=%d" % p, rep.principally_pure, p != 2)
         if p == 2:
             check("failing stratum p=2", rep.failing_strata, (C3_W,))
@@ -171,8 +171,7 @@ def _run_golden_checks(checks):
         check("GL4 certificate character q=%d" % q, cert.lam, GL4_LAMBDA)
         check("GL4 zip ample q=%d" % q, cert.verdict.zip_ample, True)
         check("GL4 orbitally close q=%d" % q, cert.verdict.orbitally_q_close, True)
-        rep = sections.purity_report(cert.datum, lattice="levi", box=2,
-                                     candidates=[cert.lam])
+        rep = sections.purity_report(cert.datum, lattice="levi", candidates=[cert.lam])
         check("GL4 uniform purity q=%d" % q, rep.uniformly_pure, True)
         check("GL4 witness q=%d" % q, rep.uniform_witness, GL4_LAMBDA)
 

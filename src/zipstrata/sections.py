@@ -23,7 +23,6 @@ theorem.  The convention tag below is emitted in all reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -36,8 +35,6 @@ from .zipdatum import ZipDatum, _flag_base, prime_power, zip_from_cochar
 
 CONVENTION = "loop(z*w^-1)/wall-transport/base(q)"
 
-# the most points the ample, orbitally q-close search will scan
-BOX_POINT_CAP = 1_000_000
 # the cap on T times the bit length of q: a wall row sums T terms q^i c, so its
 # integers have about that many bits; like q itself, they then print in about
 # 3011 decimal digits, under the 4300 that int-to-str conversion allows
@@ -54,11 +51,6 @@ _CONE_DATA: "WeakKeyDictionary[WeylGroup, dict]" = WeakKeyDictionary()
 
 class SectionError(ValueError):
     pass
-
-
-class BoxError(SectionError):
-    """The search box holds more than BOX_POINT_CAP points: a bad request,
-    whatever the datum."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +106,6 @@ class PurityReport(PurityVerdict):
     lattice: str
     strata: tuple            # SectionCone per stratum
     ample_close_char: Optional[tuple]
-    box_radius: int
     convention: str = CONVENTION
 
 
@@ -217,7 +208,7 @@ class _ConeData:
     `cones.kernel_basis` of the coroots of I); `columns`, each root's coroot
     followed by its pairings with the Levi basis (the coroot alone when the
     Levi basis is the standard one); and, each filled on first use, the
-    stratum labels and each `stratum`'s table entry.
+    stratum labels, each `stratum`'s table entry and the ample cone's rows.
 
     The radical order is the order of gamma^n on X_0, the characters that
     vanish on every coroot.  gamma permutes the coroots, so gamma^n maps X_0 to
@@ -241,7 +232,7 @@ class _ConeData:
         self.levi = levi = tuple(cones.kernel_basis(_lattice_equations(Z, "levi"), Z.rd.rank))
         self.columns = self.coroots if len(levi) == Z.rd.rank else tuple(
             c + tuple(dot(c, b) for b in levi) for c in self.coroots)
-        self.labels = None
+        self.labels = self.ample = None
         self.strata = {}
 
     def stratum(self, wg: WeylGroup, w: tuple) -> list:
@@ -430,54 +421,84 @@ def section_cone(Z: ZipDatum, w: tuple, lattice: str = "levi") -> SectionCone:
     return _solve_cone(Z, lattice, basis, *_stratum_rows(Z, w, basis, _cone_data(Z)))
 
 
-def _check_box(m: int, radius: int):
-    size = (2 * radius + 1) ** m - 1
-    if size > BOX_POINT_CAP:
-        raise BoxError("the search box of radius %d on a rank-%d lattice holds %d "
-                       "points, more than the cap %d" % (radius, m, size, BOX_POINT_CAP))
-
-
-def _shell(m: int, r: int):
-    """The integer m-tuples of sup-norm exactly r >= 1, in lex order.  A head
-    of m - 1 entries that already reaches r takes every last entry, any other
-    head only -r and r; each head yields at least two points, so the shells up
-    to radius R cost no more than the box they fill."""
-    if m == 0:
-        return
-    full = range(-r, r + 1)
-    for head in iproduct(full, repeat=m - 1):
-        if r in head or -r in head:
-            for x in full:
-                yield head + (x,)
-        else:
-            yield head + (-r,)
-            yield head + (r,)
-
-
-def _box_coeffs(m: int, radius: int):
-    """The nonzero integer m-tuples of sup-norm at most radius, shell by shell
-    in (sup-norm, lex) order: the coefficients of the box points over a basis.
-    With m = 0 the box is empty, however large the radius."""
-    for r in range(1, radius + 1 if m else 1):
-        yield from _shell(m, r)
-
-
 def _positive_on(rows, chi) -> bool:
     """chi is strictly positive on every row: the stratum verdicts of
     `char_section_verdict`, from rows already built."""
     return all(sum(map(mul, row, chi)) > 0 for row in rows)
 
 
-def _uniform_purity(Z: ZipDatum, lattice: str, box: int, candidates: Sequence):
+def _ample_close_char(Z: ZipDatum, data: _ConeData, ambient: list) -> Optional[tuple]:
+    """An ample, orbitally q-close Levi character chi = sum_k c_k b_k, or None
+    when there is none: the point of one cone, replayed on the ample rows,
+    through `character_tests` and on every stratum's `ambient` rows, or the
+    cone's verified Motzkin certificate.
+    chi is ample when c is positive on the strict rows (-<b_k, t>)_k over the
+    transports t of `_ample_transports`, and then orbitally q-close when
+    (q - 1) r_u - r_v >= 0 at c over each coroot orbit, for its coroots u and
+    those v with zt^{-1}(v) dominant, where r_u = s_u (<b_k, u>)_k is nonzero.
+    Without ample rows every Levi character is ample and kills every coroot,
+    and chi = -sum_k b_k; a Levi lattice of rank 0 has none.
+
+    The sign rule: with zt = gamma^{-n}(z) and J' = gamma^{-n}(J), on the
+    ample cone s_u = sign <chi, u> is 0 when the root beta = zt^{-1}(u) has
+    its support in J', and otherwise minus the sign of beta.  Proof:
+    mu = -zt^{-1}(chi) has <mu, alpha_i^vee> = -<chi, zt(alpha_i^vee)>, > 0 for
+    i outside J' and 0 for i in J', where zt(alpha_i^vee) is a Levi coroot
+    (the assertion below checks this).  So the ample cone is -zt of an open
+    face of type J' of the dominant chamber, which no root hyperplane crosses:
+    <chi, u> = -<mu, beta^vee> sums the <mu, alpha_i^vee> with coefficients of
+    the sign of beta.  On an orbit under W and gamma, which zt^{-1} maps onto
+    itself, |<mu, beta^vee>| is largest at a dominant beta^vee: the dominant x
+    in the W-orbit of a coroot y has x - y >= 0 on simple coroots.
+    """
+    levi, rd, wg = data.levi, Z.rd, Z.wg
+    if not levi:
+        return None
+    if data.ample is None:
+        pairs = _ample_transports(Z)
+        outside, zt_inverse = {i for i, _t in pairs}, _inverse(wg.galois(Z.z, -Z.n))
+        index, npos, orbits = {c: j for j, c in enumerate(data.coroots)}, len(rd.positive), []
+        for orbit in rd.coroot_orbits:
+            close, high = {}, {}
+            for j in map(index.__getitem__, orbit):
+                b, row = zt_inverse[j], data.columns[j][rd.rank:] or data.coroots[j]  # Levi row
+                sign = ((-1 if b < npos else 1)
+                        if any(rd.coeffs_of[wg._roots[b]][i] for i in outside) else 0)
+                if (sign == 0) == any(row):
+                    raise AssertionError("a coroot's Levi row and ample-cone sign disagree")
+                if sign:
+                    close[row := tuple(sign * x for x in row)] = None
+                    if b < npos and all(dot(a, data.coroots[b]) >= 0 for a in rd.simple_roots):
+                        high[row] = None
+            orbits.append((tuple(close), tuple(high)))
+        data.ample = pairs, tuple(tuple(-dot(b, t) for b in levi) for _i, t in pairs), orbits
+    pairs, strict, orbits = data.ample
+    c = (-1,) * len(levi)
+    if strict:
+        weak = [tuple((Z.q - 1) * x - y for x, y in zip(u, v))
+                for close, high in orbits for u in close for v in high]
+        res = cones.feasible_strict(strict, len(levi), weak)
+        if not res.feasible:
+            if not cones.verify_certificate(strict, res.certificate, weak):
+                raise AssertionError("the ample cone's certificate does not verify")
+            return None
+        c = res.witness
+    chi = _expand(c, levi, rd.rank)
+    if not (all(dot(chi, t) < 0 for _i, t in pairs) and _positive_on(ambient, chi)
+            and character_tests(rd, chi, Z.q).orbitally_q_close):
+        raise AssertionError("the ample cone's point is not ample, orbitally q-close and "
+                             "positive on every stratum; convention error")
+    return chi
+
+
+def _uniform_purity(Z: ZipDatum, lattice: str, candidates: Sequence):
     """What `purity_report` and `purity_verdict` share: every stratum's rows
     (`_stratum_rows`), the uniform cone over all of them, the candidates, and
-    the search for an ample, orbitally q-close character.  Returns the basis,
-    the rows per stratum, the uniform cone's `Feasibility`, the uniform witness
+    the ample, orbitally q-close character (`_ample_close_char`).  Returns the
+    basis, the rows per stratum, the uniform cone's `Feasibility`, the uniform witness
     and the ample, orbitally q-close character.  The uniform witness, whichever
     it is, has been replayed on every stratum's ambient rows."""
     rd, data = Z.rd, _cone_data(Z)
-    levi = data.levi
-    _check_box(len(levi), box)
     basis = _lattice_basis(Z, lattice)
     per = [_stratum_rows(Z, w, basis, data) for w in _labels(Z)]
     ambient = [row for s in per for row in s[2]]
@@ -501,48 +522,34 @@ def _uniform_purity(Z: ZipDatum, lattice: str, box: int, candidates: Sequence):
             uniform_witness = cand
             break
 
-    # the sufficient condition covers Levi characters only, whatever the lattice;
-    # chi = sum c_k b_k is ample when sum c_k <b_k, t> < 0 for every transport t,
-    # so the box is walked by its coefficients and only ample points are formed
-    ample_rows = [[dot(b, t) for b in levi] for _i, t in _ample_transports(Z)]
-    ample_close = None
-    for c in _box_coeffs(len(levi), box):
-        if all(sum(map(mul, c, row)) < 0 for row in ample_rows):
-            chi = tuple(sum(map(mul, c, col)) for col in zip(*levi))
-            if character_tests(rd, chi, Z.q).orbitally_q_close:
-                ample_close = chi
-                break
-    if ample_close is not None:
-        if not _positive_on(ambient, ample_close):
-            raise AssertionError("ample orbitally q-close character fails a stratum "
-                                 "verdict; convention error")
-        if not res.feasible:
-            raise AssertionError("sufficient condition met but the uniform cone "
-                                 "is infeasible; convention error")
+    # the sufficient condition covers Levi characters only, whatever the lattice
+    ample_close = _ample_close_char(Z, data, ambient)
+    if ample_close is not None and not res.feasible:
+        raise AssertionError("sufficient condition met but the uniform cone "
+                             "is infeasible; convention error")
     return basis, per, res, uniform_witness, ample_close
 
 
-def purity_report(Z: ZipDatum, lattice: str = "levi", box: int = 2,
+def purity_report(Z: ZipDatum, lattice: str = "levi",
                   candidates: Sequence = ()) -> PurityReport:
-    """Every stratum's section cone, the uniform intersection cone, and the
-    sufficient-condition search for an ample, orbitally q-close character.
+    """Every stratum's section cone, the uniform intersection cone, and an
+    ample, orbitally q-close character, or None when there is none.
 
     Every section cone is solved, and each witness it finds is replayed on its
     stratum's rows.  On a flag level the lattice 'levi' means characters of
     its own, small Levi.
     """
-    basis, per, res, uniform_witness, ample_close = _uniform_purity(Z, lattice, box,
-                                                                    candidates)
+    basis, per, res, uniform_witness, ample_close = _uniform_purity(Z, lattice, candidates)
     strata = tuple(_solve_cone(Z, lattice, basis, *s) for s in per)
     failing = tuple(c.stratum for c in strata if not c.feasible)
     return PurityReport(principally_pure=not failing, uniformly_pure=res.feasible,
                         uniform_witness=uniform_witness,
                         uniform_certificate=res.certificate, failing_strata=failing,
                         datum=Z.describe(), lattice=lattice, strata=strata,
-                        ample_close_char=ample_close, box_radius=box)
+                        ample_close_char=ample_close)
 
 
-def purity_verdict(Z: ZipDatum, lattice: str = "levi", box: int = 2,
+def purity_verdict(Z: ZipDatum, lattice: str = "levi",
                    candidates: Sequence = ()) -> PurityVerdict:
     """The verdicts of `purity_report`, solving only what they need.
 
@@ -556,7 +563,7 @@ def purity_verdict(Z: ZipDatum, lattice: str = "levi", box: int = 2,
     of the stratum's cone.  The list is kept move-to-front, and only the
     strata that none of its witnesses certifies have their cone solved.
     """
-    basis, per, res, uniform_witness, _ample = _uniform_purity(Z, lattice, box, candidates)
+    basis, per, res, uniform_witness, _ample = _uniform_purity(Z, lattice, candidates)
     failing, witnesses = [], []
     for s in () if res.feasible else per:
         k = next((k for k, chi in enumerate(witnesses) if _positive_on(s[2], chi)), None)

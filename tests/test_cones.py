@@ -143,6 +143,62 @@ def test_verdict_matches_sympy_lpmax(system):
     assert feasible_strict(rows, n).feasible == (best > 0)
 
 
+@st.composite
+def motzkin_systems(draw):
+    """(rows, weak, nvars): a system of `systems()` split at random into
+    strict and weak rows, each side possibly empty."""
+    rows, n = draw(systems())
+    weak = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    return ([r for r, w in zip(rows, weak) if not w], [r for r, w in zip(rows, weak) if w], n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(motzkin_systems())
+@example(([(1, 0)], [(-1, 0)], 2))           # t_0 > 0 and -t_0 >= 0 cannot hold
+@example(([(1, 0)], [(-1, 1), (0, -1)], 2))  # the weak rows force t_0 <= t_1 <= 0
+@example(([], [(-1, 0), (1, 0)], 2))         # no strict row: t = 0
+@example(([(0, 1)], [(1, 0), (-1, 0)], 2))   # weak rows that cancel each other
+def test_motzkin_alternative(system):
+    """A witness is > 0 on every strict row and >= 0 on every weak row; a
+    certificate verifies, with at most nvars + 1 nonzero multipliers, and the
+    verdict is sympy's: max s subject to rows . t >= s, weak . t >= 0,
+    -1 <= t_i <= 1 and 0 <= s <= 1 is positive."""
+    rows, weak, n = system
+    res = feasible_strict(rows, n, weak)
+    if res.feasible:
+        assert all(sum(a * b for a, b in zip(r, res.witness)) > 0 for r in rows)
+        assert all(sum(a * b for a, b in zip(c, res.witness)) >= 0 for c in weak)
+    else:
+        assert verify_certificate(rows, res.certificate, weak)
+        assert len(res.certificate) == len(rows) + len(weak)
+        assert sum(1 for c in res.certificate if c != "0") <= n + 1
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.simplex import lpmax
+    t = sympy.symbols("t0:%d" % n)
+    s = sympy.Symbol("s")
+    constr = [sum(sympy.Rational(a) * x for a, x in zip(r, t)) - s >= 0 for r in rows]
+    constr += [sum(sympy.Rational(a) * x for a, x in zip(c, t)) >= 0 for c in weak]
+    bounds = [c for x in t for c in (x >= -1, x <= 1)]
+    best, _point = lpmax(s, constr + bounds + [s >= 0, s <= 1])
+    assert res.feasible == (best > 0)
+
+
+def test_motzkin_certificate_needs_a_strict_multiplier():
+    # 0 * (t_0 > 0) + 1 * (t_1 >= 0) + 1 * (-t_1 >= 0) sums to zero, but only
+    # weak rows carry it, and weak rows alone prove nothing
+    rows, weak = [(1, 0)], [(0, 1), (0, -1)]
+    assert not verify_certificate(rows, ("0", "1", "1"), weak)
+    assert not verify_certificate([], ("1", "1"), weak)
+    assert feasible_strict(rows, 2, weak).feasible
+    rows = [(1, 0), (0, 1)]
+    weak = [(-1, -1)]
+    res = feasible_strict(rows, 2, weak)
+    assert not res.feasible and verify_certificate(rows, res.certificate, weak)
+    assert res.certificate == ("1/2", "1/2", "1/2")
+    assert not verify_certificate(rows, res.certificate)    # the weak row is needed
+    assert not verify_certificate(rows, ("1", "1"), weak)   # one multiplier per row
+
+
 def _lcm_point(point):
     """The rational point times the lcm of its denominators."""
     scale = lcm(*(x.denominator for x in point))

@@ -31,7 +31,7 @@ def test_prime_scan(tmp_path, capsys):
     cfg = tmp_path / "scan.json"
     cfg.write_text(json.dumps({"group": {"preset": "A2"}, "n": 1, "types": types,
                                "primes": [2, 3]}))
-    assert cli.main(["scan", "--config", str(cfg), "--box", "1"]) == 0
+    assert cli.main(["scan", "--config", str(cfg)]) == 0
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert [(c["I"], c["p"]) for c in payload["cells"]] == [
         (I, p) for I in types for p in (2, 3)]

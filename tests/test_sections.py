@@ -18,7 +18,7 @@ from zipstrata.rootsystem import _mat_vec, dot
 from zipstrata.sections import (SectionError, ampleness, char_section_verdict,
                                 character_tests, flag_ampleness, gln_certificate,
                                 n_alpha, purity_report, purity_verdict, r_w, section_cone,
-                                _box_coeffs, _check_box, _wall_root, _wall_rows)
+                                _wall_root, _wall_rows)
 from zipstrata.weyl import WeylGroup
 from zipstrata.zipdatum import flag_datum, zip_from_cochar
 
@@ -336,7 +336,7 @@ def test_purity_full_levi_trivial():
 def test_purity_flagged_borel():
     Z = datum("C3", (0, 2), p=3)
     FZ = flag_datum(Z, ())
-    rep = purity_report(FZ, lattice="levi", box=1)
+    rep = purity_report(FZ, lattice="levi")
     assert rep.lattice == "levi"
     assert len(rep.strata) == 48
     assert rep.principally_pure
@@ -347,7 +347,7 @@ def test_purity_flagged_borel_large_p():
     # so the fine stratification must be uniformly principally pure
     Z = datum("C3", (0, 2), p=7)
     FZ = flag_datum(Z, ())
-    rep = purity_report(FZ, lattice="levi", box=3)
+    rep = purity_report(FZ, lattice="levi")
     assert rep.ample_close_char is not None
     assert rep.uniformly_pure
 
@@ -355,14 +355,14 @@ def test_purity_flagged_borel_large_p():
 def test_monotonicity_ample_close_implies_positive():
     # every lattice character that is ample and orbitally q-close certifies
     # every stratum (the sufficient-condition check inside purity_report
-    # asserts this; here it is exercised directly on a box)
+    # asserts this; here it is exercised directly on a box of radius 2)
     from zipstrata.sections import _lattice_basis
     for preset, I, p in (("C3", (0, 2), 3), ("GL4", (0, 2), 2), ("B2", (1,), 2)):
         Z = datum(preset, I, p=p)
         wg = Z.wg
         reps = wg.min_coset_reps(Z.I, "left")
         basis = _lattice_basis(Z, "levi")
-        for chi in _walk_points(basis, 2):
+        for chi in _sorted_box(basis, 2):
             if not ampleness(Z, chi)[0]:
                 continue
             if not character_tests(Z.rd, chi, Z.q).orbitally_q_close:
@@ -399,7 +399,7 @@ def test_gl4_borel_p2_not_uniform():
     # the Borel datum is principally pure (Bruhat strata) but has no single
     # character working for all strata at p = 2
     Z = datum("GL4", (), p=2)
-    rep = purity_report(Z, lattice="levi", box=1)
+    rep = purity_report(Z, lattice="levi")
     assert rep.principally_pure
     assert not rep.uniformly_pure
     assert rep.uniform_certificate is not None
@@ -417,7 +417,7 @@ def test_twisted_datum_sections_smoke():
         assert n_alpha(Z, w, both, a) == n_alpha(Z, w, x, a) + n_alpha(Z, w, y, a)
     sv = char_section_verdict(Z, w, (2, 1, -1, -2))
     assert sv.m == 2 and sv.period % 2 == 0
-    rep = purity_report(Z, lattice="levi", box=2)
+    rep = purity_report(Z, lattice="levi")
     assert len(rep.strata) == len(wg.min_coset_reps(Z.I, "left"))
 
 
@@ -497,25 +497,6 @@ def _sorted_box(basis, radius):
     return [tuple(sum(c[k] * basis[k][j] for k in range(m)) for j in range(n)) for c in pts]
 
 
-def _walk_points(basis, radius):
-    """The box points in the order of the coefficient walk of `purity_report`."""
-    return [tuple(sum(c[k] * b[j] for k, b in enumerate(basis)) for j in range(len(basis[0])))
-            for c in _box_coeffs(len(basis), radius)]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 4), st.integers(1, 4), st.integers(0, 3), st.data())
-def test_box_points_match_sorted_box(m, n, radius, data):
-    basis = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=m, max_size=m))
-    assert _walk_points(basis, radius) == _sorted_box(basis, radius)
-
-
-def test_box_points_edge_cases():
-    assert _walk_points([], 5) == [] == _sorted_box([], 5)
-    assert _walk_points([(1, 2)], 0) == [] == _sorted_box([(1, 2)], 0)
-    assert _walk_points([(1, 0), (0, 1)], 1)[:4] == [(-1, -1), (-1, 0), (-1, 1), (0, -1)]
-
-
 AMPLE_DATA = [("C3", I, p, None, None) for I in ((), (0,), (1,), (2,), (0, 1), (0, 2),
                                                  (1, 2), (0, 1, 2)) for p in (2, 7)]
 AMPLE_DATA += [(preset, I, p, None, None) for preset, I, ps in (
@@ -526,28 +507,93 @@ AMPLE_DATA += [("C3", (0, 2), 7, None, (0,)), ("A3", (0,), 3, "flip", None),
 
 @pytest.mark.parametrize("preset, I, p, galois, I0", AMPLE_DATA)
 def test_ample_search_matches_brute_force(preset, I, p, galois, I0):
-    """The coefficient walk finds the first box point of the old search: every
-    point of the sorted box built as a character, then tested for ampleness and
-    orbital q-closeness."""
+    """Wherever the box of radius 3 holds an ample, orbitally q-close point
+    of the Levi lattice, the exact cone finds one, and the point it prints is
+    ample, orbitally q-close and positive on every stratum's rows."""
     Z = datum(preset, I, p=p, galois=galois)
     Zt = flag_datum(Z, I0) if I0 is not None else Z
     levi = sections._lattice_basis(Zt, "levi")
-    for box in (1, 2, 3):
-        expected = next((chi for chi in _sorted_box(levi, box)
-                         if ampleness(Zt, chi)[0]
-                         and character_tests(Zt.rd, chi, Zt.q).orbitally_q_close), None)
-        assert purity_report(Zt, box=box).ample_close_char == expected
+    in_box = next((chi for chi in _sorted_box(levi, 3)
+                   if ampleness(Zt, chi)[0]
+                   and character_tests(Zt.rd, chi, Zt.q).orbitally_q_close), None)
+    rep = purity_report(Zt)
+    chi = rep.ample_close_char
+    assert chi is not None or in_box is None
+    if chi is not None:
+        _assert_ample_close(Zt, rep, chi)
 
 
-def test_box_cap():
-    _check_box(8, 2)                     # the default radius stays legal on a rank-8 lattice
-    with pytest.raises(SectionError, match="1953124 points"):
-        _check_box(9, 2)
-    with pytest.raises(SectionError, match="1419856 points"):
-        purity_report(datum("A4", ()), box=8)
-    # a huge radius on the zero Levi lattice holds no point and returns at once
-    rep = purity_report(datum("C3", (0, 1, 2)), box=10 ** 9)
-    assert rep.ample_close_char is None and rep.box_radius == 10 ** 9
+def _assert_ample_close(Z, rep, chi):
+    """chi is a nonzero Levi character, ample, orbitally q-close and positive
+    on every stratum's rows."""
+    assert any(chi) and all(dot(chi, e) == 0 for e in sections._lattice_equations(Z, "levi"))
+    assert ampleness(Z, chi)[0]
+    assert character_tests(Z.rd, chi, Z.q).orbitally_q_close
+    for cone in rep.strata:
+        assert all(dot(row, chi) > 0 for row in cone.ambient_rows)
+
+
+def _ample_cone_solves(monkeypatch):
+    """Every (rows, weak, result) of an ample cone solved while patched: only
+    that call passes `cones.feasible_strict` its weak rows, even when empty."""
+    solved = []
+
+    def recording(rows, nvars, *weak, _fn=cones.feasible_strict):
+        res = _fn(rows, nvars, *weak)
+        if weak:
+            solved.append((rows, weak[0], res))
+        return res
+    monkeypatch.setattr(cones, "feasible_strict", recording)
+    return solved
+
+
+@pytest.mark.parametrize("preset, p", [(preset, p) for preset in ("C3", "B3")
+                                       for p in (7, 11, 13)])
+def test_ample_cone_finds_what_the_box_missed(preset, p):
+    # on these Borel cells the default box of radius 2 held no ample,
+    # orbitally q-close character; the exact cone finds one
+    Z = datum(preset, (), p=p)
+    rep = purity_report(Z)
+    assert rep.uniformly_pure and rep.ample_close_char is not None
+    _assert_ample_close(Z, rep, rep.ample_close_char)
+
+
+@pytest.mark.parametrize("preset, I, p", [("C4", (), 7), ("C3", (0, 2), 2)])
+def test_empty_ample_cone_is_certified(monkeypatch, preset, I, p):
+    # C4 Borel at p = 7: no ample, orbitally q-close character at all, though
+    # the uniform cone is feasible; C3 with I = {1,3} at p = 2 on its rank-1
+    # Levi lattice, where the deleted walk went through a whole box of radius
+    # 5000 to find none.  Each null comes with a Motzkin certificate
+    Z = datum(preset, I, p=p)
+    solved = _ample_cone_solves(monkeypatch)
+    rep = purity_report(Z)
+    assert rep.ample_close_char is None and rep.uniformly_pure == (preset == "C4")
+    [(rows, weak, res)] = solved
+    assert rows and not res.feasible
+    assert cones.verify_certificate(rows, res.certificate, weak)
+    assert not cones.verify_certificate(rows, ("0",) * len(rows) + res.certificate[len(rows):],
+                                        weak)
+
+
+@pytest.mark.parametrize("preset, I, expected", [
+    ("GL3", (0, 1), (-1, -1, -1)),       # the determinant line
+    ("C3xGL1", (0, 1, 2), (0, 0, 0, -1)),
+    ("GL1xGL1", (), (-1, -1)),
+    ("C3", (0, 1, 2), None),             # a Levi lattice of rank 0
+])
+def test_every_levi_character_ample(monkeypatch, preset, I, expected):
+    # with I = every simple root there are no ample rows: every Levi character
+    # is ample and kills every coroot, and the character printed is
+    # -sum_k b_k over the Levi basis, with no cone solved
+    Z = datum(preset, I, p=2)
+    assert not sections._ample_transports(Z)
+    solved = _ample_cone_solves(monkeypatch)
+    rep = purity_report(Z)
+    assert rep.ample_close_char == expected and not solved
+    if expected is not None:
+        levi = sections._lattice_basis(Z, "levi")
+        assert expected == tuple(-sum(col) for col in zip(*levi))
+        _assert_ample_close(Z, rep, expected)
 
 
 def _refuse(*args, **kwargs):
@@ -570,7 +616,7 @@ def test_purity_report_reuses_cone_rows(monkeypatch, preset, I, p, n, cand):
     monkeypatch.setattr(sections, "char_section_verdict", _refuse)
     monkeypatch.setattr(sections, "ampleness", _refuse)
     assert purity_report(Z, candidates=[cand]) == expected
-    assert calls == {"_wall_rows": len(expected.strata), "_ample_transports": 1}
+    assert calls == {"_wall_rows": len(expected.strata), "_ample_transports": 0}
 
 
 PURITY_ORACLE_CELLS = [(preset, I, p) for preset, m in (("C3", 3), ("C4", 4))
@@ -835,29 +881,3 @@ def test_cli_loads_no_fractions():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count('"uniform_certificate": [') >= 2
-
-
-def test_box_walk_stays_within_the_box(monkeypatch):
-    # the shells up to radius R draw no more tuples from `product` than the
-    # box of radius R holds, so BOX_POINT_CAP (checked by `_check_box`) bounds
-    # the walk; a filter of the whole box at each radius draws
-    # sum_r (2r + 1)^m, about R times the box on a rank-1 lattice
-    drawn = [0]
-
-    def counting(*args, **kwargs):
-        for t in itertools.product(*args, **kwargs):
-            drawn[0] += 1
-            yield t
-    monkeypatch.setattr(sections, "iproduct", counting)
-    for m, radius in ((1, 5000), (2, 200), (3, 12), (5, 3)):
-        drawn[0] = 0
-        size = (2 * radius + 1) ** m - 1
-        assert sum(1 for _ in _box_coeffs(m, radius)) == size
-        assert drawn[0] <= size
-    # the ample search fails on C3, I = {1,3}, p = 2, whose Levi lattice has
-    # rank 1, so it walks its whole box
-    Z = datum("C3", (0, 2), p=2)
-    assert len(sections._cone_data(Z).levi) == 1
-    drawn[0] = 0
-    assert purity_report(Z, box=5000).ample_close_char is None
-    assert drawn[0] <= 2 * 5000
