@@ -5,7 +5,10 @@ the correspondence between the two stratum labelings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterable, List, Optional
 
 from .weyl import _getter, _mul
 from .zipdatum import ZipDatum, _flag_base, dims, flag_datum
@@ -48,10 +51,20 @@ class StrataPoset:
     side: str
     strata: tuple           # Stratum, sorted by (length, label)
     covers: tuple           # pairs of indices into strata, low -> high
-    below: tuple            # per stratum j, the bitset of the strata i <= j (bit i)
 
     def leq(self, i: int, j: int) -> bool:
-        return bool(self.below[j] >> i & 1)
+        return bool(self._below[j] >> i & 1)
+
+    @cached_property
+    def _below(self) -> list:
+        """Per stratum j, the bitset of the strata i <= j (bit i): reachability
+        over the covers, built on the first `leq` and kept.  A cover raises the
+        length, so it runs from a lower index to a higher one, and taking the
+        covers by their upper end completes each lower down-set before it is read."""
+        below = [1 << j for j in range(len(self.strata))]
+        for i, j in sorted(self.covers, key=itemgetter(1)):
+            below[j] |= below[i]
+        return below
 
 
 # -- the twisted conjugation of the closure order --------------------------------
@@ -68,12 +81,14 @@ def _twists(Z: ZipDatum) -> list:
 def _twisted_keys(Z: ZipDatum, ws):
     """Yield the set of keys of each w's twisted orbit, composing no element:
     key(u w v) is u[w[v[alpha_i]]] over the simple indices, so each v =
-    psi(u)^{-1} is kept as its m simple images and the key is one getter over u."""
+    psi(u)^{-1} is kept as one getter of its m simple images, and the key is
+    that getter over w, then one over u.  The inner getter must give a tuple:
+    at m = 1 it is a one-entry slice, since a bare index would give the entry."""
     simple = Z.wg._simple_index
-    twist = [(u, tuple(v[i] for i in simple)) for u, v in _twists(Z)]
+    inner = (lambda idx: itemgetter(slice(idx[0], idx[0] + 1))) if len(simple) == 1 else _getter
+    twist = [(u, inner(tuple(v[i] for i in simple))) for u, v in _twists(Z)]
     for w in ws:
-        at = w.__getitem__
-        yield {_getter(tuple(map(at, vs)))(u) for u, vs in twist}
+        yield {_getter(vs(w))(u) for u, vs in twist}
 
 
 def _cross_labels(Z: ZipDatum, ws):
@@ -103,11 +118,12 @@ def _cross_labels(Z: ZipDatum, ws):
 
 # -- stratum enumeration -----------------------------------------------------------
 
-def _make_stratum(Z: ZipDatum, w: tuple, side: str, dim_P: int, dim_G: int) -> Stratum:
+def _make_stratum(Z: ZipDatum, w: tuple, side: str, dim_P: int, dim_G: int,
+                  label: Optional[str] = None, l: Optional[int] = None) -> Stratum:
     wg = Z.wg
-    l = wg.length(w)
-    return Stratum(w=w, side=side, label=wg.describe(w), length=l,
-                   variety_dim=l + dim_P, stack_dim=l + dim_P - dim_G)
+    l = wg.length(w) if l is None else l
+    return Stratum(w=w, side=side, label=wg.describe(w) if label is None else label,
+                   length=l, variety_dim=l + dim_P, stack_dim=l + dim_P - dim_G)
 
 
 def zip_strata(Z: ZipDatum, side: str = "I") -> List[Stratum]:
@@ -178,18 +194,48 @@ def _covers(below) -> tuple:
     return tuple(sorted(covers))
 
 
+def _bruhat_poset(Z: ZipDatum, side: str) -> StrataPoset:
+    """The poset of a datum with I = (): W_I is trivial, so every twisted orbit
+    is one element, the cross label of w is w, and the closure order is the
+    Bruhat order on W on both sides.  One level walk gives the strata, their
+    labels and their covers (`WeylGroup._bruhat_levels`); the J side sorts
+    each level by label.  A level's covers are written once the next level
+    has its indices, lower index first, so they come out sorted."""
+    wg, d = Z.wg, dims(Z)
+    strata, covers, upper = [], [], ()
+    for l, (level, labels, ups) in enumerate(wg._bruhat_levels()):
+        order = range(len(level)) if side == "I" else sorted(range(len(level)),
+                                                              key=labels.__getitem__)
+        at = [0] * len(level)
+        for k, p in enumerate(order, len(strata)):
+            at[p] = k
+        index = at.__getitem__
+        for i, js in enumerate(upper, len(strata) - len(upper)):
+            covers.extend(zip(repeat(i), sorted(map(index, js))))
+        upper = [ups[p] for p in order]
+        strata.extend(_make_stratum(Z, level[p], side, d.dim_P, d.dim_G, labels[p], l)
+                      for p in order)
+    if len(strata) != wg.order():
+        raise AssertionError("the level walk reached %d of the %d elements of W; "
+                             "convention error" % (len(strata), wg.order()))
+    return StrataPoset(side=side, strata=tuple(strata), covers=tuple(covers))
+
+
 def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
     """Closure-order poset with cover edges; on a flag level, the poset of its
     fine strata, with dimensions measured over the base.
 
-    The order is computed on the I-side labels; the J-side poset carries the
-    same order moved to the cross labels of one pass over the twisted orbits.
-    The order labels all |W| keys, so the size of W is checked before any
-    labelling.
+    With I = () the poset is read off one walk of W (`_bruhat_poset`).
+    Otherwise the order is computed on the I-side labels; the J-side poset
+    carries the same order moved to the cross labels of one pass over the
+    twisted orbits.  Both walk or label all of W, so the size of W is checked
+    before any walk.
     """
     if side not in ("I", "J"):
         raise StrataError("side must be 'I' or 'J'")
     Z.wg._check_enumerable()
+    if Z.I == ():
+        return _bruhat_poset(Z, side)
     strata = zip_strata(Z, "I")
     ws = [s.w for s in strata]
     if side == "J":
@@ -198,9 +244,8 @@ def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
             ((_make_stratum(Z, t, "J", d.dim_P, d.dim_G), w)
              for t, w in zip(_cross_labels(Z, ws), ws)),
             key=lambda sw: (sw[0].length, sw[0].label)))
-    below = _closure_down_sets(Z, ws)
-    return StrataPoset(side=side, strata=tuple(strata), covers=_covers(below),
-                       below=tuple(below))
+    return StrataPoset(side=side, strata=tuple(strata),
+                       covers=_covers(_closure_down_sets(Z, ws)))
 
 
 # -- classification and projection ---------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -283,6 +283,42 @@ class WeylGroup:
                         if k not in nxt:
                             nxt[k] = _mul(x, s)
             level = list(nxt.values())
+
+    def _bruhat_levels(self):
+        """Yield W one length level at a time, in the order of `_levels`, as
+        (elements, labels, upper): labels[p] is describe(elements[p]), and
+        upper[p] lists the positions in the next level of the Bruhat upper
+        covers of elements[p].  x s_a is one exactly when x(a) is positive and
+        its key, read from x (`_reflection_keys`), lies in the next level.  An
+        element is first reached from the element its canonical word extends
+        (`_sorted`), so outside the bracket presets its word is that parent's
+        word and the letter stepped by, and no word is re-derived."""
+        n = self._npos
+        getters = self._reflection_keys
+        steps = [(j, s, key_xs, str(i + 1)) for i, (j, s, key_xs)
+                 in enumerate(zip(self._simple_index, self.simple, self._simple_keys))]
+        bracket = self.to_bracket if self.supports_bracket() else None
+        elements, words = [self.e], repeat("") if bracket else [""]
+        while elements:
+            nxt, words_nxt = {}, []
+            for x, u in zip(elements, words):
+                for j, s, key_xs, letter in steps:
+                    if x[j] < n:
+                        k = key_xs(x)
+                        if k not in nxt:
+                            nxt[k] = _mul(x, s)
+                            if not bracket:
+                                words_nxt.append(u + "." + letter if u else letter)
+            at = dict(zip(nxt, range(len(nxt))))
+            has, pos = at.__contains__, at.__getitem__
+            upper = [list(map(pos, filter(has, [g(x) for g in
+                                                compress(getters, map(n.__gt__, x[:n]))])))
+                     for x in elements]
+            yield elements, (list(map(bracket, elements)) if bracket
+                             else [u or "e" for u in words]), upper
+            elements = list(nxt.values())
+            if not bracket:
+                words = words_nxt
 
     @staticmethod
     def _sorted(levels) -> tuple:

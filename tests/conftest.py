@@ -185,8 +185,7 @@ def coarse_poset(FZ):
     cs = coarse_strata(FZ)
     ws = [s.w for s in cs]
     below = FZ.wg._down_sets({FZ.wg.key(w): 1 << i for i, w in enumerate(ws)}, ws)
-    return StrataPoset(side="coarse", strata=tuple(cs), covers=_covers(below),
-                       below=tuple(below))
+    return StrataPoset(side="coarse", strata=tuple(cs), covers=_covers(below))
 
 
 def twist_power(Z, w, r):

@@ -17,6 +17,7 @@ from conftest import (A1_RANK41, A3_FLIP_MATRIX, E7_TYPE, E8_EXPLICIT, EXPLICIT,
 from zipstrata import cli, cones, golden, sections, zipdatum
 from zipstrata.cones import verify_certificate
 from zipstrata.rootsystem import dot
+from zipstrata.weyl import WeylGroup
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_CONFIGS = ROOT / "perfbench" / "configs"
@@ -822,6 +823,21 @@ def test_c8_siegel_hasse_exits_2_before_labelling(tmp_path, side):
     proc = run_subprocess(["hasse", "--config", cfg, "--side", side], timeout=20)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "10321920 elements, more than the enumeration cap 100000" in proc.stderr
+
+
+@pytest.mark.parametrize("preset, order", [("C7", 645120), ("C8", 10321920)])
+@pytest.mark.parametrize("side", ["I", "J"])
+def test_c7_c8_borel_hasse_exits_2_before_walking(tmp_path, capsys, monkeypatch, side,
+                                                   preset, order):
+    # the size of W is checked before the Borel path starts its level walk
+    def refuse(self):
+        raise AssertionError("the level walk started")
+    monkeypatch.setattr(WeylGroup, "_bruhat_levels", refuse)
+    cfg = write_config(tmp_path, {"group": {"preset": preset}, "p": 2, "n": 1, "I": []})
+    code = cli.main(["hasse", "--config", cfg, "--side", side])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "%d elements, more than the enumeration cap 100000" % order in captured.err
 
 
 # -- the JSON writer -------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_leq, coarse_poset, cross_label, datum, group, twisted_orbit
+from conftest import (DOWN_SET_GROUPS, closure_leq, coarse_poset, cross_label, datum, group,
+                      twisted_orbit)
 from zipstrata import strata
 from zipstrata.strata import (ProjectionError, StrataError, classify_stratum, coarse_strata,
                               hasse_diagram, project_stratum, zip_strata)
@@ -148,6 +150,82 @@ def test_d5_borel_covers_are_bruhat_lower_covers():
     assert [i for i in range(n) if not any(poset.leq(i, j) for j in range(n) if j != i)] \
         == [n - 1]
     assert all(poset.leq(0, j) and poset.leq(j, n - 1) for j in range(n))
+
+
+BOREL_SPECS = [("A1", None, ()), ("A3", None, ()), ("A3", "flip", ()), ("B3", None, ()),
+               ("C3", None, ()), ("A4", None, ()), ("D4", None, ()), ("D4", "dswap", ()),
+               ("GL1xGL1", None, ()), ("C3", None, (0, 2))]
+
+
+def word_label(wg, w):
+    return ".".join(str(i + 1) for i in wg.canonical_word(w)) or "e"
+
+
+@pytest.mark.parametrize("side", ["I", "J"])
+@pytest.mark.parametrize("spec", BOREL_SPECS, ids=str)
+def test_borel_poset_matches_the_down_set_path(spec, side):
+    # I = () (a Borel type, or the flag level I0 = () of C3 with I = {1,3}):
+    # the poset read off one level walk against the general path's down-sets
+    # and cover extraction on the same strata, and the walk's labels against
+    # canonical_word (the bracket on B and C presets)
+    preset, galois, base_I = spec
+    Z = datum(preset, (), galois=galois) if not base_I else \
+        flag_datum(datum(preset, base_I, galois=galois), ())
+    assert Z.I == ()
+    wg = Z.wg
+    poset = hasse_diagram(Z, side)
+    ws = [s.w for s in poset.strata]
+    assert poset.covers == strata._covers(strata._closure_down_sets(Z, ws))
+    label = wg.to_bracket if wg.supports_bracket() else lambda w: word_label(wg, w)
+    assert [s.label for s in poset.strata] == [label(w) for w in ws]
+    reference = [dataclasses.replace(s, side=side) for s in zip_strata(Z, "I")]
+    if side == "J":
+        reference.sort(key=lambda s: (s.length, s.label))
+    assert list(poset.strata) == reference and len(ws) == wg.order()
+
+
+@pytest.mark.parametrize("preset", ["A4", "C3"])
+def test_borel_hasse_builds_no_down_set_key_or_word(monkeypatch, preset):
+    Z = datum(preset, ())
+
+    def refuse(*args):
+        raise AssertionError("the Borel path left its walk")
+    monkeypatch.setattr(WeylGroup, "_down_sets", refuse)
+    monkeypatch.setattr(WeylGroup, "canonical_word", refuse)
+    monkeypatch.setattr(strata, "_twisted_keys", refuse)
+    monkeypatch.setattr(strata, "zip_strata", refuse)
+    for side in "IJ":
+        poset = hasse_diagram(Z, side)
+        assert len(poset.strata) == Z.wg.order()
+        assert "_below" not in vars(poset)      # leq's closure is built on first use
+        assert poset.leq(0, len(poset.strata) - 1) and "_below" in vars(poset)
+
+
+def test_borel_walk_asserts_it_reached_all_of_w(monkeypatch):
+    Z = datum("A3", ())
+    monkeypatch.setattr(WeylGroup, "order", lambda self: 25)
+    with pytest.raises(AssertionError, match="reached 24 of the 25 elements"):
+        hasse_diagram(Z, "I")
+
+
+@pytest.mark.parametrize("preset, galois", DOWN_SET_GROUPS)
+def test_leq_matches_the_closure_oracle(preset, galois):
+    # leq, reachability over the covers, against the one-pair oracle on
+    # every pair of strata of every type I with at most 48 strata: that is
+    # every type but D4 dswap's five largest, where the oracle takes 0.4-1.8 s
+    # each (the D4 dswap Borel covers are checked against the general path in
+    # test_borel_poset_matches_the_down_set_path)
+    rd, _ = group(preset, galois)
+    for r in range(rd.num_simple + 1):
+        for I in itertools.combinations(range(rd.num_simple), r):
+            Z = datum(preset, I, p=3, galois=galois)
+            poset = hasse_diagram(Z, "I")
+            ws, n = [s.w for s in poset.strata], len(poset.strata)
+            if n > 48:
+                assert (preset, galois, r) in (("D4", "dswap", 0), ("D4", "dswap", 1))
+                continue
+            assert [[poset.leq(i, j) for i in range(n)] for j in range(n)] == \
+                [[closure_leq(Z, a, b) for a in ws] for b in ws]
 
 
 CLOSURE_SPECS = [("A2", None, 1), ("A3", None, 1), ("B2", None, 1), ("C3", None, 1),
