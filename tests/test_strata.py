@@ -162,7 +162,8 @@ def word_label(wg, w):
 
 
 @pytest.mark.parametrize("side", ["I", "J"])
-@pytest.mark.parametrize("spec", BOREL_SPECS, ids=str)
+@pytest.mark.parametrize("spec", BOREL_SPECS, ids=lambda s: "-".join(
+    filter(None, (s[0], s[1], "flag" if s[2] else None))))
 def test_borel_poset_matches_the_down_set_path(spec, side):
     # I = () (a Borel type, or the flag level I0 = () of C3 with I = {1,3}):
     # the poset read off one level walk against the general path's down-sets
