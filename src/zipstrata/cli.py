@@ -14,7 +14,7 @@ import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import __version__, golden, sections, strata
+from . import __version__, sections, strata
 from .rootsystem import RootDatumError, build_root_datum
 from .sections import CONVENTION
 from .weyl import WeylError, WeylGroup
@@ -468,7 +468,10 @@ def _scan(cfg, args):
 # -- entry point ---------------------------------------------------------------------
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="zipstrata", description=__doc__)
+    # argparse's width with no terminal, so that help and usage errors wrap
+    # alike everywhere; a fixed width also spares a terminal query per argument
+    ap = argparse.ArgumentParser(prog="zipstrata", description=__doc__,
+                                 formatter_class=partial(argparse.HelpFormatter, width=78))
     ap.add_argument("command", choices=[*_COMMANDS, "scan", "golden"])
     ap.add_argument("--config", default=None, help="path to the JSON configuration")
     ap.add_argument("--format", default="json", choices=["json", "text", "dot"])
@@ -489,6 +492,7 @@ def main(argv=None) -> int:
         if args.format == "dot" and args.command not in ("hasse", "golden"):
             raise ConfigError("format %r not supported for this subcommand" % args.format)
         if args.command == "golden":
+            from . import golden    # only this command runs the gate
             ok, report = golden.golden_report()
             _emit(args.out, lambda write: write(report))
             return EXIT_OK if ok else 1

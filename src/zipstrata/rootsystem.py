@@ -132,28 +132,38 @@ class RootDatum:
     # derived, filled in __post_init__
     roots: frozenset = field(default=frozenset())
     positive: tuple = field(default=())
+    negative: tuple = field(default=())     # -a for each a of positive, in its order
     coroot_of: dict = field(default_factory=dict)
     coeffs_of: dict = field(default_factory=dict)  # root -> simple-root coefficients
     images_of: dict = field(default_factory=dict)  # root -> (s_1(a), ..., s_m(a), gamma(a))
     coroot_orbits: tuple = field(default=())   # sorted orbits under W and galois
+    # frozenset(K) -> (levi_positive(K), levi_roots(K)), filled on first use
+    _levi: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._validate_base()
-        found = self._enumerate_roots()
+        found, negative_of, orbit_of = self._enumerate_roots()
         object.__setattr__(self, "coroot_of", {a: ac for a, (_, ac, _, _) in found.items()})
         object.__setattr__(self, "coeffs_of", {a: c for a, (_, _, c, _) in found.items()})
         object.__setattr__(self, "roots", frozenset(found))
-        pos = sorted(a for a, c in self.coeffs_of.items() if min(c) >= 0)
+        pos = sorted(negative_of)
         object.__setattr__(self, "positive", tuple(pos))
-        if 2 * len(pos) != len(self.roots):
-            raise RootDatumError("positive roots do not split the root set in half")
+        object.__setattr__(self, "negative", tuple(map(negative_of.__getitem__, pos)))
         self._validate_galois()
-        # gamma(sum c_i alpha_i) = sum c_i alpha_gamma(i): gamma permutes the coefficients
-        root_of = {c: a for a, c in self.coeffs_of.items()}
-        inv = sorted(range(self.num_simple), key=self.galois.simple_perm.__getitem__)
-        object.__setattr__(self, "images_of", {a: (*imgs, root_of[tuple(map(c.__getitem__, inv))])
-                                               for a, (_, _, c, imgs) in found.items()})
-        object.__setattr__(self, "coroot_orbits", self._coroot_orbits())
+        # gamma(sum c_i alpha_i) = sum c_i alpha_gamma(i): gamma permutes the
+        # coefficients, fixing every root when it fixes the simple ones, and
+        # gamma(-a) = -gamma(a)
+        perm = self.galois.simple_perm
+        if perm == tuple(range(self.num_simple)):
+            gamma = dict(zip(found, found))
+        else:
+            root_of = {self.coeffs_of[a]: a for a in pos}
+            inv = sorted(range(self.num_simple), key=perm.__getitem__)
+            gamma = {a: root_of[tuple(map(self.coeffs_of[a].__getitem__, inv))] for a in pos}
+            gamma.update([(negative_of[a], negative_of[g]) for a, g in gamma.items()])
+        object.__setattr__(self, "images_of", {a: (*imgs, gamma[a])
+                                               for a, (_, _, _, imgs) in found.items()})
+        object.__setattr__(self, "coroot_orbits", self._coroot_orbits(negative_of, orbit_of))
 
     # -- construction checks -------------------------------------------------
     def _validate_base(self):
@@ -166,77 +176,119 @@ class RootDatum:
 
     def _enumerate_roots(self):
         """Close the simple roots under the simple reflections: root a -> (a, coroot,
-        coefficients over the simple roots, [s_1(a), ..., s_m(a)] as key objects).
+        coefficients over the simple roots, [s_1(a), ..., s_m(a)] as key objects);
+        each positive root -> its negative; and each positive root -> a simple
+        index whose root lies in its W-orbit.
 
         The closure runs on coefficient vectors (Casselman, "Computation in
-        Coxeter groups I", Electron. J. Combin. 9, 2002).  For a = sum c_j alpha_j
-        with coroot a^vee = sum d_j alpha_j^vee, s_i changes only c_i, by
-        -<a, alpha_i^vee> = -sum_j c_j cartan[i][j], and only d_i, by
-        -<alpha_i, a^vee> = -sum_j d_j cartan[j][i].  All m pairings of a are
-        summed over the nonzero c_j (d_j) and the nonzero Cartan entries of
-        their columns (rows), and s_i(a) = a wherever both are 0.  Root and
-        coroot vectors are built only for new coefficient vectors; each is the
-        linear image of its coefficients, so the checks below are those of a
-        closure on the vectors themselves."""
-        m, cartan = len(self.simple_roots), self.cartan
-        # column j of the Cartan matrix, <alpha_j, alpha_i^vee> over i, and row j,
-        # <alpha_i, alpha_j^vee> over i, each as its nonzero entries (i, x)
-        cols = [tuple((i, row[j]) for i, row in enumerate(cartan) if row[j]) for j in range(m)]
-        rows = [tuple((i, x) for i, x in enumerate(row) if x) for row in cartan]
+        Coxeter groups I", Electron. J. Combin. 9, 2002), each root with its m
+        pairings k_i = <a, alpha_i^vee> and kc_i = <alpha_i, a^vee>.  s_i
+        changes only the i-th coefficient of a, by -k_i, and b = s_i(a) has the
+        pairings of a less k_i times those of alpha_i (a column of the Cartan
+        matrix), and kc_i times those of alpha_i^vee (a row), over their nonzero
+        entries; s_i(a) = a wherever k_i and kc_i are 0, and s_i(b) = a is
+        recorded with b.  Root and coroot vectors are built only for new
+        coefficient vectors; each is the linear image of its coefficients, so
+        the checks below are those of a closure on the vectors themselves.
 
-        def pairings(c, table):
-            out = [0] * m
-            for j in compress(range(m), c):
-                for i, x in table[j]:
-                    out[i] += c[j] * x
-            return out
+        Only the positive roots are paired: s_i(-a) = -s_i(a), so a negative
+        root takes its positive's images, negated.  s_i permutes the positive
+        roots other than alpha_i (Humphreys, Reflection Groups and Coxeter
+        Groups, 1.4), so -alpha_i is the one negative root met from a positive
+        one, and a reflection taking any other positive root out of them
+        raises.  Every other negative root is first met as -s_i(a) from -a,
+        after s_i(a) itself was met from a, so a's images are known when -a is
+        reached; the roots are met in the order of the closure on all of them."""
+        m, cartan = len(self.simple_roots), self.cartan
+        # column i of the Cartan matrix, <alpha_i, alpha_j^vee> over j, and row i,
+        # <alpha_j, alpha_i^vee> over j, each as its nonzero entries (j, x)
+        cols = [tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(m)]
+        rows = [tuple((j, x) for j, x in enumerate(row) if x) for row in cartan]
 
         def step(v, k, sparse):
-            """v - k * (a simple root or coroot given by its nonzero entries)."""
+            """v - k * (a vector given by its nonzero entries)."""
             out = list(v)
             for j, x in sparse:
                 out[j] -= k * x
-            return tuple(out)
+            return out
+
+        def clash(b):
+            return RootDatumError(
+                "root %r is reached with two coefficient vectors or coroots; "
+                "the simple roots are not linearly independent" % (b,))
 
         simple, simple_co = ([tuple((j, x) for j, x in enumerate(v) if x) for v in vectors]
                              for vectors in (self.simple_roots, self.simple_coroots))
-        found = {a: (a, ac, tuple(int(i == j) for j in range(m)), [a] * m)
+        units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+        found = {a: (a, ac, units[i], [a] * m)
                  for i, (a, ac) in enumerate(zip(self.simple_roots, self.simple_coroots))}
-        # coefficients -> (root, coefficients of its coroot); a simple coroot's are its own
-        by_coeffs = {c: (a, c) for a, _, c, _ in found.values()}
+        # positive coefficients -> (root, its pairings k, its pairings kc, the
+        # simple index it was first met from); the W-orbits of the positive roots
+        # are the classes of those indices under rep, joined along every s_i
+        by_coeffs = {units[i]: (a, [row[i] for row in cartan], list(cartan[i]), i)
+                     for i, a in enumerate(self.simple_roots)}
+        rep = list(range(m))
+        negative_of, positive_of = {}, {}
         frontier = list(found)
         while frontier:
             new = []
             for a in frontier:
                 _, ac, c, images = found[a]
-                d = by_coeffs[c][1]
-                ks, kcs = pairings(c, cols), pairings(d, rows)
+                p = positive_of.get(a)
+                if p is not None:       # a = -p
+                    for i, b in enumerate(found[p][3]):
+                        if b is p:
+                            continue
+                        nb = p if b is a else negative_of.get(b)   # s_i(-alpha_i) = alpha_i
+                        if nb is None:
+                            nb = vneg(b)
+                            if nb in found:
+                                raise clash(nb)
+                            _, bc, cb, _ = found[b]
+                            found[nb] = (nb, vneg(bc), vneg(cb), [nb] * m)
+                            negative_of[b], positive_of[nb] = nb, b
+                            new.append(nb)
+                        images[i] = nb
+                    continue
+                _, ks, kcs, seed = by_coeffs[c]
                 for i in compress(range(m), map(or_, ks, kcs)):
+                    if images[i] is not a:      # recorded as a was met from s_i(a)
+                        continue
                     k, kc = ks[i], kcs[i]
                     coeffs = c[:i] + (c[i] - k,) + c[i + 1:]
-                    dc = d[:i] + (d[i] - kc,) + d[i + 1:]
+                    bc = tuple(step(ac, kc, simple_co[i]))
                     seen = by_coeffs.get(coeffs)
                     if seen is None:
-                        b = step(a, k, simple[i])
-                        clash = b in found      # reached before with other coefficients
-                        if not clash:
-                            found[b] = (b, step(ac, kc, simple_co[i]), coeffs, [b] * m)
-                            by_coeffs[coeffs] = (b, dc)
-                            new.append(b)
+                        b = tuple(step(a, k, simple[i]))
+                        if b in found:      # reached before with other coefficients
+                            raise clash(b)
+                        found[b] = (b, bc, coeffs, [b] * m)
+                        if coeffs[i] >= 0:
+                            by_coeffs[coeffs] = (b, step(ks, k, cols[i]), step(kcs, kc, rows[i]),
+                                                 seed)
+                        elif c == units[i]:
+                            negative_of[a], positive_of[b] = b, a
+                        else:
+                            raise RootDatumError(
+                                "positive roots do not split the root set in half: s_%d "
+                                "takes the positive root %r to %r" % (i + 1, a, b))
+                        new.append(b)
                     else:
-                        b, known = seen
-                        clash = known != dc and found[b][1] != step(ac, kc, simple_co[i])
-                    if clash:
-                        raise RootDatumError(
-                            "root %r is reached with two coefficient vectors or coroots; "
-                            "the simple roots are not linearly independent" % (b,))
+                        b, _, _, other = seen
+                        if found[b][1] != bc:
+                            raise clash(b)
+                        if rep[other] != rep[seed]:
+                            old, to = rep[other], rep[seed]
+                            rep = [to if r == old else r for r in rep]
                     images[i] = b
+                    if coeffs[i] >= 0:
+                        found[b][3][i] = a
             if len(found) > ROOT_ENUMERATION_CAP:
                 raise RootDatumError(
                     "root enumeration exceeded %d; Cartan data do not define a "
                     "finite Weyl group" % ROOT_ENUMERATION_CAP)
             frontier = new
-        return found
+        return found, negative_of, {b: rep[seed] for b, _, _, seed in by_coeffs.values()}
 
     def _validate_galois(self):
         g = self.galois
@@ -252,24 +304,21 @@ class RootDatum:
             if _mat_vec(transpose, self.simple_coroots[j]) != self.simple_coroots[i]:
                 raise RootDatumError("galois action does not permute the simple coroots compatibly")
 
-    def _coroot_orbits(self):
+    def _coroot_orbits(self, negative_of, orbit_of):
         """Orbits of the coroots under the simple reflections and the galois action:
-        the coroots of the root orbits, as s_i(a)^vee = s_i(a^vee) and so for gamma."""
-        seen = set()
-        orbits = []
-        for a in self.images_of:
-            if a in seen:
-                continue
-            orbit = {a}
-            frontier = [a]
-            while frontier:
-                for b in self.images_of[frontier.pop()]:
-                    if b not in orbit:
-                        orbit.add(b)
-                        frontier.append(b)
-            seen |= orbit
-            orbits.append(tuple(sorted(self.coroot_of[b] for b in orbit)))
-        return tuple(sorted(orbits))
+        the coroots of the root orbits, as s_i(a)^vee = s_i(a^vee) and so for gamma.
+        A W-orbit holds -a with each root a (s_a(a) = -a), and the closure names
+        the W-orbit of each positive root by a simple index (`orbit_of`);
+        gamma joins the orbits of alpha_i and alpha_gamma(i)."""
+        simple, label = self.simple_roots, list(range(self.num_simple))
+        for i, j in enumerate(self.galois.simple_perm):
+            old, to = label[orbit_of[simple[j]]], label[orbit_of[simple[i]]]
+            label = [to if x == old else x for x in label]
+        orbits = {}
+        for a, o in orbit_of.items():
+            orbits.setdefault(label[o], []).extend((self.coroot_of[a],
+                                                    self.coroot_of[negative_of[a]]))
+        return tuple(sorted(tuple(sorted(o)) for o in orbits.values()))
 
     # -- queries --------------------------------------------------------------
     @property
@@ -294,16 +343,23 @@ class RootDatum:
     def dim_borel(self) -> int:
         return self.rank + len(self.positive)
 
+    def _levi_pair(self, K: Iterable[int]) -> tuple:
+        K = frozenset(K)
+        pair = self._levi.get(K)
+        if pair is None:
+            outside = [i not in K for i in range(self.num_simple)]
+            inside = [j for j, a in enumerate(self.positive)
+                      if not any(compress(self.coeffs_of[a], outside))]
+            pos = frozenset(map(self.positive.__getitem__, inside))
+            pair = self._levi[K] = (pos, pos | frozenset(map(self.negative.__getitem__, inside)))
+        return pair
+
     def levi_positive(self, K: Iterable[int]) -> frozenset:
         """Positive roots lying in the span of the simple roots indexed by K."""
-        K = set(K)
-        outside = [i not in K for i in range(self.num_simple)]
-        return frozenset(a for a, c in self.coeffs_of.items()
-                         if min(c) >= 0 and not any(compress(c, outside)))
+        return self._levi_pair(K)[0]
 
     def levi_roots(self, K: Iterable[int]) -> frozenset:
-        pos = self.levi_positive(K)
-        return pos | frozenset(vneg(a) for a in pos)
+        return self._levi_pair(K)[1]
 
 
 def reflect(rd: RootDatum, alpha: Vec, v: Vec, side: str = "char") -> Vec:

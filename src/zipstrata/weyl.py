@@ -29,7 +29,7 @@ from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .rootsystem import RootDatum, RootDatumError, Vec, reflect, vneg
+from .rootsystem import RootDatum, RootDatumError, Vec, reflect
 
 # the largest group, subgroup or coset set the enumerating methods will build
 ENUMERATION_CAP = 100_000
@@ -85,8 +85,7 @@ class WeylGroup:
         self.rd = rd
         # the roots as rd's own key objects, which rd.images_of holds as images,
         # so that the image table is read by identity and no vector is hashed
-        own = {a: a for a in rd.images_of}
-        self._roots = tuple(rd.positive) + tuple(own[vneg(a)] for a in rd.positive)
+        self._roots = rd.positive + rd.negative
         self._index = {a: j for j, a in enumerate(self._roots)}
         self._npos = len(rd.positive)
         self._simple_index = tuple(self._index[a] for a in rd.simple_roots)
@@ -423,15 +422,8 @@ class WeylGroup:
         x and composed only the first time its key is met.  ws is read from
         its end, longest first for labels in (length, word) order, so a
         shorter label is mostly found in the ideal already; any order gives
-        the same ideal.  When ws holds w0 the ideal is W, and the level walk
-        enumerates it for less than the lifting would cost."""
+        the same ideal."""
         if not ws:
-            return
-        # w0 sends every simple root negative; it comes last in the usual
-        # (length, word) order, so the search starts there
-        n, simple = self._npos, self._simple_index
-        if any(all(w[j] >= n for j in simple) for w in reversed(ws)):
-            yield from self._levels(range(self.rd.num_simple))
             return
         levels = self._ideal(reversed(ws))
         levels.reverse()

@@ -198,7 +198,7 @@ def zip_from_cochar(rd: RootDatum, I=None, mu=None, n: int = 1, p: int = 2,
         gI = tuple(sorted(rd.galois.perm(i, n) for i in I))
         J = _opposition(rd, wg, gI)
         z = wg.compose(wg.longest_element(), wg.longest_element(J))
-        q_roots = frozenset(vneg(a) for a in rd.positive) | rd.levi_roots(gI)
+        q_roots = frozenset(rd.negative) | rd.levi_roots(gI)
         bad = validate_frame(ZipDatum(rd=rd, wg=wg, n=n, p=p, I=I, J=J, z=z,
                                       q_roots=q_roots))
         if bad:

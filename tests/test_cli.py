@@ -47,6 +47,27 @@ def run(args, tmp_path, capsys):
     return code, out
 
 
+def test_help_and_usage_errors_ignore_the_terminal_width(monkeypatch, capsys):
+    # both wrap at argparse's width with no terminal, whatever COLUMNS says
+    seen = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["no-such-command"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+            seen.append(capsys.readouterr())
+    assert seen[:2] == seen[2:]
+
+
+def test_only_golden_imports_the_golden_gate(tmp_path):
+    cfg = write_config(tmp_path, C3_CONFIG)
+    code = ("import sys; from zipstrata import cli; cli.main(%r); "
+            "sys.exit('zipstrata.golden' in sys.modules)" % (["describe", "--config", cfg],))
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("{")
+
+
 def test_describe_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, C3_CONFIG)
     code1, out1 = run(["describe", "--config", cfg], tmp_path, capsys)
@@ -254,8 +275,11 @@ def test_scan_invalid_group_exit_2(tmp_path, capsys):
     ({"preset": "A3"}, {"matrix": [row + [0] for row in A3_FLIP_MATRIX], "order": 2}),
     ({"explicit": {"rank": 2, "simple_roots": [[1, -1], [-1, 1]],
                    "simple_coroots": [[1, -1], [-1, 1]]}}, None),
+    # <alpha_2, alpha_1^vee> = 0 but <alpha_1, alpha_2^vee> = -1
+    ({"explicit": {"rank": 2, "simple_roots": [[1, 0], [0, 1]],
+                   "simple_coroots": [[2, 0], [-1, 2]]}}, None),
 ], ids=["order-0", "order-str", "entry-str", "entry-float", "short-matrix",
-        "wide-matrix", "dependent-simple-roots"])
+        "wide-matrix", "dependent-simple-roots", "asymmetric-zero"])
 def test_hostile_explicit_data_exit_2(tmp_path, capsys, group, galois):
     cfg = {"group": group, "p": 3, "n": 1, "I": [1]}
     if galois is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import re
 import subprocess
@@ -191,6 +192,42 @@ def test_dependent_simple_roots_are_rejected(spec):
     with pytest.raises(RootDatumError) as reference:
         dot_closure(spec["simple_roots"], spec["simple_coroots"])
     assert str(raised.value) == str(reference.value)
+
+
+def test_a_positive_root_leaving_the_positive_roots_is_rejected():
+    # s_i permutes the positive roots other than alpha_i.  No datum built from
+    # vectors breaks this: its Cartan matrix is the pairing matrix, whose
+    # asymmetric zeros stop the closure on its first level (above).  Here the
+    # Cartan matrix is given outright, with an asymmetric zero that the zero
+    # coroot alpha_1^vee hides, and s_1 takes alpha_1 + alpha_2 to
+    # -alpha_1 + alpha_2
+    with pytest.raises(RootDatumError, match=re.escape(
+            "positive roots do not split the root set in half: s_1 takes the "
+            "positive root (1, 1) to (-1, 1)")):
+        rootsystem.RootDatum(rank=2, simple_roots=((1, 0), (0, 1)),
+                             simple_coroots=((0, 0), (-1, 2)), cartan=((2, 0), (-1, 2)),
+                             galois=GaloisAction(((1, 0), (0, 1)), 1, (0, 1)))
+
+
+@pytest.mark.parametrize("spec, galois", CLOSURE_DATA,
+                         ids=[s if isinstance(s, str) else "explicit-rank%d" % s["rank"]
+                              for s, _ in CLOSURE_DATA])
+def test_levi_subsystems_are_built_once(spec, galois):
+    # for every K, the Levi roots are a scan of all roots supported on K, and
+    # a repeated call, with K in any form, returns the same object; the
+    # negative roots are the datum's own root objects -a, in positive order
+    rd = build_root_datum(spec, galois)
+    keys = {id(a) for a in rd.images_of}
+    assert rd.negative == tuple(tuple(-x for x in a) for a in rd.positive)
+    assert all(id(b) in keys for b in rd.negative)
+    support = {a: {i for i, x in enumerate(c) if x} for a, c in rd.coeffs_of.items()}
+    m = rd.num_simple
+    for K in (set(K) for r in range(m + 1) for K in itertools.combinations(range(m), r)):
+        levi = frozenset(a for a in rd.roots if support[a] <= K)
+        assert rd.levi_roots(K) == levi
+        assert rd.levi_positive(K) == {a for a in levi if min(rd.coeffs_of[a]) >= 0}
+        assert rd.levi_positive(sorted(K)) is rd.levi_positive(K)
+        assert rd.levi_roots(tuple(K)) is rd.levi_roots(K)
 
 
 def test_invalid_galois_rejected():
