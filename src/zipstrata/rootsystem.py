@@ -47,6 +47,12 @@ def vneg(a: Vec) -> Vec:
     return tuple(map(neg, a))
 
 
+def _join(labels, a, b):
+    """Merge the class of index a into that of b; labels[i] names the class of i."""
+    old, to = labels[a], labels[b]
+    labels[:] = [to if x == old else x for x in labels]
+
+
 def _mat_vec(m, v):
     return tuple(sum(map(mul, row, v)) for row in m)
 
@@ -142,7 +148,7 @@ class RootDatum:
 
     def __post_init__(self):
         self._validate_base()
-        found, negative_of, orbit_of = self._enumerate_roots()
+        found, negative_of, seed_of, rep = self._enumerate_roots()
         object.__setattr__(self, "coroot_of", {a: ac for a, (_, ac, _, _) in found.items()})
         object.__setattr__(self, "coeffs_of", {a: c for a, (_, _, c, _) in found.items()})
         object.__setattr__(self, "roots", frozenset(found))
@@ -151,19 +157,15 @@ class RootDatum:
         object.__setattr__(self, "negative", tuple(map(negative_of.__getitem__, pos)))
         self._validate_galois()
         # gamma(sum c_i alpha_i) = sum c_i alpha_gamma(i): gamma permutes the
-        # coefficients, fixing every root when it fixes the simple ones, and
-        # gamma(-a) = -gamma(a)
+        # coefficients, and gamma(-a) = -gamma(a)
         perm = self.galois.simple_perm
-        if perm == tuple(range(self.num_simple)):
-            gamma = dict(zip(found, found))
-        else:
-            root_of = {self.coeffs_of[a]: a for a in pos}
-            inv = sorted(range(self.num_simple), key=perm.__getitem__)
-            gamma = {a: root_of[tuple(map(self.coeffs_of[a].__getitem__, inv))] for a in pos}
-            gamma.update([(negative_of[a], negative_of[g]) for a, g in gamma.items()])
+        root_of = {self.coeffs_of[a]: a for a in pos}
+        inv = sorted(range(self.num_simple), key=perm.__getitem__)
+        gamma = {a: root_of[tuple(map(self.coeffs_of[a].__getitem__, inv))] for a in pos}
+        gamma.update([(negative_of[a], negative_of[g]) for a, g in gamma.items()])
         object.__setattr__(self, "images_of", {a: (*imgs, gamma[a])
                                                for a, (_, _, _, imgs) in found.items()})
-        object.__setattr__(self, "coroot_orbits", self._coroot_orbits(negative_of, orbit_of))
+        object.__setattr__(self, "coroot_orbits", self._coroot_orbits(negative_of, seed_of, rep))
 
     # -- construction checks -------------------------------------------------
     def _validate_base(self):
@@ -177,8 +179,9 @@ class RootDatum:
     def _enumerate_roots(self):
         """Close the simple roots under the simple reflections: root a -> (a, coroot,
         coefficients over the simple roots, [s_1(a), ..., s_m(a)] as key objects);
-        each positive root -> its negative; and each positive root -> a simple
-        index whose root lies in its W-orbit.
+        each positive root -> its negative; each positive root -> the simple
+        index it was first met from; and a list naming the W-orbit class of each
+        simple index (joined by `_join`).
 
         The closure runs on coefficient vectors (Casselman, "Computation in
         Coxeter groups I", Electron. J. Combin. 9, 2002), each root with its m
@@ -278,8 +281,7 @@ class RootDatum:
                         if found[b][1] != bc:
                             raise clash(b)
                         if rep[other] != rep[seed]:
-                            old, to = rep[other], rep[seed]
-                            rep = [to if r == old else r for r in rep]
+                            _join(rep, other, seed)
                     images[i] = b
                     if coeffs[i] >= 0:
                         found[b][3][i] = a
@@ -288,7 +290,7 @@ class RootDatum:
                     "root enumeration exceeded %d; Cartan data do not define a "
                     "finite Weyl group" % ROOT_ENUMERATION_CAP)
             frontier = new
-        return found, negative_of, {b: rep[seed] for b, _, _, seed in by_coeffs.values()}
+        return found, negative_of, {b: seed for b, _, _, seed in by_coeffs.values()}, rep
 
     def _validate_galois(self):
         g = self.galois
@@ -304,20 +306,18 @@ class RootDatum:
             if _mat_vec(transpose, self.simple_coroots[j]) != self.simple_coroots[i]:
                 raise RootDatumError("galois action does not permute the simple coroots compatibly")
 
-    def _coroot_orbits(self, negative_of, orbit_of):
+    def _coroot_orbits(self, negative_of, seed_of, rep):
         """Orbits of the coroots under the simple reflections and the galois action:
         the coroots of the root orbits, as s_i(a)^vee = s_i(a^vee) and so for gamma.
         A W-orbit holds -a with each root a (s_a(a) = -a), and the closure names
-        the W-orbit of each positive root by a simple index (`orbit_of`);
-        gamma joins the orbits of alpha_i and alpha_gamma(i)."""
-        simple, label = self.simple_roots, list(range(self.num_simple))
+        the W-orbit of each positive root by the class under `rep` of the simple
+        index it was met from (`seed_of`); gamma joins the classes of i and gamma(i)."""
         for i, j in enumerate(self.galois.simple_perm):
-            old, to = label[orbit_of[simple[j]]], label[orbit_of[simple[i]]]
-            label = [to if x == old else x for x in label]
+            _join(rep, j, i)
         orbits = {}
-        for a, o in orbit_of.items():
-            orbits.setdefault(label[o], []).extend((self.coroot_of[a],
-                                                    self.coroot_of[negative_of[a]]))
+        for a, o in seed_of.items():
+            orbits.setdefault(rep[o], []).extend((self.coroot_of[a],
+                                                  self.coroot_of[negative_of[a]]))
         return tuple(sorted(tuple(sorted(o)) for o in orbits.values()))
 
     # -- queries --------------------------------------------------------------
