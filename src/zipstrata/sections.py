@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from . import cones
-from .rootsystem import RootDatum, Vec, build_root_datum, dot, vneg
+from .rootsystem import RootDatum, Vec, build_root_datum, dot
 from .weyl import WeylGroup, _inverse, _mul
 from .zipdatum import ZipDatum, _flag_base, prime_power, zip_from_cochar
 
@@ -281,10 +281,12 @@ def _labels(Z: ZipDatum) -> tuple:
     return data.labels
 
 
-def _wall_root(Z: ZipDatum, w: tuple, alpha: Vec) -> Vec:
-    """The root w(-alpha), whose coroot is the wall transport
-    (w s_alpha)(alpha^vee) = w(-alpha^vee) of the wall coroot."""
-    return Z.wg.root_image(w, vneg(alpha))
+def _wall_root(Z: ZipDatum, w: tuple, alpha: Vec) -> int:
+    """The root index of w(-alpha), whose coroot is the wall transport
+    (w s_alpha)(alpha^vee) = w(-alpha^vee) of the wall coroot: -alpha has
+    index j + N for the positive index j of alpha and N positive roots."""
+    wg = Z.wg
+    return w[wg._index[alpha] + wg._npos]
 
 
 def _stratum_label_ok(Z: ZipDatum, w: tuple) -> bool:
@@ -330,7 +332,7 @@ def _wall_rows(Z: ZipDatum, w: tuple, walls, data: Optional[_ConeData] = None,
                            "of q is %d, more than the cap %d on wall-row bits"
                            % (T, label, q.bit_length(), T * q.bit_length(), ROW_BIT_CAP))
     if walls is not own or starts is None:
-        starts = tuple(wg._root_index(_wall_root(Z, w, alpha)) for alpha in walls)
+        starts = tuple(_wall_root(Z, w, alpha) for alpha in walls)
         if walls is own:
             found[3] = starts
     sigma, columns = _mul(w, data.tail), data.columns if levi else data.coroots

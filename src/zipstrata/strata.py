@@ -10,7 +10,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, List, Optional
 
-from .weyl import _getter, _mul
+from .weyl import _getter, _inverse, _mul
 from .zipdatum import ZipDatum, _flag_base, dims, flag_datum
 
 
@@ -69,13 +69,33 @@ class StrataPoset:
 
 # -- the twisted conjugation of the closure order --------------------------------
 
+def _twist_frame(Z: ZipDatum) -> tuple:
+    """The parts of psi(u)^{-1} that do not depend on u.  The Frobenius twist
+    through the frame is psi(u) = z^{-1} gamma^n(u) z, so psi(u)^{-1} =
+    post o u^{-1} o pre with post = z^{-1} o gamma^n and pre = gamma^{-n} o z,
+    as root permutations, formed once per pass over W_I."""
+    wg = Z.wg
+    return _mul(_inverse(Z.z), wg.galois_perm(Z.n)), _mul(wg.galois_perm(-Z.n), Z.z)
+
+
+def _psi_inverse(u: tuple, post: tuple, pre: tuple) -> tuple:
+    """The whole root permutation psi(u)^{-1} = post o u^{-1} o pre."""
+    return _mul(_mul(post, _inverse(u)), pre)
+
+
 def _twists(Z: ZipDatum) -> list:
-    """The pairs (u, psi(u)^{-1}) for u in W_I.  The Frobenius twist through
-    the frame is psi(u) = z^{-1} gamma^n(u) z, so psi(u)^{-1} = z^{-1}
-    gamma^n(u^{-1}) z, formed once per u."""
-    wg, zi = Z.wg, Z.wg.inverse(Z.z)
-    return [(u, _mul(_mul(zi, wg.galois(wg.inverse(u), Z.n)), Z.z))
-            for u in wg.subgroup_elements(Z.I)]
+    """The pairs (u, psi(u)^{-1}) for u in W_I."""
+    post, pre = _twist_frame(Z)
+    return [(u, _psi_inverse(u, post, pre)) for u in Z.wg.subgroup_elements(Z.I)]
+
+
+def _simple_twists(Z: ZipDatum, post: tuple, pre: tuple) -> list:
+    """The pairs (u, psi(u)^{-1}(alpha_i) for each simple i) for u in W_I, as
+    root indices, from the frame (post, pre) of `_twist_frame`:
+    u^{-1}(pre(alpha_i)) is the position of pre(alpha_i) in u, so each is one
+    search of u and one lookup in post, and no u is inverted or composed."""
+    pre = [pre[i] for i in Z.wg._simple_index]
+    return [(u, tuple(post[u.index(j)] for j in pre)) for u in Z.wg.subgroup_elements(Z.I)]
 
 
 def _twisted_keys(Z: ZipDatum, ws):
@@ -84,9 +104,9 @@ def _twisted_keys(Z: ZipDatum, ws):
     psi(u)^{-1} is kept as one getter of its m simple images, and the key is
     that getter over w, then one over u.  The inner getter must give a tuple:
     at m = 1 it is a one-entry slice, since a bare index would give the entry."""
-    simple = Z.wg._simple_index
-    inner = (lambda idx: itemgetter(slice(idx[0], idx[0] + 1))) if len(simple) == 1 else _getter
-    twist = [(u, inner(tuple(v[i] for i in simple))) for u, v in _twists(Z)]
+    inner = (lambda idx: itemgetter(slice(idx[0], idx[0] + 1))) if Z.rd.num_simple == 1 \
+        else _getter
+    twist = [(u, inner(vs)) for u, vs in _simple_twists(Z, *_twist_frame(Z))]
     for w in ws:
         yield {_getter(vs(w))(u) for u, vs in twist}
 
@@ -96,21 +116,22 @@ def _cross_labels(Z: ZipDatum, ws):
     side; uniqueness and length preservation are asserted.  As in
     `_twisted_keys`, a conjugate u w v is read from its key u[w[v(alpha_i)]]:
     it is minimal on the J side when the entries at J are positive roots, and
-    distinct keys are distinct elements.  Only the conjugate kept is composed."""
-    wg, n, simple = Z.wg, Z.wg._npos, Z.wg._simple_index
-    twist = [(u, v, tuple(v[i] for i in simple), tuple(v[simple[j]] for j in Z.J))
-             for u, v in _twists(Z)]
+    distinct keys are distinct elements.  Only the conjugate kept is composed,
+    and only its psi(u)^{-1} is formed whole."""
+    wg, n = Z.wg, Z.wg._npos
+    post, pre = _twist_frame(Z)
+    twist = [(u, vs, tuple(vs[j] for j in Z.J)) for u, vs in _simple_twists(Z, post, pre)]
     for w in ws:
         at, found = w.__getitem__, {}
-        for u, v, vs, vJ in twist:
+        for u, vs, vJ in twist:
             if not any(map(n.__le__, map(u.__getitem__, map(at, vJ)))):
-                found.setdefault(tuple(map(u.__getitem__, map(at, vs))), (u, v))
+                found.setdefault(tuple(map(u.__getitem__, map(at, vs))), u)
         if len(found) != 1:
             raise AssertionError(
                 "twisted orbit of %s meets the J-side labels %d times; convention error"
                 % (wg.describe(w), len(found)))
-        (u, v), = found.values()
-        t = _mul(_mul(u, w), v)
+        u, = found.values()
+        t = _mul(_mul(u, w), _psi_inverse(u, post, pre))
         if wg.length(t) != wg.length(w):
             raise AssertionError("cross label changed the length; convention error")
         yield t

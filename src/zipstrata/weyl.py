@@ -12,10 +12,14 @@ determined by the images of the m simple roots, so the walks over W key
 elements by ``key(w)``, those m entries, and read the key of a product x s_a
 off x.  A group holds its m simple reflections from the start; the other
 positive reflections, the key getters of x s_a and the reflections'
-inversion sets are each built whole on first use and kept.  The action on
-arbitrary characters and cocharacters applies the simple reflections of the
-canonical reduced word, the lexicographically least one, found by greedy
-left descents.
+inversion sets are each built whole on first use and kept.  The canonical
+reduced word of w is the lexicographically least one.  The level walks
+reach each element first from the element its canonical word extends, so
+they record every word they reach, keyed by ``key(w)``, and ``describe``
+reads the label from there; ``canonical_word`` finds the word by greedy
+left descents for an element no walk has reached, and for the action on
+arbitrary characters and cocharacters, which applies the word's simple
+reflections.
 
 Group orders come from root heights and never from enumeration, so the
 enumerating methods check the size they would build against
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -104,6 +108,7 @@ class WeylGroup:
         self._gamma_pow = {0: self.e, 1: column(-1)}
         self._subgroups: dict = {}
         self._longest: dict = {}
+        self._words: dict = {}   # key -> the label of its canonical word (`_levels`)
         self._bracket = None     # (axis-root getter, digit of each axis root, separator)
 
     # -- tables built on first use ----------------------------------------------
@@ -233,11 +238,15 @@ class WeylGroup:
         return tuple(word)
 
     def describe(self, w: tuple) -> str:
-        """Deterministic display label: bracket for pure B/C presets, else word."""
+        """Deterministic display label: bracket for pure B/C presets, else the
+        canonical word, read from the table of the walks (`_levels`) and
+        derived by `canonical_word` only for an element no walk has reached."""
         if self.supports_bracket():
             return self.to_bracket(w)
-        word = self.canonical_word(w)
-        return "e" if not word else ".".join(str(i + 1) for i in word)
+        word = self._words.get(self.key(w))
+        if word is None:
+            word = ".".join(str(i + 1) for i in self.canonical_word(w)) or "e"
+        return word
 
     # -- enumeration ----------------------------------------------------------
     def elements(self) -> tuple:
@@ -262,62 +271,66 @@ class WeylGroup:
 
     def _levels(self, gens, K=None):
         """Yield the root permutations generated by the simple reflections
-        `gens`, one length level at a time: level l + 1 is {x s_i : x at level
-        l, i in gens not a right descent of x}.  With K, only the minimal
-        representatives ᴷW of K\\W: for x in ᴷW with x(alpha_i) > 0, x s_i
-        is in ᴷW exactly when x(alpha_i) is not a simple root of K (Deodhar,
-        Invent. Math. 39, 1977), so a step is refused by one lookup before
-        anything is composed.  x s_i is deduplicated by its key, read from x,
-        and composed only the first time that key is seen."""
-        n, level = self._npos, [self.e]
+        `gens`, given in ascending order, one length level at a time, as a dict
+        from key(x) to x: level l + 1 is {x s_i : x at level l, i in gens not a
+        right descent of x}.  With K, only the minimal representatives ᴷW of
+        K\\W: for x in ᴷW with x(alpha_i) > 0, x s_i is in ᴷW exactly when
+        x(alpha_i) is not a simple root of K (Deodhar, Invent. Math. 39, 1977),
+        so a step is refused by one lookup before anything is composed.  x s_i
+        is deduplicated by its key, read from x, and composed only the first
+        time that key is seen.
+
+        Outside the bracket presets each element's word label goes into the
+        group's table `_words`, keyed like the levels: an element is first
+        reached from the element its canonical word extends (`_sorted`), so
+        its word is that parent's word and the letter stepped by."""
+        key, words, record = self.key, self._words, not self.supports_bracket()
+        # step[r] is 1 when x s_i is taken for r = x(alpha_i): r is a positive
+        # root and not a simple root of K
         stop = {self._simple_index[i] for i in K or ()}
-        steps = [(self._simple_index[i], self.simple[i], self._simple_keys[i]) for i in gens]
+        step = bytes(r < self._npos and r not in stop for r in range(len(self.e)))
+        steps = [(self._simple_index[i], self.simple[i], self._simple_keys[i], str(i + 1))
+                 for i in gens]
+        level, spelt = {key(self.e): self.e}, [""]     # spelt: the level's words, "" for e
+        if record:
+            words[key(self.e)] = "e"
         while level:
             yield level
-            nxt = {}
-            for x in level:
-                for j, s, key_xs in steps:
-                    if x[j] < n and x[j] not in stop:
+            nxt, below = {}, []
+            for x, u in zip(level.values(), spelt if record else repeat("")):
+                u = u + "." if u else u
+                for j, s, key_xs, letter in steps:
+                    if step[x[j]]:
                         k = key_xs(x)
                         if k not in nxt:
                             nxt[k] = _mul(x, s)
-            level = list(nxt.values())
+                            if record:
+                                below.append(u + letter)
+            if record:
+                words.update(zip(nxt, below))
+            level, spelt = nxt, below
 
     def _bruhat_levels(self):
         """Yield W one length level at a time, in the order of `_levels`, as
-        (elements, labels, upper): labels[p] is describe(elements[p]), and
-        upper[p] lists the positions in the next level of the Bruhat upper
-        covers of elements[p].  x s_a is one exactly when x(a) is positive and
-        its key, read from x (`_reflection_keys`), lies in the next level.  An
-        element is first reached from the element its canonical word extends
-        (`_sorted`), so outside the bracket presets its word is that parent's
-        word and the letter stepped by, and no word is re-derived."""
-        n = self._npos
-        getters = self._reflection_keys
-        steps = [(j, s, key_xs, str(i + 1)) for i, (j, s, key_xs)
-                 in enumerate(zip(self._simple_index, self.simple, self._simple_keys))]
+        (elements, labels, upper): labels[p] is describe(elements[p]), read
+        from the table the walk fills, and upper[p] lists the positions in the
+        next level of the Bruhat upper covers of elements[p].  x s_a is one
+        exactly when x(a) is positive and its key, read from x
+        (`_reflection_keys`), lies in the next level."""
+        n, getters = self._npos, self._reflection_keys
         bracket = self.to_bracket if self.supports_bracket() else None
-        elements, words = [self.e], repeat("") if bracket else [""]
-        while elements:
-            nxt, words_nxt = {}, []
-            for x, u in zip(elements, words):
-                for j, s, key_xs, letter in steps:
-                    if x[j] < n:
-                        k = key_xs(x)
-                        if k not in nxt:
-                            nxt[k] = _mul(x, s)
-                            if not bracket:
-                                words_nxt.append(u + "." + letter if u else letter)
+        levels = self._levels(range(self.rd.num_simple))
+        level = next(levels)
+        for nxt in chain(levels, [{}]):
             at = dict(zip(nxt, range(len(nxt))))
             has, pos = at.__contains__, at.__getitem__
+            elements = list(level.values())
             upper = [list(map(pos, filter(has, [g(x) for g in
                                                 compress(getters, map(n.__gt__, x[:n]))])))
                      for x in elements]
             yield elements, (list(map(bracket, elements)) if bracket
-                             else [u or "e" for u in words]), upper
-            elements = list(nxt.values())
-            if not bracket:
-                words = words_nxt
+                             else list(map(self._words.__getitem__, level))), upper
+            level = nxt
 
     @staticmethod
     def _sorted(levels) -> tuple:
@@ -326,7 +339,7 @@ class WeylGroup:
         of a least reduced word is a least reduced word, so y with canonical
         word u i is first reached from the x with canonical word u, by s_i, and
         the walk takes each level's x in order and their letters ascending."""
-        return tuple(p for level in levels for p in level)
+        return tuple(p for level in levels for p in level.values())
 
     def longest_element(self, K: Optional[Iterable[int]] = None) -> tuple:
         """w0 of W_K (of W when K is None), by right ascents from e; kept per K."""

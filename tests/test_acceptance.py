@@ -287,7 +287,7 @@ def test_criterion_7_mutation_gate(monkeypatch):
     original_root = sections._wall_root
 
     def unflipped(Z, w, alpha):
-        return Z.wg.root_image(w, alpha)
+        return w[Z.wg._index[alpha]]
 
     monkeypatch.setattr(sections, "_wall_root", unflipped)
     twisted_checks = golden.run_golden()

@@ -476,7 +476,7 @@ TRANSPORT_GROUPS = [("A2", None), ("A2", "flip"), ("B2", None), ("C3", None),
 @given(st.sampled_from(TRANSPORT_GROUPS), st.sets(st.integers(0, 3)), st.integers(1, 2),
        st.data())
 def test_wall_transport_is_the_composed_action(group_spec, I, n, data):
-    """The coroot of the one-lookup wall root equals (w s_alpha)(alpha^vee)
+    """The coroot of the root the wall-start index names equals (w s_alpha)(alpha^vee)
     composed and replayed through the canonical word, for every positive root
     alpha."""
     preset, galois = group_spec
@@ -485,7 +485,7 @@ def test_wall_transport_is_the_composed_action(group_spec, I, n, data):
     wg = Z.wg
     w = data.draw(st.sampled_from(wg.min_coset_reps(Z.I, "left")), label="stratum")
     for a in rd.positive:
-        assert rd.coroot(_wall_root(Z, w, a)) == composed_transport(Z, w, a)
+        assert rd.coroot(wg._roots[_wall_root(Z, w, a)]) == composed_transport(Z, w, a)
 
 
 def _sorted_box(basis, radius):

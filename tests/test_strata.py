@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import (DOWN_SET_GROUPS, closure_leq, coarse_poset, cross_label, datum, group,
                       twisted_orbit)
 from zipstrata import strata
+from zipstrata.rootsystem import build_root_datum
+from zipstrata.sections import purity_report
 from zipstrata.strata import (ProjectionError, StrataError, classify_stratum, coarse_strata,
                               hasse_diagram, project_stratum, zip_strata)
 from zipstrata.weyl import WeylGroup
@@ -202,6 +204,22 @@ def test_borel_hasse_builds_no_down_set_key_or_word(monkeypatch, preset):
         assert poset.leq(0, len(poset.strata) - 1) and "_below" in vars(poset)
 
 
+@pytest.mark.parametrize("preset, I", [("A4", (1,)), ("A5", (0, 1, 3, 4))])
+def test_hasse_and_purity_read_labels_from_the_walks(monkeypatch, preset, I):
+    # with I != () every label, and the frame z = w0 w0_J in ᴵW, is read from
+    # the words the coset walk recorded; no word is derived
+    rd = build_root_datum(preset)
+    Z = zip_from_cochar(rd, I=I, p=2, wg=WeylGroup(rd))
+
+    def refuse(*args):
+        raise AssertionError("a label was derived, not read from a walk")
+    monkeypatch.setattr(WeylGroup, "canonical_word", refuse)
+    poset = hasse_diagram(Z, "I")
+    report = purity_report(Z)
+    assert [s.label for s in poset.strata] == [c.stratum for c in report.strata]
+    assert report.datum["z"] == Z.wg.describe(Z.z) != "e"
+
+
 def test_borel_walk_asserts_it_reached_all_of_w(monkeypatch):
     Z = datum("A3", ())
     monkeypatch.setattr(WeylGroup, "order", lambda self: 25)
@@ -262,8 +280,9 @@ def test_twisted_orbits_match_word_oracle(spec):
     # each orbit {u w psi(u)^{-1} : u in W_I} with psi(u) = z^{-1} gamma^n(u) z,
     # where gamma^n(u) is spelled from the canonical word of u with each letter
     # i sent to gamma^n(i); no galois table is read.  Every type I is checked,
-    # against the pairs (u, psi(u)^{-1}) of the library and the conftest oracle,
-    # and the keys read without composing are the keys of those orbits.
+    # against the pairs (u, psi(u)^{-1}) of the library and the conftest oracle;
+    # the simple images read without composing are those of the pairs, and the
+    # keys read from them are the keys of those orbits.
     preset, galois, n = spec
     rd, wg = group(preset, galois)
     for r in range(rd.num_simple + 1):
@@ -277,24 +296,33 @@ def test_twisted_orbits_match_word_oracle(spec):
                       for w in ws]
             assert [{wg.compose(wg.compose(u, w), v) for u, v in strata._twists(Z)}
                     for w in ws] == orbits
+            assert strata._simple_twists(Z, *strata._twist_frame(Z)) == \
+                [(u, tuple(v[i] for i in wg._simple_index)) for u, v in strata._twists(Z)]
             assert [twisted_orbit(Z, w) for w in ws] == orbits
             assert list(strata._twisted_keys(Z, ws)) == [set(map(wg.key, o)) for o in orbits]
 
 
 @pytest.mark.parametrize("preset, I, galois", [("C3", (0, 2), None), ("A3", (0,), "flip"),
                                                ("D4", (0, 1), "dswap")])
-def test_hasse_j_twists_each_u_once_per_pass(monkeypatch, preset, I, galois):
-    # one orbit pass for the cross labels and one for the down-sets, each
-    # twisting every u in W_I once
+def test_hasse_j_forms_one_psi_inverse_per_label(monkeypatch, preset, I, galois):
+    # both orbit passes, the cross labels and the down-sets, read psi(u)^{-1}
+    # at the simple roots only: the whole permutation is formed at most once
+    # per label, for the conjugate its cross label keeps, and no u is
+    # inverted or twisted through the group
     Z = datum(preset, I, galois=galois)
     calls = []
 
-    def counted(self, w, k=1, _fn=WeylGroup.galois):
-        calls.append(k)
-        return _fn(self, w, k)
-    monkeypatch.setattr(WeylGroup, "galois", counted)
-    hasse_diagram(Z, "J")
-    assert 0 < len(calls) <= 2 * len(Z.wg.subgroup_elements(I))
+    def counted(u, post, pre, _fn=strata._psi_inverse):
+        calls.append(u)
+        return _fn(u, post, pre)
+
+    def refuse(*args):
+        raise AssertionError("an orbit pass formed a whole twist")
+    monkeypatch.setattr(strata, "_psi_inverse", counted)
+    monkeypatch.setattr(WeylGroup, "galois", refuse)
+    monkeypatch.setattr(WeylGroup, "inverse", refuse)
+    poset = hasse_diagram(Z, "J")
+    assert 0 < len(calls) <= len(poset.strata)
 
 
 @settings(max_examples=300, deadline=None)

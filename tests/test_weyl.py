@@ -233,6 +233,44 @@ def test_walk_order_is_length_then_canonical_word(preset, galois):
             assert len(set(walk)) == len(walk)
 
 
+def _word_label(wg, w):
+    return ".".join(str(i + 1) for i in wg.canonical_word(w)) or "e"
+
+
+@pytest.mark.parametrize("preset, galois", [
+    ("A3", None), ("A3", "flip"), ("A4", None), ("D4", None), ("D4", "dswap"),
+    ("G2-explicit", None), ("GL1xGL1", None)])
+def test_describe_reads_the_words_the_walks_record(preset, galois):
+    """On a fresh group, an element no walk has reached is described by
+    canonical_word, and the table stays empty; then, for every K, each element
+    that min_coset_reps(K) and subgroup_elements(K) reach is described as
+    canonical_word spells it, and all of W has a recorded word."""
+    rd, _ = group(preset, galois)
+    wg = WeylGroup(rd)
+    w0 = wg.longest_element()
+    assert wg.describe(w0) == _word_label(wg, w0) and not wg._words
+    m = rd.num_simple
+    for K in (K for r in range(m + 1) for K in itertools.combinations(range(m), r)):
+        for w in wg.min_coset_reps(K, "left") + wg.subgroup_elements(K):
+            assert wg.describe(w) == _word_label(wg, w)
+    assert len(wg._words) == wg.order()
+
+
+def test_walked_labels_need_no_canonical_word(monkeypatch):
+    """Once a walk has reached an element its label is read, not derived; B
+    and C presets keep the bracket and record no word."""
+    wg = WeylGroup(build_root_datum("A3"))
+    reps = wg.min_coset_reps((1,), "left")
+
+    def refuse(*args):
+        raise AssertionError("a walked element's word was derived")
+    labels = [_word_label(wg, w) for w in reps]
+    monkeypatch.setattr(WeylGroup, "canonical_word", refuse)
+    assert [wg.describe(w) for w in reps] == labels
+    wg_c = WeylGroup(build_root_datum("C3"))
+    assert wg_c.describe(wg_c.elements()[-1]) == "[654]" and not wg_c._words
+
+
 def _reduced_words(wg, w):
     if w == wg.e:
         return [()]
@@ -511,7 +549,7 @@ def test_level_walk(preset, galois):
             [lengths[l] for l in range(len(lengths))]
         pruned = wg._levels(range(n), K)
         for l, level in enumerate(pruned):
-            assert all(wg.length(p) == l for p in level)
+            assert all(wg.length(p) == l and wg.key(p) == k for k, p in level.items())
         assert wg.min_coset_reps(K, "left") == \
             tuple(w for w in wg.elements() if wg.is_min_left(w, K))
 
