@@ -84,7 +84,8 @@ def _psi_inverse(u: tuple, post: tuple, pre: tuple) -> tuple:
 
 
 def _twists(Z: ZipDatum) -> list:
-    """The pairs (u, psi(u)^{-1}) for u in W_I."""
+    """The pairs (u, psi(u)^{-1}) for u in W_I, each formed whole, for
+    `project_stratum`, which composes every twisted conjugate."""
     post, pre = _twist_frame(Z)
     return [(u, _psi_inverse(u, post, pre)) for u in Z.wg.subgroup_elements(Z.I)]
 
@@ -117,10 +118,11 @@ def _cross_labels(Z: ZipDatum, ws):
     `_twisted_keys`, a conjugate u w v is read from its key u[w[v(alpha_i)]]:
     it is minimal on the J side when the entries at J are positive roots, and
     distinct keys are distinct elements.  Only the conjugate kept is composed,
-    and only its psi(u)^{-1} is formed whole."""
+    and psi(u)^{-1} is formed whole only for a u that gives one, once per pass."""
     wg, n = Z.wg, Z.wg._npos
     post, pre = _twist_frame(Z)
     twist = [(u, vs, tuple(vs[j] for j in Z.J)) for u, vs in _simple_twists(Z, post, pre)]
+    whole = {}
     for w in ws:
         at, found = w.__getitem__, {}
         for u, vs, vJ in twist:
@@ -131,7 +133,10 @@ def _cross_labels(Z: ZipDatum, ws):
                 "twisted orbit of %s meets the J-side labels %d times; convention error"
                 % (wg.describe(w), len(found)))
         u, = found.values()
-        t = _mul(_mul(u, w), _psi_inverse(u, post, pre))
+        v = whole.get(u)
+        if v is None:
+            v = whole[u] = _psi_inverse(u, post, pre)
+        t = _mul(_mul(u, w), v)
         if wg.length(t) != wg.length(w):
             raise AssertionError("cross label changed the length; convention error")
         yield t
