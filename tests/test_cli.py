@@ -920,6 +920,12 @@ PIN_CONFIGS = {
                  "primes": [2, 3]},
     "gl1xgl1": {"group": {"preset": "GL1xGL1"}, "p": 2, "n": 1, "I": [], "I0": [], "w": "e",
                 "characters": [[1, 0], [2, -1]], "primes": [2, 3]},
+    "a5-i1245": {"group": {"preset": "A5"}, "p": 2, "n": 1, "I": [1, 2, 4, 5],
+                 "w": [3, 2, 4, 3], "characters": [[1, 1, 1, 0, 0, 0], [3, 2, 1, 0, -1, -2]],
+                 "primes": [2, 3]},
+    "a3-flip-n2": {"group": {"preset": "A3"}, "galois": {"perm": [3, 2, 1]}, "p": 3, "n": 2,
+                   "I": [2], "w": [1, 3, 2], "characters": [[2, 1, -1, -2], [1, 1, 0, 0]],
+                   "primes": [2, 3]},
 }
 # every command the parser offers, so that a new one cannot go unpinned; golden
 # reads no config and has its own pin
