@@ -60,7 +60,6 @@ class CharacterVerdict:
     q_small: bool
     orbitally_q_close: bool
     zip_ample: Optional[bool] = None
-    flag_ample: Optional[bool] = None
     witnesses: dict = field(default_factory=dict)
 
 

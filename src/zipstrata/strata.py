@@ -1,6 +1,6 @@
-"""Stratum enumeration, the twisted closure order, Hasse diagrams, coarse
-strata, minimal/cominimal classification, projections between flag levels and
-the correspondence between the two stratum labelings.
+"""Stratum enumeration on either labeling side, the twisted closure order,
+Hasse diagrams, coarse strata, minimal/cominimal classification and
+projections between flag levels.
 """
 from __future__ import annotations
 
@@ -83,18 +83,12 @@ def _psi_inverse(u: tuple, post: tuple, pre: tuple) -> tuple:
     return _mul(_mul(post, _inverse(u)), pre)
 
 
-def _twists(Z: ZipDatum) -> list:
-    """The pairs (u, psi(u)^{-1}) for u in W_I, each formed whole, for
-    `project_stratum`, which composes every twisted conjugate."""
-    post, pre = _twist_frame(Z)
-    return [(u, _psi_inverse(u, post, pre)) for u in Z.wg.subgroup_elements(Z.I)]
-
-
-def _simple_twists(Z: ZipDatum, post: tuple, pre: tuple) -> list:
+def _simple_twists(Z: ZipDatum) -> list:
     """The pairs (u, psi(u)^{-1}(alpha_i) for each simple i) for u in W_I, as
     root indices, from the frame (post, pre) of `_twist_frame`:
     u^{-1}(pre(alpha_i)) is the position of pre(alpha_i) in u, so each is one
     search of u and one lookup in post, and no u is inverted or composed."""
+    post, pre = _twist_frame(Z)
     pre = [pre[i] for i in Z.wg._simple_index]
     return [(u, tuple(post[u.index(j)] for j in pre)) for u in Z.wg.subgroup_elements(Z.I)]
 
@@ -103,43 +97,10 @@ def _twisted_keys(Z: ZipDatum, ws):
     """Yield the set of keys of each w's twisted orbit, composing no element:
     key(u w v) is u[w[v[alpha_i]]] over the simple indices, so each v =
     psi(u)^{-1} is kept as one getter of its m simple images, and the key is
-    that getter over w, then one over u.  The inner getter must give a tuple:
-    at m = 1 it is a one-entry slice, since a bare index would give the entry."""
-    inner = (lambda idx: itemgetter(slice(idx[0], idx[0] + 1))) if Z.rd.num_simple == 1 \
-        else _getter
-    twist = [(u, inner(vs)) for u, vs in _simple_twists(Z, *_twist_frame(Z))]
+    that getter over w, then one over u."""
+    twist = [(u, _getter(vs)) for u, vs in _simple_twists(Z)]
     for w in ws:
         yield {_getter(vs(w))(u) for u, vs in twist}
-
-
-def _cross_labels(Z: ZipDatum, ws):
-    """Yield the one twisted conjugate of each w in ws that is minimal on the J
-    side; uniqueness and length preservation are asserted.  As in
-    `_twisted_keys`, a conjugate u w v is read from its key u[w[v(alpha_i)]]:
-    it is minimal on the J side when the entries at J are positive roots, and
-    distinct keys are distinct elements.  Only the conjugate kept is composed,
-    and psi(u)^{-1} is formed whole only for a u that gives one, once per pass."""
-    wg, n = Z.wg, Z.wg._npos
-    post, pre = _twist_frame(Z)
-    twist = [(u, vs, tuple(vs[j] for j in Z.J)) for u, vs in _simple_twists(Z, post, pre)]
-    whole = {}
-    for w in ws:
-        at, found = w.__getitem__, {}
-        for u, vs, vJ in twist:
-            if not any(map(n.__le__, map(u.__getitem__, map(at, vJ)))):
-                found.setdefault(tuple(map(u.__getitem__, map(at, vs))), u)
-        if len(found) != 1:
-            raise AssertionError(
-                "twisted orbit of %s meets the J-side labels %d times; convention error"
-                % (wg.describe(w), len(found)))
-        u, = found.values()
-        v = whole.get(u)
-        if v is None:
-            v = whole[u] = _psi_inverse(u, post, pre)
-        t = _mul(_mul(u, w), v)
-        if wg.length(t) != wg.length(w):
-            raise AssertionError("cross label changed the length; convention error")
-        yield t
 
 
 # -- stratum enumeration -----------------------------------------------------------
@@ -186,16 +147,24 @@ def coarse_strata(FZ: ZipDatum) -> List[CoarseStratum]:
     return out
 
 
-def _closure_down_sets(Z: ZipDatum, ws) -> list:
+def _closure_down_sets(Z: ZipDatum, ws, others=()) -> list:
     """below[j] has bit i when ws[i] lies in the closure of ws[j]: some twisted
     conjugate of ws[i] is Bruhat-below ws[j].  Every key of the twisted orbit
-    of ws[i] carries bit i, so the orbits must be disjoint."""
-    label = {}
+    of ws[i] carries bit i, so the orbits must be disjoint.  `others`, the
+    labels of the other side, must lie one in each orbit, each at the length
+    of the label whose orbit holds it."""
+    wg, label = Z.wg, {}
     for i, keys in enumerate(_twisted_keys(Z, ws)):
         for k in keys:
             if label.setdefault(k, 1 << i) != 1 << i:
                 raise AssertionError("twisted orbits of two strata meet; convention error")
-    return Z.wg._down_sets(label, ws)
+    if others:
+        hits = [label.get(wg.key(x), 0) for x in others]
+        if sorted(hits) != [1 << i for i in range(len(ws))] or any(
+                wg.length(x) != wg.length(ws[b.bit_length() - 1]) for x, b in zip(others, hits)):
+            raise AssertionError("the other side's labels do not lie one in each twisted "
+                                 "orbit at its label's length; convention error")
+    return wg._down_sets(label, ws)
 
 
 def _covers(below) -> tuple:
@@ -222,8 +191,8 @@ def _covers(below) -> tuple:
 
 def _bruhat_poset(Z: ZipDatum, side: str) -> StrataPoset:
     """The poset of a datum with I = (): W_I is trivial, so every twisted orbit
-    is one element, the cross label of w is w, and the closure order is the
-    Bruhat order on W on both sides.  One level walk gives the strata, their
+    is one element, both sides label the strata by all of W, and the closure
+    order is the Bruhat order on W.  One level walk gives the strata, their
     labels and their covers (`WeylGroup._bruhat_levels`); the J side sorts
     each level by label.  A level's covers are written once the next level
     has its indices, lower index first, so they come out sorted."""
@@ -252,9 +221,10 @@ def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
     fine strata, with dimensions measured over the base.
 
     With I = () the poset is read off one walk of W (`_bruhat_poset`).
-    Otherwise the order is computed on the I-side labels; the J-side poset
-    carries the same order moved to the cross labels of one pass over the
-    twisted orbits.  Both walk or label all of W, so the size of W is checked
+    Otherwise each side's order is computed on that side's own labels, from
+    their twisted orbits, which are the same sets whichever label they are
+    read from; the J side checks that the I-side labels lie one in each of
+    its orbits.  Both walk or label all of W, so the size of W is checked
     before any walk.
     """
     if side not in ("I", "J"):
@@ -262,16 +232,14 @@ def hasse_diagram(Z: ZipDatum, side: str = "I") -> StrataPoset:
     Z.wg._check_enumerable()
     if Z.I == ():
         return _bruhat_poset(Z, side)
-    strata = zip_strata(Z, "I")
-    ws = [s.w for s in strata]
+    # the I-side labels are walked first, so that a J label among them is
+    # described from the words that walk records
+    others = Z.wg.min_coset_reps(Z.I, "left") if side == "J" else ()
+    strata = zip_strata(Z, side)
     if side == "J":
-        d = dims(Z)
-        strata, ws = zip(*sorted(
-            ((_make_stratum(Z, t, "J", d.dim_P, d.dim_G), w)
-             for t, w in zip(_cross_labels(Z, ws), ws)),
-            key=lambda sw: (sw[0].length, sw[0].label)))
-    return StrataPoset(side=side, strata=tuple(strata),
-                       covers=_covers(_closure_down_sets(Z, ws)))
+        strata.sort(key=lambda s: (s.length, s.label))
+    return StrataPoset(side=side, strata=tuple(strata), covers=_covers(
+        _closure_down_sets(Z, [s.w for s in strata], others)))
 
 
 # -- classification and projection ---------------------------------------------
@@ -313,8 +281,9 @@ def project_stratum(Z: ZipDatum, I1: Iterable[int], I0: Iterable[int],
         d = dims(FZ0)
         side = "I" if minimal else "J"
         return _make_stratum(FZ0, w, side, d.dim_P, d.dim_G)
-    cands = set()
-    for t in {_mul(_mul(u, w), v) for u, v in _twists(FZ0)}:     # FZ0 has I = I0
+    cands, (post, pre) = set(), _twist_frame(FZ0)
+    for t in {_mul(_mul(u, w), _psi_inverse(u, post, pre))
+              for u in wg.subgroup_elements(I0)}:           # FZ0 has I = I0
         while not wg.is_min_left(t, I0):
             i = next(i for i in I0 if wg.has_left_descent(t, i))
             t = wg.compose(wg.simple_reflection(i), t)

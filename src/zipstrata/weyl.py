@@ -66,8 +66,11 @@ def _mul(p: tuple, q: tuple) -> tuple:
 
 
 def _getter(idx: tuple):
-    """p -> (p[j] for j in idx), in C: a tuple, the bare entry for one index,
-    and () for none (itemgetter wants at least one index)."""
+    """p -> (p[j] for j in idx) as a tuple at every length, in C for a tuple
+    p.  itemgetter gives the bare entry for one index and wants at least one,
+    so one index is a one-entry slice and none gives ()."""
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
     return itemgetter(*idx) if idx else lambda p: ()
 
 
@@ -376,7 +379,7 @@ class WeylGroup:
         The left ones are prefix-closed in weak order, so the level walk prunes."""
         K = tuple(sorted(set(K)))
         if side == "right":
-            return tuple(self.inverse(w) for w in self.min_coset_reps(K, "left"))
+            return tuple(map(_inverse, self.min_coset_reps(K, "left")))
         if side != "left":
             raise WeylError("side must be 'left' or 'right'")
         _check_size("the coset set K\\W", K, self.order() // self._subgroup_order(K))

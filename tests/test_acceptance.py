@@ -271,8 +271,8 @@ def test_criterion_7_mutation_gate(monkeypatch):
     # flip the closure-order direction: transpose the down-set bitsets
     original_down_sets = strata._closure_down_sets
 
-    def transposed(Z, ws):
-        below = original_down_sets(Z, ws)
+    def transposed(Z, ws, others=()):
+        below = original_down_sets(Z, ws, others)
         return [sum(1 << i for i, b in enumerate(below) if b >> j & 1)
                 for j in range(len(below))]
 

@@ -280,9 +280,9 @@ def test_twisted_orbits_match_word_oracle(spec):
     # each orbit {u w psi(u)^{-1} : u in W_I} with psi(u) = z^{-1} gamma^n(u) z,
     # where gamma^n(u) is spelled from the canonical word of u with each letter
     # i sent to gamma^n(i); no galois table is read.  Every type I is checked,
-    # against the pairs (u, psi(u)^{-1}) of the library and the conftest oracle;
-    # the simple images read without composing are those of the pairs, and the
-    # keys read from them are the keys of those orbits.
+    # against the conjugates `project_stratum` composes from the twist frame and
+    # the conftest oracle; the simple images read without composing are those
+    # of psi(u)^{-1}, and the keys read from them are the keys of those orbits.
     preset, galois, n = spec
     rd, wg = group(preset, galois)
     for r in range(rd.num_simple + 1):
@@ -294,35 +294,47 @@ def test_twisted_orbits_match_word_oracle(spec):
             ws = wg.min_coset_reps(I, "left")
             orbits = [{wg.compose(wg.compose(u, w), wg.inverse(v)) for u, v in psi}
                       for w in ws]
-            assert [{wg.compose(wg.compose(u, w), v) for u, v in strata._twists(Z)}
-                    for w in ws] == orbits
-            assert strata._simple_twists(Z, *strata._twist_frame(Z)) == \
-                [(u, tuple(v[i] for i in wg._simple_index)) for u, v in strata._twists(Z)]
+            frame = strata._twist_frame(Z)
+            assert [{wg.compose(wg.compose(u, w), strata._psi_inverse(u, *frame))
+                     for u, _ in psi} for w in ws] == orbits
+            assert strata._simple_twists(Z) == \
+                [(u, tuple(wg.inverse(v)[i] for i in wg._simple_index)) for u, v in psi]
             assert [twisted_orbit(Z, w) for w in ws] == orbits
             assert list(strata._twisted_keys(Z, ws)) == [set(map(wg.key, o)) for o in orbits]
 
 
 @pytest.mark.parametrize("preset, I, galois", [("C3", (0, 2), None), ("A3", (0,), "flip"),
                                                ("D4", (0, 1), "dswap")])
-def test_hasse_j_forms_one_psi_inverse_per_label(monkeypatch, preset, I, galois):
-    # both orbit passes, the cross labels and the down-sets, read psi(u)^{-1}
-    # at the simple roots only: the whole permutation is formed only for a u
-    # whose conjugate a cross label keeps, at most once per u and per label,
+def test_hasse_j_forms_no_psi_inverse(monkeypatch, preset, I, galois):
+    # the J side runs the one orbit pass on its own labels, which reads
+    # psi(u)^{-1} at the simple roots only: no whole psi(u)^{-1} is formed,
     # and no u is inverted or twisted through the group
     Z = datum(preset, I, galois=galois)
-    calls = []
-
-    def counted(u, post, pre, _fn=strata._psi_inverse):
-        calls.append(u)
-        return _fn(u, post, pre)
 
     def refuse(*args):
         raise AssertionError("an orbit pass formed a whole twist")
-    monkeypatch.setattr(strata, "_psi_inverse", counted)
+    monkeypatch.setattr(strata, "_psi_inverse", refuse)
     monkeypatch.setattr(WeylGroup, "galois", refuse)
     monkeypatch.setattr(WeylGroup, "inverse", refuse)
     poset = hasse_diagram(Z, "J")
-    assert 0 < len(calls) <= len(poset.strata) and len(set(calls)) == len(calls)
+    assert len(poset.strata) == len(zip_strata(Z, "J")) and poset.covers
+
+
+def test_hasse_j_refuses_a_wrong_frame():
+    # with z = e in place of the frame of A4, I = {2}, the J side no longer
+    # passes its checks; the other-side check refuses I labels that miss an
+    # orbit, share one, or lie in theirs at another length
+    Z = datum("A4", (1,))
+    wg = Z.wg
+    with pytest.raises(AssertionError, match="convention error$"):
+        hasse_diagram(dataclasses.replace(Z, z=wg.e), "J")
+    ws = [s.w for s in hasse_diagram(Z, "J").strata]
+    reps = list(wg.min_coset_reps(Z.I, "left"))
+    k, t = next((k, t) for k, w in enumerate(reps) for t in twisted_orbit(Z, w)
+                if wg.length(t) != wg.length(w))
+    for others in (reps[1:], reps[1:] + reps[-1:], reps[:k] + [t] + reps[k + 1:]):
+        with pytest.raises(AssertionError, match="other side's labels.*convention error$"):
+            strata._closure_down_sets(Z, ws, others)
 
 
 @settings(max_examples=300, deadline=None)
@@ -459,34 +471,57 @@ def test_project_commutes_with_towers(c3_datum):
 
 
 def test_cross_label(c3_datum):
+    # the J-side strata are the oracle's cross labels of the I-side ones: one
+    # element of each twisted orbit, in Wᴶ and at the length of its I label
     Z = c3_datum
     wg = Z.wg
     assert cross_label(Z, wg.e) == wg.e
     reps = wg.min_coset_reps(Z.I, "left")
     images = [cross_label(Z, w) for w in reps]
-    assert list(strata._cross_labels(Z, reps)) == images
+    assert sorted(s.w for s in zip_strata(Z, "J")) == sorted(images)
     assert len(set(images)) == len(reps)
     assert all(wg.is_min_right(t, Z.J) for t in images)
-    assert sorted(wg.length(t) for t in images) == sorted(wg.length(w) for w in reps)
-    top = max(reps, key=wg.length)
-    assert wg.length(cross_label(Z, top)) == wg.length(top)
+    assert [wg.length(t) for t in images] == [wg.length(w) for w in reps]
+
+
+def cross_label_data():
+    """all_data on A2, B2 and C3; every I != () of A3 flip (n = 1, 2), D4
+    dswap, A1-rot3 (n = 1, 2, 3), A2-shear and G2-explicit; and every flag
+    level I0 of C3 strictly inside I."""
+    yield from all_data(("A2", "B2", "C3"))
+    for preset, galois, ns in [("A3", "flip", (1, 2)), ("D4", "dswap", (1,)),
+                               ("A1-rot3", None, (1, 2, 3)), ("A2-shear", None, (1,)),
+                               ("G2-explicit", None, (1,))]:
+        rd, _ = group(preset, galois)
+        for r in range(1, rd.num_simple + 1):
+            for I in itertools.combinations(range(rd.num_simple), r):
+                for n in ns:
+                    yield datum(preset, I, n=n, galois=galois)
+    for r in range(1, 4):
+        for I in itertools.combinations(range(3), r):
+            for k in range(r):
+                for I0 in itertools.combinations(I, k):
+                    yield flag_datum(datum("C3", I), I0)
 
 
 def test_cross_label_is_order_isomorphism():
-    for Z in all_data(("A2", "B2", "C3")):
+    # the J-side poset, computed on its own labels, against the I-side one
+    # moved through the conftest oracle's cross labels: each cross label is
+    # one J-side stratum, in Wᴶ and at its I label's length, no two share
+    # one, and the two orders are isomorphic
+    for Z in cross_label_data():
         wg = Z.wg
-        reps = wg.min_coset_reps(Z.I, "left")
-        poset_I = hasse_diagram(Z, "I")
-        poset_J = hasse_diagram(Z, "J")
-        cross = {wg.describe(w): wg.describe(cross_label(Z, w)) for w in reps}
-        assert [cross[wg.describe(w)] for w in reps] == \
-            [wg.describe(t) for t in strata._cross_labels(Z, reps)]
+        poset_I, poset_J = hasse_diagram(Z, "I"), hasse_diagram(Z, "J")
+        reps = [s.w for s in poset_I.strata]
+        images = [cross_label(Z, w) for w in reps]
+        assert all(wg.is_min_right(t, Z.J) and wg.length(t) == wg.length(w)
+                   for t, w in zip(images, reps))
+        at = {s.w: j for j, s in enumerate(poset_J.strata)}
+        image = [at[t] for t in images]
         n = len(reps)
-        rel_I = {(poset_I.strata[i].label, poset_I.strata[j].label)
-                 for i in range(n) for j in range(n) if poset_I.leq(i, j)}
-        rel_J = {(poset_J.strata[i].label, poset_J.strata[j].label)
-                 for i in range(n) for j in range(n) if poset_J.leq(i, j)}
-        assert {(cross[a], cross[b]) for a, b in rel_I} == rel_J
+        assert sorted(image) == list(range(n))
+        assert [[poset_J.leq(image[i], image[j]) for i in range(n)] for j in range(n)] == \
+            [[poset_I.leq(i, j) for i in range(n)] for j in range(n)]
 
 
 def test_twisted_datum_poset_and_cross_labels():
@@ -499,7 +534,7 @@ def test_twisted_datum_poset_and_cross_labels():
     assert poset.strata[0].w == wg.e
     reps = wg.min_coset_reps(Z.I, "left")
     images = [cross_label(Z, w) for w in reps]
-    assert list(strata._cross_labels(Z, reps)) == images
+    assert sorted(s.w for s in hasse_diagram(Z, "J").strata) == sorted(images)
     assert len(set(images)) == len(reps)
 
 

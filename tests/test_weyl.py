@@ -588,12 +588,13 @@ def test_bruhat_leq_on_a_long_element():
 @pytest.mark.parametrize("preset, galois", DOWN_SET_GROUPS)
 def test_down_sets_over_all_of_w(preset, galois):
     # every element of W carries its own bit, so each column of the keyed walk
-    # is a whole Bruhat down-set; the key tells the elements apart (it is the
-    # bare index for one simple root and () for none)
+    # is a whole Bruhat down-set; the key, a tuple at every rank (() for no
+    # simple root), tells the elements apart
     _, wg = group(preset, galois)
     elts = wg.elements()
     keys = [wg.key(w) for w in elts]
     assert len(set(keys)) == len(elts)
+    assert {(type(k), len(k)) for k in keys} == {(tuple, wg.rd.num_simple)}
     below = wg._down_sets({k: 1 << i for i, k in enumerate(keys)}, elts)
     for w, down in zip(elts, below):
         assert {u for i, u in enumerate(elts) if down >> i & 1} == subword_down_set(wg, w)
