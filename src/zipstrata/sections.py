@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from . import cones
 from .rootsystem import RootDatum, Vec, build_root_datum, dot
-from .weyl import WeylGroup, _inverse, _mul
+from .weyl import _inverse, _mul
 from .zipdatum import ZipDatum, _flag_base, prime_power, zip_from_cochar
 
 CONVENTION = "loop(z*w^-1)/wall-transport/base(q)"
@@ -43,10 +42,6 @@ ROW_BIT_CAP = 10_000
 # solves the stratum's cone: each stratum costs at most this many replays, where
 # an unbounded list would cost quadratically many on Borel types
 WITNESS_LIST = 4
-
-# the `_ConeData` of each datum of each live Weyl group, keyed by (I, J, n, z);
-# a `_ConeData` holds no reference to its group, so the group can still go
-_CONE_DATA: "WeakKeyDictionary[WeylGroup, dict]" = WeakKeyDictionary()
 
 
 class SectionError(ValueError):
@@ -206,8 +201,8 @@ class _ConeData:
     the coroot of each indexed root; the Levi lattice basis (`levi`, the
     `cones.kernel_basis` of the coroots of I); `columns`, each root's coroot
     followed by its pairings with the Levi basis (the coroot alone when the
-    Levi basis is the standard one); and, each filled on first use, the
-    stratum labels, each `stratum`'s table entry and the ample cone's rows.
+    Levi basis is the standard one); and, each built on first use, the
+    stratum labels, each stratum's entry (`stratum`) and the ample cone's rows.
 
     The radical order is the order of gamma^n on X_0, the characters that
     vanish on every coroot.  gamma permutes the coroots, so gamma^n maps X_0 to
@@ -234,41 +229,47 @@ class _ConeData:
         self.labels = self.ample = None
         self.strata = {}
 
-    def stratum(self, wg: WeylGroup, w: tuple) -> list:
-        """The table entry [label, walls, T, starts] of the stratum w: its
-        display label, its walls (`lower_reflections`), its loop order T and
-        the root index of each wall's start w(-alpha) (`_wall_root`), which
-        the first `_wall_rows` to walk them fills in.
+    def stratum(self, Z: ZipDatum, w: tuple) -> tuple:
+        """The entry (label, walls, T, starts) of the stratum w, built once,
+        whole, and never changed: its display label, its walls
+        (`lower_reflections`), its loop order T and the root index of each
+        wall's start w(-alpha) (`_wall_root`), in the order of the walls.  A w
+        that is not a stratum label of the datum raises SectionError.
 
         T is the order of the root permutation sigma = w o z^{-1} o gamma^{-n},
         the adjoint L^t of the character-side loop operator
         L = gamma^n o z o w^{-1}: L^t sends the coroot of b to the coroot of
         sigma(b).  L acts on the root span through sigma^{-1} and on X_0 as
         gamma^n (W fixes X_0 pointwise), so T = lcm(the cycle order of sigma,
-        the order of gamma^n on X_0).
+        the order of gamma^n on X_0).  sigma is linear, so it maps the negative
+        of a cycle to a cycle of the same length, and the cycles through the
+        positive roots, the first half of the indices, give every length.
         """
         found = self.strata.get(w)
         if found is None:
+            wg = Z.wg
+            if not (wg.is_min_left(w, Z.I) or wg.is_min_right(w, Z.J)):
+                raise SectionError("w is not a stratum label for this datum")
             sigma, T, seen = _mul(w, self.tail), self.radical_order, set()
-            for start in range(len(sigma)):
+            for start in range(len(sigma) // 2):
                 j, length = start, 0
                 while j not in seen:
                     seen.add(j)
                     j, length = sigma[j], length + 1
                 T = lcm(T, length) if length else T
-            found = self.strata[w] = [wg.describe(w), wg.lower_reflections(w), T, None]
+            walls = wg.lower_reflections(w)
+            found = self.strata[w] = (wg.describe(w), walls, T,
+                                      tuple(_wall_root(Z, w, alpha) for alpha in walls))
         return found
 
 
 def _cone_data(Z: ZipDatum) -> _ConeData:
-    """The `_ConeData` of Z, built once per Weyl group and (I, J, n, z)."""
-    by_datum = _CONE_DATA.get(Z.wg)
-    if by_datum is None:
-        by_datum = _CONE_DATA[Z.wg] = {}
-    key = (Z.I, Z.J, Z.n, Z.z)
-    data = by_datum.get(key)
+    """The `_ConeData` of Z, built once per Weyl group and (I, J, n, z), in
+    the group's `_memo`."""
+    key = ("cone", Z.I, Z.J, Z.n, Z.z)
+    data = Z.wg._memo.get(key)
     if data is None:
-        data = by_datum[key] = _ConeData(Z)
+        data = Z.wg._memo[key] = _ConeData(Z)
     return data
 
 
@@ -288,52 +289,41 @@ def _wall_root(Z: ZipDatum, w: tuple, alpha: Vec) -> int:
     return w[wg._index[alpha] + wg._npos]
 
 
-def _stratum_label_ok(Z: ZipDatum, w: tuple) -> bool:
-    wg = Z.wg
-    return wg.is_min_left(w, Z.I) or wg.is_min_right(w, Z.J)
-
-
 def n_alpha(Z: ZipDatum, w: tuple, chi: Vec, alpha: Vec) -> int:
     """The wall multiplicity for the stratum w and wall alpha (in E_w): chi
     paired with the wall's row from `_wall_rows`.  Linear in chi; exact integer."""
-    if not _stratum_label_ok(Z, w):
-        raise SectionError("w is not a stratum label for this datum")
-    if alpha not in _cone_data(Z).stratum(Z.wg, w)[1]:
+    if alpha not in _cone_data(Z).stratum(Z, w)[1]:
         raise SectionError("alpha is not a wall of the stratum")
     (row,), _T = _wall_rows(Z, w, (alpha,))
     return dot(row, chi)
 
 
-def _wall_rows(Z: ZipDatum, w: tuple, walls, data: Optional[_ConeData] = None,
-               found: Optional[list] = None, levi: bool = False) -> Tuple[tuple, int]:
+def _wall_rows(Z: ZipDatum, w: tuple, walls: Optional[Sequence] = None,
+               levi: bool = False) -> Tuple[tuple, int]:
     """The n_alpha coefficient rows over ambient coordinates, one per wall, and
     the loop order T.  Each row is the adjoint form sum_{i<T} q^i (L^t)^i c of
     the sum in n_alpha, where c, the wall transport, is the coroot of the root
     `_wall_root` gives.  L^t = w o z^{-1} o gamma^{-n} sends coroots to coroots
     through the root permutation sigma of `_ConeData.stratum`, so the row is
     sum_{i<T} q^i coroot(sigma^i(w(-alpha))): a walk over root indices from
-    each wall's start, kept in the stratum's entry.  Only the q-powers, these
-    walks and the simplex depend on p; T comes from the datum's `_ConeData`,
-    and rows past `ROW_BIT_CAP` are refused before any orbit is walked.
+    each wall's start.  T and the starts come from the stratum's entry
+    (`_ConeData.stratum`): all its walls', or those of `walls`, a sequence of
+    its walls.  Only the q-powers, the walks and the simplex depend on p, and
+    rows past `ROW_BIT_CAP` are refused before any orbit is walked.
 
-    `data` and `found` are the datum's `_ConeData` and the stratum's entry in
-    it, for a caller that holds them.  With `levi`, each row goes on with its
-    pairings with the Levi basis: the walk sums `_ConeData.columns`, so one
-    walk gives both rows, exactly, since a row's pairing is linear in it."""
-    wg, q = Z.wg, Z.q
-    data = data or _cone_data(Z)
-    found = found or data.stratum(wg, w)
-    label, own, T, starts = found
-    if not walls:
+    With `levi`, each row goes on with its pairings with the Levi basis: the
+    walk sums `_ConeData.columns`, so one walk gives both rows, exactly, since
+    a row's pairing is linear in it."""
+    q, data = Z.q, _cone_data(Z)
+    label, own, T, starts = data.stratum(Z, w)
+    if walls is not None and walls != own:
+        starts = tuple(starts[own.index(alpha)] for alpha in walls)
+    if not starts:
         return (), T
     if T * q.bit_length() > ROW_BIT_CAP:
         raise SectionError("the loop order T = %d of stratum %s times the bit length %d "
                            "of q is %d, more than the cap %d on wall-row bits"
                            % (T, label, q.bit_length(), T * q.bit_length(), ROW_BIT_CAP))
-    if walls is not own or starts is None:
-        starts = tuple(_wall_root(Z, w, alpha) for alpha in walls)
-        if walls is own:
-            found[3] = starts
     sigma, columns = _mul(w, data.tail), data.columns if levi else data.coroots
     powers, rows = [q ** i for i in range(T)], []
     for j in starts:
@@ -341,16 +331,14 @@ def _wall_rows(Z: ZipDatum, w: tuple, walls, data: Optional[_ConeData] = None,
         for _ in range(T):
             orbit.append(columns[j])
             j = sigma[j]
-        rows.append(tuple(sum(map(mul, powers, col)) for col in zip(*orbit)))
+        rows.append(tuple([sum(map(mul, powers, col)) for col in zip(*orbit)]))
     return tuple(rows), T
 
 
 def char_section_verdict(Z: ZipDatum, w: tuple, chi: Vec) -> SectionVerdict:
     """All wall multiplicities of the stratum, and their joint positivity."""
-    if not _stratum_label_ok(Z, w):
-        raise SectionError("w is not a stratum label for this datum")
-    label, walls, _T, _starts = _cone_data(Z).stratum(Z.wg, w)
-    rows, T = _wall_rows(Z, w, walls)
+    label, walls, _T, _starts = _cone_data(Z).stratum(Z, w)
+    rows, T = _wall_rows(Z, w)
     mults = tuple((a, dot(row, chi)) for a, row in zip(walls, rows))
     r, m = r_w(Z, w)
     return SectionVerdict(stratum=label, chi=tuple(chi),
@@ -386,22 +374,22 @@ def _expand(t: tuple, basis: tuple, rank: int) -> tuple:
     return tuple(sum(t[k] * basis[k][j] for k in range(len(basis))) for j in range(rank))
 
 
-def _stratum_rows(Z: ZipDatum, w: tuple, basis: tuple, data: _ConeData) -> tuple:
-    """The label, the walls and the wall rows of the stratum w, over ambient
-    coordinates and over the basis; over the standard basis they are the same,
-    and otherwise the basis is the Levi one, whose rows the same walk gives."""
-    found = data.stratum(Z.wg, w)
-    label, walls, rank = found[0], found[1], Z.rd.rank
+def _stratum_rows(Z: ZipDatum, w: tuple, basis: tuple) -> tuple:
+    """w and the rows of all its walls, over ambient coordinates and over the
+    basis; over the standard basis they are the same, and otherwise the basis
+    is the Levi one, whose rows the same walk gives."""
+    rank = Z.rd.rank
     if len(basis) == rank:
-        ambient, _T = _wall_rows(Z, w, walls, data, found)
-        return label, walls, ambient, ambient
-    rows, _T = _wall_rows(Z, w, walls, data, found, True)
-    return label, walls, tuple(r[:rank] for r in rows), tuple(r[rank:] for r in rows)
+        ambient, _T = _wall_rows(Z, w)
+        return w, ambient, ambient
+    rows, _T = _wall_rows(Z, w, None, True)
+    return w, tuple([r[:rank] for r in rows]), tuple([r[rank:] for r in rows])
 
 
 def _solve_cone(Z: ZipDatum, lattice: str, basis: tuple,
-                label: str, walls: tuple, ambient: tuple, reduced: tuple) -> SectionCone:
+                w: tuple, ambient: tuple, reduced: tuple) -> SectionCone:
     """The section cone of one stratum's rows; its witness is replayed on them."""
+    label, walls, _T, _starts = _cone_data(Z).stratum(Z, w)
     res = cones.feasible_strict(reduced, len(basis))
     witness = None
     if res.feasible:
@@ -416,10 +404,8 @@ def _solve_cone(Z: ZipDatum, lattice: str, basis: tuple,
 
 def section_cone(Z: ZipDatum, w: tuple, lattice: str = "levi") -> SectionCone:
     """Exact feasibility of {n_alpha(chi) > 0} over the chosen character lattice."""
-    if not _stratum_label_ok(Z, w):
-        raise SectionError("w is not a stratum label for this datum")
     basis = _lattice_basis(Z, lattice)
-    return _solve_cone(Z, lattice, basis, *_stratum_rows(Z, w, basis, _cone_data(Z)))
+    return _solve_cone(Z, lattice, basis, *_stratum_rows(Z, w, basis))
 
 
 def _positive_on(rows, chi) -> bool:
@@ -501,10 +487,10 @@ def _uniform_purity(Z: ZipDatum, lattice: str, candidates: Sequence):
     it is, has been replayed on every stratum's ambient rows."""
     rd, data = Z.rd, _cone_data(Z)
     basis = _lattice_basis(Z, lattice)
-    per = [_stratum_rows(Z, w, basis, data) for w in _labels(Z)]
-    ambient = [row for s in per for row in s[2]]
+    per = [_stratum_rows(Z, w, basis) for w in _labels(Z)]
+    ambient = [row for s in per for row in s[1]]
     res = cones.feasible_strict(ambient if len(basis) == rd.rank
-                                else [row for s in per for row in s[3]], len(basis))
+                                else [row for s in per for row in s[2]], len(basis))
     uniform_witness = None
     if res.feasible:
         uniform_witness = _expand(res.witness, basis, rd.rank)
@@ -567,7 +553,7 @@ def purity_verdict(Z: ZipDatum, lattice: str = "levi",
     basis, per, res, uniform_witness, _ample = _uniform_purity(Z, lattice, candidates)
     failing, witnesses = [], []
     for s in () if res.feasible else per:
-        k = next((k for k, chi in enumerate(witnesses) if _positive_on(s[2], chi)), None)
+        k = next((k for k, chi in enumerate(witnesses) if _positive_on(s[1], chi)), None)
         if k is not None:
             witnesses.insert(0, witnesses.pop(k))
             continue

@@ -85,7 +85,8 @@ class WeylGroup:
     """All Weyl-group combinatorics for one root datum.
 
     Memo tables only ever insert values that are functions of their key, so
-    concurrent readers behave as if every operation were pure.
+    concurrent readers behave as if every operation were pure; `_memo` holds
+    the layers' prime-free tables (frames, cone data), so they go with the group.
     """
 
     def __init__(self, rd: RootDatum):
@@ -112,6 +113,7 @@ class WeylGroup:
         self._subgroups: dict = {}
         self._longest: dict = {}
         self._words: dict = {}   # key -> the label of its canonical word (`_levels`)
+        self._memo: dict = {}    # (layer, ...) -> a prime-free table of zipdatum or sections
         self._bracket = None     # (axis-root getter, digit of each axis root, separator)
 
     # -- tables built on first use ----------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-from weakref import WeakKeyDictionary
 
 from .rootsystem import RootDatum, Vec, dot, vneg
 from .weyl import WeylGroup
@@ -27,11 +26,6 @@ PRIME_BOUND = 3317044064679887385961981
 # the cap on n times the bit length of p, so that q = p^n < 2^Q_BIT_CAP prints
 # in at most 3011 decimal digits
 Q_BIT_CAP = 10_000
-
-# the validated frame (J, z, q_roots) of each type of each live Weyl group, keyed
-# by (I, n): p does not enter it, so every prime of a scan shares it; weak, so
-# that it goes with the group
-_FRAMES: "WeakKeyDictionary[WeylGroup, dict]" = WeakKeyDictionary()
 
 
 def is_prime(p: int) -> bool:
@@ -173,8 +167,8 @@ def zip_from_cochar(rd: RootDatum, I=None, mu=None, n: int = 1, p: int = 2,
     """Build the framed zip datum of exponent n for a parabolic type I (or an
     anti-dominant cocharacter mu): J = -w0(gamma^n(I)), z = w0 * w0_J, and the
     second parabolic in the anti-standard position.  The frame is built and
-    validated once per Weyl group and (I, n); p, n and q are checked on every
-    call."""
+    validated once per Weyl group and (I, n), in the group's `_memo`, since p
+    does not enter it; p, n and q are checked on every call."""
     if not is_prime(p):
         raise ZipDatumError("p = %d is not prime" % p)
     if n < 1:
@@ -189,11 +183,8 @@ def zip_from_cochar(rd: RootDatum, I=None, mu=None, n: int = 1, p: int = 2,
     I = tuple(sorted(set(I)))
     if any(not 0 <= i < rd.num_simple for i in I):
         raise ZipDatumError("I contains an invalid simple-root index")
-    wg = wg or WeylGroup(rd)
-    frames = _FRAMES.get(wg)
-    if frames is None:
-        frames = _FRAMES[wg] = {}
-    frame = frames.get((I, n))
+    wg, key = wg or WeylGroup(rd), ("frame", I, n)
+    frame = wg._memo.get(key)
     if frame is None:
         gI = tuple(sorted(rd.galois.perm(i, n) for i in I))
         J = _opposition(rd, wg, gI)
@@ -204,7 +195,7 @@ def zip_from_cochar(rd: RootDatum, I=None, mu=None, n: int = 1, p: int = 2,
         if bad:
             raise ZipDatumError("constructed datum fails frame validation: %s"
                                 % "; ".join(bad))
-        frame = frames[(I, n)] = (J, z, q_roots)
+        frame = wg._memo[key] = (J, z, q_roots)
     J, z, q_roots = frame
     return ZipDatum(rd=rd, wg=wg, n=n, p=p, I=I, J=J, z=z, q_roots=q_roots)
 
@@ -225,19 +216,21 @@ def validate_frame(Z: ZipDatum) -> list:
                    "parabolic outside its positive part")
     if not z_pos <= Z.q_roots:
         bad.append("z-translate of the Borel is not contained in the second parabolic")
-    zi = wg.inverse(z)
-    img = set()
-    for i in gI:
-        b = wg.root_image(zi, rd.simple_roots[i])
-        j = rd.simple_index(b)
-        if j is None:
-            bad.append("z^{-1} does not carry the image type back into the simple roots")
-            break
-        img.add(j)
-    else:
-        if tuple(sorted(img)) != tuple(Z.J):
-            bad.append("declared J does not match z^{-1}(gamma^n(I))")
+    J = _pull_back(Z, Z.I)
+    if J is None:
+        bad.append("z^{-1} does not carry the image type back into the simple roots")
+    elif J != tuple(Z.J):
+        bad.append("declared J does not match z^{-1}(gamma^n(I))")
     return bad
+
+
+def _pull_back(Z: ZipDatum, K: Iterable[int]) -> Optional[tuple]:
+    """The sorted simple-root indices of z^{-1}(gamma^n(K)), or None when one
+    of its roots is not simple."""
+    rd, wg = Z.rd, Z.wg
+    zi = wg.inverse(Z.z)
+    out = [rd.simple_index(wg.root_image(zi, rd.simple_roots[i])) for i in Z.gal_type(K)]
+    return None if None in out else tuple(sorted(out))
 
 
 def flag_datum(Z: ZipDatum, I0: Iterable[int]) -> ZipDatum:
@@ -248,17 +241,10 @@ def flag_datum(Z: ZipDatum, I0: Iterable[int]) -> ZipDatum:
     I0 = tuple(sorted(set(I0)))
     if not set(I0) <= set(Z.I):
         raise ZipDatumError("I0 must be a subset of I")
+    J0 = _pull_back(Z, I0)
+    if J0 is None:
+        raise ZipDatumError("internal inconsistency: induced type escapes the simple roots")
     rd, wg = Z.rd, Z.wg
-    zi = wg.inverse(Z.z)
-    J0 = []
-    for i in Z.gal_type(I0):
-        b = wg.root_image(zi, rd.simple_roots[i])
-        j = rd.simple_index(b)
-        if j is None:
-            raise ZipDatumError("internal inconsistency: induced type escapes the simple roots")
-        J0.append(j)
-    J0 = tuple(sorted(J0))
-
     gI = Z.gal_type(Z.I)
     gI0 = Z.gal_type(I0)
     q0_roots = (rd.levi_positive(gI)

@@ -24,6 +24,7 @@ BENCH_CONFIGS = ROOT / "perfbench" / "configs"
 
 C3_CONFIG = {"group": {"preset": "C3"}, "p": 2, "n": 1, "I": [1, 3],
              "characters": [[1, 1, 0]], "w": "[351]"}
+GL1_101 = "x".join(["GL1"] * 101)       # one factor past the rank cap
 
 PAPER_EDGES = sorted([
     ["[123]", "[132]"], ["[132]", "[142]"], ["[132]", "[231]"],
@@ -643,11 +644,23 @@ def test_config_objects_saying_two_things_or_nothing_exit_2(tmp_path, capsys, gr
     ("cone", dict(C3_CONFIG, w="[213]"), "w is not a stratum label for this datum"),
     ("describe", {"group": {"preset": "A3"}, "galois": {"perm": [3, 2, 1], "order": 3},
                   "p": 3, "n": 1, "I": [1]}, "galois matrix does not have the declared order"),
+    ("describe", dict(C3_CONFIG, group={"preset": GL1_101}),
+     "preset %s has rank 101, more than the cap 100" % GL1_101),
+    ("describe", dict(C3_CONFIG, group={"explicit": dict(EXPLICIT["G2-explicit"][0], rank=101)}),
+     "the explicit datum has rank 101, more than the cap 100"),
+    ("describe", dict(C3_CONFIG, group={"explicit": dict(EXPLICIT["G2-explicit"][0], rank=-1)}),
+     "rank must be a non-negative integer, got -1"),
+    *(("describe", dict(C3_CONFIG, group={"preset": preset}), message)
+      for preset, message in (("B1", "B_n requires n >= 2"), ("C1", "C_n requires n >= 2"),
+                              ("D2", "D_n requires n >= 3"), ("A0", "A_n requires n >= 1"),
+                              ("GL0", "GL_n requires n >= 1"))),
+    *(("describe", dict(C3_CONFIG, p=p), "p = %d is not prime" % p) for p in (0, 1, -3)),
 ], ids=["missing-file", "no-type", "w-no-bracket", "w-letter-past-rank", "w-letter-zero",
         "w-bracket-letter", "w-bracket-spaced-letter",
         "n-alpha-no-w", "cone-no-w",
         "scan-no-types", "flag-strata-no-I0", "coarse-strata-no-I0", "n-alpha-non-label",
-        "cone-non-label", "perm-wrong-order"])
+        "cone-non-label", "perm-wrong-order", "preset-rank-101", "explicit-rank-101",
+        "explicit-rank-negative", "B1", "C1", "D2", "A0", "GL0", "p-0", "p-1", "p-negative"])
 def test_config_errors_exit_2_with_their_message(tmp_path, capsys, command, cfg, message):
     path = str(tmp_path / "absent.json") if cfg is None else write_config(tmp_path, cfg)
     code = cli.main([command, "--config", path])

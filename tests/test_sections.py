@@ -1,10 +1,12 @@
 import fractions
+import gc
 import itertools
 import os
 import subprocess
 import sys
 from math import gcd, lcm
 from pathlib import Path
+from weakref import ref
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import (A1_RANK41, RANK41_GALOIS, ROW_GROUPS, composed_transport, datum,
                       forward_n_alpha, group, loop_matrix, transport_orbit, twist_power)
 from zipstrata import cones, rootsystem, sections, weyl
-from zipstrata.golden import C3_N_TABLE
+from zipstrata.golden import C3_N_FACTOR, C3_N_TABLE
 from zipstrata.rootsystem import _mat_vec, dot
 from zipstrata.sections import (SectionError, ampleness, char_section_verdict,
                                 character_tests, flag_ampleness, gln_certificate,
@@ -712,15 +714,73 @@ def test_wall_rows_are_the_matrix_adjoint_sum(group_spec, I, p, n, data):
         assert row == expected
 
 
+class _Unread(tuple):
+    def __getitem__(self, j):
+        raise AssertionError("a column was read")
+
+
 def test_wall_rows_refuse_past_the_bit_cap_before_any_walk(monkeypatch):
     # the wall of s_1 on the rank-41 datum has T = 27,720: the cap is read off
-    # the stratum's cone data, before any orbit starts at its wall root
+    # the stratum's entry, before any orbit reads a column of the cone data
     rd, wg = group("A1-rank41")
     Z = zip_from_cochar(rd, I=(), p=2, wg=wg)
-    w = wg.from_word([0])
-    monkeypatch.setattr(sections, "_wall_root", _refuse)
+    w, data = wg.from_word([0]), sections._cone_data(Z)
+    for name in ("coroots", "columns"):
+        monkeypatch.setattr(data, name, _Unread(getattr(data, name)))
     with pytest.raises(SectionError, match="T = 27720 of stratum 1"):
         _wall_rows(Z, w, wg.lower_reflections(w))
+
+
+def test_the_label_check_runs_once_per_stratum_across_primes(monkeypatch):
+    # the entry of [351] is built, its label checked, once for all four primes
+    # and all four walls; every other call only reads it
+    rd, _ = group("C3")
+    wg = WeylGroup(rd)                              # fresh: nothing is kept for it yet
+    data = [zip_from_cochar(rd, I=(0, 2), p=p, wg=wg) for p in (2, 3, 5, 7)]
+    w, calls, is_min_left = wg.from_bracket("[351]"), [], WeylGroup.is_min_left
+    monkeypatch.setattr(WeylGroup, "is_min_left",
+                        lambda g, u, K: calls.append(u) or is_min_left(g, u, K))
+    values = [[n_alpha(Z, w, (1, 1, 0), a) for a in WALLS_351] for Z in data]
+    assert calls == [w]
+    assert values == [[C3_N_FACTOR(Z.q) * v for v in C3_N_TABLE[Z.p]] for Z in data]
+
+
+def test_a_second_prime_reuses_each_stratum_entry_whole(monkeypatch):
+    # the first prime's report builds every entry, whole, as a tuple; the
+    # second reads those same objects and builds or replaces none
+    rd, _ = group("C3")
+    wg = WeylGroup(rd)
+    first = purity_report(zip_from_cochar(rd, I=(0, 2), p=2, wg=wg))
+    Z = zip_from_cochar(rd, I=(0, 2), p=3, wg=wg)
+    expected = purity_report(datum("C3", (0, 2), p=3))
+    entries = dict(sections._cone_data(Z).strata)
+    assert len(entries) == len(first.strata)
+    assert all(type(e) is tuple and len(e[3]) == len(e[1]) for e in entries.values())
+    read, stratum = [], sections._ConeData.stratum
+
+    def spy(data, Z, w):
+        read.append((w, stratum(data, Z, w)))
+        return read[-1][1]
+    monkeypatch.setattr(sections._ConeData, "stratum", spy)
+    assert purity_report(Z) == expected
+    assert read and all(e is entries[w] for w, e in read)
+    assert sections._cone_data(Z).strata == entries
+
+
+def test_no_module_level_table_keeps_a_group_alive():
+    # the prime-free tables live in the group's own memo, so they go with it
+    rd, _ = group("C3")
+    wg = WeylGroup(rd)
+    alive = ref(wg)
+    for I in ((), (0, 2)):
+        for p in (2, 3, 5, 7):
+            Z = zip_from_cochar(rd, I=I, p=p, wg=wg)
+            purity_verdict(Z)
+        purity_report(Z)
+    assert {key[0] for key in wg._memo} == {"frame", "cone"}
+    del wg, Z
+    gc.collect()
+    assert alive() is None
 
 
 @settings(max_examples=40, deadline=None)

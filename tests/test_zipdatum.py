@@ -70,6 +70,48 @@ def test_validate_rejects_identity_frame(c3_datum):
     assert any("not contained" in v for v in violations)
 
 
+NOT_MINIMAL = "z is not minimal in its coset z W_J (z not in W^J)"
+LEVI_AXIOM = ("frame axiom fails: z(Phi+) meets the Levi of the image parabolic outside "
+              "its positive part")
+NOT_IN_Q = "z-translate of the Borel is not contained in the second parabolic"
+ESCAPES = "z^{-1} does not carry the image type back into the simple roots"
+WRONG_J = "declared J does not match z^{-1}(gamma^n(I))"
+
+
+@pytest.mark.parametrize("change, violations", [
+    (lambda wg: {"z": wg.longest_element()}, [NOT_MINIMAL, LEVI_AXIOM, ESCAPES]),
+    (lambda wg: {"z": wg.simple[1]}, [NOT_MINIMAL, NOT_IN_Q, ESCAPES]),
+    (lambda wg: {"z": wg.simple[0]}, [LEVI_AXIOM, NOT_IN_Q, ESCAPES]),
+    (lambda wg: {"J": ()}, [WRONG_J]),
+    (lambda wg: {"J": (0,)}, [NOT_MINIMAL, WRONG_J]),
+], ids=["z-w0", "z-s2", "z-s1", "J-empty", "J-1"])
+def test_validate_frame_names_each_failed_axiom(change, violations):
+    # A2 with I = {1}: J = {2} and z = s2 s1; each change breaks the axioms listed
+    rd, wg = group("A2")
+    Z = zip_from_cochar(rd, I=(0,), p=2, wg=wg)
+    assert (Z.J, wg.describe(Z.z), validate_frame(Z)) == ((1,), "2.1", [])
+    assert validate_frame(dataclasses.replace(Z, **change(wg))) == violations
+
+
+def test_flag_datum_refusals():
+    rd, wg = group("A2")
+    Z = zip_from_cochar(rd, I=(0,), p=2, wg=wg)
+    with pytest.raises(ZipDatumError, match="I0 must be a subset of I"):
+        flag_datum(Z, (1,))
+    with pytest.raises(ZipDatumError, match="internal inconsistency: induced type escapes"):
+        flag_datum(dataclasses.replace(Z, z=wg.simple[1]), (0,))
+    with pytest.raises(ZipDatumError, match="induced datum fails frame validation: %s$"
+                       % NOT_IN_Q):
+        flag_datum(dataclasses.replace(Z, q_roots=frozenset()), ())
+
+
+def test_zip_from_cochar_takes_exactly_one_of_i_and_mu():
+    rd, wg = group("A2")
+    for kwargs in ({"I": (0,), "mu": (0, 0, -1)}, {}):
+        with pytest.raises(ZipDatumError, match="give exactly one of I and mu"):
+            zip_from_cochar(rd, p=2, wg=wg, **kwargs)
+
+
 def test_validation_is_axiomatic_not_formula_based():
     # an induced datum whose J differs from the opposition formula still validates
     rd, wg = group("GL4")
