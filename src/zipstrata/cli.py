@@ -290,8 +290,6 @@ def _text_lines(obj, indent):
                 lines += _text_lines(v, indent + "  ")
             else:
                 lines.append("%s- %s" % (indent, v))
-    else:
-        lines.append("%s%s" % (indent, obj))
     return lines
 
 

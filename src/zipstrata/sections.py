@@ -118,7 +118,17 @@ def character_tests(rd: RootDatum, chi: Vec, q: int) -> CharacterVerdict:
             q_small = False
             witnesses["q_small"] = {"root": a, "pairing": dot(chi, rd.coroot(a))}
             break
-    close = True
+    far = _far_orbit(rd, chi, q)
+    if far is not None:
+        witnesses["orbitally_q_close"] = far
+    return CharacterVerdict(chi=chi, q=q, q_small=q_small,
+                            orbitally_q_close=far is None, witnesses=witnesses)
+
+
+def _far_orbit(rd: RootDatum, chi: tuple, q: int) -> Optional[dict]:
+    """The witness of the first coroot orbit on which chi is not q-close, its
+    largest pairing above q - 1 times its least nonzero one, or None when
+    chi is orbitally q-close."""
     for orbit in rd.coroot_orbits:
         vals = [(abs(dot(chi, u)), u) for u in orbit]
         nonzero = [t for t in vals if t[0] != 0]
@@ -127,14 +137,9 @@ def character_tests(rd: RootDatum, chi: Vec, q: int) -> CharacterVerdict:
         hi = max(vals)
         lo = min(nonzero)
         if hi[0] > (q - 1) * lo[0]:
-            close = False
-            witnesses["orbitally_q_close"] = {
-                "coroot_max": hi[1], "pairing_max": hi[0],
-                "coroot_min": lo[1], "pairing_min": lo[0],
-            }
-            break
-    return CharacterVerdict(chi=chi, q=q, q_small=q_small,
-                            orbitally_q_close=close, witnesses=witnesses)
+            return {"coroot_max": hi[1], "pairing_max": hi[0],
+                    "coroot_min": lo[1], "pairing_min": lo[0]}
+    return None
 
 
 def _ample_transports(Z: ZipDatum) -> tuple:
@@ -201,8 +206,9 @@ class _ConeData:
     the coroot of each indexed root; the Levi lattice basis (`levi`, the
     `cones.kernel_basis` of the coroots of I); `columns`, each root's coroot
     followed by its pairings with the Levi basis (the coroot alone when the
-    Levi basis is the standard one); and, each built on first use, the
-    stratum labels, each stratum's entry (`stratum`) and the ample cone's rows.
+    Levi basis is the standard one); and, each built on first use, each
+    stratum's entry (`stratum`) and the ample cone's rows.  The stratum
+    labels are the group's, `min_coset_reps(I)`.
 
     The radical order is the order of gamma^n on X_0, the characters that
     vanish on every coroot.  gamma permutes the coroots, so gamma^n maps X_0 to
@@ -226,7 +232,7 @@ class _ConeData:
         self.levi = levi = tuple(cones.kernel_basis(_lattice_equations(Z, "levi"), Z.rd.rank))
         self.columns = self.coroots if len(levi) == Z.rd.rank else tuple(
             c + tuple(dot(c, b) for b in levi) for c in self.coroots)
-        self.labels = self.ample = None
+        self.ample = None
         self.strata = {}
 
     def stratum(self, Z: ZipDatum, w: tuple) -> tuple:
@@ -271,14 +277,6 @@ def _cone_data(Z: ZipDatum) -> _ConeData:
     if data is None:
         data = Z.wg._memo[key] = _ConeData(Z)
     return data
-
-
-def _labels(Z: ZipDatum) -> tuple:
-    """The stratum labels `min_coset_reps(I)`, enumerated once per datum."""
-    data = _cone_data(Z)
-    if data.labels is None:
-        data.labels = Z.wg.min_coset_reps(Z.I, "left")
-    return data.labels
 
 
 def _wall_root(Z: ZipDatum, w: tuple, alpha: Vec) -> int:
@@ -417,8 +415,8 @@ def _positive_on(rows, chi) -> bool:
 def _ample_close_char(Z: ZipDatum, data: _ConeData, ambient: list) -> Optional[tuple]:
     """An ample, orbitally q-close Levi character chi = sum_k c_k b_k, or None
     when there is none: the point of one cone, replayed on the ample rows,
-    through `character_tests` and on every stratum's `ambient` rows, or the
-    cone's verified Motzkin certificate.
+    through the orbit test of `character_tests` (`_far_orbit`) and on every
+    stratum's `ambient` rows, or the cone's verified Motzkin certificate.
     chi is ample when c is positive on the strict rows (-<b_k, t>)_k over the
     transports t of `_ample_transports`, and then orbitally q-close when
     (q - 1) r_u - r_v >= 0 at c over each coroot orbit, for its coroots u and
@@ -472,7 +470,7 @@ def _ample_close_char(Z: ZipDatum, data: _ConeData, ambient: list) -> Optional[t
         c = res.witness
     chi = _expand(c, levi, rd.rank)
     if not (all(dot(chi, t) < 0 for _i, t in pairs) and _positive_on(ambient, chi)
-            and character_tests(rd, chi, Z.q).orbitally_q_close):
+            and _far_orbit(rd, chi, Z.q) is None):
         raise AssertionError("the ample cone's point is not ample, orbitally q-close and "
                              "positive on every stratum; convention error")
     return chi
@@ -487,7 +485,7 @@ def _uniform_purity(Z: ZipDatum, lattice: str, candidates: Sequence):
     it is, has been replayed on every stratum's ambient rows."""
     rd, data = Z.rd, _cone_data(Z)
     basis = _lattice_basis(Z, lattice)
-    per = [_stratum_rows(Z, w, basis) for w in _labels(Z)]
+    per = [_stratum_rows(Z, w, basis) for w in Z.wg.min_coset_reps(Z.I, "left")]
     ambient = [row for s in per for row in s[1]]
     res = cones.feasible_strict(ambient if len(basis) == rd.rank
                                 else [row for s in per for row in s[2]], len(basis))

@@ -131,15 +131,15 @@ def coarse_strata(FZ: ZipDatum) -> List[CoarseStratum]:
     """Double-coset strata of a flag level with both the classical and the
     derived dimension."""
     _flag_base(FZ)
-    wg = FZ.wg
+    wg, levi_positive = FZ.wg, FZ.rd.levi_positive
     d = dims(FZ)
-    l_i0 = wg.length(wg.longest_element(FZ.I))
-    l_j0 = wg.length(wg.longest_element(FZ.J))
+    # l(w0_K) is the number of positive roots of the Levi of K
+    l_i0, l_j0 = len(levi_positive(FZ.I)), len(levi_positive(FZ.J))
     out = []
     for w in wg.double_coset_reps(FZ.I, FZ.J):
         I_w = wg.double_coset_type(w, FZ.I, FZ.J)
         l = wg.length(w)
-        l_iw = wg.length(wg.longest_element(I_w))
+        l_iw = len(levi_positive(I_w))
         reference_dim = l + l_j0 - l_iw - d.dim_P0
         derived_dim = l + l_i0 + l_j0 - l_iw + d.dim_B + d.dim_P_over_P0
         out.append(CoarseStratum(w=w, label=wg.describe(w), length=l, I_w=I_w,

@@ -111,6 +111,7 @@ class WeylGroup:
         # the root permutations of gamma^k, keyed by k mod the galois order
         self._gamma_pow = {0: self.e, 1: column(-1)}
         self._subgroups: dict = {}
+        self._cosets: dict = {}   # K -> ᴷW, in the order of `min_coset_reps`
         self._longest: dict = {}
         self._words: dict = {}   # key -> the label of its canonical word (`_levels`)
         self._memo: dict = {}    # (layer, ...) -> a prime-free table of zipdatum or sections
@@ -133,27 +134,15 @@ class WeylGroup:
     @cached_property
     def _reflection_keys(self) -> tuple:
         """key(x s_b) = x[s_b(alpha_1)], ..., x[s_b(alpha_m)], one getter per
-        positive b, from s_b(alpha_i) = alpha_i - <alpha_i, b^vee> b: m roots
-        per b and no permutation.  The pairing reads the nonzero entries of
-        alpha_i, and a zero pairing leaves alpha_i fixed."""
-        rd, index, simple = self.rd, self._index, self._simple_index
-        support = [tuple((j, x) for j, x in enumerate(a) if x) for a in rd.simple_roots]
-        keys = []
-        for b in rd.positive:
-            bc, idx = rd.coroot_of[b], list(simple)
-            for i, a in enumerate(rd.simple_roots):
-                k = sum(x * bc[j] for j, x in support[i])
-                if k:
-                    idx[i] = index[tuple(x - k * y for x, y in zip(a, b))]
-            keys.append(_getter(tuple(idx)))
-        return tuple(keys)
+        positive b, read off s_b (`_reflections`) at the simple indices."""
+        return tuple(_getter(self.key(s)) for s in self._reflections)
 
     @cached_property
     def _simple_keys(self) -> tuple:
         """key(x s_i), one getter per simple s_i, for the walks that step by
-        simple reflections only: m getters, where `_reflection_keys` pairs
-        every positive root with every simple root (4,950 by 99 on GL100)."""
-        return tuple(_getter(tuple(s[i] for i in self._simple_index)) for s in self.simple)
+        simple reflections only: m getters, where `_reflection_keys` needs
+        every positive reflection composed (4,950 on GL100)."""
+        return tuple(_getter(self.key(s)) for s in self.simple)
 
     @cached_property
     def _reflection_inversions(self) -> tuple:
@@ -378,14 +367,17 @@ class WeylGroup:
 
     def min_coset_reps(self, K: Iterable[int], side: str = "left") -> tuple:
         """Minimal coset representatives: 'left' is K\\W (labels ᴷW), 'right' W/K.
-        The left ones are prefix-closed in weak order, so the level walk prunes."""
+        The left ones are prefix-closed in weak order, so the level walk prunes;
+        they are kept per K, as `subgroup_elements` keeps W_K."""
         K = tuple(sorted(set(K)))
         if side == "right":
             return tuple(map(_inverse, self.min_coset_reps(K, "left")))
         if side != "left":
             raise WeylError("side must be 'left' or 'right'")
-        _check_size("the coset set K\\W", K, self.order() // self._subgroup_order(K))
-        return self._sorted(self._levels(range(self.rd.num_simple), K))
+        if K not in self._cosets:
+            _check_size("the coset set K\\W", K, self.order() // self._subgroup_order(K))
+            self._cosets[K] = self._sorted(self._levels(range(self.rd.num_simple), K))
+        return self._cosets[K]
 
     def double_coset_reps(self, I0: Iterable[int], J0: Iterable[int]) -> tuple:
         """Minimal representatives of W_{I0}\\W/W_{J0} = ᴵ⁰W ∩ Wᴶ⁰."""
@@ -430,32 +422,24 @@ class WeylGroup:
         return tuple(a for j, a in compress(enumerate(self.rd.positive), inv)
                      if (nw ^ masks[j]).bit_count() == lower)
 
-    def _ideal_levels(self, ws):
-        """Yield the Bruhat ideal {x : x <= w for some w in ws} one length level
-        at a time.  Each w of ws not yet in the ideal adds [e, w], the products
-        of the subwords of a reduced word of w, one letter s at a time: P_k is
-        P_{k-1} with x s for each x in it (Björner-Brenti, Combinatorics of
-        Coxeter Groups, ch. 2).  An x s with x(alpha_s) negative is skipped,
-        since P_{k-1} is down-closed and holds it already.  x s is keyed from
-        x and composed only the first time its key is met.  ws is read from
-        its end, longest first for labels in (length, word) order, so a
-        shorter label is mostly found in the ideal already; any order gives
-        the same ideal."""
-        if not ws:
-            return
-        levels = self._ideal(reversed(ws))
-        levels.reverse()
-        while levels:           # each level is dropped once it has been walked
-            yield levels.pop()
-
     def _ideal(self, ws) -> list:
-        """The ideal of `_ideal_levels` below the elements ws, as lists of
-        elements by length; the lifting dicts die on return."""
+        """The Bruhat ideal {x : x <= w for some w in ws}, as lists of elements
+        by length, [] when ws is empty.  Each w of ws not yet in the ideal adds
+        [e, w], the products of the subwords of a reduced word of w, one
+        letter s at a time: P_k is P_{k-1} with x s for each x in it
+        (Björner-Brenti, Combinatorics of Coxeter Groups, ch. 2).  An x s with
+        x(alpha_s) negative is skipped, since P_{k-1} is down-closed and holds
+        it already.  x s is keyed from x and composed only the first time its
+        key is met; the lifting dicts die on return.  ws is read from its end,
+        longest first for labels in (length, word) order, so a shorter label
+        is mostly found in the ideal already; any order gives the same ideal."""
+        if not ws:
+            return []
         n, key, e = self._npos, self.key, self.e
         steps = list(zip(self._simple_index, self.simple, self._simple_keys))
         bottom = {key(e): (e, 0)}
         met = dict(bottom)          # key -> (element, length), over all of ws
-        for w in ws:
+        for w in reversed(ws):
             k = key(w)
             if k in met:
                 continue
@@ -488,7 +472,7 @@ class WeylGroup:
     def _down_sets(self, label: dict, ws) -> list:
         """For each element w of ws, the OR of label.get(key(x), 0) over all
         x <= w in Bruhat order (Björner-Brenti, ch. 2).  Only the ideal below
-        ws is walked, by levels (`_ideal_levels`); x s_a is a lower cover of x
+        ws is walked, by levels (`_ideal`); x s_a is a lower cover of x
         exactly when it lies in the previous level, which the ideal holds whole
         since it is down-closed, so only two levels of down-sets stay alive and
         those of ws are copied out on the way.  Down-sets are keyed by key(x),
@@ -499,9 +483,10 @@ class WeylGroup:
         n, key, prev = self._npos, self.key, {}
         keys = [key(w) for w in ws]
         out, covers = dict.fromkeys(keys), tuple(enumerate(self._reflection_keys))
-        for level in self._ideal_levels(ws):
+        levels = self._ideal(ws)[::-1]
+        while levels:           # each level is dropped once it has been walked
             cur, below = {}, prev.get
-            for x in level:
+            for x in levels.pop():
                 k = key(x)
                 d = label.get(k, 0)
                 for j, cover in covers:

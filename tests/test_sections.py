@@ -373,6 +373,32 @@ def test_monotonicity_ample_close_implies_positive():
                 assert char_section_verdict(Z, w, chi).verdict
 
 
+@pytest.mark.parametrize("preset, I, p, galois", [
+    ("C3", (0, 2), 3, None), ("C3", (0, 2), 5, None), ("C3", (1,), 5, None),
+    ("C3", (), 7, None), ("B3", (), 7, None), ("A3", (1,), 3, "flip"),
+    ("A4", (0, 3), 3, None), ("D4", (0, 1, 2), 2, "dswap"), ("C4", (1,), 7, None),
+    ("C4", (0, 1, 2), 2, None), ("A5", (0, 1, 3, 4), 2, None)])
+def test_ample_close_cone_lies_in_every_section_cone(preset, I, p, galois):
+    # the whole ample, orbitally q-close cone, not only the point that
+    # purity_report finds in it, lies inside every stratum's section cone:
+    # each distinct wall row r over the Levi basis is positive on it, since
+    # {ample, close, r . c <= 0} is infeasible with a certificate that replays
+    # (the weak rows are built as _ample_close_char builds them)
+    Z = datum(preset, I, p=p, galois=galois)
+    report = purity_report(Z)
+    data = sections._cone_data(Z)
+    _pairs, strict, orbits = data.ample
+    weak = [tuple((Z.q - 1) * x - y for x, y in zip(u, v))
+            for close, high in orbits for u in close for v in high]
+    rows = {r for cone in report.strata for r in cone.reduced_rows}
+    assert report.ample_close_char is not None and strict and rows
+    for r in rows:
+        outside = weak + [tuple(-x for x in r)]
+        res = cones.feasible_strict(strict, len(data.levi), outside)
+        assert not res.feasible, (report.datum, r)
+        assert cones.verify_certificate(strict, res.certificate, outside)
+
+
 def test_gln_certificate():
     cert = gln_certificate((2, 2), 2)
     assert cert.lam == (2, 2, 1, 1)

@@ -220,6 +220,26 @@ def test_hasse_and_purity_read_labels_from_the_walks(monkeypatch, preset, I):
     assert report.datum["z"] == Z.wg.describe(Z.z) != "e"
 
 
+def test_purity_and_hasse_share_one_walk_of_the_labels(monkeypatch):
+    # ᴵW is kept by the group, so purity, hasse on the J side and zip_strata
+    # on one C3 group with I = {1,3} walk it once between them; here J = I,
+    # so the J side's labels are the inverses of the same walk's elements
+    rd = build_root_datum("C3")
+    Z = zip_from_cochar(rd, I=(0, 2), p=3, wg=WeylGroup(rd))
+    walks, levels = [], WeylGroup._levels
+
+    def counted(self, gens, K=None):
+        walks.append(K)
+        return levels(self, gens, K)
+    monkeypatch.setattr(WeylGroup, "_levels", counted)
+    report = purity_report(Z)
+    poset = hasse_diagram(Z, "J")
+    found = zip_strata(Z)
+    assert Z.J == Z.I and walks.count(Z.I) == 1
+    assert len(report.strata) == len(poset.strata) == len(found) == 12
+    assert [s.w for s in found] == list(Z.wg.min_coset_reps(Z.I, "left"))
+
+
 def test_borel_walk_asserts_it_reached_all_of_w(monkeypatch):
     Z = datum("A3", ())
     monkeypatch.setattr(WeylGroup, "order", lambda self: 25)

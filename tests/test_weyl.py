@@ -502,7 +502,7 @@ def test_length_of_a_wall_is_the_inversion_set_difference(preset, galois):
 def test_reflection_tables_are_built_on_first_use():
     # a fresh group holds only its simple reflections; reflection() and
     # lower_reflections() build the positive reflections, _down_sets builds
-    # only the keys x -> key(x s_b), from the roots, and a walk by simple
+    # the keys x -> key(x s_b), read off the reflections, and a walk by simple
     # reflections alone (min_coset_reps) builds none of the three
     tables = ("_reflections", "_reflection_keys", "_reflection_inversions")
     rd = build_root_datum("A5")
@@ -522,7 +522,7 @@ def test_reflection_tables_are_built_on_first_use():
     assert built(wg) == {"_reflections", "_reflection_inversions"}
     wg = WeylGroup(rd)
     wg._down_sets({}, [wg.longest_element()])
-    assert built(wg) == {"_reflection_keys"}
+    assert built(wg) == {"_reflections", "_reflection_keys"}
     # each reflection is s_i s_c s_i for c = s_i(b) of lower height, as the
     # action of reflect on the roots, and a key getter reads key(x s_b)
     height = {b: sum(rd.coeffs_of[b]) for b in rd.positive}
@@ -552,6 +552,24 @@ def test_level_walk(preset, galois):
             assert all(wg.length(p) == l and wg.key(p) == k for k, p in level.items())
         assert wg.min_coset_reps(K, "left") == \
             tuple(w for w in wg.elements() if wg.is_min_left(w, K))
+
+
+def test_coset_reps_are_walked_once_per_k(monkeypatch):
+    # ᴷW is kept by the group per K, as W_K is: a second call returns the
+    # same tuple and walks nothing, whatever order K is given in
+    rd = build_root_datum("C4")
+    wg, walks = WeylGroup(rd), Counter()
+    levels = WeylGroup._levels
+
+    def counted(self, gens, K=None):
+        walks[K] += 1
+        return levels(self, gens, K)
+    monkeypatch.setattr(WeylGroup, "_levels", counted)
+    first = wg.min_coset_reps((2, 0), "left")
+    assert walks == {(0, 2): 1}
+    assert wg.min_coset_reps([0, 2, 2]) is first and walks == {(0, 2): 1}
+    assert wg.min_coset_reps((0, 2), "right") == tuple(map(wg.inverse, first))
+    assert walks == {(0, 2): 1} and len(first) == 384 // 4
 
 
 @pytest.mark.parametrize("preset, galois, Ks", [
@@ -627,9 +645,10 @@ def test_down_sets_compose_only_new_elements(monkeypatch):
     # the walk composes each element of its ideal once, as it first meets its
     # key, and reads the lower covers x s_a off x; so no element composes
     # nothing, w0 at most all of W, and the C4 elements of length <= 3 (their
-    # own ideal) at most those elements
+    # own ideal) at most those elements; the key getters, read off the
+    # reflections the group composes once, are built before the count
     _, wg = group("C4")
-    w0 = wg.longest_element()
+    w0, _keys = wg.longest_element(), wg._reflection_keys
     short = [w for w in wg.elements() if wg.length(w) <= 3]
     calls = Counter()
     mul = weyl._mul
@@ -656,7 +675,7 @@ def test_ideal_levels_match_the_bruhat_oracle(preset, galois):
     parts += [parts[-1] + parts[-1][:1], [], [w0], rng.sample(elts, len(elts) // 2) + [w0]]
     for ws in parts:
         ideal = set().union(*(below[w] for w in ws))
-        levels = [list(level) for level in wg._ideal_levels(ws)]
+        levels = wg._ideal(ws)
         assert [set(level) for level in levels] == [
             {x for x in ideal if wg.length(x) == l}
             for l in range(max(map(wg.length, ws), default=-1) + 1)]
@@ -666,15 +685,17 @@ def test_ideal_levels_match_the_bruhat_oracle(preset, galois):
 def test_hasse_walks_only_the_ideal_of_its_labels(monkeypatch):
     # on C5 Siegel the longest label w_{0,I} w0 has length 15, and its ideal
     # holds 1,082 elements, of the 2,882 of length <= 15 in W; the walk visits
-    # the ideal and composes each of its elements once, but e and that label
+    # the ideal and composes each of its elements once, but e and that label;
+    # the key getters, read off the reflections, are built before the count
     Z = datum("C5", (0, 1, 2, 3))
-    wg, walked, calls = Z.wg, [], Counter()
-    mul, ideal_levels, down_sets = weyl._mul, WeylGroup._ideal_levels, WeylGroup._down_sets
+    wg, walked, calls, _keys = Z.wg, [], Counter(), Z.wg._reflection_keys
+    mul, ideal, down_sets = weyl._mul, WeylGroup._ideal, WeylGroup._down_sets
 
     def levels(self, ws):
-        for level in ideal_levels(self, ws):
+        out = ideal(self, ws)
+        for level in out:
             walked.extend(level)
-            yield level
+        return out
 
     def counted(self, label, ws):
         start = calls["mul"]
@@ -683,7 +704,7 @@ def test_hasse_walks_only_the_ideal_of_its_labels(monkeypatch):
         return out
 
     monkeypatch.setattr(weyl, "_mul", lambda p, q: calls.update(["mul"]) or mul(p, q))
-    monkeypatch.setattr(WeylGroup, "_ideal_levels", levels)
+    monkeypatch.setattr(WeylGroup, "_ideal", levels)
     monkeypatch.setattr(WeylGroup, "_down_sets", counted)
     poset = strata.hasse_diagram(Z)
     assert len(poset.strata) == 32 and poset.strata[-1].length == 15
